@@ -106,8 +106,7 @@ let () =
                      across job counts by the bench itself) *)
                   "bisim.weak_refine_seconds.j1";
                   "bisim.weak_refine_seconds.j2";
-                  "bisim.weak_refine_seconds.j4";
-                  "ni.check_seconds" ]
+                  "bisim.weak_refine_seconds.j4" ]
           | _ -> fail "study_seconds misses study %s" study)
         [ "rpc"; "streaming" ];
       (* The N-station scaling model: built at 1/2/4 jobs through the

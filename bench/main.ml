@@ -391,10 +391,8 @@ let study_timings () =
         (("lts.build_seconds", build_s) :: sweep_entries sweep)
         @ refine_entries @ weak_entries
         @ [
-            (* the check *is* the refinement phase; the historical key is
-               kept alongside the explicit one *)
+            (* the check *is* the refinement phase *)
             ("bisim.refine_seconds", check_s);
-            ("ni.check_seconds", check_s);
             ("ni.states_pruned", float_of_int pruned);
           ] )
       :: !study_seconds

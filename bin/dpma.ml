@@ -159,9 +159,9 @@ let obs_term =
 
 (* Resource limits and spill, on every subcommand: --max-seconds/--max-mb
    install the ambient Dpma_util.Guard (polled between BFS and refinement
-   rounds; a trip degrades cleanly, exit 3), --spill-dir/--spill-mb set
-   the ambient Segstore defaults so every build of the run spills full
-   segments to disk beyond the resident budget. *)
+   rounds and during simulation runs; a trip degrades cleanly, exit 3),
+   --spill-dir/--spill-mb set the ambient Segstore defaults so every build
+   of the run spills full segments to disk beyond the resident budget. *)
 let limits_term =
   let max_seconds =
     Arg.(

@@ -3,16 +3,18 @@
     An LTS is the common semantic object of the methodology: the functional
     models are plain LTSs, the Markovian models are LTSs whose transitions
     carry {!Dpma_pa.Rate.t} annotations, and the general models reuse the
-    same structure with distributions attached per action name by the
+    same structure with distributions attached per action by the
     simulator.
 
     Labels are interned integers ({!Dpma_pa.Label.t}, [tau = 0]), and the
     transition relation lives in flat arrays: edges of state [s] occupy the
     index range [row.(s) .. row.(s+1) - 1] of [lab] (label ids), [tgt]
     (target states), and the packed rate arrays. Hot loops (partition
-    refinement, simulation stepping, CTMC extraction) index these arrays
-    directly; {!transitions_of} unpacks a state's edges into the
-    list-of-records view for cold consumers. *)
+    refinement, CTMC extraction, simulation stepping) index these arrays
+    directly — the simulator packs each visited state's edge range into a
+    step record of label ids and targets, and keys its clocks by label id;
+    {!transitions_of} unpacks a state's edges into the list-of-records
+    view for cold consumers. *)
 
 type label = Dpma_pa.Label.t
 (** Interned label id; [tau] is [0]. *)

@@ -119,7 +119,9 @@ let lts_spill_write_seconds =
 
 let guard_polls =
   c ~unit_:"polls"
-    ~desc:"resource-guard checks performed between BFS and refinement rounds"
+    ~desc:
+      "resource-guard checks performed between BFS and refinement rounds \
+       and during simulation runs"
     "guard.polls"
 
 let guard_trips =

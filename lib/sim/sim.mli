@@ -80,7 +80,14 @@ val replicate :
     {!Dpma_util.Pool.default_jobs}). Stream [i] is always the [i]-th split
     of the seed's master generator and the per-run values are folded in
     run order, so mean and confidence interval are bit-identical for every
-    job count. *)
+    job count.
+
+    The estimands are tabulated once per call (state rewards per state,
+    impulse rewards per label id) and shared read-only by the runs, so
+    their functions must be pure. The ambient {!Dpma_util.Guard} is polled
+    (phase ["sim.replicate"]) before each replication and every 65 536
+    events; a trip carries the runs finished and the events simulated so
+    far. *)
 
 val run_segments :
   ?timing:assignment ->
@@ -113,7 +120,8 @@ val batch_means :
     warm-up, the run is divided into [batches] contiguous windows whose
     per-window values are treated as (approximately independent) samples.
     Cheaper than {!replicate} for systems with long transients; requires
-    [batches >= 2]. *)
+    [batches >= 2]. Polls the ambient guard like {!replicate}, under phase
+    ["sim.batch_means"]. *)
 
 val first_passage :
   ?timing:assignment ->
@@ -132,4 +140,6 @@ val first_passage :
     the returned count (they contribute the horizon as a lower bound, so
     a non-zero censored count means the true mean is underestimated).
     Replications run on [jobs] domains with the same per-run streams as
-    {!replicate}, so the estimate is independent of the job count. *)
+    {!replicate}, so the estimate is independent of the job count; the
+    guard is polled as in {!replicate}, and [sim.events] counts each run's
+    events up to the hit. *)

@@ -68,6 +68,105 @@ let test_sec3_formula_golden () =
         "EXISTS_WEAK_TRANS(LABEL(C.send_rpc_packet#RCS.get_packet);REACHED_STATE_SAT(NOT(EXISTS_WEAK_TRANS(LABEL(RSC.deliver_packet#C.receive_result_packet);REACHED_STATE_SAT(TRUE)))))"
         canonical
 
+(* General-phase goldens: the simulator's estimates for the default rpc
+   and streaming studies, at reduced run counts, pinned at %.17g. They
+   were recorded with the string-keyed engine that preceded the packed
+   one, so any change to scheduling, PRNG draw order or reward
+   accumulation shows up here. Each line is [tag measure mean half-width]
+   ([valid] lines add the CTMC value, relative error and verdict). *)
+
+module General = Dpma_core.General
+module Pipeline = Dpma_core.Pipeline
+module Markov = Dpma_core.Markov
+module Lts = Dpma_lts.Lts
+module Stats = Dpma_util.Stats
+
+let golden_sim_params jobs =
+  { General.default_sim_params with
+    General.runs = 4; duration = 10_000.0; warmup = 1_000.0; jobs = Some jobs }
+
+let sim_golden_lines ~jobs (study : Pipeline.study) =
+  let g = Printf.sprintf "%.17g" in
+  let params = golden_sim_params jobs in
+  let lts = Lts.of_spec study.Pipeline.spec in
+  let lts_without = Markov.without_dpm lts ~high:study.Pipeline.high in
+  let timing = General.timing_of_list study.Pipeline.general_timings in
+  let measures = study.Pipeline.measures in
+  let estimate tag (e : General.estimate) =
+    Printf.sprintf "%s %s %s %s" tag e.General.measure
+      (g e.General.summary.Stats.mean) (g e.General.summary.Stats.half_width)
+  in
+  let v = General.validate lts ~timing ~measures params in
+  List.map (estimate "dpm") (General.simulate lts ~timing ~measures params)
+  @ List.map (estimate "nodpm")
+      (General.simulate lts_without ~timing ~measures params)
+  @ List.map
+      (fun (l : General.validation_line) ->
+        Printf.sprintf "valid %s %s %s %s %s %b" l.General.name
+          (g l.General.markovian) (g l.General.simulated.Stats.mean)
+          (g l.General.simulated.Stats.half_width)
+          (g l.General.relative_error) l.General.within_interval)
+      v.General.lines
+  @ [ Printf.sprintf "consistent %b" v.General.consistent ]
+
+let rpc_sim_goldens =
+  [
+    "dpm throughput 0.068675 5.8674611671894681e-05";
+    "dpm waiting 0.33414372392999325 0.00035272126943622936";
+    "dpm energy 1.2877720389558487 0.0023030630107369848";
+    "nodpm throughput 0.08635000000000001 6.7751605686733172e-05";
+    "nodpm waiting 0.16254751275700746 0.00050718381174553442";
+    "nodpm energy 2.0176600000000073 7.4218165482689658e-05";
+    "valid throughput 0.073222587440749873 0.071674999999999989 0.0021282525372146965 0.021135383149388953 true";
+    "valid waiting 0.25344851076447206 0.2524156264351321 0.0060522297035601825 0.004075322148173157 true";
+    "valid energy 0.984868107255916 0.98079921351471311 0.018786906868840877 0.0041314097910428128 true";
+    "consistent true";
+  ]
+
+let streaming_sim_goldens =
+  [
+    "dpm energy 0.287215 0.0053433771870670336";
+    "dpm frames 0.01465 0.00015149719590028357";
+    "dpm takes 0.0149 0";
+    "dpm misses 0 0";
+    "dpm sent 0.014999999999999999 0";
+    "dpm lost_ap 0 0";
+    "dpm lost_b 0 0";
+    "nodpm energy 1 0";
+    "nodpm frames 0.014675000000000001 0.00011235332750349191";
+    "nodpm takes 0.0149 0";
+    "nodpm misses 0 0";
+    "nodpm sent 0.014999999999999999 0";
+    "nodpm lost_ap 0 0";
+    "nodpm lost_b 0 0";
+    "valid energy 0.38942076545296539 0.36076524941278321 0.039399936110596952 0.073584971789706022 true";
+    "valid frames 0.014572409419751856 0.0149 0.0014966818886080408 0.022480193275665056 true";
+    "valid takes 0.013148841574710851 0.012675000000000001 0.00081513375625447853 0.036036754418137473 true";
+    "valid misses 0.0017765315596175186 0.001075 0.00056176663751745929 0.39488831809357555 true";
+    "valid sent 0.014925373134328361 0.015300000000000001 0.0011049952486108365 0.025099999999999855 true";
+    "valid lost_ap 5.5567603974708271e-05 0.000175 0.00041072228170324474 2.1493170027567081 true";
+    "valid lost_b 0.0014235678451300473 0.002075 0.001232166845109734 0.45760527473170232 true";
+    "consistent true";
+  ]
+
+let check_sim_goldens study expected () =
+  List.iter
+    (fun jobs ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "jobs=%d" jobs)
+        expected
+        (sim_golden_lines ~jobs study))
+    [ 1; 2 ]
+
+let test_rpc_sim_goldens =
+  check_sim_goldens (Rpc.study ~mode:Rpc.General Rpc.default_params)
+    rpc_sim_goldens
+
+let test_streaming_sim_goldens =
+  check_sim_goldens
+    (Streaming.study ~mode:Streaming.General Streaming.default_params)
+    streaming_sim_goldens
+
 let suite =
   [
     Alcotest.test_case "Fig. 3 Markovian goldens" `Quick test_fig3_markov_goldens;
@@ -75,4 +174,7 @@ let suite =
     Alcotest.test_case "battery goldens" `Quick test_battery_goldens;
     Alcotest.test_case "disk goldens" `Quick test_disk_goldens;
     Alcotest.test_case "Sect. 3.1 formula golden" `Quick test_sec3_formula_golden;
+    Alcotest.test_case "rpc general-phase goldens" `Quick test_rpc_sim_goldens;
+    Alcotest.test_case "streaming general-phase goldens" `Quick
+      test_streaming_sim_goldens;
   ]

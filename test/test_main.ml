@@ -16,6 +16,7 @@ let () =
       ("weak-lazy", Test_weak_lazy.suite);
       ("ctmc", Test_ctmc.suite);
       ("sim", Test_sim.suite);
+      ("sim-oracle", Test_sim_oracle.suite);
       ("adl", Test_adl.suite);
       ("measures", Test_measures.suite);
       ("noninterference", Test_noninterference.suite);

@@ -471,3 +471,115 @@ let first_passage_suite =
   ]
 
 let suite = suite @ first_passage_suite
+
+(* Instrument accounting and resource-guard polling *)
+
+module Metrics = Dpma_obs.Metrics
+module Instruments = Dpma_obs.Instruments
+module Guard = Dpma_util.Guard
+
+(* The per-run streams of [replicate] and [first_passage]: stream [i] is
+   the [i]-th split of the seed's master generator. *)
+let streams ~runs ~seed =
+  let master = Prng.create seed in
+  List.init runs (fun _ -> Prng.split master)
+
+let birth_death () =
+  lts_of_defs
+    [
+      ("S0", Term.prefix "up" (Rate.exp 1.0) (Term.call "S1"));
+      ( "S1",
+        Term.choice
+          [
+            Term.prefix "up" (Rate.exp 1.0) (Term.call "S2");
+            Term.prefix "down" (Rate.exp 2.0) (Term.call "S0");
+          ] );
+      ("S2", Term.prefix "down" (Rate.exp 2.0) (Term.call "S1"));
+    ]
+    (Term.call "S0")
+
+let test_replicate_counts_events () =
+  let lts = birth_death () in
+  let per_run =
+    List.map
+      (fun g ->
+        (Sim.run ~warmup:10.0 ~lts ~duration:200.0 ~estimands:[] g).Sim.events)
+      (streams ~runs:6 ~seed:31)
+  in
+  let before = Metrics.count Instruments.sim_events in
+  ignore
+    (Sim.replicate ~jobs:2 ~warmup:10.0 ~lts ~duration:200.0 ~estimands:[]
+       ~runs:6 ~seed:31 ());
+  Alcotest.(check int) "sim.events grows by the per-run sum"
+    (List.fold_left ( + ) 0 per_run)
+    (Metrics.count Instruments.sim_events - before)
+
+let test_first_passage_counts_events () =
+  let lts = birth_death () in
+  let target s = Lts.out_degree lts s = 1 && Lts.enables_action lts s "down" in
+  (* Events of one run: every firing up to and including the one that
+     enters the target. *)
+  let events_to_hit g =
+    let n = ref 0 in
+    (try
+       ignore
+         (Sim.run_segments
+            ~trace:(fun ~time:_ ~action:_ ~state ->
+              incr n;
+              if target state then raise Exit)
+            ~lts ~boundaries:[| 1e7 |] ~estimands:[] g)
+     with Exit -> ());
+    !n
+  in
+  let expected =
+    List.fold_left ( + ) 0 (List.map events_to_hit (streams ~runs:8 ~seed:5))
+  in
+  Alcotest.(check bool) "runs take events" true (expected > 8);
+  let before = Metrics.count Instruments.sim_events in
+  let _, censored = Sim.first_passage ~jobs:2 ~lts ~target ~runs:8 ~seed:5 () in
+  Alcotest.(check int) "no censoring" 0 censored;
+  Alcotest.(check int) "sim.events grows by the per-run sum" expected
+    (Metrics.count Instruments.sim_events - before)
+
+let test_replicate_polls_guard () =
+  (* A fast self-loop: polls come before each run and every 65536 events. *)
+  let lts =
+    lts_of_defs [ ("P", Term.prefix "t" (Rate.exp 100.0) (Term.call "P")) ]
+      (Term.call "P")
+  in
+  let per_run =
+    List.map
+      (fun g -> (Sim.run ~lts ~duration:1_500.0 ~estimands:[] g).Sim.events)
+      (streams ~runs:2 ~seed:3)
+  in
+  let expected = List.fold_left (fun acc e -> acc + 1 + (e / 65_536)) 0 per_run in
+  Alcotest.(check bool) "runs cross a poll interval" true (expected >= 4);
+  let before = Metrics.count Instruments.guard_polls in
+  Guard.with_guard (Guard.create ~max_seconds:3600.0 ()) (fun () ->
+      ignore
+        (Sim.replicate ~jobs:1 ~lts ~duration:1_500.0 ~estimands:[] ~runs:2
+           ~seed:3 ()));
+  Alcotest.(check int) "guard polls" expected
+    (Metrics.count Instruments.guard_polls - before);
+  match
+    Guard.with_guard (Guard.create ~max_seconds:0.0 ()) (fun () ->
+        Sim.replicate ~jobs:2 ~lts ~duration:1_500.0 ~estimands:[] ~runs:2
+          ~seed:3 ())
+  with
+  | _ -> Alcotest.fail "a spent budget must trip"
+  | exception Guard.Resource_exceeded trip ->
+      Alcotest.(check string) "phase" "sim.replicate" trip.Guard.phase;
+      Alcotest.(check (list string)) "partial progress" [ "runs"; "events" ]
+        (List.map fst trip.Guard.partial)
+
+let accounting_suite =
+  [
+    Alcotest.test_case "replicate counts events" `Quick
+      test_replicate_counts_events;
+    Alcotest.test_case "first passage counts events" `Quick
+      test_first_passage_counts_events;
+    Alcotest.test_case "replicate polls the guard" `Quick
+      test_replicate_polls_guard;
+  ]
+
+let suite = suite @ accounting_suite
