@@ -102,6 +102,8 @@ let () =
                   "lts.build_seconds.j2"; "lts.build_seconds.j4";
                   "bisim.refine_seconds"; "bisim.refine_seconds.j1";
                   "bisim.refine_seconds.j2"; "bisim.refine_seconds.j4";
+                  (* the trace and branching noninterference checks *)
+                  "ni.branching_seconds"; "ni.trace_seconds";
                   (* the lazy weak sweep (legs checked bit-identical
                      across job counts by the bench itself) *)
                   "bisim.weak_refine_seconds.j1";

@@ -50,8 +50,12 @@ type validation_line = {
 
 type validation = { lines : validation_line list; consistent : bool }
 
-let validate ?(tolerance = 0.15) lts ~timing ~measures params =
-  let markovian = Markov.analyze_lts lts measures in
+let validate ?(tolerance = 0.15) ?markovian lts ~timing ~measures params =
+  let markovian =
+    match markovian with
+    | Some m -> m
+    | None -> Markov.analyze_lts lts measures
+  in
   let exponential = Sim.exponential_assignment timing in
   let estimates = simulate lts ~timing:exponential ~measures params in
   let lines =

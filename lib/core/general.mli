@@ -48,6 +48,7 @@ type validation = { lines : validation_line list; consistent : bool }
 
 val validate :
   ?tolerance:float ->
+  ?markovian:Markov.analysis ->
   Dpma_lts.Lts.t ->
   timing:Dpma_sim.Sim.assignment ->
   measures:Dpma_measures.Measure.t list ->
@@ -56,6 +57,8 @@ val validate :
 (** Cross-validation: simulate with exponentialized overrides and compare
     each measure against the CTMC solution. A line is consistent when the
     Markovian value falls within the confidence interval stretched by
-    [tolerance] (default 0.15) relative slack. *)
+    [tolerance] (default 0.15) relative slack. [markovian] is that
+    solution, [Markov.analyze_lts lts measures], when the caller already
+    has it; without it the chain is solved here. *)
 
 val pp_validation : Format.formatter -> validation -> unit

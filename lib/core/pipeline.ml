@@ -29,20 +29,24 @@ let assess ?(sim_params = General.default_sim_params) ?max_states ?jobs study =
   let functional =
     Option.value ~default:study.spec study.functional_spec
   in
-  let verdict, trace_secure, branching_secure =
+  (* The functional LTS is built once and shared by the three checks;
+     when the study has no separate functional model it is also the
+     LTS the later phases analyze. *)
+  let functional_lts, (verdict, trace_secure, branching_secure) =
     span "pipeline.functional" (fun () ->
-        let verdict =
-          Noninterference.check_spec ?max_states ?jobs functional
-            ~high:study.high ~low:study.low
-        in
-        let functional_lts = Lts.of_spec ?max_states ?jobs functional in
+        let flts = Lts.of_spec ?max_states ?jobs functional in
         let high a = List.exists (String.equal a) study.high
         and low a = List.exists (String.equal a) study.low in
-        ( verdict,
-          Noninterference.trace_secure ?jobs functional_lts ~high ~low,
-          Noninterference.branching_secure ?jobs functional_lts ~high ~low ))
+        ( flts,
+          ( Noninterference.check_lts ?jobs flts ~high ~low,
+            Noninterference.trace_secure ?jobs flts ~high ~low,
+            Noninterference.branching_secure ?jobs flts ~high ~low ) ))
   in
-  let lts = Lts.of_spec ?max_states ?jobs study.spec in
+  let lts =
+    match study.functional_spec with
+    | None -> functional_lts
+    | Some _ -> Lts.of_spec ?max_states ?jobs study.spec
+  in
   let lts_without = Markov.without_dpm lts ~high:study.high in
   let markovian_with_dpm, markovian_without_dpm =
     span "pipeline.markovian" (fun () ->
@@ -52,7 +56,8 @@ let assess ?(sim_params = General.default_sim_params) ?max_states ?jobs study =
   let timing = General.timing_of_list study.general_timings in
   let validation =
     span "pipeline.validation" (fun () ->
-        General.validate lts ~timing ~measures:study.measures sim_params)
+        General.validate ~markovian:markovian_with_dpm lts ~timing
+          ~measures:study.measures sim_params)
   in
   let general_with_dpm, general_without_dpm =
     span "pipeline.general" (fun () ->

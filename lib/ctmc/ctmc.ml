@@ -180,8 +180,6 @@ let of_lts (lts : Lts.t) =
     (Array.fold_left (fun acc l -> acc + List.length l) 0 transitions);
   { n; initial; transitions; immediate_rates; enabled_actions })
 
-let project fam c = of_lts (Dpma_lts.Flts.project fam c)
-
 let total_exit_rate c s =
   List.fold_left
     (fun acc (t, r, _) -> if t = s then acc else acc +. r)

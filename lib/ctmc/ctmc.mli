@@ -32,13 +32,6 @@ val of_lts : Dpma_lts.Lts.t -> t
 (** Raises {!Build_error} on passive transitions, immediate cycles, or
     absent rate annotations (i.e. a functional LTS). *)
 
-val project : Dpma_lts.Flts.t -> int -> t
-(** [project fam c] — the CTMC of configuration [c] of a featured family:
-    {!of_lts} on [Dpma_lts.Flts.project fam c]. Because the projected LTS
-    is bit-identical to the per-configuration build, so is the resulting
-    chain. Raises {!Build_error} under the same conditions as
-    {!of_lts}. *)
-
 val total_exit_rate : t -> int -> float
 
 val uniformization_rate : t -> float

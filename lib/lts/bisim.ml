@@ -347,16 +347,25 @@ let weak_refine ?jobs ?par_cutoff lts =
   Tau.Weak.record cache;
   p
 
-let weak_partition ?jobs ?par_cutoff lts =
-  (* Pre-reduce: strongly bisimilar states are weakly bisimilar, and so
-     are tau-SCC members; both quotients are cheap and shrink the LTS the
-     lazy pass condenses. *)
+(* Strong quotient then tau-SCC collapse. Strongly bisimilar states are
+   branching, hence weakly, bisimilar and weak-trace equivalent. The
+   members of a tau-SCC silently reach one another, so they are weakly
+   bisimilar, trace equivalent, and — because the branching signature is
+   divergence-blind (see [Tau.Branching.compute]) — branching bisimilar
+   too, the tau self-loops left behind being inert. Both quotients are
+   cheap and shrink whatever the closure-based passes run on. A
+   divergence-sensitive variant would have to mark divergent SCCs rather
+   than collapse them away. Returns the composed partition and the
+   reduced LTS. *)
+let pre_reduce ?jobs ?par_cutoff lts =
   let p1 = strong_partition ?jobs ?par_cutoff lts in
   let l1 = Lts.quotient lts p1 in
   let p2 = tau_scc_partition l1 in
-  let l2 = Lts.quotient l1 p2 in
-  let p3 = weak_refine ?jobs ?par_cutoff l2 in
-  compose p3 (compose p2 p1)
+  (compose p2 p1, Lts.quotient l1 p2)
+
+let weak_partition ?jobs ?par_cutoff lts =
+  let p, reduced = pre_reduce ?jobs ?par_cutoff lts in
+  compose (weak_refine ?jobs ?par_cutoff reduced) p
 
 (* For lumping, transitions to the same block accumulate: exponential rates
    add up; immediate weights add up per priority; passive weights add up.
@@ -647,78 +656,68 @@ let record_product_exit ~rounds ~pruned secure =
   Dpma_obs.Metrics.incr
     (if secure then I.ni_product_secure_exits else I.ni_product_insecure_exits)
 
-(* Strong quotient then tau-SCC collapse: both preserve weak
-   bisimilarity and shrink the union the lazy pass refines. The same
-   pre-reduction [weak_partition] applies to a materialized union, here
-   performed per side so the unreduced union never exists. *)
-let weak_reduce ?jobs ?par_cutoff lts =
-  let p1 = strong_partition ?jobs ?par_cutoff lts in
-  let l1 = Lts.quotient lts p1 in
-  let p2 = tau_scc_partition l1 in
-  Lts.quotient l1 p2
+(* The per-side preparation every product front shares: prune to the
+   reachable part, then [pre_reduce] — per side, so the unreduced union
+   never exists. Returns the reduced side and the number of states the
+   pruning dropped (the reduction's merges are not counted). *)
+let reduce_side ?jobs ?par_cutoff lts =
+  let reachable, pruned = restrict_reachable lts in
+  (snd (pre_reduce ?jobs ?par_cutoff reachable), pruned)
+
+(* One product front: both sides reduced, [decide] run on the reduced
+   pair, the exit recorded. [decide] returns the watched refinement's
+   [(partition, rounds, split)]. *)
+let product_front ?jobs ?par_cutoff (a : Lts.t) (b : Lts.t) ~decide =
+  Dpma_obs.Trace.with_span "bisim.product"
+    ~attrs:
+      [ ("states", Dpma_obs.Trace.Int (a.num_states + b.num_states)) ]
+    (fun () ->
+      let qa, pruned_a = reduce_side ?jobs ?par_cutoff a in
+      let qb, pruned_b = reduce_side ?jobs ?par_cutoff b in
+      let ((_, rounds, split) as result) = decide qa qb in
+      record_product_exit ~rounds ~pruned:(pruned_a + pruned_b)
+        (Option.is_none split);
+      result)
 
 let weak_product_check ?jobs ?par_cutoff (a : Lts.t) (b : Lts.t) =
-  Dpma_obs.Trace.with_span "bisim.product"
-    ~attrs:
-      [ ("states", Dpma_obs.Trace.Int (a.num_states + b.num_states)) ]
-    (fun () ->
-      let ra, pruned_a = restrict_reachable a in
-      let rb, pruned_b = restrict_reachable b in
-      let qa = weak_reduce ?jobs ?par_cutoff ra
-      and qb = weak_reduce ?jobs ?par_cutoff rb in
-      (* Disjoint union commutes with saturation, so refining the
-         unsaturated union through the lazy weak pass sees the same
-         signatures — hence the same rounds, watched exit and trail — as
-         strong refinement of a saturated union would. *)
-      let partition, rounds, split =
-        let union, ia, ib = Lts.disjoint_union qa qb in
-        let pass, cache = weak_pass union in
-        let r =
-          refine_watched_pass ?jobs ?par_cutoff union ~pass ~watch:(ia, ib)
-        in
-        Tau.Weak.record cache;
-        r
-      in
-      record_product_exit ~rounds ~pruned:(pruned_a + pruned_b)
-        (Option.is_none split);
-      match split with
-      | None -> Product_secure { partition; rounds }
-      | Some (left_signature, right_signature) ->
-          Product_insecure
-            { left = a; right = b; split_round = rounds; left_signature;
-              right_signature })
+  (* Disjoint union commutes with saturation, so refining the unsaturated
+     union through the lazy weak pass sees the same signatures — hence
+     the same rounds, watched exit and trail — as strong refinement of a
+     saturated union would. *)
+  let decide qa qb =
+    let union, ia, ib = Lts.disjoint_union qa qb in
+    let pass, cache = weak_pass union in
+    let r = refine_watched_pass ?jobs ?par_cutoff union ~pass ~watch:(ia, ib) in
+    Tau.Weak.record cache;
+    r
+  in
+  match product_front ?jobs ?par_cutoff a b ~decide with
+  | partition, rounds, None -> Product_secure { partition; rounds }
+  | _, rounds, Some (left_signature, right_signature) ->
+      Product_insecure
+        { left = a; right = b; split_round = rounds; left_signature;
+          right_signature }
 
 let branching_product_secure ?jobs ?par_cutoff (a : Lts.t) (b : Lts.t) =
-  Dpma_obs.Trace.with_span "bisim.product"
-    ~attrs:
-      [ ("states", Dpma_obs.Trace.Int (a.num_states + b.num_states)) ]
-    (fun () ->
-      let ra, pruned_a = restrict_reachable a in
-      let rb, pruned_b = restrict_reachable b in
-      let union, ia, ib = Lts.disjoint_union ra rb in
-      let pass, cache = branching_pass union in
-      let _, rounds, split =
-        refine_watched_pass ?jobs ?par_cutoff union ~pass ~watch:(ia, ib)
-      in
-      Tau.Branching.record cache;
-      record_product_exit ~rounds ~pruned:(pruned_a + pruned_b)
-        (Option.is_none split);
-      Option.is_none split)
+  let decide qa qb =
+    let union, ia, ib = Lts.disjoint_union qa qb in
+    let pass, cache = branching_pass union in
+    let r = refine_watched_pass ?jobs ?par_cutoff union ~pass ~watch:(ia, ib) in
+    Tau.Branching.record cache;
+    r
+  in
+  let _, _, split = product_front ?jobs ?par_cutoff a b ~decide in
+  Option.is_none split
 
 let trace_product_secure ?max_states ?jobs ?par_cutoff (a : Lts.t)
     (b : Lts.t) =
-  Dpma_obs.Trace.with_span "bisim.product"
-    ~attrs:
-      [ ("states", Dpma_obs.Trace.Int (a.num_states + b.num_states)) ]
-    (fun () ->
-      let ra, pruned_a = restrict_reachable a in
-      let rb, pruned_b = restrict_reachable b in
-      let da = determinize ?max_states ra and db = determinize ?max_states rb in
-      let union, ia, ib = Lts.disjoint_union da db in
-      let _, rounds, split =
-        refine_watched ?jobs ?par_cutoff union
-          ~signature:(strong_signature union) ~watch:(ia, ib)
-      in
-      record_product_exit ~rounds ~pruned:(pruned_a + pruned_b)
-        (Option.is_none split);
-      Option.is_none split)
+  let decide qa qb =
+    let union, ia, ib =
+      Lts.disjoint_union (determinize ?max_states qa)
+        (determinize ?max_states qb)
+    in
+    refine_watched ?jobs ?par_cutoff union ~signature:(strong_signature union)
+      ~watch:(ia, ib)
+  in
+  let _, _, split = product_front ?jobs ?par_cutoff a b ~decide in
+  Option.is_none split

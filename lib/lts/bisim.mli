@@ -104,9 +104,11 @@ val trace_equivalent : ?jobs:int -> ?par_cutoff:int -> Lts.t -> Lts.t -> bool
     product entry points below decide exactly that question without ever
     materializing the disjoint union of the unreduced sides. Each side is
     first pruned to the part reachable from its initial state and
-    pre-reduced on its own (strong quotient, tau-SCC collapse — for the
-    weak check); the reduced sides are stitched unsaturated and refined
-    through the lazy weak pass (no ["bisim.saturate"] span fires). The
+    pre-reduced on its own (strong quotient, tau-SCC collapse — one step
+    shared by all three fronts, sound for weak, branching and trace
+    equivalence alike); for the weak check the reduced sides are
+    stitched unsaturated and refined through the lazy weak pass (no
+    ["bisim.saturate"] span fires). The
     watched refinement over the stitched product stops as soon as the two
     initial states split (early-exit INSECURE, splitting signatures
     retained) or as soon as the partition over the pruned product is
@@ -148,13 +150,18 @@ val weak_product_check :
 
 val branching_product_secure :
   ?jobs:int -> ?par_cutoff:int -> Lts.t -> Lts.t -> bool
-(** {!branching_equivalent} through the watched product refiner
-    (reachability pruning + early exit; no saturation is involved in the
-    branching signatures). *)
+(** {!branching_equivalent} through the watched product refiner: both
+    sides are pruned and pre-reduced like {!weak_product_check}'s, and
+    the lazy branching pass refines their union until the initial states
+    split or the partition is stable. The tau-SCC collapse is sound
+    because the branching signature is divergence-blind; a
+    divergence-sensitive variant would have to mark divergent SCCs
+    instead. *)
 
 val trace_product_secure :
   ?max_states:int -> ?jobs:int -> ?par_cutoff:int -> Lts.t -> Lts.t -> bool
 (** {!trace_equivalent} through the watched product refiner: both sides
-    are pruned to their reachable parts before determinization, and the
-    strong refinement of the determinized product stops at the first
+    are pruned and pre-reduced like {!weak_product_check}'s (both steps
+    keep the weak-trace language) before determinization, and the strong
+    refinement of the determinized product stops at the first
     initial-state split. *)

@@ -85,7 +85,7 @@ let test_projection_identity_rpc () =
     (fun c spec ->
       let name = Printf.sprintf "rpc config %d" c in
       check_lts_identical name (Flts.project fam c) (Lts.of_spec spec);
-      check_ctmc_identical name (Ctmc.project fam c)
+      check_ctmc_identical name (Ctmc.of_lts (Flts.project fam c))
         (Ctmc.of_lts (Lts.of_spec spec)))
     specs
 

@@ -424,6 +424,22 @@ let prop_product_check_agrees =
       in
       secure = Bisim.weak_equivalent a b)
 
+(* The branching and trace fronts refine per-side reduced sides (strong
+   quotient, tau-SCC collapse); the generator's random tau edges make
+   tau-cycles common, so these pin that the reduction keeps verdicts. *)
+let prop_branching_product_agrees =
+  QCheck.Test.make ~count:200
+    ~name:"branching product verdict agrees with branching_equivalent"
+    (QCheck.pair arb_lts arb_lts)
+    (fun (a, b) ->
+      Bisim.branching_product_secure a b = Bisim.branching_equivalent a b)
+
+let prop_trace_product_agrees =
+  QCheck.Test.make ~count:200
+    ~name:"trace product verdict agrees with trace_equivalent"
+    (QCheck.pair arb_lts arb_lts)
+    (fun (a, b) -> Bisim.trace_product_secure a b = Bisim.trace_equivalent a b)
+
 let qtests =
   [
     prop_partition_is_consistent;
@@ -435,6 +451,8 @@ let qtests =
     prop_saturate_idempotent;
     prop_weak_equivalent_symmetric;
     prop_product_check_agrees;
+    prop_branching_product_agrees;
+    prop_trace_product_agrees;
   ]
 
 let suite =

@@ -419,6 +419,55 @@ let test_product_counters () =
   Alcotest.(check bool) "unreachable states pruned" true
     (Metrics.count Instruments.ni_product_pruned > pruned_before)
 
+(* The branching front refines the same reduced sides as the weak one:
+   under each "bisim.product" span, the "bisim.refine" spans (the
+   per-side strong quotients, then the watched union) report the same
+   state counts. Dropping the branching front's reduction would make its
+   union refine the raw sides and change the last count. *)
+let refine_states_under_products () =
+  let rec refines acc (s : Trace.span) =
+    let acc =
+      if String.equal s.Trace.name "bisim.refine" then
+        match List.assoc_opt "states" s.Trace.attrs with
+        | Some (Trace.Int n) -> n :: acc
+        | _ -> Alcotest.fail "bisim.refine span without a states attribute"
+      else acc
+    in
+    List.fold_left refines acc s.Trace.children
+  in
+  let rec products acc (s : Trace.span) =
+    if String.equal s.Trace.name "bisim.product" then
+      List.rev (refines [] s) :: acc
+    else List.fold_left products acc s.Trace.children
+  in
+  List.rev (List.fold_left products [] (Trace.roots ()))
+
+let test_branching_refines_reduced_union () =
+  let study = Streaming.study Streaming.default_params in
+  let spec = Option.get study.Dpma_core.Pipeline.functional_spec in
+  let lts = Lts.of_spec spec in
+  let high a = List.mem a Streaming.high_actions
+  and low a = List.mem a Streaming.low_actions in
+  let weak, branching =
+    with_tracing (fun () ->
+        (match NI.check_lts ~jobs:1 lts ~high ~low with
+        | NI.Secure -> ()
+        | NI.Insecure _ -> Alcotest.fail "streaming must be secure");
+        Alcotest.(check bool) "branching secure" true
+          (NI.branching_secure ~jobs:1 lts ~high ~low);
+        match refine_states_under_products () with
+        | [ weak; branching ] -> (weak, branching)
+        | l -> Alcotest.failf "expected two product spans, got %d" (List.length l))
+  in
+  let hidden, removed = NI.observed_pair lts ~high ~low in
+  let raw = hidden.Lts.num_states + removed.Lts.num_states in
+  (match List.rev weak with
+  | union :: _ ->
+      Alcotest.(check bool) "weak front refines a reduced union" true (union < raw)
+  | [] -> Alcotest.fail "weak front ran no refinement");
+  Alcotest.(check (list int)) "same refinements, same state counts" weak
+    branching
+
 let product_suite =
   [
     Alcotest.test_case "differential: simplified rpc" `Quick
@@ -434,6 +483,8 @@ let product_suite =
     Alcotest.test_case "diagnose-only saturation (insecure path)" `Quick
       test_diagnose_saturation_insecure_path;
     Alcotest.test_case "product refiner counters" `Quick test_product_counters;
+    Alcotest.test_case "branching front refines the reduced union" `Quick
+      test_branching_refines_reduced_union;
   ]
 
 let suite = suite @ trace_ni_suite @ product_suite
