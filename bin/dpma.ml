@@ -35,8 +35,14 @@ module Rguard = Dpma_util.Guard
    Exit codes: 1 for semantic and runtime errors, 2 for .aem/.measures
    syntax errors — rendered "line L, column C: message", the same
    human-readable form as [Parser.parse_result] — and 3 for a degraded
-   run: a resource guard tripped, the machine-readable verdict went to
-   stdout, and the exit is clean and distinct from a crash. *)
+   run: a resource guard tripped, or a numeric solver reached its sweep
+   cap without converging; the machine-readable verdict went to stdout,
+   and the exit is clean and distinct from a crash. *)
+let degraded trip =
+  Format.eprintf "%a@." Rguard.pp_trip trip;
+  print_endline (Rguard.verdict_line trip);
+  exit 3
+
 let handle f =
   try f () with
   | Parser.Parse_error { line; col; message } ->
@@ -48,10 +54,9 @@ let handle f =
   | Measure.Parse_error msg ->
       Printf.eprintf "measure syntax error: %s\n" msg;
       exit 2
-  | Rguard.Resource_exceeded trip ->
-      Format.eprintf "%a@." Rguard.pp_trip trip;
-      print_endline (Rguard.verdict_line trip);
-      exit 3
+  | Rguard.Resource_exceeded trip -> degraded trip
+  | Dpma_ctmc.Ctmc.Not_converged { phase; iterations; residual; tolerance } ->
+      degraded (Rguard.convergence_trip ~phase ~iterations ~residual ~tolerance)
   | Elaborate.Check_error msg ->
       Printf.eprintf "static error: %s\n" msg;
       exit 1
@@ -639,9 +644,7 @@ let cmd_transient =
               let reward s =
                 List.fold_left
                   (fun acc c ->
-                    if
-                      List.exists (String.equal c.Measure.action)
-                        ctmc.Dpma_ctmc.Ctmc.enabled_actions.(s)
+                    if Dpma_ctmc.Ctmc.enables_action ctmc s c.Measure.action
                     then acc +. c.Measure.reward
                     else acc)
                   0.0 state_clauses
@@ -670,10 +673,7 @@ let cmd_firstpassage =
         let el = load file in
         let lts = Lts.of_spec ~max_states el.Elaborate.spec in
         let ctmc = Dpma_ctmc.Ctmc.of_lts lts in
-        let target s =
-          List.exists (String.equal action)
-            ctmc.Dpma_ctmc.Ctmc.enabled_actions.(s)
-        in
+        let target s = Dpma_ctmc.Ctmc.enables_action ctmc s action in
         let any_target = ref false in
         for s = 0 to ctmc.Dpma_ctmc.Ctmc.n - 1 do
           if target s then any_target := true

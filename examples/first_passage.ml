@@ -21,10 +21,7 @@ let ctmc_for shutdown_mean =
   in
   Ctmc.of_lts (Lts.of_spec el.Elaborate.spec)
 
-let sleeping ctmc s =
-  List.exists
-    (String.equal "S.monitor_sleeping_server")
-    ctmc.Ctmc.enabled_actions.(s)
+let sleeping ctmc s = Ctmc.enables_action ctmc s "S.monitor_sleeping_server"
 
 let () =
   Format.printf "=== Mean time until the server first sleeps ===@.@.";

@@ -238,28 +238,20 @@ let reward_vector (c : Ctmc.t) clauses =
   let r = Array.make c.Ctmc.n 0.0 in
   List.iter
     (fun cl ->
-      match cl.kind with
-      | State_reward ->
-          for s = 0 to c.Ctmc.n - 1 do
-            if List.exists (String.equal cl.action) c.Ctmc.enabled_actions.(s)
-            then r.(s) <- r.(s) +. cl.reward
-          done
-      | Trans_reward ->
-          for s = 0 to c.Ctmc.n - 1 do
-            let rate =
-              List.fold_left
-                (fun acc (_, rate, a) ->
-                  if String.equal a cl.action then acc +. rate else acc)
-                0.0 c.Ctmc.transitions.(s)
-            in
-            let rate =
-              List.fold_left
-                (fun acc (a, rate) ->
-                  if String.equal a cl.action then acc +. rate else acc)
-                rate c.Ctmc.immediate_rates.(s)
-            in
-            if rate <> 0.0 then r.(s) <- r.(s) +. (cl.reward *. rate)
-          done)
+      (* A name never interned labels nothing, so it contributes 0. *)
+      match Dpma_pa.Label.find cl.action with
+      | None -> ()
+      | Some a -> (
+          match cl.kind with
+          | State_reward ->
+              for s = 0 to c.Ctmc.n - 1 do
+                if Ctmc.enables c s a then r.(s) <- r.(s) +. cl.reward
+              done
+          | Trans_reward ->
+              for s = 0 to c.Ctmc.n - 1 do
+                let rate = Ctmc.firing_rate c s a in
+                if rate <> 0.0 then r.(s) <- r.(s) +. (cl.reward *. rate)
+              done))
     clauses;
   r
 

@@ -139,10 +139,8 @@ type lifetime = { with_dpm : float; without_dpm : float; extension : float }
 
 let lifetime_of_lts lts =
   let ctmc = Ctmc.of_lts lts in
-  let target s =
-    List.exists (String.equal empty_monitor) ctmc.Ctmc.enabled_actions.(s)
-  in
-  Ctmc.mean_time_to ctmc ~target
+  Ctmc.mean_time_to ctmc ~target:(fun s ->
+      Ctmc.enables_action ctmc s empty_monitor)
 
 let expected_lifetime ?policy p =
   let el = Elaborate.elaborate (archi ?policy p) in
@@ -185,7 +183,7 @@ let lifetime_sweep ?policy ?jobs p ~timeouts =
     (List.mapi (fun i t -> (i, t)) timeouts)
 
 let power_of_state (ctmc : Ctmc.t) s =
-  let enables a = List.exists (String.equal a) ctmc.Ctmc.enabled_actions.(s) in
+  let enables = Ctmc.enables_action ctmc s in
   if enables "S.monitor_busy_server" then 3.0
   else if enables "S.monitor_idle_server" then 2.0
   else if enables "S.monitor_awaking_server" then 2.0
@@ -194,9 +192,6 @@ let power_of_state (ctmc : Ctmc.t) s =
 let expected_energy_delivered ?policy p =
   let el = Elaborate.elaborate (archi ?policy p) in
   let ctmc = Ctmc.of_lts (Lts.of_spec el.Elaborate.spec) in
-  let target s =
-    List.exists (String.equal empty_monitor) ctmc.Ctmc.enabled_actions.(s)
-  in
   Ctmc.expected_accumulated_reward ctmc
     ~reward:(fun s -> power_of_state ctmc s)
-    ~until:target
+    ~until:(fun s -> Ctmc.enables_action ctmc s empty_monitor)

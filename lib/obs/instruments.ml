@@ -120,8 +120,8 @@ let lts_spill_write_seconds =
 let guard_polls =
   c ~unit_:"polls"
     ~desc:
-      "resource-guard checks performed between BFS and refinement rounds \
-       and during simulation runs"
+      "resource-guard checks performed between BFS and refinement rounds, \
+       before CTMC solver sweeps and during simulation runs"
     "guard.polls"
 
 let guard_trips =
@@ -259,8 +259,16 @@ let ctmc_solve_iterations =
     "ctmc.solve.iterations"
 
 let ctmc_absorption_sweeps =
-  c ~unit_:"sweeps" ~desc:"fixed-point sweeps of the absorption computation"
+  c ~unit_:"sweeps"
+    ~desc:
+      "local fixed-point sweeps over nontrivial transient SCCs in the \
+       absorption computation"
     "ctmc.absorption.sweeps"
+
+let ctmc_solve_unconverged =
+  c ~unit_:"loops"
+    ~desc:"solver loops that reached their sweep cap (raised Not_converged)"
+    "ctmc.solve.unconverged"
 
 let ctmc_solve_residual =
   g ~unit_:"residual" ~desc:"final ||pi Q||_inf of the last solve (worst BSCC)"

@@ -114,8 +114,9 @@ val lts_spill_write_seconds : Metrics.histogram
     spilled). *)
 
 val guard_polls : Metrics.counter
-(** [guard.polls] — resource-guard checks performed between BFS rounds
-    and refinement rounds while a guard was installed. *)
+(** [guard.polls] — resource-guard checks performed between BFS rounds,
+    refinement rounds and CTMC solver sweeps, and during simulation runs,
+    while a guard was installed. *)
 
 val guard_trips : Metrics.counter
 (** [guard.trips] — resource-guard limit violations: each one aborts the
@@ -224,8 +225,14 @@ val ctmc_solve_iterations : Metrics.counter
     pivot for direct dense solves. *)
 
 val ctmc_absorption_sweeps : Metrics.counter
-(** [ctmc.absorption.sweeps] — fixed-point sweeps of the BSCC absorption
-    computation, summed over solves. *)
+(** [ctmc.absorption.sweeps] — local fixed-point sweeps of the
+    absorption computation, summed over solves: only nontrivial transient
+    SCCs iterate (singleton SCCs are evaluated directly). *)
+
+val ctmc_solve_unconverged : Metrics.counter
+(** [ctmc.solve.unconverged] — solver loops (Gauss–Seidel, absorption,
+    first-passage and reward fixed points) that reached their sweep cap
+    and raised [Not_converged]. *)
 
 val ctmc_solve_residual : Metrics.gauge
 (** [ctmc.solve.residual] — final balance-equation residual

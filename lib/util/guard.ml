@@ -4,11 +4,12 @@
 module M = Dpma_obs.Metrics
 module I = Dpma_obs.Instruments
 
-type resource = Wall_clock | Resident_memory
+type resource = Wall_clock | Resident_memory | Convergence
 
 let resource_name = function
   | Wall_clock -> "wall_clock"
   | Resident_memory -> "resident_memory"
+  | Convergence -> "convergence"
 
 type trip = {
   resource : resource;
@@ -83,6 +84,10 @@ let poll ?(partial = fun () -> []) ~phase () =
           if actual > limit then trip Resident_memory limit actual
       | None -> ())
 
+let convergence_trip ~phase ~iterations ~residual ~tolerance =
+  { resource = Convergence; phase; limit = tolerance; actual = residual;
+    partial = [ ("iterations", float_of_int iterations) ] }
+
 (* --- Degraded verdict rendering -------------------------------------- *)
 
 module Json = Dpma_obs.Json
@@ -105,7 +110,13 @@ let pp_trip ppf t =
     match t.resource with
     | Wall_clock -> Printf.sprintf "%.3g s" v
     | Resident_memory -> Printf.sprintf "%.1f MiB" (v /. 1048576.0)
+    | Convergence -> Printf.sprintf "%.3g" v
   in
-  Format.fprintf ppf "%s guard tripped in %s: %s > limit %s"
-    (resource_name t.resource) t.phase (qty t.actual) (qty t.limit);
+  (match t.resource with
+  | Convergence ->
+      Format.fprintf ppf "no convergence in %s: residual %s > tolerance %s"
+        t.phase (qty t.actual) (qty t.limit)
+  | Wall_clock | Resident_memory ->
+      Format.fprintf ppf "%s guard tripped in %s: %s > limit %s"
+        (resource_name t.resource) t.phase (qty t.actual) (qty t.limit));
   List.iter (fun (k, v) -> Format.fprintf ppf "; %s=%.6g" k v) t.partial

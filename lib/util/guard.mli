@@ -14,11 +14,17 @@
     Every poll increments [guard.polls]; every violation increments
     [guard.trips] (see docs/OBSERVABILITY.md). *)
 
-type resource = Wall_clock | Resident_memory
+type resource =
+  | Wall_clock
+  | Resident_memory
+  | Convergence
+      (** not a guard budget: an iterative solver reached its sweep cap
+          ([limit] is its tolerance, [actual] its last change); the CTMC
+          engine's [Not_converged] renders through the same verdict *)
 
 val resource_name : resource -> string
-(** ["wall_clock"] / ["resident_memory"] — the stable identifiers used in
-    the degraded verdict. *)
+(** ["wall_clock"] / ["resident_memory"] / ["convergence"] — the stable
+    identifiers used in the degraded verdict. *)
 
 type trip = {
   resource : resource;  (** which budget was violated *)
@@ -58,6 +64,12 @@ val poll : ?partial:(unit -> (string * float) list) -> phase:string -> unit -> u
 val resident_bytes : unit -> float
 (** The resident-memory measure guards compare against:
     [Gc.quick_stat] major-heap words in bytes. *)
+
+val convergence_trip :
+  phase:string -> iterations:int -> residual:float -> tolerance:float -> trip
+(** The degraded verdict of a solver loop that reached its sweep cap:
+    resource {!Convergence}, [limit] the tolerance, [actual] the last
+    change, [partial] the sweeps performed. *)
 
 val verdict_json : trip -> Dpma_obs.Json.t
 (** The machine-readable degraded verdict (schema [dpma.degraded/1]):

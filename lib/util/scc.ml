@@ -1,75 +1,109 @@
-let tarjan ~succ n =
+type components = {
+  comp_of : int array;
+  members : int array;
+  comp_row : int array;
+}
+
+let count c = Array.length c.comp_row - 1
+
+let tarjan_csr ~row ~dst n =
   let index = Array.make n (-1) in
   let lowlink = Array.make n 0 in
   let on_stack = Array.make n false in
-  let stack = ref [] in
+  (* Tarjan's vertex stack, and the DFS as explicit frames (vertex, edge
+     cursor) so deep graphs cannot overflow the call stack. *)
+  let stack = Array.make n 0 and sp = ref 0 in
+  let frame_v = Array.make n 0 and frame_e = Array.make n 0 and fp = ref 0 in
   let next_index = ref 0 in
-  let components = ref [] in
-  (* Iterative Tarjan: an explicit work stack holds (vertex, remaining
-     successors) frames so deep graphs cannot overflow the call stack. *)
-  let visit root =
-    let work = ref [ (root, succ root) ] in
-    index.(root) <- !next_index;
-    lowlink.(root) <- !next_index;
+  let comp_of = Array.make n (-1) in
+  let members = Array.make n 0 and filled = ref 0 in
+  let comp_starts = ref [ 0 ] and ncomps = ref 0 in
+  let discover v =
+    index.(v) <- !next_index;
+    lowlink.(v) <- !next_index;
     incr next_index;
-    stack := root :: !stack;
-    on_stack.(root) <- true;
-    while !work <> [] do
-      match !work with
-      | [] -> ()
-      | (v, remaining) :: rest -> (
-          match remaining with
-          | w :: ws ->
-              work := (v, ws) :: rest;
-              if index.(w) = -1 then begin
-                index.(w) <- !next_index;
-                lowlink.(w) <- !next_index;
-                incr next_index;
-                stack := w :: !stack;
-                on_stack.(w) <- true;
-                work := (w, succ w) :: !work
-              end
-              else if on_stack.(w) then
-                lowlink.(v) <- min lowlink.(v) index.(w)
-          | [] ->
-              if lowlink.(v) = index.(v) then begin
-                let rec pop acc =
-                  match !stack with
-                  | [] -> acc
-                  | w :: tl ->
-                      stack := tl;
-                      on_stack.(w) <- false;
-                      if w = v then w :: acc else pop (w :: acc)
-                in
-                components := pop [] :: !components
-              end;
-              work := rest;
-              (match rest with
-              | (parent, _) :: _ ->
-                  lowlink.(parent) <- min lowlink.(parent) lowlink.(v)
-              | [] -> ()))
-    done
+    stack.(!sp) <- v;
+    incr sp;
+    on_stack.(v) <- true;
+    frame_v.(!fp) <- v;
+    frame_e.(!fp) <- row.(v);
+    incr fp
   in
-  for v = 0 to n - 1 do
-    if index.(v) = -1 then visit v
+  for root = 0 to n - 1 do
+    if index.(root) = -1 then begin
+      discover root;
+      while !fp > 0 do
+        let f = !fp - 1 in
+        let v = frame_v.(f) in
+        let e = frame_e.(f) in
+        if e < row.(v + 1) then begin
+          frame_e.(f) <- e + 1;
+          let w = dst.(e) in
+          if index.(w) = -1 then discover w
+          else if on_stack.(w) then lowlink.(v) <- min lowlink.(v) index.(w)
+        end
+        else begin
+          if lowlink.(v) = index.(v) then begin
+            (* Pop v's component: the stack segment from v to the top, in
+               discovery order. *)
+            let base = ref (!sp - 1) in
+            while stack.(!base) <> v do
+              decr base
+            done;
+            for i = !base to !sp - 1 do
+              let w = stack.(i) in
+              on_stack.(w) <- false;
+              comp_of.(w) <- !ncomps;
+              members.(!filled) <- w;
+              incr filled
+            done;
+            sp := !base;
+            incr ncomps;
+            comp_starts := !filled :: !comp_starts
+          end;
+          decr fp;
+          if !fp > 0 then begin
+            let parent = frame_v.(!fp - 1) in
+            lowlink.(parent) <- min lowlink.(parent) lowlink.(v)
+          end
+        end
+      done
+    end
   done;
-  (* Tarjan emits components in reverse topological order already; we
-     accumulated with (::) so reverse back. *)
-  List.rev !components
+  { comp_of; members; comp_row = Array.of_list (List.rev !comp_starts) }
+
+let is_bottom ~row ~dst c ci =
+  let leaves = ref false in
+  for k = c.comp_row.(ci) to c.comp_row.(ci + 1) - 1 do
+    let v = c.members.(k) in
+    for e = row.(v) to row.(v + 1) - 1 do
+      if c.comp_of.(dst.(e)) <> ci then leaves := true
+    done
+  done;
+  not !leaves
+
+(* The list interface packs [succ] into a CSR once and runs the same
+   engine, so both interfaces number components identically. *)
+let csr_of_succ ~succ n =
+  let lists = Array.init n succ in
+  let row = Array.make (n + 1) 0 in
+  for v = 0 to n - 1 do
+    row.(v + 1) <- row.(v) + List.length lists.(v)
+  done;
+  let dst = Array.make row.(n) 0 in
+  Array.iteri
+    (fun v l -> List.iteri (fun k w -> dst.(row.(v) + k) <- w) l)
+    lists;
+  (row, dst)
+
+let tarjan ~succ n =
+  let row, dst = csr_of_succ ~succ n in
+  let c = tarjan_csr ~row ~dst n in
+  List.init (count c) (fun ci ->
+      List.init (c.comp_row.(ci + 1) - c.comp_row.(ci)) (fun k ->
+          c.members.(c.comp_row.(ci) + k)))
 
 let component_index ~n comps =
   let idx = Array.make n (-1) in
   List.iteri (fun ci vs -> List.iter (fun v -> idx.(v) <- ci) vs) comps;
   idx
-
-let bottom_components ~succ n =
-  let comps = tarjan ~succ n in
-  let idx = component_index ~n comps in
-  let comps_arr = Array.of_list comps in
-  let escapes = Array.make (Array.length comps_arr) false in
-  for v = 0 to n - 1 do
-    List.iter (fun w -> if idx.(w) <> idx.(v) then escapes.(idx.(v)) <- true) (succ v)
-  done;
-  comps_arr
-  |> Array.to_list
-  |> List.filteri (fun ci _ -> not escapes.(ci))

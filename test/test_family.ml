@@ -37,16 +37,22 @@ let check_ctmc_identical name (a : Ctmc.t) (b : Ctmc.t) =
   Alcotest.(check int) (name ^ ": tangible") a.Ctmc.n b.Ctmc.n;
   Alcotest.(check bool)
     (name ^ ": initial") true
-    (a.Ctmc.initial = b.Ctmc.initial);
+    (a.Ctmc.init_state = b.Ctmc.init_state && a.Ctmc.init_prob = b.Ctmc.init_prob);
   Alcotest.(check bool)
     (name ^ ": transitions") true
-    (a.Ctmc.transitions = b.Ctmc.transitions);
+    (a.Ctmc.row = b.Ctmc.row && a.Ctmc.dst = b.Ctmc.dst
+    && a.Ctmc.rate = b.Ctmc.rate && a.Ctmc.lab = b.Ctmc.lab);
   Alcotest.(check bool)
     (name ^ ": immediate_rates") true
-    (a.Ctmc.immediate_rates = b.Ctmc.immediate_rates);
+    (a.Ctmc.imm_row = b.Ctmc.imm_row && a.Ctmc.imm_lab = b.Ctmc.imm_lab
+    && a.Ctmc.imm_rate = b.Ctmc.imm_rate);
   Alcotest.(check bool)
     (name ^ ": enabled_actions") true
-    (a.Ctmc.enabled_actions = b.Ctmc.enabled_actions)
+    (a.Ctmc.enabled_row = b.Ctmc.enabled_row
+    && a.Ctmc.enabled_lab = b.Ctmc.enabled_lab);
+  Alcotest.(check bool)
+    (name ^ ": exit rates") true
+    (a.Ctmc.exit_rate = b.Ctmc.exit_rate)
 
 (* ------------------------------------------------------------------ *)
 (* Model families                                                      *)
