@@ -1257,10 +1257,15 @@ let () =
   if json_mode then Format.set_formatter_out_channel stderr;
   at_exit (fun () -> Dpma_obs.Report.emit stderr);
   Printf.eprintf "[bench] jobs = %d\n%!" (Pool.default_jobs ());
-  (* A tripped --max-seconds/--max-mb guard degrades the run instead of
-     crashing it: human rendering to stderr, the machine-readable
-     dpma.degraded/1 verdict to stdout, exit 3 — the same contract as
-     the dpma front end. *)
+  (* A tripped --max-seconds/--max-mb guard or a solver that reaches its
+     sweep cap degrades the run instead of crashing it: human rendering
+     to stderr, the machine-readable dpma.degraded/1 verdict to stdout,
+     exit 3 — the same contract as the dpma front end. *)
+  let degraded trip =
+    Format.eprintf "%a@." Rguard.pp_trip trip;
+    print_endline (Rguard.verdict_line trip);
+    exit 3
+  in
   try
     if tiny then figures_tiny () else figures ();
     if smoke then timed "study-timings" study_timings;
@@ -1278,7 +1283,7 @@ let () =
       print_string report;
       flush stdout
     end
-  with Rguard.Resource_exceeded trip ->
-    Format.eprintf "%a@." Rguard.pp_trip trip;
-    print_endline (Rguard.verdict_line trip);
-    exit 3
+  with
+  | Rguard.Resource_exceeded trip -> degraded trip
+  | Ctmc.Not_converged { phase; iterations; residual; tolerance } ->
+      degraded (Rguard.convergence_trip ~phase ~iterations ~residual ~tolerance)
