@@ -276,6 +276,24 @@ let cmd_parse =
 
 (* lts *)
 
+(* The exploration engine's figures, shared by [lts --stats] and
+   [family --stats]. *)
+let print_build_stats (build : Lts.build_stats) =
+  Format.printf "jobs             : %d@." build.Lts.jobs;
+  Format.printf "bfs rounds       : %d@." build.Lts.rounds;
+  Format.printf "peak frontier    : %d states@." build.Lts.peak_frontier;
+  Format.printf "merge time       : %.6f s@." build.Lts.merge_seconds;
+  Format.printf "segments         : %d@." build.Lts.segments;
+  Format.printf "peak segment mem : %d bytes (%.1f MiB)@."
+    build.Lts.segment_bytes_peak
+    (float_of_int build.Lts.segment_bytes_peak /. (1024.0 *. 1024.0));
+  if build.Lts.spilled_segments > 0 then
+    Format.printf "spilled          : %d segments (%.1f MiB, %.3f s)@."
+      build.Lts.spilled_segments
+      (float_of_int build.Lts.spilled_bytes /. (1024.0 *. 1024.0))
+      build.Lts.spill_write_seconds;
+  Format.printf "build time       : %.6f s@." build.Lts.build_seconds
+
 let cmd_lts =
   let run file max_states verbose dot stats jobs () =
     apply_jobs jobs;
@@ -286,20 +304,7 @@ let cmd_lts =
         if stats then begin
           Format.printf "states           : %d@." lts.Lts.num_states;
           Format.printf "transitions      : %d@." (Lts.num_transitions lts);
-          Format.printf "jobs             : %d@." build.Lts.jobs;
-          Format.printf "bfs rounds       : %d@." build.Lts.rounds;
-          Format.printf "peak frontier    : %d states@." build.Lts.peak_frontier;
-          Format.printf "merge time       : %.6f s@." build.Lts.merge_seconds;
-          Format.printf "segments         : %d@." build.Lts.segments;
-          Format.printf "peak segment mem : %d bytes (%.1f MiB)@."
-            build.Lts.segment_bytes_peak
-            (float_of_int build.Lts.segment_bytes_peak /. (1024.0 *. 1024.0));
-          if build.Lts.spilled_segments > 0 then
-            Format.printf "spilled          : %d segments (%.1f MiB, %.3f s)@."
-              build.Lts.spilled_segments
-              (float_of_int build.Lts.spilled_bytes /. (1024.0 *. 1024.0))
-              build.Lts.spill_write_seconds;
-          Format.printf "build time       : %.6f s@." build.Lts.build_seconds
+          print_build_stats build
         end;
         (match Lts.deadlock_states lts with
         | [] -> Format.printf "deadlock free@."
@@ -731,11 +736,7 @@ let cmd_family =
           flts.Flts.num_states (Flts.num_transitions flts)
           stats.Flts.guard_count;
         if stats_flag then begin
-          Format.printf "jobs             : %d@." stats.Flts.jobs;
-          Format.printf "bfs rounds       : %d@." stats.Flts.rounds;
-          Format.printf "peak frontier    : %d states@." stats.Flts.peak_frontier;
-          Format.printf "merge time       : %.6f s@." stats.Flts.merge_seconds;
-          Format.printf "build time       : %.6f s@." stats.Flts.build_seconds;
+          print_build_stats stats.Flts.build;
           Format.printf "guard table      : %d guards, %d words@."
             stats.Flts.guard_count stats.Flts.guard_words
         end;

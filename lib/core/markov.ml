@@ -163,10 +163,6 @@ let analyze_ltss_dedup ?jobs ltss measures =
     (float_of_int stats.solves_shared);
   (results, stats)
 
-let analyze_family_dedup ?max_states ?jobs specs measures =
-  let ltss = family_ltss ?max_states ?jobs specs in
-  analyze_ltss_dedup ?jobs ltss measures
-
 let without_dpm lts ~high =
   Lts.restrict lts ~remove:(fun a -> List.exists (String.equal a) high)
 

@@ -72,14 +72,6 @@ val analyze_ltss_dedup :
     count. Records [family.distinct_quotients] / [family.solves_shared].
     Raises [Invalid_argument] on an empty family. *)
 
-val analyze_family_dedup :
-  ?max_states:int ->
-  ?jobs:int ->
-  Dpma_pa.Term.spec array ->
-  Dpma_measures.Measure.t list ->
-  analysis array * family_solve_stats
-(** {!family_ltss} followed by {!analyze_ltss_dedup}. *)
-
 val without_dpm : Dpma_lts.Lts.t -> high:string list -> Dpma_lts.Lts.t
 (** Restrict the DPM command actions. *)
 

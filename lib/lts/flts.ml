@@ -7,8 +7,6 @@ module Rate = Dpma_pa.Rate
 module Feature = Dpma_pa.Feature
 module Pool = Dpma_util.Pool
 
-module Int_tbl = Hashtbl.Make (Int)
-
 (* --- Interned feature guards ----------------------------------------- *)
 
 module Guard = struct
@@ -183,211 +181,72 @@ type t = {
   rate_prio : int array;
   guard : int array;
   guards : Guard.table;
-  terms : Term.t array;
+  term : int -> Term.t;
 }
 
 type family_stats = {
-  jobs : int;
-  rounds : int;
-  peak_frontier : int;
-  merge_seconds : float;
-  build_seconds : float;
+  build : Lts.build_stats;
   guard_count : int;
   guard_words : int;
-  spilled_segments : int;
-  spilled_bytes : int;
-  spill_write_seconds : float;
 }
 
 let num_transitions t = Array.length t.lab
 
-(* Mirrors [Lts.par_round_threshold]: below this frontier size a parallel
-   round costs more in domain traffic than it saves. *)
-let par_round_threshold ~jobs =
-  if Pool.hardware_parallelism () <= 1 then max_int else 256 * jobs
-
-let build_family ?(max_states = 500_000) ?jobs ?par_threshold ?spill_dir
+let build_family ?max_states ?jobs ?par_threshold ?spill_dir
     ?max_resident_bytes ?seg_bits specs =
   Dpma_obs.Trace.with_span "family.build" (fun () ->
   let t0 = Dpma_obs.Clock.now_s () in
   let nconfigs = Array.length specs in
   if nconfigs = 0 then invalid_arg "Flts.build_family: empty family";
-  let jobs =
-    match jobs with Some j -> max 1 j | None -> Pool.default_jobs ()
-  in
-  let par_threshold =
-    match par_threshold with
-    | Some th -> max 0 th
-    | None -> par_round_threshold ~jobs
-  in
   let fe = Feature.make specs in
   let guards = Guard.create ~nconfigs in
-  let pol = Segstore.policy ?spill_dir ?max_resident_bytes ?seg_bits () in
-  (* Spill temp file removed on every exit, tripped guards included. *)
-  Fun.protect ~finally:(fun () -> Segstore.finish pol) @@ fun () ->
-  let table : int Int_tbl.t = Int_tbl.create 1024 in
-  let terms = ref (Array.make 1024 Term.stop) in
-  let count = ref 0 in
-  let id_of (term : Term.t) =
-    match Int_tbl.find_opt table term.Term.uid with
-    | Some id -> id
-    | None ->
-        if !count >= max_states then raise (Lts.Too_many_states max_states);
-        let id = !count in
-        incr count;
-        if id = Array.length !terms then begin
-          let bigger = Array.make (2 * id) Term.stop in
-          Array.blit !terms 0 bigger 0 id;
-          terms := bigger
-        end;
-        !terms.(id) <- term;
-        Int_tbl.add table term.Term.uid id;
-        id
+  (* Seeded with every configuration's initial term; hash-consing
+     deduplicates structurally equal initials in configuration order.
+     Groups are emitted in frontier order, which pins guard interning
+     order for any job count. *)
+  let x =
+    Explore.run ?max_states ?jobs ?par_threshold ?spill_dir
+      ?max_resident_bytes ?seg_bits ~phase:"family.build"
+      ~partial:[ ("configs", float_of_int nconfigs) ]
+      ~guards:true
+      ~shard:(fun () -> Feature.shard fe)
+      ~derive:Feature.derive_in ~finish:Feature.merge_shard
+      ~emit:(fun push groups ->
+        List.iter
+          (fun (g : Feature.group) ->
+            let gid = Guard.intern guards g.Feature.configs in
+            List.iter
+              (fun (label, rate, k) -> push label rate k gid)
+              g.Feature.steps)
+          groups)
+      (Feature.inits fe)
   in
-  (* Seed with every configuration's initial term; hash-consing
-     deduplicates structurally equal initials in configuration order. *)
-  let init = Array.map id_of (Feature.inits fe) in
-  (* Edge columns (lab/tgt/kind/prio/guard + the float value) and row
-     offsets live in spill-capable segment stores shared with
-     [Lts.build]; one row offset per state in id order (processing order
-     is id order because the BFS is level-synchronous and numbering is
-     merge order). *)
-  let edges = Segstore.create pol ~int_cols:5 ~float_col:true in
-  let rows = Segstore.create pol ~int_cols:1 ~float_col:false in
-  let push_edge label target rate g =
-    let seg, o = Segstore.push_slot edges in
-    let ints = seg.Segstore.ints in
-    ints.(0).(o) <- label;
-    ints.(1).(o) <- target;
-    ints.(4).(o) <- g;
-    match (rate : Rate.t) with
-    | Rate.Exp l ->
-        ints.(2).(o) <- 1;
-        seg.Segstore.floats.(o) <- l
-    | Rate.Imm { prio; weight } ->
-        ints.(2).(o) <- 2;
-        ints.(3).(o) <- prio;
-        seg.Segstore.floats.(o) <- weight
-    | Rate.Passive { weight } ->
-        ints.(2).(o) <- 3;
-        seg.Segstore.floats.(o) <- weight
-  in
-  let push_row v =
-    let seg, o = Segstore.push_slot rows in
-    seg.Segstore.ints.(0).(o) <- v
-  in
-  let rounds = ref 0 and peak_frontier = ref 0 and merge_s = ref 0.0 in
-  let partial () =
-    [ ("configs", float_of_int nconfigs);
-      ("states", float_of_int !count);
-      ("transitions", float_of_int (Segstore.total edges));
-      ("rounds", float_of_int !rounds) ]
-  in
-  let lo = ref 0 in
-  while !lo < !count do
-    Dpma_util.Guard.poll ~partial ~phase:"family.build" ();
-    let hi = !count in
-    incr rounds;
-    let fsize = hi - !lo in
-    if fsize > !peak_frontier then peak_frontier := fsize;
-    let base = !lo in
-    let frontier = Array.init fsize (fun i -> !terms.(base + i)) in
-    let derived =
-      if jobs = 1 || fsize < par_threshold then begin
-        let sh = Feature.shard fe in
-        let out = Array.make fsize [] in
-        for i = 0 to fsize - 1 do
-          out.(i) <- Feature.derive_in sh frontier.(i)
-        done;
-        Feature.merge_shard sh;
-        out
-      end
-      else
-        Pool.map_chunks_ordered ~jobs
-          ~chunk:(Pool.recommended_chunk ~n:fsize ~jobs)
-          ~init:(fun () -> Feature.shard fe)
-          ~f:Feature.derive_in ~finish:Feature.merge_shard frontier
-    in
-    (* Merge the slices in frontier order: numbering, edge order, and
-       guard interning order are pinned for any job count. *)
-    let tm = Dpma_obs.Clock.now_s () in
-    for i = 0 to fsize - 1 do
-      push_row (Segstore.total edges);
-      List.iter
-        (fun (g : Feature.group) ->
-          let gid = Guard.intern guards g.Feature.configs in
-          List.iter
-            (fun (label, rate, k) -> push_edge label (id_of k) rate gid)
-            g.Feature.steps)
-        derived.(i)
-    done;
-    merge_s := !merge_s +. (Dpma_obs.Clock.now_s () -. tm);
-    lo := hi
-  done;
-  let n = !count in
-  let nedges = Segstore.total edges in
-  let row = Array.make (n + 1) 0 in
-  Segstore.compact_into rows ~ints:[| row |] ~floats:[||] ~n;
-  row.(n) <- nedges;
-  let lab = Array.make nedges 0 in
-  let tgt = Array.make nedges 0 in
-  let rate_kind = Array.make nedges 0 in
-  let rate_prio = Array.make nedges 0 in
-  let guard = Array.make nedges 0 in
-  let rate_val = Array.make nedges 0.0 in
-  Segstore.compact_into edges
-    ~ints:[| lab; tgt; rate_kind; rate_prio; guard |]
-    ~floats:[| rate_val |] ~n:nedges;
   let fam =
-    {
-      nconfigs;
-      num_states = n;
-      init;
-      row;
-      lab;
-      tgt;
-      rate_kind;
-      rate_val;
-      rate_prio;
-      guard;
-      guards;
-      terms = Array.sub !terms 0 n;
-    }
+    { nconfigs; num_states = x.Explore.num_states; init = x.Explore.seeds;
+      row = x.Explore.row; lab = x.Explore.lab; tgt = x.Explore.tgt;
+      rate_kind = x.Explore.rate_kind; rate_val = x.Explore.rate_val;
+      rate_prio = x.Explore.rate_prio; guard = x.Explore.guard; guards;
+      term = x.Explore.term }
   in
-  let build_seconds = Dpma_obs.Clock.now_s () -. t0 in
+  (* The family's sensitivity analysis ([Feature.make]) is build time too. *)
+  let build =
+    { x.Explore.stats with Lts.build_seconds = Dpma_obs.Clock.now_s () -. t0 }
+  in
   let module I = Dpma_obs.Instruments in
   let module M = Dpma_obs.Metrics in
   M.incr I.family_builds;
   M.set I.family_configs (float_of_int nconfigs);
-  M.set I.family_states (float_of_int n);
-  M.set I.family_edges (float_of_int nedges);
+  M.set I.family_states (float_of_int fam.num_states);
+  M.set I.family_edges (float_of_int (num_transitions fam));
   M.set I.family_guards (float_of_int (Guard.count guards));
   M.set I.family_guard_words (float_of_int (Guard.table_words guards));
-  M.observe I.family_build_seconds build_seconds;
+  M.observe I.family_build_seconds build.Lts.build_seconds;
   let stats = Feature.sos_stats fe in
   M.add I.sos_memo_hits stats.Dpma_pa.Semantics.hits;
   M.add I.sos_memo_misses stats.Dpma_pa.Semantics.misses;
-  Segstore.record_metrics pol;
-  let sp = Segstore.stats pol in
   ( fam,
-    {
-      jobs;
-      rounds = !rounds;
-      peak_frontier = !peak_frontier;
-      merge_seconds = !merge_s;
-      build_seconds;
-      guard_count = Guard.count guards;
-      guard_words = Guard.table_words guards;
-      spilled_segments = sp.Segstore.spilled_segments;
-      spilled_bytes = sp.Segstore.spilled_bytes;
-      spill_write_seconds = sp.Segstore.spill_write_seconds;
-    } ))
-
-let of_specs ?max_states ?jobs ?par_threshold ?spill_dir ?max_resident_bytes
-    ?seg_bits specs =
-  fst
-    (build_family ?max_states ?jobs ?par_threshold ?spill_dir
-       ?max_resident_bytes ?seg_bits specs)
+    { build; guard_count = Guard.count guards;
+      guard_words = Guard.table_words guards } ))
 
 (* --- Per-configuration projection ------------------------------------ *)
 
@@ -442,10 +301,10 @@ let project t c =
   done;
   let trans = Array.of_list (List.rev !rev_lists) in
   let order = Array.sub !order 0 !n in
-  let terms = t.terms in
+  let term = t.term in
   let lts =
     Lts.make ~init:0
-      ~state_name:(fun i -> Term.to_string terms.(order.(i)))
+      ~state_name:(fun i -> Term.to_string (term order.(i)))
       trans
   in
   let module I = Dpma_obs.Instruments in

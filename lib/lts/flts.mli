@@ -4,12 +4,15 @@
     A family is an array of specifications (see [Dpma_pa.Feature]) that
     differ in a few constant definitions — DPM timeout values, awake
     periods, buffer bounds. {!build_family} explores the {e union} state
-    space once with the level-synchronous parallel BFS discipline of
-    {!Lts.build}: states are numbered in frontier-merge order, so the
-    featured system — states, edge order, and guards — is bit-identical
-    for any job count. Each transition carries an interned {e feature
-    guard}: the sorted set of configuration indices under which the
-    transition exists from that state.
+    space once, through the same {!Explore} engine as {!Lts.build}, seeded
+    with every configuration's initial term and deriving through
+    [Dpma_pa.Feature] shards: states are numbered in frontier-merge
+    order, so the featured system — states, edge order, and guards — is
+    bit-identical for any job count. Each transition carries an interned
+    {e feature guard}: the set of configuration indices under which the
+    transition exists from that state, interned in merge order into the
+    engine's guard column. A one-member family is [Lts.build] with every
+    guard {!Guard.all}.
 
     {!project} slices one configuration's LTS back out of the shared CSR
     without re-deriving anything: a FIFO traversal from that
@@ -95,20 +98,15 @@ type t = private {
   rate_prio : int array;
   guard : int array;  (** interned guard id per edge *)
   guards : Guard.table;
-  terms : Dpma_pa.Term.t array;  (** the state terms, by union id *)
+  term : int -> Dpma_pa.Term.t;
+      (** the state term of a union id, read from the engine's segmented
+          term store *)
 }
 
 type family_stats = {
-  jobs : int;
-  rounds : int;  (** level-synchronous BFS rounds *)
-  peak_frontier : int;
-  merge_seconds : float;
-  build_seconds : float;
+  build : Lts.build_stats;  (** the exploration engine's figures *)
   guard_count : int;  (** distinct interned guards *)
   guard_words : int;  (** total bitset payload words in the guard table *)
-  spilled_segments : int;  (** full segments spilled to the temp file *)
-  spilled_bytes : int;
-  spill_write_seconds : float;
 }
 
 val build_family :
@@ -120,26 +118,13 @@ val build_family :
   ?seg_bits:int ->
   Dpma_pa.Term.spec array ->
   t * family_stats
-(** Explore the union state space of the family once. Parameters mirror
-    {!Lts.build} ([max_states], default 500_000, bounds the {e union}
-    state count; raises {!Lts.Too_many_states} beyond it;
-    [spill_dir]/[max_resident_bytes]/[seg_bits] configure the same
-    spill-capable {!Segstore} policy, covering the edge and row-offset
-    columns of the union build). Deterministic for any
-    [jobs]/[par_threshold], spilling included. Polls the ambient
-    {!Dpma_util.Guard} between BFS rounds (phase ["family.build"]).
+(** Explore the union state space of the family once. Parameters are
+    the engine's, as for {!Lts.build} ([max_states], default 500_000,
+    bounds the {e union} state count; raises {!Lts.Too_many_states}
+    beyond it). Deterministic for any [jobs]/[par_threshold], spilling
+    included. Polls the ambient {!Dpma_util.Guard} between BFS rounds
+    (phase ["family.build"], partial progress led by ["configs"]).
     Raises [Invalid_argument] on an empty family. *)
-
-val of_specs :
-  ?max_states:int ->
-  ?jobs:int ->
-  ?par_threshold:int ->
-  ?spill_dir:string ->
-  ?max_resident_bytes:int ->
-  ?seg_bits:int ->
-  Dpma_pa.Term.spec array ->
-  t
-(** {!build_family} without the statistics. *)
 
 val num_transitions : t -> int
 

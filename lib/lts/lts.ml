@@ -1,8 +1,6 @@
 module Term = Dpma_pa.Term
 module Semantics = Dpma_pa.Semantics
 module Label = Dpma_pa.Label
-module Pool = Dpma_util.Pool
-module Int_tbl = Hashtbl.Make (Int)
 
 type label = Label.t
 
@@ -39,7 +37,7 @@ type t = {
   rate_prio : int array;
 }
 
-exception Too_many_states of int
+exception Too_many_states = Explore.Too_many_states
 
 let pack ~init ~state_name (trans : transition list array) =
   let n = Array.length trans in
@@ -104,54 +102,9 @@ let transitions_of lts s =
 
 let out_degree lts s = lts.row.(s + 1) - lts.row.(s)
 
-(* --- Chunked segment storage ---------------------------------------- *)
+(* --- State-space construction ---------------------------------------- *)
 
-(* The builder accumulates edges, row offsets, and state terms in
-   fixed-size segments instead of contiguous grow-by-doubling arrays: no
-   O(n) copy spikes while exploring, and peak memory is (data + one
-   segment) instead of (data + a 2x copy) right at the growth points.
-   Edge and row segments live in a {!Segstore} (shared with the featured
-   builder), which can spill full segments to a memory-mapped temp file
-   under a resident-byte budget; term segments stay resident here — the
-   frontier and the lazy [state_name] closure read them at random. *)
-
-let seg_bits = 16
-
-let seg_size = 1 lsl seg_bits
-
-let seg_mask = seg_size - 1
-
-let word_seg_bytes = 8 * seg_size
-
-type term_store = {
-  mutable t_segs : Term.t array array;
-  mutable t_nsegs : int;
-  mutable t_total : int;
-}
-
-let term_store () =
-  { t_segs = Array.make 4 [||]; t_nsegs = 0; t_total = 0 }
-
-let push_term st term =
-  let i = st.t_total in
-  let si = i lsr seg_bits in
-  if si = st.t_nsegs then begin
-    if si = Array.length st.t_segs then begin
-      let bigger = Array.make (2 * si) [||] in
-      Array.blit st.t_segs 0 bigger 0 si;
-      st.t_segs <- bigger
-    end;
-    st.t_segs.(si) <- Array.make seg_size Term.stop;
-    st.t_nsegs <- si + 1
-  end;
-  st.t_segs.(si).(i land seg_mask) <- term;
-  st.t_total <- i + 1
-
-let get_term st i = st.t_segs.(i lsr seg_bits).(i land seg_mask)
-
-(* --- Level-synchronous builder -------------------------------------- *)
-
-type build_stats = {
+type build_stats = Explore.stats = {
   jobs : int;
   rounds : int;
   peak_frontier : int;
@@ -164,182 +117,45 @@ type build_stats = {
   build_seconds : float;
 }
 
-(* Below this frontier size a parallel round costs more in domain traffic
-   (spawn + join is a couple of milliseconds per round) than it saves;
-   derive in the coordinating domain instead. The cutoff scales with the
-   job count because the spawn cost does, while the per-worker slice of a
-   fixed frontier shrinks; on a machine that cannot run two domains at
-   once no frontier is worth dealing out. Scheduling only — results are
-   identical either way. *)
-let par_round_threshold ~jobs =
-  if Pool.hardware_parallelism () <= 1 then max_int else 256 * jobs
-
-let build ?(max_states = 500_000) ?jobs ?par_threshold ?spill_dir
-    ?max_resident_bytes ?seg_bits:store_seg_bits (spec : Term.spec) =
+let build ?max_states ?jobs ?par_threshold ?spill_dir ?max_resident_bytes
+    ?seg_bits (spec : Term.spec) =
   Dpma_obs.Trace.with_span "lts.build" (fun () ->
-  let t0 = Dpma_obs.Clock.now_s () in
-  let jobs =
-    match jobs with Some j -> max 1 j | None -> Pool.default_jobs ()
-  in
-  let par_threshold =
-    match par_threshold with
-    | Some t -> max 0 t
-    | None -> par_round_threshold ~jobs
-  in
-  let engine = Semantics.make spec.defs in
-  (* Hash-consed terms: the state table is keyed by unique id. *)
-  let table : int Int_tbl.t = Int_tbl.create 1024 in
-  let terms = term_store () in
-  let pol =
-    Segstore.policy ?spill_dir ?max_resident_bytes ?seg_bits:store_seg_bits ()
-  in
-  (* The spill temp file must be gone on every exit — normal completion,
-     Too_many_states, and a tripped resource guard alike. *)
-  Fun.protect ~finally:(fun () -> Segstore.finish pol) @@ fun () ->
-  let edges = Segstore.create pol ~int_cols:4 ~float_col:true in
-  let rows = Segstore.create pol ~int_cols:1 ~float_col:false in
-  let push_edge lab tgt (rate : Dpma_pa.Rate.t) =
-    let seg, o = Segstore.push_slot edges in
-    let ints = seg.Segstore.ints in
-    ints.(0).(o) <- lab;
-    ints.(1).(o) <- tgt;
-    match rate with
-    | Dpma_pa.Rate.Exp lambda ->
-        ints.(2).(o) <- 1;
-        seg.Segstore.floats.(o) <- lambda
-    | Dpma_pa.Rate.Imm { prio; weight } ->
-        ints.(2).(o) <- 2;
-        ints.(3).(o) <- prio;
-        seg.Segstore.floats.(o) <- weight
-    | Dpma_pa.Rate.Passive { weight } ->
-        ints.(2).(o) <- 3;
-        seg.Segstore.floats.(o) <- weight
-  in
-  let push_row v =
-    let seg, o = Segstore.push_slot rows in
-    seg.Segstore.ints.(0).(o) <- v
-  in
-  let count = ref 0 in
-  let id_of (term : Term.t) =
-    match Int_tbl.find_opt table term.Term.uid with
-    | Some id -> id
-    | None ->
-        if !count >= max_states then raise (Too_many_states max_states);
-        let id = !count in
-        incr count;
-        Int_tbl.add table term.Term.uid id;
-        push_term terms term;
-        id
-  in
-  let init = id_of spec.init in
   let module I = Dpma_obs.Instruments in
   let module M = Dpma_obs.Metrics in
-  let rounds = ref 0 and peak_frontier = ref 0 and merge_s = ref 0.0 in
-  (* States are numbered in merge order, so the frontier of a round is
-     always a contiguous id range: the states appended by the previous
-     round. Workers derive successors of frontier slices into private
-     buffers (with private SOS memo shards); the coordinator then merges
-     the slices in frontier order, which pins state numbering and edge
-     order to the sequential ones for any job count. *)
-  let partial () =
-    [ ("states", float_of_int !count);
-      ("transitions", float_of_int (Segstore.total edges));
-      ("rounds", float_of_int !rounds) ]
+  let engine = Semantics.make spec.defs in
+  let finish sh =
+    let s = Semantics.shard_stats sh in
+    M.observe I.lts_par_derives_per_worker
+      (float_of_int (s.Semantics.hits + s.Semantics.misses));
+    Semantics.merge_shard sh
   in
-  let lo = ref 0 in
-  while !lo < !count do
-    Dpma_util.Guard.poll ~partial ~phase:"lts.build" ();
-    let hi = !count in
-    incr rounds;
-    let fsize = hi - !lo in
-    if fsize > !peak_frontier then peak_frontier := fsize;
-    M.observe I.lts_par_frontier (float_of_int fsize);
-    let base = !lo in
-    let frontier = Array.init fsize (fun i -> get_term terms (base + i)) in
-    let record_and_merge sh =
-      let s = Semantics.shard_stats sh in
-      M.observe I.lts_par_derives_per_worker
-        (float_of_int (s.Semantics.hits + s.Semantics.misses));
-      Semantics.merge_shard sh
-    in
-    let derived =
-      if jobs = 1 || fsize < par_threshold then begin
-        let sh = Semantics.shard engine in
-        let out = Array.make fsize [] in
-        for i = 0 to fsize - 1 do
-          out.(i) <- Semantics.derive_in sh frontier.(i)
-        done;
-        record_and_merge sh;
-        out
-      end
-      else
-        Pool.map_chunks_ordered ~jobs
-          ~chunk:(Pool.recommended_chunk ~n:fsize ~jobs)
-          ~init:(fun () -> Semantics.shard engine)
-          ~f:Semantics.derive_in ~finish:record_and_merge frontier
-    in
-    let tm = Dpma_obs.Clock.now_s () in
-    for i = 0 to fsize - 1 do
-      push_row (Segstore.total edges);
-      List.iter
-        (fun (label, rate, k) -> push_edge label (id_of k) rate)
-        derived.(i)
-    done;
-    merge_s := !merge_s +. (Dpma_obs.Clock.now_s () -. tm);
-    lo := hi
-  done;
-  let n = !count in
-  let nedges = Segstore.total edges in
-  (* Compact the segments into the flat CSR arrays, once; spilled
-     segments are read back from the temp file here, bit-identical. *)
-  let t_pack = Dpma_obs.Clock.now_s () in
-  let row = Array.make (n + 1) 0 in
-  Segstore.compact_into rows ~ints:[| row |] ~floats:[||] ~n;
-  row.(n) <- nedges;
-  let lab = Array.make nedges 0 in
-  let tgt = Array.make nedges 0 in
-  let rate_kind = Array.make nedges 0 in
-  let rate_val = Array.make nedges 0.0 in
-  let rate_prio = Array.make nedges 0 in
-  Segstore.compact_into edges
-    ~ints:[| lab; tgt; rate_kind; rate_prio |]
-    ~floats:[| rate_val |] ~n:nedges;
-  M.observe I.lts_csr_pack_seconds (Dpma_obs.Clock.now_s () -. t_pack);
+  let x =
+    Explore.run ?max_states ?jobs ?par_threshold ?spill_dir
+      ?max_resident_bytes ?seg_bits ~phase:"lts.build" ~partial:[]
+      ~guards:false
+      ~shard:(fun () -> Semantics.shard engine)
+      ~derive:Semantics.derive_in ~finish
+      ~emit:(fun push steps ->
+        List.iter (fun (label, rate, k) -> push label rate k 0) steps)
+      [| spec.init |]
+  in
   M.incr I.lts_builds;
-  M.add I.lts_states n;
-  M.add I.lts_transitions nedges;
+  M.add I.lts_states x.Explore.num_states;
+  M.add I.lts_transitions x.Explore.row.(x.Explore.num_states);
   let stats = Semantics.stats engine in
   M.add I.sos_memo_hits stats.Semantics.hits;
   M.add I.sos_memo_misses stats.Semantics.misses;
   M.set I.pa_terms (float_of_int (Term.hashcons_count ()));
   M.set I.pa_labels (float_of_int (Label.count ()));
-  M.add I.lts_par_rounds !rounds;
-  M.observe I.lts_par_merge_seconds !merge_s;
-  let segments = Segstore.nsegs edges + Segstore.nsegs rows + terms.t_nsegs in
-  let sp = Segstore.stats pol in
-  (* Resident high-water of the edge/row segments (spilled segments leave
-     it), plus the term segments, which are only freed at the end. *)
-  let segment_bytes_peak =
-    sp.Segstore.resident_bytes_peak + (terms.t_nsegs * word_seg_bytes)
-  in
-  M.add I.lts_par_segments segments;
-  M.set I.lts_par_segment_bytes (float_of_int segment_bytes_peak);
-  Segstore.record_metrics pol;
+  M.observe I.lts_build_seconds x.Explore.stats.build_seconds;
   (* State names are rendered lazily: they are only needed in diagnostics. *)
-  let lts =
-    { init; num_states = n;
-      state_name = (fun i -> Term.to_string (get_term terms i));
-      row; lab; tgt; rate_kind; rate_val; rate_prio }
-  in
-  let build_seconds = Dpma_obs.Clock.now_s () -. t0 in
-  M.observe I.lts_build_seconds build_seconds;
-  ( lts,
-    { jobs; rounds = !rounds; peak_frontier = !peak_frontier;
-      merge_seconds = !merge_s; segments; segment_bytes_peak;
-      spilled_segments = sp.Segstore.spilled_segments;
-      spilled_bytes = sp.Segstore.spilled_bytes;
-      spill_write_seconds = sp.Segstore.spill_write_seconds;
-      build_seconds } ))
+  let term = x.Explore.term in
+  ( { init = x.Explore.seeds.(0); num_states = x.Explore.num_states;
+      state_name = (fun i -> Term.to_string (term i));
+      row = x.Explore.row; lab = x.Explore.lab; tgt = x.Explore.tgt;
+      rate_kind = x.Explore.rate_kind; rate_val = x.Explore.rate_val;
+      rate_prio = x.Explore.rate_prio },
+    x.Explore.stats ))
 
 let of_spec ?max_states ?jobs ?par_threshold ?spill_dir ?max_resident_bytes
     ?seg_bits spec =

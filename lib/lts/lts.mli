@@ -69,24 +69,19 @@ val transitions_of : t -> int -> transition list
 
 val out_degree : t -> int -> int
 
-type build_stats = {
-  jobs : int;  (** worker count the build was asked to use *)
-  rounds : int;  (** BFS depth: level-synchronous frontier expansions *)
-  peak_frontier : int;  (** largest frontier expanded in one round *)
+type build_stats = Explore.stats = {
+  jobs : int;
+  rounds : int;
+  peak_frontier : int;
   merge_seconds : float;
-      (** time spent merging worker slices in frontier order *)
-  segments : int;  (** fixed-size storage segments allocated *)
+  segments : int;
   segment_bytes_peak : int;
-      (** peak bytes held resident in segment storage before CSR
-          compaction (spilled segments leave this figure) *)
   spilled_segments : int;
-      (** full edge/row segments spilled to the temp file (0 without a
-          spill directory or under budget) *)
-  spilled_bytes : int;  (** bytes written to the spill temp file *)
+  spilled_bytes : int;
   spill_write_seconds : float;
-      (** wall-clock time spent writing spilled segments *)
-  build_seconds : float;  (** wall-clock time of the whole build *)
+  build_seconds : float;
 }
+(** The exploration engine's statistics (see {!Explore.stats}). *)
 
 val build :
   ?max_states:int ->
@@ -97,32 +92,17 @@ val build :
   ?seg_bits:int ->
   Dpma_pa.Term.spec ->
   t * build_stats
-(** Enumerate the reachable states of a process-algebra specification by
-    level-synchronous breadth-first exploration over a memoized SOS
-    engine: each round, the frontier (a contiguous id range, since states
-    are numbered in merge order) is dealt in chunks to [jobs] pool
-    domains, each deriving successors through a private
-    {!Dpma_pa.Semantics.shard}; the slices are then merged in frontier
-    order, so state numbering, edge order, and every CSR array are
-    bit-identical to the sequential build for any job count. [jobs]
-    defaults to {!Dpma_util.Pool.default_jobs}; edges, row offsets, and
-    state terms accumulate in fixed-size chunked segments compacted into
-    the flat CSR arrays once at the end. Raises {!Too_many_states} beyond
-    [max_states] (default 500_000). Transition rates are preserved.
+(** Enumerate the reachable states of a process-algebra specification:
+    the {!Explore} engine over a memoized SOS engine, each worker
+    deriving successors through a private {!Dpma_pa.Semantics.shard}.
+    State numbering, edge order, and every CSR array are bit-identical to
+    the sequential build for any job count, spilled or not. Raises
+    {!Too_many_states} beyond [max_states] (default 500_000). Transition
+    rates are preserved.
 
-    Rounds whose frontier is smaller than [par_threshold] derive in the
-    coordinating domain — below it the per-round domain traffic outweighs
-    the work being dealt. Defaults to [256 * jobs], or to never
-    parallelizing when {!Dpma_util.Pool.hardware_parallelism} is 1;
-    scheduling only, results are identical for any value.
-
-    [spill_dir]/[max_resident_bytes]/[seg_bits] configure the
-    {!Segstore} policy: with a spill directory, full edge/row segments
-    exceeding the resident budget are written oldest-first to a
-    memory-mapped temp file and read back once during CSR compaction —
-    numbering, labels, and rates are bit-identical whether or not spill
-    triggered, and the temp file is removed on success and abort alike.
-    Omitted knobs fall back to {!Segstore.set_defaults}.
+    [jobs], [par_threshold] and [spill_dir]/[max_resident_bytes]/[seg_bits]
+    are the engine's ({!Explore.run}); omitted spill knobs fall back to
+    {!Segstore.set_defaults}.
 
     The build polls the ambient {!Dpma_util.Guard} between BFS rounds
     (phase ["lts.build"]); a tripped budget aborts with

@@ -1,5 +1,5 @@
-(* Spill-capable chunked segment storage, shared by [Lts.build] and
-   [Flts.build_family]. See segstore.mli for the contract.
+(* Spill-capable chunked segment storage for the edge and row columns
+   of the [Explore] engine. See segstore.mli for the contract.
 
    A store is a set of parallel columns (n int columns, optionally one
    float column) growing in fixed-size segments. Under a resident-byte

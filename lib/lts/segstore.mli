@@ -1,5 +1,6 @@
-(** Spill-capable chunked segment storage, shared by {!Lts.build} and
-    {!Flts.build_family}.
+(** Spill-capable chunked segment storage for the edge and row-offset
+    columns of the {!Explore} engine (and so of {!Lts.build} and
+    {!Flts.build_family}).
 
     A store holds parallel columns (a fixed number of int columns and
     optionally one float column) growing in fixed-size segments: no O(n)
@@ -14,7 +15,7 @@
     are bit-identical whether or not spill triggered.
 
     Single-writer: stores are only pushed and compacted from the
-    coordinating domain of the level-synchronous builders. *)
+    coordinating domain of the exploration engine. *)
 
 (** {1 Policy: one per build} *)
 

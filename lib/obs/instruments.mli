@@ -70,11 +70,13 @@ val lts_build_seconds : Metrics.histogram
 val lts_csr_pack_seconds : Metrics.histogram
 (** [lts.csr_pack.seconds] — wall-clock time spent packing each LTS into
     its CSR (compressed sparse row) arrays, included in
-    [lts.build.seconds] for builds from a specification. *)
+    [lts.build.seconds] (or [family.build.seconds]) for builds from a
+    specification. *)
 
 val lts_par_rounds : Metrics.counter
 (** [lts.par.rounds] — level-synchronous BFS rounds (frontier expansions),
-    summed over builds; the BFS depth of a single build. *)
+    summed over plain and featured builds; the BFS depth of a single
+    build. *)
 
 val lts_par_frontier : Metrics.histogram
 (** [lts.par.frontier] — frontier size (states expanded) at each BFS

@@ -77,25 +77,6 @@ let fixed_point ?(max_iter = 1_000_000) ~tol ~phase sweep =
   in
   go 0
 
-let l1_diff a b =
-  let s = ref 0.0 in
-  Array.iteri (fun i v -> s := !s +. abs_float (v -. b.(i))) a;
-  !s
-
-let power_stationary ?(max_iter = 200_000) ?(tol = 1e-12) p ~init =
-  let x = ref (Array.copy init) in
-  let (_ : convergence) =
-    fixed_point ~max_iter ~tol ~phase:"ctmc.solve" (fun () ->
-        let y = vec_mat !x p in
-        (* Renormalize to fight floating point drift. *)
-        let total = Array.fold_left ( +. ) 0.0 y in
-        if total > 0.0 then Array.iteri (fun i v -> y.(i) <- v /. total) y;
-        let delta = l1_diff y !x in
-        x := y;
-        delta)
-  in
-  !x
-
 let gauss_seidel_stationary ?(max_iter = 100_000) ?(tol = 1e-12) q =
   let n = q.n in
   (* pi Q = 0 means, for each j, pi_j = (sum_{i<>j} pi_i q_ij) / (-q_jj):

@@ -62,13 +62,6 @@ val fixed_point :
     guard trips and in {!Not_converged}. Returns the converged loop's
     report; a loop that reaches its cap raises instead. *)
 
-val power_stationary :
-  ?max_iter:int -> ?tol:float -> t -> init:float array -> float array
-(** [power_stationary p ~init] iterates [x <- x P] from [init] until the
-    L1 change falls below [tol] (default [1e-12]); [p] must be a stochastic
-    matrix. At most [max_iter] (default [200_000]) iterations, under
-    phase ["ctmc.solve"]. *)
-
 val gauss_seidel_stationary :
   ?max_iter:int -> ?tol:float -> t -> float array * convergence
 (** [gauss_seidel_stationary q] solves [pi Q = 0, sum pi = 1] for an

@@ -86,7 +86,7 @@ let streaming_specs () =
 
 let test_projection_identity_rpc () =
   let specs = rpc_specs () in
-  let fam = Flts.of_specs specs in
+  let fam = fst (Flts.build_family specs) in
   Array.iteri
     (fun c spec ->
       let name = Printf.sprintf "rpc config %d" c in
@@ -97,7 +97,7 @@ let test_projection_identity_rpc () =
 
 let test_projection_identity_streaming () =
   let specs = streaming_specs () in
-  let fam = Flts.of_specs specs in
+  let fam = fst (Flts.build_family specs) in
   Array.iteri
     (fun c spec ->
       let name = Printf.sprintf "streaming config %d" c in
@@ -125,7 +125,7 @@ let test_jobs_identity () =
     (fun jobs ->
       let fam, stats = Flts.build_family ~jobs ~par_threshold:1 specs in
       let name = Printf.sprintf "jobs %d" jobs in
-      Alcotest.(check int) (name ^ ": jobs used") jobs stats.Flts.jobs;
+      Alcotest.(check int) (name ^ ": jobs used") jobs stats.Flts.build.Lts.jobs;
       Alcotest.(check int)
         (name ^ ": states") reference.Flts.num_states fam.Flts.num_states;
       Alcotest.(check (array int)) (name ^ ": row") reference.Flts.row fam.Flts.row;
@@ -136,6 +136,49 @@ let test_jobs_identity () =
       Alcotest.(check (array int))
         (name ^ ": init") reference.Flts.init fam.Flts.init)
     [ 1; 2; 4 ]
+
+(* A one-member family is the plain build: the engine runs the same
+   exploration with Feature shards, so the CSR arrays and the initial
+   state match [Lts.build] and every guard is the full set. *)
+let test_one_member_is_plain_build () =
+  List.iter
+    (fun (name, spec) ->
+      let lts = Lts.of_spec spec in
+      let fam, _ = Flts.build_family [| spec |] in
+      let arr what x y = Alcotest.(check (array int)) (name ^ ": " ^ what) x y in
+      Alcotest.(check int) (name ^ ": states") lts.Lts.num_states
+        fam.Flts.num_states;
+      arr "init" [| lts.Lts.init |] fam.Flts.init;
+      arr "row" lts.Lts.row fam.Flts.row;
+      arr "lab" lts.Lts.lab fam.Flts.lab;
+      arr "tgt" lts.Lts.tgt fam.Flts.tgt;
+      arr "rate_kind" lts.Lts.rate_kind fam.Flts.rate_kind;
+      arr "rate_prio" lts.Lts.rate_prio fam.Flts.rate_prio;
+      Alcotest.(check (array (float 0.0)))
+        (name ^ ": rate_val") lts.Lts.rate_val fam.Flts.rate_val;
+      arr "guard"
+        (Array.make (Lts.num_transitions lts) Flts.Guard.all)
+        fam.Flts.guard)
+    [ ("rpc",
+       (Rpc.elaborate ~mode:Rpc.Markovian ~monitors:true Rpc.default_params)
+         .Elaborate.spec);
+      ("streaming",
+       (Streaming.elaborate ~mode:Streaming.Markovian ~monitors:true
+          Streaming.default_params)
+         .Elaborate.spec) ]
+
+(* Featured builds feed the shared exploration instruments. *)
+let test_family_par_metrics () =
+  let module M = Dpma_obs.Metrics in
+  let module I = Dpma_obs.Instruments in
+  M.set I.lts_par_segment_bytes 0.0;
+  let before = M.count I.lts_par_rounds in
+  let _, stats = Flts.build_family (rpc_specs ()) in
+  Alcotest.(check int) "lts.par.rounds grows by the family's rounds"
+    stats.Flts.build.Lts.rounds
+    (M.count I.lts_par_rounds - before);
+  Alcotest.(check bool) "lts.par.segment_bytes_peak set" true
+    (M.value I.lts_par_segment_bytes > 0.0)
 
 let test_figure_identity () =
   (* The sweep values produced through the family path must equal the
@@ -225,7 +268,7 @@ let test_adl_family () =
   let specs =
     Array.map (fun m -> m.Elaborate.spec) fam.Elaborate.members
   in
-  let ffam = Flts.of_specs specs in
+  let ffam = fst (Flts.build_family specs) in
   Array.iteri
     (fun c spec ->
       check_lts_identical
@@ -488,7 +531,7 @@ let test_grid_sampled_identity () =
   let specs = grid_specs ~t_max:16 ~a_max:32 in
   let members = Array.length specs in
   Alcotest.(check int) "grid members" 1024 members;
-  let fam = Flts.of_specs specs in
+  let fam = fst (Flts.build_family specs) in
   List.iter
     (fun c ->
       check_lts_identical
@@ -501,7 +544,9 @@ let test_dedup_solves () =
   let specs = grid_specs ~t_max:4 ~a_max:8 in
   let members = Array.length specs in
   let measures = Measure.parse grid_measures_src in
-  let results, stats = Markov.analyze_family_dedup specs measures in
+  let results, stats =
+    Markov.analyze_ltss_dedup (Markov.family_ltss specs) measures
+  in
   Alcotest.(check int) "stats members" members stats.Markov.members;
   Alcotest.(check bool)
     "genuinely fewer solves" true
@@ -535,6 +580,10 @@ let suite =
     Alcotest.test_case "union shares states" `Quick test_sharing;
     Alcotest.test_case "featured build independent of jobs" `Quick
       test_jobs_identity;
+    Alcotest.test_case "one-member family equals the plain build" `Quick
+      test_one_member_is_plain_build;
+    Alcotest.test_case "family build records lts.par instruments" `Quick
+      test_family_par_metrics;
     Alcotest.test_case "figure values identical through family path" `Quick
       test_figure_identity;
     Alcotest.test_case "battery sweep identical through family path" `Quick

@@ -110,12 +110,12 @@ let test_family_spill_differential () =
              .Elaborate.spec)
          [ 100.0; 400.0 ])
   in
-  let reference = Flts.of_specs specs in
+  let reference = fst (Flts.build_family specs) in
   with_spill_dir @@ fun dir ->
   let fam, st =
     Flts.build_family ~spill_dir:dir ~max_resident_bytes:0 ~seg_bits:8 specs
   in
-  Alcotest.(check bool) "family spilled" true (st.Flts.spilled_segments > 0);
+  Alcotest.(check bool) "family spilled" true (st.Flts.build.Lts.spilled_segments > 0);
   Alcotest.(check int) "family states" reference.Flts.num_states
     fam.Flts.num_states;
   for c = 0 to Array.length specs - 1 do
@@ -181,7 +181,7 @@ let test_refine_and_family_phases () =
   Alcotest.(check string) "refine phase" "bisim.refine" trip.Guard.phase;
   let trip =
     Guard.with_guard (Guard.create ~max_seconds:0.0 ()) @@ fun () ->
-    expect_trip (fun () -> Flts.of_specs [| Lazy.force rpc_spec |])
+    expect_trip (fun () -> fst (Flts.build_family [| Lazy.force rpc_spec |]))
   in
   Alcotest.(check string) "family phase" "family.build" trip.Guard.phase
 

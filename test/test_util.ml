@@ -241,16 +241,6 @@ let test_sparse_vs_dense () =
     (Invalid_argument "Sparse.of_csr: inconsistent CSR arrays") (fun () ->
       ignore (Sparse.of_csr ~row:[| 0; 2 |] ~col:[| 0 |] ~value:[| 1.0 |]))
 
-let test_power_stationary () =
-  (* Two-state chain: P = [[0.5, 0.5], [0.25, 0.75]]; stationary (1/3, 2/3). *)
-  let p =
-    Sparse.of_csr ~row:[| 0; 2; 4 |] ~col:[| 0; 1; 0; 1 |]
-      ~value:[| 0.5; 0.5; 0.25; 0.75 |]
-  in
-  let pi = Sparse.power_stationary p ~init:[| 1.0; 0.0 |] in
-  check_close 1e-8 "pi0" (1.0 /. 3.0) pi.(0);
-  check_close 1e-8 "pi1" (2.0 /. 3.0) pi.(1)
-
 let test_gauss_seidel_stationary () =
   (* Generator of a 3-state cycle with rates 1: uniform stationary. *)
   let q =
@@ -363,7 +353,6 @@ let suite =
     Alcotest.test_case "solve needs pivoting" `Quick test_solve_needs_pivoting;
     Alcotest.test_case "transpose/identity" `Quick test_transpose_identity;
     Alcotest.test_case "sparse vs dense" `Quick test_sparse_vs_dense;
-    Alcotest.test_case "power stationary" `Quick test_power_stationary;
     Alcotest.test_case "gauss-seidel stationary" `Quick test_gauss_seidel_stationary;
     Alcotest.test_case "solver cap raises Not_converged" `Quick test_not_converged;
     Alcotest.test_case "tarjan cycle" `Quick test_tarjan_cycle;
