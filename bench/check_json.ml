@@ -73,8 +73,7 @@ let () =
   | Some (Json.Num v) when v >= 1.0 -> ()
   | Some j -> fail "\"jobs\" should be a positive number, got %s" (Json.to_string j)
   | None -> fail "missing \"jobs\" field");
-  (* The perf-history note (before/after numbers for the monomorphic
-     hash-table switch) travels with every report. *)
+  (* The perf-history note travels with every report. *)
   (match Json.member "notes" doc with
   | Some (Json.Str s) when String.length s > 0 -> ()
   | Some j -> fail "\"notes\" should be a non-empty string, got %s" (Json.to_string j)
@@ -100,7 +99,7 @@ let () =
                   | None -> fail "study_seconds.%s misses %s" study phase)
                 [ "lts.build_seconds"; "lts.build_seconds.j1";
                   "lts.build_seconds.j2"; "lts.build_seconds.j4";
-                  "bisim.refine_seconds"; "bisim.refine_seconds.j1";
+                  "ni.check_seconds"; "bisim.refine_seconds.j1";
                   "bisim.refine_seconds.j2"; "bisim.refine_seconds.j4";
                   (* the trace and branching noninterference checks *)
                   "ni.branching_seconds"; "ni.trace_seconds";

@@ -1,8 +1,9 @@
 (* Benchmark harness.
 
    Part 1 regenerates every table/figure of the paper's evaluation
-   (Sect. 3 verdicts, Figs. 3-8) and prints the same series the paper
-   plots; EXPERIMENTS.md records the paper-vs-measured comparison.
+   (Sect. 3 verdicts, Figs. 3-8) through the suite of
+   lib/models/figures.ml, and times and checks the compiled core per
+   study; EXPERIMENTS.md records the paper-vs-measured comparison.
 
    Part 2 runs Bechamel micro-benchmarks — one Test.make per figure driver
    (at reduced sweep size, so the harness stays in the minutes range) plus
@@ -29,7 +30,8 @@
    Figure tables go to stdout and are bit-identical for any job count;
    wall-clock timing lines go to stderr. In json mode stdout carries the
    pure JSON report (schema dpma.bench/1, see docs/OBSERVABILITY.md) and
-   the figure tables move to stderr. *)
+   the figure tables move to stderr. Every failed check prints one
+   "[bench] TAG ..." line to stderr and exits 1. *)
 
 module Figures = Dpma_models.Figures
 module Rpc = Dpma_models.Rpc
@@ -48,59 +50,51 @@ module Measure = Dpma_measures.Measure
 module Flts = Dpma_lts.Flts
 module Prng = Dpma_util.Prng
 module Pool = Dpma_util.Pool
-
+module Json = Dpma_obs.Json
 module Rguard = Dpma_util.Guard
+
+let fail fmt =
+  Printf.ksprintf
+    (fun msg ->
+      Printf.eprintf "[bench] %s\n%!" msg;
+      exit 1)
+    fmt
 
 let quick, json_mode, smoke, tiny =
   let quick = ref false and json = ref false in
   let smoke = ref false and tiny = ref false in
   let max_seconds = ref None and max_mb = ref None in
   let spill_dir = ref None and spill_mb = ref None in
-  let num kind conv name rest k =
-    match rest with
+  let usage msg =
+    prerr_endline ("bench: " ^ msg);
+    exit 2
+  in
+  let value name kind conv r = function
     | v :: rest -> (
         match conv v with
-        | Some x -> k x; rest
-        | None ->
-            Printf.eprintf "bench: %s expects a %s\n" name kind;
-            exit 2)
-    | [] ->
-        Printf.eprintf "bench: %s expects an argument\n" name;
-        exit 2
-  in
-  let pos_int s =
-    match int_of_string_opt s with Some v when v >= 1 -> Some v | _ -> None
-  in
-  let pos_float s =
-    match float_of_string_opt s with
-    | Some v when v >= 0.0 && Float.is_finite v -> Some v
-    | _ -> None
+        | Some x ->
+            r := Some x;
+            rest
+        | None -> usage (Printf.sprintf "%s expects %s" name kind))
+    | [] -> usage (name ^ " expects an argument")
   in
   let rec parse = function
     | [] -> ()
     | "-j" :: n :: rest ->
         (match int_of_string_opt n with
         | Some j when j >= 1 -> Pool.set_default_jobs j
-        | _ ->
-            prerr_endline "bench: -j expects a positive integer";
-            exit 2);
+        | _ -> usage "-j expects a positive integer");
         parse rest
     | "--max-seconds" :: rest ->
         parse
-          (num "non-negative number" pos_float "--max-seconds" rest (fun s ->
-               max_seconds := Some s))
+          (value "--max-seconds" "a number" float_of_string_opt max_seconds
+             rest)
     | "--max-mb" :: rest ->
-        parse
-          (num "positive integer" pos_int "--max-mb" rest (fun m ->
-               max_mb := Some m))
+        parse (value "--max-mb" "an integer" int_of_string_opt max_mb rest)
     | "--spill-dir" :: rest ->
-        parse
-          (num "directory" (fun d -> Some d) "--spill-dir" rest (fun d ->
-               spill_dir := Some d))
+        parse (value "--spill-dir" "a directory" Option.some spill_dir rest)
     | "--spill-mb" :: rest ->
-        parse
-          (num "positive integer" pos_int "--spill-mb" rest (fun m ->
-               spill_mb := Some m))
+        parse (value "--spill-mb" "an integer" int_of_string_opt spill_mb rest)
     | "quick" :: rest ->
         quick := true;
         parse rest
@@ -122,31 +116,18 @@ let quick, json_mode, smoke, tiny =
     | "trace" :: rest ->
         Dpma_obs.Report.configure ~trace:true ();
         parse rest
-    | arg :: _ ->
-        Printf.eprintf "bench: unknown argument %S\n" arg;
-        exit 2
+    | arg :: _ -> usage (Printf.sprintf "unknown argument %S" arg)
   in
   Dpma_obs.Report.init_from_env ();
   parse (List.tl (Array.to_list Sys.argv));
-  (* Same resolution as dpma's --spill-dir/--max-* flags: spill budget
-     defaults to half the memory budget, and the guard is ambient so it
-     covers every build and refinement phase of the run. *)
-  (match !spill_dir with
-  | Some dir ->
-      let budget_mb =
-        match (!spill_mb, !max_mb) with
-        | Some b, _ -> max 1 b
-        | None, Some m -> max 1 (m / 2)
-        | None, None -> 64
-      in
-      Dpma_lts.Segstore.set_defaults ~spill_dir:dir
-        ~max_resident_bytes:(budget_mb * 1024 * 1024) ()
-  | None -> ());
-  if !max_seconds <> None || !max_mb <> None then
-    Rguard.install
-      (Rguard.create ?max_seconds:!max_seconds
-         ?max_resident_bytes:(Option.map (fun m -> m * 1024 * 1024) !max_mb)
-         ());
+  (* The guard is ambient, so it covers every build and refinement phase
+     of the run. *)
+  (match
+     Dpma_core.Limits.install ~max_seconds:!max_seconds ~max_mb:!max_mb
+       ~spill_dir:!spill_dir ~spill_mb:!spill_mb
+   with
+  | Ok () -> ()
+  | Error msg -> usage msg);
   (!quick, !json, !smoke, !tiny)
 
 (* ------------------------------------------------------------------ *)
@@ -154,12 +135,18 @@ let quick, json_mode, smoke, tiny =
 
 let wall_clock : (string * float) list ref = ref []
 
-let timed name f =
+let record name dt =
+  wall_clock := (name, dt) :: !wall_clock;
+  Printf.eprintf "[bench] %-16s %8.2f s\n%!" name dt
+
+let clocked f =
   let t0 = Unix.gettimeofday () in
   let r = f () in
-  let dt = Unix.gettimeofday () -. t0 in
-  wall_clock := (name, dt) :: !wall_clock;
-  Printf.eprintf "[bench] %-16s %8.2f s\n%!" name dt;
+  (r, Unix.gettimeofday () -. t0)
+
+let timed name f =
+  let r, dt = clocked f in
+  record name dt;
   r
 
 (* ------------------------------------------------------------------ *)
@@ -175,23 +162,11 @@ let timed name f =
 
 let study_seconds : (string * (string * float) list) list ref = ref []
 
-let study_golden_counts =
-  [ ("rpc", (546, 546)); ("streaming", (2565, 19133)) ]
+let add_study name entries = study_seconds := (name, entries) :: !study_seconds
 
-(* Each study's state space is rebuilt at 1, 2 and 4 jobs so the scaling
-   of the level-synchronous builder lands in the JSON report
-   (lts.build_seconds.jN). The legs are timed on equal footing: an
-   untimed warmup build runs first (it populates the global term-sharing
-   table and sizes the major heap), and each timed leg runs behind a
-   full major collection keeping only that warmup LTS plus O(1) digests
-   of the earlier legs live — holding each leg's ~100-MiB CSR while
-   timing the next would bill later legs for the GC marking of the
-   earlier ones (measured on the 518k-state model: a second *identical
-   j1* build runs 1.6x slower than the first when the first result
-   stays live). The digests double as the bit-identity differential
-   across job counts, and cover the full CSR, not just the state
-   count. *)
-let jobs_sweep = [ 1; 2; 4 ]
+let check_states what expected actual =
+  if expected <> actual then
+    fail "GOLDEN MISMATCH %s: expected %d states, got %d" what expected actual
 
 let csr_digest (lts : Lts.t) =
   let h = ref 0x1505 in
@@ -208,220 +183,181 @@ let csr_digest (lts : Lts.t) =
     lts.Lts.rate_val;
   !h
 
-type sweep = {
-  sw_lts : Lts.t;  (* the warmup build, reused by the study's phases *)
-  sw_digest : int;
-  sw_legs : (int * int * Lts.build_stats) list;  (* (jobs, digest, stats) *)
-}
-
-let build_sweep ?max_states spec =
-  let sw_lts, _ = Lts.build ?max_states ~jobs:1 spec in
-  let sw_digest = csr_digest sw_lts in
-  let sw_legs =
+(* The jobs sweeps: a phase rerun at 1, 2 and 4 jobs, each leg behind a
+   full major collection so that no leg pays for marking an earlier
+   leg's result (measured on the 518k-state model: a second *identical*
+   j1 build runs 1.6x slower than the first when the first result stays
+   live). [leg j] returns the leg's result and seconds; every leg's
+   [key] must equal [reference] (default: the j1 leg's), which makes
+   the sweep a bit-identity differential across job counts. With
+   [gate], -j must be a safe default: a parallel leg may not be slower
+   than the sequential one beyond timing noise (10% relative plus
+   250 ms absolute slack for sub-second phases on loaded CI machines).
+   Returns [(jobs, result, seconds)] per leg. *)
+let jobs_sweep ?reference ?gate ~what ~key name leg =
+  let legs =
     List.map
       (fun j ->
         Gc.full_major ();
-        let lts, st = Lts.build ?max_states ~jobs:j spec in
-        (j, csr_digest lts, st))
-      jobs_sweep
+        let r, dt = leg j in
+        (j, r, dt))
+      [ 1; 2; 4 ]
   in
-  { sw_lts; sw_digest; sw_legs }
-
-let sweep_entries sweep =
-  List.map
-    (fun (j, _, (st : Lts.build_stats)) ->
-      (Printf.sprintf "lts.build_seconds.j%d" j, st.Lts.build_seconds))
-    sweep.sw_legs
-
-let check_sweep_agrees name sweep =
+  let _, r1, t1 = List.hd legs in
+  let reference = match reference with Some r -> r | None -> key r1 in
   List.iter
-    (fun (j, digest, _) ->
-      if digest <> sweep.sw_digest then begin
-        Printf.eprintf "[bench] JOBS MISMATCH %s: CSR digest differs at j%d\n%!"
-          name j;
-        exit 1
-      end)
-    sweep.sw_legs;
-  sweep.sw_lts
-
-(* -j must be a safe default: with the adaptive sequential-fallback
-   thresholds a parallel build may never be slower than the sequential
-   one beyond timing noise (10% relative plus 250 ms absolute slack for
-   sub-second builds on loaded CI machines). *)
-let check_build_regression name sweep =
-  match sweep.sw_legs with
-  | (_, _, (first : Lts.build_stats)) :: rest ->
-      let t1 = first.Lts.build_seconds in
+    (fun (j, r, _) ->
+      if key r <> reference then
+        fail "JOBS MISMATCH %s: %s differs at j%d" name what j)
+    legs;
+  Option.iter
+    (fun tag ->
       List.iter
-        (fun (j, _, (st : Lts.build_stats)) ->
-          let tj = st.Lts.build_seconds in
-          if tj > (1.1 *. t1) +. 0.25 then begin
-            Printf.eprintf
-              "[bench] BUILD REGRESSION %s: %.3f s at j%d vs %.3f s at j1\n%!"
-              name tj j t1;
-            exit 1
-          end)
-        rest
-  | [] -> ()
+        (fun (j, _, tj) ->
+          if tj > (1.1 *. t1) +. 0.25 then
+            fail "%s %s: %.3f s at j%d vs %.3f s at j1" tag name tj j t1)
+        (List.tl legs))
+    gate;
+  legs
+
+let sweep_entries metric legs =
+  List.map (fun (j, _, dt) -> (Printf.sprintf "%s.j%d" metric j, dt)) legs
+
+(* Each study's state space is rebuilt at every job count so the scaling
+   of the level-synchronous builder lands in the JSON report
+   (lts.build_seconds.jN). An untimed warmup build runs first: it
+   populates the global term-sharing table, sizes the major heap, and is
+   the one LTS kept live (the legs keep O(1) digests of the full CSR) —
+   the study's later phases reuse it. Returns the warmup LTS, the j1
+   leg's stats and the timing entries. *)
+let build_sweep ?max_states name spec =
+  let lts, _ = Lts.build ?max_states ~jobs:1 spec in
+  let legs =
+    jobs_sweep ~reference:(csr_digest lts) ~gate:"BUILD REGRESSION"
+      ~what:"CSR digest" ~key:fst name (fun j ->
+        let l, st = Lts.build ?max_states ~jobs:j spec in
+        ((csr_digest l, st), st.Lts.build_seconds))
+  in
+  let _, (_, st), _ = List.hd legs in
+  ( lts,
+    st,
+    ("lts.build_seconds", st.Lts.build_seconds)
+    :: sweep_entries "lts.build_seconds" legs )
 
 (* The refinement loop's jobs scaling, next to the builder's: the
-   coarsest strong-bisimulation partition of the study's full LTS at 1,
-   2 and 4 jobs (bisim.refine_seconds.jN). The partitions must be
-   bit-identical — the parallel signature pass merges per-chunk classes
-   in state order — so the sweep doubles as a differential check. *)
+   coarsest strong-bisimulation partition of the study's full LTS
+   (bisim.refine_seconds.jN). The parallel signature pass merges
+   per-chunk classes in state order, so the partitions must be
+   bit-identical. *)
 let refine_sweep name (lts : Lts.t) =
-  let results =
-    List.map
-      (fun j ->
-        Gc.full_major ();
-        let t0 = Unix.gettimeofday () in
-        let p = Bisim.strong_partition ~jobs:j lts in
-        let dt = Unix.gettimeofday () -. t0 in
-        (j, p, dt))
-      jobs_sweep
-  in
-  (match results with
-  | (_, first, _) :: rest ->
-      List.iter
-        (fun (j, p, _) ->
-          if p <> first then begin
-            Printf.eprintf
-              "[bench] JOBS MISMATCH %s: strong partition differs at j%d\n%!"
-              name j;
-            exit 1
-          end)
-        rest
-  | [] -> ());
-  List.map
-    (fun (j, _, dt) -> (Printf.sprintf "bisim.refine_seconds.j%d" j, dt))
-    results
+  sweep_entries "bisim.refine_seconds"
+    (jobs_sweep ~what:"strong partition" ~key:Fun.id name (fun j ->
+         clocked (fun () -> Bisim.strong_partition ~jobs:j lts)))
 
 (* The lazy weak path next to the strong one: the weak-bisimulation
-   partition of the study's functional LTS at 1, 2 and 4 jobs
-   (bisim.weak_refine_seconds.jN). The partitions must be bit-identical
-   across job counts — the standing determinism differential now that
-   the materialized-saturation oracle is gone (test/test_weak_lazy.ml
-   keeps a reconstructed oracle differential on small models). The
-   parallel legs run under the same no-slower-than-sequential rule as
-   the builder (10% relative plus 250 ms absolute slack). *)
+   partition of the study's functional LTS (bisim.weak_refine_seconds.jN),
+   bit-identical across job counts — the standing determinism
+   differential now that the materialized-saturation oracle is gone
+   (test/test_weak_lazy.ml keeps a reconstructed oracle differential on
+   small models) — and gated like the builder. *)
 let weak_sweep name (lts : Lts.t) =
-  let results =
-    List.map
-      (fun j ->
-        Gc.full_major ();
-        let t0 = Unix.gettimeofday () in
-        let p = Bisim.weak_partition ~jobs:j lts in
-        let dt = Unix.gettimeofday () -. t0 in
-        (j, p, dt))
-      jobs_sweep
-  in
-  (match results with
-  | (_, first, t1) :: rest ->
-      List.iter
-        (fun (j, p, tj) ->
-          if p <> first then begin
-            Printf.eprintf
-              "[bench] JOBS MISMATCH %s: weak partition differs at j%d\n%!"
-              name j;
-            exit 1
-          end;
-          if tj > (1.1 *. t1) +. 0.25 then begin
-            Printf.eprintf
-              "[bench] WEAK REGRESSION %s: %.3f s at j%d vs %.3f s at j1\n%!"
-              name tj j t1;
-            exit 1
-          end)
-        rest
-  | [] -> ());
-  List.map
-    (fun (j, _, dt) ->
-      (Printf.sprintf "bisim.weak_refine_seconds.j%d" j, dt))
-    results
+  sweep_entries "bisim.weak_refine_seconds"
+    (jobs_sweep ~gate:"WEAK REGRESSION" ~what:"weak partition" ~key:Fun.id
+       name (fun j ->
+         clocked (fun () -> Bisim.weak_partition ~jobs:j lts)))
 
 let study_timings () =
-  let check what expected actual =
-    if expected <> actual then begin
-      Printf.eprintf
-        "[bench] GOLDEN MISMATCH %s: expected %d states, got %d\n%!" what
-        expected actual;
-      exit 1
-    end
-  in
-  let one name (study : Dpma_core.Pipeline.study) =
-    let functional_states, full_states =
-      List.assoc name study_golden_counts
+  let one name ~functional_states ~full_states
+      (study : Dpma_core.Pipeline.study) =
+    let lts, st, build_entries =
+      build_sweep name study.Dpma_core.Pipeline.spec
     in
-    let sweep = build_sweep study.Dpma_core.Pipeline.spec in
-    let lts = check_sweep_agrees name sweep in
-    check_build_regression name sweep;
-    let build_s =
-      match sweep.sw_legs with (_, _, st) :: _ -> st.Lts.build_seconds | [] -> 0.0
-    in
-    check (name ^ " full") full_states lts.Lts.num_states;
+    let build_s = st.Lts.build_seconds in
+    check_states (name ^ " full") full_states lts.Lts.num_states;
     let refine_entries = refine_sweep name lts in
     let functional =
       Option.value ~default:study.Dpma_core.Pipeline.spec
         study.Dpma_core.Pipeline.functional_spec
     in
     let flts = Lts.of_spec functional in
-    check (name ^ " functional") functional_states flts.Lts.num_states;
+    check_states (name ^ " functional") functional_states flts.Lts.num_states;
     let weak_entries = weak_sweep name flts in
     let pruned0 =
       Dpma_obs.Metrics.count Dpma_obs.Instruments.ni_product_pruned
     in
-    let t1 = Unix.gettimeofday () in
-    (match
-       NI.check_spec functional ~high:study.Dpma_core.Pipeline.high
-         ~low:study.Dpma_core.Pipeline.low
-     with
-    | NI.Secure -> ()
-    | NI.Insecure _ ->
-        Printf.eprintf "[bench] GOLDEN MISMATCH %s: expected secure verdict\n%!"
-          name;
-        exit 1);
-    let check_s = Unix.gettimeofday () -. t1 in
-    let pruned =
-      Dpma_obs.Metrics.count Dpma_obs.Instruments.ni_product_pruned - pruned0
-    in
-    (* The two other levels of the hierarchy [Pipeline.assess] reports,
-       timed on the functional LTS built above; both studies pass both. *)
+    (* The weak noninterference check and the two other levels of the
+       hierarchy [Pipeline.assess] reports, timed on the functional LTS
+       built above; both studies pass all three. *)
     let high a = List.mem a study.Dpma_core.Pipeline.high
     and low a = List.mem a study.Dpma_core.Pipeline.low in
     let timed_secure what check =
-      let t = Unix.gettimeofday () in
-      if not (check ()) then begin
-        Printf.eprintf "[bench] GOLDEN MISMATCH %s: expected %s security\n%!"
-          name what;
-        exit 1
-      end;
-      Unix.gettimeofday () -. t
+      let ok, dt = clocked check in
+      if not ok then fail "GOLDEN MISMATCH %s: expected %s" name what;
+      dt
+    in
+    let check_s =
+      timed_secure "secure verdict" (fun () ->
+          match
+            NI.check_spec functional ~high:study.Dpma_core.Pipeline.high
+              ~low:study.Dpma_core.Pipeline.low
+          with
+          | NI.Secure -> true
+          | NI.Insecure _ -> false)
+    in
+    let pruned =
+      Dpma_obs.Metrics.count Dpma_obs.Instruments.ni_product_pruned - pruned0
     in
     let branching_s =
-      timed_secure "branching" (fun () -> NI.branching_secure flts ~high ~low)
+      timed_secure "branching security" (fun () ->
+          NI.branching_secure flts ~high ~low)
     in
     let trace_s =
-      timed_secure "trace" (fun () -> NI.trace_secure flts ~high ~low)
+      timed_secure "trace security" (fun () -> NI.trace_secure flts ~high ~low)
     in
     Printf.eprintf
       "[bench] %-16s lts.build %.3f s, ni.check %.3f s, ni.branching %.3f s, \
        ni.trace %.3f s, pruned %d states\n%!"
       name build_s check_s branching_s trace_s pruned;
-    study_seconds :=
-      ( name,
-        (("lts.build_seconds", build_s) :: sweep_entries sweep)
-        @ refine_entries @ weak_entries
-        @ [
-            (* the check *is* the refinement phase *)
-            ("bisim.refine_seconds", check_s);
-            ("ni.branching_seconds", branching_s);
-            ("ni.trace_seconds", trace_s);
-            ("ni.states_pruned", float_of_int pruned);
-          ] )
-      :: !study_seconds
+    add_study name
+      (build_entries @ refine_entries @ weak_entries
+      @ [
+          ("ni.check_seconds", check_s);
+          ("ni.branching_seconds", branching_s);
+          ("ni.trace_seconds", trace_s);
+          ("ni.states_pruned", float_of_int pruned);
+        ])
   in
-  one "rpc" (Rpc.study Rpc.default_params);
-  one "streaming" (Streaming.study Streaming.default_params);
-  study_seconds := List.rev !study_seconds
+  one "rpc" ~functional_states:546 ~full_states:546
+    (Rpc.study Rpc.default_params);
+  one "streaming" ~functional_states:2565 ~full_states:19133
+    (Streaming.study Streaming.default_params)
+
+(* A build under a resident segment budget through the spill path, in a
+   fresh temp directory: it must spill, match [reference] (a CSR digest,
+   when given), and leave no temp file behind. Tiny runs shrink the
+   segments (seg_bits 8) so their small models still cross segment
+   boundaries. *)
+let spill_build ?reference name suffix ~max_resident_bytes ~max_states spec =
+  let spill_dir = Filename.temp_dir "dpma-bench" suffix in
+  Gc.full_major ();
+  let slts, sst =
+    Lts.build ~max_states
+      ?seg_bits:(if tiny then Some 8 else None)
+      ~spill_dir ~max_resident_bytes spec
+  in
+  Option.iter
+    (fun digest ->
+      if csr_digest slts <> digest then
+        fail "SPILL MISMATCH %s: CSR digest differs from the in-memory build" name)
+    reference;
+  if sst.Lts.spilled_segments = 0 then
+    fail "SPILL MISMATCH %s: the spill build spilled no segments" name;
+  (match Sys.readdir spill_dir with
+  | [||] -> Unix.rmdir spill_dir
+  | leftovers ->
+      fail "SPILL LEAK %s: %d temp files left in %s" name
+        (Array.length leftovers) spill_dir);
+  (slts, sst)
 
 (* The N-station scaling model (lib/models/streaming.ml, scaled_archi):
    the state space where segment storage and the parallel builder earn
@@ -429,6 +365,7 @@ let study_timings () =
    contract check stays fast; smoke and full runs build the calibrated
    default (2 stations, >500k states) at 1/2/4 jobs. *)
 let scaled_study () =
+  let name = "streaming_scaled" in
   let sp, expected_states, max_states =
     if tiny then
       ( { Streaming.default_scaled_params with Streaming.stations = 1 },
@@ -436,30 +373,20 @@ let scaled_study () =
     else (Streaming.default_scaled_params, 518_218, 600_000)
   in
   let spec = Streaming.scaled_spec sp in
-  let sweep = build_sweep ~max_states spec in
-  let lts = check_sweep_agrees "streaming_scaled" sweep in
-  check_build_regression "streaming_scaled" sweep;
-  if lts.Lts.num_states <> expected_states then begin
-    Printf.eprintf
-      "[bench] GOLDEN MISMATCH streaming_scaled: expected %d states, got %d\n%!"
-      expected_states lts.Lts.num_states;
-    exit 1
-  end;
+  let lts, st, build_entries = build_sweep ~max_states name spec in
+  check_states name expected_states lts.Lts.num_states;
   (* The full half-million-state refinement sweep is minutes of work;
      smoke runs stay inside their timeout by skipping it (tiny runs use
      the 530-state model, so the JSON contract keys stay covered — the
      smoke legs cover refinement through the rpc/streaming sweeps). *)
-  let refine_entries =
-    if tiny || not smoke then refine_sweep "streaming_scaled" lts else []
-  in
+  let refine_entries = if tiny || not smoke then refine_sweep name lts else [] in
   (* The weak sweep is the lazy path's headline number: the 518k-state
      model's weak partition without ever materializing the saturated
-     relation, checked bit-identical across job counts. Gated like the
-     strong sweep; the per-component closure cache's peak footprint
-     rides along in the JSON entry. *)
+     relation. The per-component closure cache's peak footprint rides
+     along in the JSON entry. *)
   let weak_entries =
     if tiny || not smoke then
-      weak_sweep "streaming_scaled" lts
+      weak_sweep name lts
       @ [
           ( "bisim.tau.closure_bytes_peak",
             Dpma_obs.Metrics.value Dpma_obs.Instruments.bisim_tau_closure_bytes
@@ -469,64 +396,30 @@ let scaled_study () =
   in
   (* Spill differential: the same build forced through the disk-backed
      segment path (resident budget 0, so every full segment spills) must
-     produce a bit-identical CSR, leave no temp file behind, and report
-     its spill traffic. Tiny runs shrink the segments (seg_bits 8) so the
-     530-state model still crosses segment boundaries. *)
-  let spill_dir = Filename.temp_dir "dpma-bench" ".spill" in
-  Gc.full_major ();
-  let slts, sst =
-    Lts.build ~max_states
-      ?seg_bits:(if tiny then Some 8 else None)
-      ~spill_dir ~max_resident_bytes:0 spec
+     produce a bit-identical CSR and report its spill traffic. *)
+  let _, sst =
+    spill_build name ".spill" ~max_resident_bytes:0 ~reference:(csr_digest lts)
+      ~max_states spec
   in
-  if csr_digest slts <> sweep.sw_digest then begin
-    Printf.eprintf
-      "[bench] SPILL MISMATCH streaming_scaled: CSR digest differs with \
-       spill forced\n\
-       %!";
-    exit 1
-  end;
-  if sst.Lts.spilled_segments = 0 then begin
-    Printf.eprintf
-      "[bench] SPILL MISMATCH streaming_scaled: forced spill spilled no \
-       segments\n\
-       %!";
-    exit 1
-  end;
-  (match Sys.readdir spill_dir with
-  | [||] -> Unix.rmdir spill_dir
-  | leftovers ->
-      Printf.eprintf
-        "[bench] SPILL LEAK streaming_scaled: %d temp files left in %s\n%!"
-        (Array.length leftovers) spill_dir;
-      exit 1);
-  let st = match sweep.sw_legs with (_, _, st) :: _ -> st | [] -> assert false in
   Printf.eprintf
     "[bench] %-16s %d states, %d transitions, %d segments, %.1f MiB peak, \
      lts.build %.3f s, spilled %d segs (%.1f MiB, %.3f s)\n\
      %!"
-    "streaming_scaled" lts.Lts.num_states (Lts.num_transitions lts)
-    st.Lts.segments
+    name lts.Lts.num_states (Lts.num_transitions lts) st.Lts.segments
     (float_of_int st.Lts.segment_bytes_peak /. 1048576.0)
     st.Lts.build_seconds sst.Lts.spilled_segments
     (float_of_int sst.Lts.spilled_bytes /. 1048576.0)
     sst.Lts.spill_write_seconds;
-  study_seconds :=
-    !study_seconds
+  add_study name
+    (build_entries @ refine_entries @ weak_entries
     @ [
-        ( "streaming_scaled",
-          (("lts.build_seconds", st.Lts.build_seconds) :: sweep_entries sweep)
-          @ refine_entries @ weak_entries
-          @ [
-              ("lts.states", float_of_int lts.Lts.num_states);
-              ("lts.transitions", float_of_int (Lts.num_transitions lts));
-              ("lts.segment_bytes_peak",
-               float_of_int st.Lts.segment_bytes_peak);
-              ("lts.spill.segments", float_of_int sst.Lts.spilled_segments);
-              ("lts.spill.bytes", float_of_int sst.Lts.spilled_bytes);
-              ("lts.spill.build_seconds", sst.Lts.build_seconds);
-            ] );
-      ]
+        ("lts.states", float_of_int lts.Lts.num_states);
+        ("lts.transitions", float_of_int (Lts.num_transitions lts));
+        ("lts.segment_bytes_peak", float_of_int st.Lts.segment_bytes_peak);
+        ("lts.spill.segments", float_of_int sst.Lts.spilled_segments);
+        ("lts.spill.bytes", float_of_int sst.Lts.spilled_bytes);
+        ("lts.spill.build_seconds", sst.Lts.build_seconds);
+      ])
 
 (* The featured-family path next to the per-configuration one: a
    4-configuration awake-period family of the streaming study, one
@@ -551,47 +444,35 @@ let family_sweep () =
   in
   let nconfigs = Array.length specs in
   Gc.full_major ();
-  let t0 = Unix.gettimeofday () in
-  let fam, _stats = Flts.build_family specs in
-  let build_s = Unix.gettimeofday () -. t0 in
-  let proj_s = Array.make nconfigs 0.0 in
-  let ltss =
-    Array.init nconfigs (fun c ->
-        let t0 = Unix.gettimeofday () in
-        let lts = Flts.project fam c in
-        proj_s.(c) <- Unix.gettimeofday () -. t0;
-        lts)
+  let (fam, _), build_s = clocked (fun () -> Flts.build_family specs) in
+  let projected =
+    Array.init nconfigs (fun c -> clocked (fun () -> Flts.project fam c))
   in
+  let ltss = Array.map fst projected and proj_s = Array.map snd projected in
   Gc.full_major ();
-  let t0 = Unix.gettimeofday () in
-  let base = Array.map (fun spec -> Lts.of_spec spec) specs in
-  let base_s = Unix.gettimeofday () -. t0 in
+  let base, base_s =
+    clocked (fun () -> Array.map (fun spec -> Lts.of_spec spec) specs)
+  in
   Array.iteri
     (fun c lts ->
       let b = base.(c) in
       if
         lts.Lts.num_states <> b.Lts.num_states
         || Lts.num_transitions lts <> Lts.num_transitions b
-      then begin
-        Printf.eprintf
-          "[bench] FAMILY MISMATCH streaming_family: config %d projects to \
-           %d states / %d transitions, pipeline builds %d / %d\n\
-           %!"
+      then
+        fail
+          "FAMILY MISMATCH streaming_family: config %d projects to %d states \
+           / %d transitions, pipeline builds %d / %d"
           c lts.Lts.num_states (Lts.num_transitions lts) b.Lts.num_states
-          (Lts.num_transitions b);
-        exit 1
-      end)
+          (Lts.num_transitions b))
     ltss;
   let proj_total = Array.fold_left ( +. ) 0.0 proj_s in
   let fam_total = build_s +. proj_total in
-  if fam_total >= base_s then begin
-    Printf.eprintf
-      "[bench] FAMILY REGRESSION streaming_family: featured build + %d \
-       projections took %.3f s, %d independent pipelines took %.3f s\n\
-       %!"
+  if fam_total >= base_s then
+    fail
+      "FAMILY REGRESSION streaming_family: featured build + %d projections \
+       took %.3f s, %d independent pipelines took %.3f s"
       nconfigs fam_total nconfigs base_s;
-    exit 1
-  end;
   let sum_states =
     Array.fold_left (fun acc l -> acc + l.Lts.num_states) 0 ltss
   in
@@ -604,27 +485,21 @@ let family_sweep () =
      %!"
     "streaming_family" nconfigs fam.Flts.num_states sharing fam_total base_s
     (base_s /. fam_total);
-  study_seconds :=
-    !study_seconds
+  add_study "streaming_family"
+    ([
+       ("family.configs", float_of_int nconfigs);
+       ("family.states", float_of_int fam.Flts.num_states);
+       ("family.sharing_ratio", sharing);
+       ("family.build_seconds", build_s);
+       ("family.project_seconds", proj_total);
+     ]
+    @ List.mapi
+        (fun c dt -> (Printf.sprintf "family.project_seconds.c%d" c, dt))
+        (Array.to_list proj_s)
     @ [
-        ( "streaming_family",
-          [
-            ("family.configs", float_of_int nconfigs);
-            ("family.states", float_of_int fam.Flts.num_states);
-            ("family.sharing_ratio", sharing);
-            ("family.build_seconds", build_s);
-            ("family.project_seconds", proj_total);
-          ]
-          @ Array.to_list
-              (Array.mapi
-                 (fun c dt ->
-                   (Printf.sprintf "family.project_seconds.c%d" c, dt))
-                 proj_s)
-          @ [
-              ("baseline.build_seconds", base_s);
-              ("family.speedup", base_s /. fam_total);
-            ] );
-      ]
+        ("baseline.build_seconds", base_s);
+        ("family.speedup", base_s /. fam_total);
+      ])
 
 (* Thousand-configuration grid: an ADL sweep grid (dpm toggle x dozing
    timeout x awake period) elaborated to 2 x T x A members, analyzed by
@@ -727,24 +602,20 @@ MEASURE frames_per_doze IS
   assert (members = 2 * t_max * a_max);
   (* Featured leg: one union build, every projection, dedup solves. *)
   Gc.full_major ();
-  let t0 = Unix.gettimeofday () in
-  let fam, fstats = Flts.build_family specs in
-  let build_s = Unix.gettimeofday () -. t0 in
-  let t0 = Unix.gettimeofday () in
-  let ltss = Flts.project_all fam in
-  let project_s = Unix.gettimeofday () -. t0 in
-  let t0 = Unix.gettimeofday () in
-  let analyses, solve_stats = Markov.analyze_ltss_dedup ltss measures in
-  let analyze_s = Unix.gettimeofday () -. t0 in
+  let (fam, fstats), build_s = clocked (fun () -> Flts.build_family specs) in
+  let ltss, project_s = clocked (fun () -> Flts.project_all fam) in
+  let (analyses, solve_stats), analyze_s =
+    clocked (fun () -> Markov.analyze_ltss_dedup ltss measures)
+  in
   let fam_total = build_s +. project_s +. analyze_s in
   (* Baseline leg, second: one full pipeline per member. *)
   Gc.full_major ();
-  let t0 = Unix.gettimeofday () in
-  let base =
-    Array.map (fun spec -> Markov.analyze_lts (Lts.of_spec spec) measures)
-      specs
+  let base, base_s =
+    clocked (fun () ->
+        Array.map
+          (fun spec -> Markov.analyze_lts (Lts.of_spec spec) measures)
+          specs)
   in
-  let base_s = Unix.gettimeofday () -. t0 in
   (* Sampled bit-identity: eight members spread across the grid must
      project to exactly the pipeline's CSR. *)
   let samples =
@@ -764,14 +635,11 @@ MEASURE frames_per_doze IS
         && p.Lts.rate_val = b.Lts.rate_val
         && p.Lts.rate_prio = b.Lts.rate_prio
       in
-      if not same then begin
-        Printf.eprintf
-          "[bench] FAMILY MISMATCH family_scale: member %d's projection \
-           differs from its pipeline build\n\
-           %!"
-          c;
-        exit 1
-      end)
+      if not same then
+        fail
+          "FAMILY MISMATCH family_scale: member %d's projection differs \
+           from its pipeline build"
+          c)
     samples;
   (* Every member's dedup-solved measure values against its own solve. *)
   let close a b =
@@ -782,32 +650,21 @@ MEASURE frames_per_doze IS
       List.iter2
         (fun (name, v) (bname, bv) ->
           assert (String.equal name bname);
-          if not (close v bv) then begin
-            Printf.eprintf
-              "[bench] VALUE MISMATCH family_scale: member %d measure %s: \
-               dedup %.17g vs pipeline %.17g\n\
-               %!"
-              c name v bv;
-            exit 1
-          end)
+          if not (close v bv) then
+            fail
+              "VALUE MISMATCH family_scale: member %d measure %s: dedup \
+               %.17g vs pipeline %.17g"
+              c name v bv)
         a.Markov.values base.(c).Markov.values)
     analyses;
-  if solve_stats.Markov.distinct_quotients >= members then begin
-    Printf.eprintf
-      "[bench] NO SHARING family_scale: %d distinct quotients for %d \
-       members\n\
-       %!"
+  if solve_stats.Markov.distinct_quotients >= members then
+    fail "NO SHARING family_scale: %d distinct quotients for %d members"
       solve_stats.Markov.distinct_quotients members;
-    exit 1
-  end;
-  if fam_total >= 0.5 *. base_s then begin
-    Printf.eprintf
-      "[bench] FAMILY REGRESSION family_scale: featured+dedup took %.3f s, \
-       %d pipelines took %.3f s (want < 0.5x)\n\
-       %!"
+  if fam_total >= 0.5 *. base_s then
+    fail
+      "FAMILY REGRESSION family_scale: featured+dedup took %.3f s, %d \
+       pipelines took %.3f s (want < 0.5x)"
       fam_total members base_s;
-    exit 1
-  end;
   Printf.eprintf
     "[bench] %-16s %d members, %d union states, %d distinct quotients \
      (%d solves shared), %d guard words, featured %.3f s vs pipelines \
@@ -816,25 +673,20 @@ MEASURE frames_per_doze IS
     "family_scale" members fam.Flts.num_states
     solve_stats.Markov.distinct_quotients solve_stats.Markov.solves_shared
     fstats.Flts.guard_words fam_total base_s (base_s /. fam_total);
-  study_seconds :=
-    !study_seconds
-    @ [
-        ( "family_scale",
-          [
-            ("family.configs", float_of_int members);
-            ("family.states", float_of_int fam.Flts.num_states);
-            ("family.distinct_quotients",
-             float_of_int solve_stats.Markov.distinct_quotients);
-            ("family.solves_shared",
-             float_of_int solve_stats.Markov.solves_shared);
-            ("family.guard_words", float_of_int fstats.Flts.guard_words);
-            ("family.build_seconds", build_s);
-            ("family.project_seconds", project_s);
-            ("family.analyze_seconds", analyze_s);
-            ("baseline.analyze_seconds", base_s);
-            ("family.speedup", base_s /. fam_total);
-          ] );
-      ]
+  add_study "family_scale"
+    [
+      ("family.configs", float_of_int members);
+      ("family.states", float_of_int fam.Flts.num_states);
+      ("family.distinct_quotients",
+       float_of_int solve_stats.Markov.distinct_quotients);
+      ("family.solves_shared", float_of_int solve_stats.Markov.solves_shared);
+      ("family.guard_words", float_of_int fstats.Flts.guard_words);
+      ("family.build_seconds", build_s);
+      ("family.project_seconds", project_s);
+      ("family.analyze_seconds", analyze_s);
+      ("baseline.analyze_seconds", base_s);
+      ("family.speedup", base_s /. fam_total);
+    ]
 
 (* The N-node ad hoc network chain (lib/models/adhoc.ml): the
    million-state scenario the spill store and the resource guards exist
@@ -848,6 +700,7 @@ MEASURE frames_per_doze IS
    in-memory build, and a deliberately tripped wall-clock guard whose
    structured verdict must carry the partial build progress. *)
 let adhoc_study () =
+  let name = "adhoc_net" in
   let p, expected_states, max_states, cap_mb =
     if tiny then
       ( { Adhoc.default_params with Adhoc.nodes = 2; queue_size = 1 },
@@ -858,44 +711,17 @@ let adhoc_study () =
         2_025_289, 2_500_000, 64 )
   in
   let spec = Adhoc.spec ~monitors:false p in
-  let seg_bits = if tiny then Some 8 else None in
-  let spill_dir = Filename.temp_dir "dpma-bench" ".adhoc" in
-  Gc.full_major ();
-  let lts, st =
-    Lts.build ~max_states ?seg_bits ~spill_dir
-      ~max_resident_bytes:(cap_mb * 1024 * 1024) spec
+  (* Differential against the in-memory path (cheap at 2 nodes; the big
+     instance relies on the streaming_scaled spill differential, which
+     runs in every mode). *)
+  let reference =
+    if tiny then Some (csr_digest (Lts.of_spec ~max_states spec)) else None
   in
-  if lts.Lts.num_states <> expected_states then begin
-    Printf.eprintf
-      "[bench] GOLDEN MISMATCH adhoc_net: expected %d states, got %d\n%!"
-      expected_states lts.Lts.num_states;
-    exit 1
-  end;
-  if st.Lts.spilled_segments = 0 then begin
-    Printf.eprintf
-      "[bench] SPILL MISMATCH adhoc_net: capped build spilled no segments\n%!";
-    exit 1
-  end;
-  if tiny then begin
-    (* Differential against the in-memory path (cheap at 2 nodes; the
-       big instance relies on the streaming_scaled spill differential,
-       which runs in every mode). *)
-    let mem = Lts.of_spec ~max_states spec in
-    if csr_digest mem <> csr_digest lts then begin
-      Printf.eprintf
-        "[bench] SPILL MISMATCH adhoc_net: CSR digest differs from the \
-         in-memory build\n\
-         %!";
-      exit 1
-    end
-  end;
-  (match Sys.readdir spill_dir with
-  | [||] -> Unix.rmdir spill_dir
-  | leftovers ->
-      Printf.eprintf
-        "[bench] SPILL LEAK adhoc_net: %d temp files left in %s\n%!"
-        (Array.length leftovers) spill_dir;
-      exit 1);
+  let lts, st =
+    spill_build ?reference name ".adhoc"
+      ~max_resident_bytes:(cap_mb * 1024 * 1024) ~max_states spec
+  in
+  check_states name expected_states lts.Lts.num_states;
   (* Deliberate guard trip: an exhausted wall-clock budget must abort
      the build with the structured trip — right resource, right phase,
      partial progress attached — not a crash. [Guard.poll] clears a
@@ -905,161 +731,32 @@ let adhoc_study () =
       Rguard.with_guard
         (Rguard.create ~max_seconds:0.0 ())
         (fun () -> ignore (Lts.build ~max_states:10_000 spec));
-      Printf.eprintf
-        "[bench] GUARD MISMATCH adhoc_net: exhausted wall-clock budget did \
-         not trip\n\
-         %!";
-      exit 1
+      fail "GUARD MISMATCH %s: exhausted wall-clock budget did not trip" name
     with Rguard.Resource_exceeded trip -> trip
   in
   if trip.Rguard.resource <> Rguard.Wall_clock
      || trip.Rguard.phase <> "lts.build"
      || trip.Rguard.partial = []
-  then begin
-    Printf.eprintf "[bench] GUARD MISMATCH adhoc_net: malformed trip %s\n%!"
-      (Rguard.verdict_line trip);
-    exit 1
-  end;
+  then fail "GUARD MISMATCH %s: malformed trip %s" name (Rguard.verdict_line trip);
   Printf.eprintf
     "[bench] %-16s %d states, %d transitions under a %d-MiB cap: %.1f MiB \
      resident peak, spilled %d segs (%.1f MiB, %.3f s), lts.build %.3f s\n\
      %!"
-    "adhoc_net" lts.Lts.num_states (Lts.num_transitions lts) cap_mb
+    name lts.Lts.num_states (Lts.num_transitions lts) cap_mb
     (float_of_int st.Lts.segment_bytes_peak /. 1048576.0)
     st.Lts.spilled_segments
     (float_of_int st.Lts.spilled_bytes /. 1048576.0)
     st.Lts.spill_write_seconds st.Lts.build_seconds;
-  study_seconds :=
-    !study_seconds
-    @ [
-        ( "adhoc_net",
-          [
-            ("lts.build_seconds", st.Lts.build_seconds);
-            ("lts.states", float_of_int lts.Lts.num_states);
-            ("lts.transitions", float_of_int (Lts.num_transitions lts));
-            ("lts.segment_bytes_peak", float_of_int st.Lts.segment_bytes_peak);
-            ("lts.spill.segments", float_of_int st.Lts.spilled_segments);
-            ("lts.spill.bytes", float_of_int st.Lts.spilled_bytes);
-            ("guard.trips", 1.0);
-          ] );
-      ]
-
-(* ------------------------------------------------------------------ *)
-(* Part 1: figure regeneration                                         *)
-
-(* Minimal run for CI checks of the JSON contract: one Markovian and one
-   simulated fig3 point, enough to touch every pipeline metric. *)
-let figures_tiny () =
-  let sim =
-    { General.default_sim_params with runs = 2; duration = 2_000.0; warmup = 200.0 }
-  in
-  Format.printf "%a@.@." Figures.pp_sec3
-    (timed "sec3" (fun () -> Figures.sec3_noninterference ()));
-  Format.printf "%a@.@."
-    (Figures.pp_rpc_rows ~title:"Fig. 3 (left): rpc Markovian, one point")
-    (timed "fig3-markov" (fun () -> Figures.fig3_markov ~timeouts:[ 5.0 ] ()));
-  Format.printf "%a@.@."
-    (Figures.pp_rpc_rows ~title:"Fig. 3 (right): rpc general, one point")
-    (timed "fig3-general" (fun () ->
-         Figures.fig3_general ~timeouts:[ 5.0 ] ~sim ()))
-
-let figures () =
-  let rpc_sim =
-    if quick then
-      { General.default_sim_params with runs = 10; duration = 10_000.0; warmup = 1_000.0 }
-    else { General.default_sim_params with duration = 30_000.0; warmup = 3_000.0 }
-  in
-  let streaming_sim =
-    if quick then
-      { General.default_sim_params with runs = 5; duration = 50_000.0; warmup = 3_000.0 }
-    else
-      { General.default_sim_params with runs = 10; duration = 120_000.0; warmup = 5_000.0 }
-  in
-  let timeouts =
-    if quick then [ 0.5; 2.0; 5.0; 10.0; 12.5; 25.0 ] else Figures.default_rpc_timeouts
-  in
-  let awakes =
-    if quick then [ 1.0; 100.0; 400.0; 800.0 ] else Figures.default_awake_periods
-  in
-  Format.printf "%a@.@." Figures.pp_sec3
-    (timed "sec3" (fun () -> Figures.sec3_noninterference ()));
-  let fig3m = timed "fig3-markov" (fun () -> Figures.fig3_markov ~timeouts ()) in
-  Format.printf "%a@.@." (Figures.pp_rpc_rows ~title:"Fig. 3 (left): rpc Markovian") fig3m;
-  let fig3g =
-    timed "fig3-general" (fun () -> Figures.fig3_general ~timeouts ~sim:rpc_sim ())
-  in
-  Format.printf "%a@.@." (Figures.pp_rpc_rows ~title:"Fig. 3 (right): rpc general") fig3g;
-  let fig4 = timed "fig4" (fun () -> Figures.fig4_markov ~awake_periods:awakes ()) in
-  Format.printf "%a@.@."
-    (Figures.pp_streaming_rows ~title:"Fig. 4: streaming Markovian") fig4;
-  Format.printf "%a@.@." Figures.pp_validation_rows
-    (timed "fig5" (fun () -> Figures.fig5_validation ~sim:rpc_sim ()));
-  let fig6 =
-    timed "fig6" (fun () ->
-        Figures.fig6_general ~awake_periods:awakes ~sim:streaming_sim ())
-  in
-  Format.printf "%a@.@."
-    (Figures.pp_streaming_rows ~title:"Fig. 6: streaming general") fig6;
-  Figures.pp_fig7 ~markov:fig3m ~general:fig3g Format.std_formatter ();
-  Format.printf "@.@.";
-  Figures.pp_fig8 ~markov:fig4 ~general:fig6 Format.std_formatter ();
-  Format.printf "@.@.";
-  (* Design-choice ablations (not figures of the paper; see DESIGN.md). *)
-  timed "ablations" (fun () ->
-      Format.printf "%a@.@." Figures.pp_policy_rows (Figures.ablation_rpc_policy ());
-      Format.printf "%a@.@." Figures.pp_lumping_rows (Figures.ablation_lumping ());
-      Format.printf "%a@.@." Figures.pp_family_rows
-        (Figures.ablation_distribution_family
-           ~sim:
-             (if quick then
-                { General.default_sim_params with runs = 5; duration = 8_000.0; warmup = 800.0 }
-              else
-                { General.default_sim_params with runs = 10; duration = 15_000.0; warmup = 1_500.0 })
-           ()));
-  (* Battery lifetime (the title's unit): see lib/models/battery.ml. *)
-  let battery = Dpma_models.Battery.default_params in
-  Format.printf
-    "== Battery lifetime (capacity %d quanta, rpc appliance) ==@."
-    battery.Dpma_models.Battery.capacity;
-  Format.printf "%-9s | %-12s %-12s %s@." "timeout" "with DPM" "without" "extension";
-  List.iter
-    (fun (t, l) ->
-      Format.printf "%-9.1f | %-12.2f %-12.2f %+.0f%%@." t
-        l.Dpma_models.Battery.with_dpm l.Dpma_models.Battery.without_dpm
-        (100.0 *. l.Dpma_models.Battery.extension))
-    (timed "battery" (fun () ->
-         Dpma_models.Battery.lifetime_sweep battery
-           ~timeouts:(if quick then [ 1.0; 10.0 ] else [ 0.5; 1.0; 2.0; 5.0; 10.0; 25.0 ])));
-  Format.printf "@.";
-  (* Third case study: the disk-drive break-even sweep. *)
-  Format.printf "== Disk drive: spin-down break-even (third case study) ==@.";
-  Format.printf "%-16s | %-12s %-12s | %-8s %s@." "interarrival(s)" "e/req DPM"
-    "e/req no" "drop DPM" "verdict";
-  let disk_rows =
-    timed "disk" (fun () ->
-        Pool.parallel_map
-          (fun inter ->
-            let w, wo =
-              Dpma_models.Disk.compare_dpm
-                { Dpma_models.Disk.default_params with
-                  Dpma_models.Disk.interarrival_mean = inter }
-            in
-            (inter, w, wo))
-          (if quick then [ 2_000.0; 30_000.0 ]
-           else [ 500.0; 2_000.0; 8_000.0; 15_000.0; 30_000.0; 120_000.0 ]))
-  in
-  List.iter
-    (fun (inter, w, wo) ->
-      Format.printf "%-16.1f | %-12.0f %-12.0f | %-8.4f %s@."
-        (inter /. 1000.0) w.Dpma_models.Disk.energy_per_request
-        wo.Dpma_models.Disk.energy_per_request w.Dpma_models.Disk.drop_ratio
-        (if
-           w.Dpma_models.Disk.energy_per_request
-           < wo.Dpma_models.Disk.energy_per_request
-         then "DPM wins"
-         else "DPM counterproductive"))
-    disk_rows;
-  Format.printf "@."
+  add_study name
+    [
+      ("lts.build_seconds", st.Lts.build_seconds);
+      ("lts.states", float_of_int lts.Lts.num_states);
+      ("lts.transitions", float_of_int (Lts.num_transitions lts));
+      ("lts.segment_bytes_peak", float_of_int st.Lts.segment_bytes_peak);
+      ("lts.spill.segments", float_of_int st.Lts.spilled_segments);
+      ("lts.spill.bytes", float_of_int st.Lts.spilled_bytes);
+      ("guard.trips", 1.0);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Part 2: Bechamel micro-benchmarks                                   *)
@@ -1168,87 +865,35 @@ let run_micro () =
 (* ------------------------------------------------------------------ *)
 (* JSON report                                                         *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let notes =
+  "weak minimize on streaming_scaled (518218 states; dpma minimize --weak \
+   -j 1 --max-states 600000, 2 vCPU): 600 s wall, 13.7 s build, 12 \
+   refinement rounds, about 1.7 GiB RSS, 38.6 MB interned tau-closure \
+   payload peak (bisim.tau.closure_bytes_peak)"
 
-let json_float x = if Float.is_finite x then Printf.sprintf "%.6g" x else "null"
-
-let json_report ~jobs ~micro =
+let json_report ~micro =
   let figs = List.rev !wall_clock in
   let total = List.fold_left (fun acc (_, dt) -> acc +. dt) 0.0 figs in
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b "  \"schema\": \"dpma.bench/1\",\n";
-  Printf.bprintf b "  \"jobs\": %d,\n" jobs;
-  Printf.bprintf b "  \"quick\": %b,\n" quick;
-  (* Perf-history record traveling with every report. On-the-fly weak
-     saturation (previous release), measured on the 518218-state
-     streaming_scaled study on the 1-core CI box: `minimize --weak`
-     holds at most 38.6 MB of interned tau-closure payload
-     (bisim.tau.closure_bytes_peak) instead of materializing the
-     input's saturated relation, at the cost of wall-clock on this
-     tau-thin model (502591 tau-SCCs for ~506k reduced states, so the
-     per-component cache rarely shares): 559 s lazy vs 136 s via the
-     since-removed --saturate oracle, outputs bit-identical. The lazy
-     pass wins where saturation blows up quadratically (long tau
-     chains; see docs/WEAK_EQUIVALENCE.md). This release removes the
-     oracle path and tightens the recompute loop's constants — reused
-     per-view scratch buffers replace per-signature list sorting, and
-     singleton tau-SCCs with no condensed tau successor short-circuit
-     the closure union — leaving the small-model weak sweeps unchanged
-     within noise (streaming weak j1 ~0.036 s before and after). *)
-  Buffer.add_string b
-    "  \"notes\": \"weak pass is lazy-only: streaming_scaled (518218 \
-     states, 1-core) minimize --weak peaks at 38.6 MB of interned \
-     tau-closure payload with no materialized saturated relation, 559s \
-     lazy vs 136s via the since-removed --saturate oracle (tau-thin \
-     model: 502591 tau-SCCs), outputs bit-identical; this release adds \
-     scratch-buffer reuse and a singleton tau-SCC fast path to the \
-     closure recompute loop (small-model sweeps unchanged within \
-     noise, streaming weak j1 ~0.036s before and after)\",\n";
-  Printf.bprintf b "  \"figures_wall_clock_s\": {\n";
-  List.iter
-    (fun (name, dt) ->
-      Printf.bprintf b "    \"%s\": %s,\n" (json_escape name) (json_float dt))
-    figs;
-  Printf.bprintf b "    \"total\": %s\n  },\n" (json_float total);
-  if !study_seconds <> [] then begin
-    Printf.bprintf b "  \"study_seconds\": {";
-    List.iteri
-      (fun i (study, entries) ->
-        Printf.bprintf b "%s\n    \"%s\": {" (if i = 0 then "" else ",")
-          (json_escape study);
-        List.iteri
-          (fun j (k, v) ->
-            Printf.bprintf b "%s \"%s\": %s" (if j = 0 then "" else ",")
-              (json_escape k) (json_float v))
-          entries;
-        Printf.bprintf b " }")
-      !study_seconds;
-    Printf.bprintf b "\n  },\n"
-  end;
-  Printf.bprintf b "  \"micro_ns_per_run\": {";
-  List.iteri
-    (fun i (name, est, r2) ->
-      Printf.bprintf b "%s\n    \"%s\": { \"estimate\": %s, \"r_square\": %s }"
-        (if i = 0 then "" else ",")
-        (json_escape name) (json_float est) (json_float r2))
-    micro;
-  Buffer.add_string b (if micro = [] then "},\n" else "\n  },\n");
-  (* The same metric objects dpma --metrics=json emits; the names and
-     units are the contract of docs/OBSERVABILITY.md. *)
-  Printf.bprintf b "  \"metrics\": %s\n"
-    (Dpma_obs.Json.to_string ~indent:2 (Dpma_obs.Metrics.to_json ()));
-  Buffer.add_string b "}\n";
-  Buffer.contents b
+  let obj entries = Json.Obj (List.map (fun (k, v) -> (k, Json.Num v)) entries) in
+  Json.Obj
+    [
+      ("schema", Json.Str "dpma.bench/1");
+      ("jobs", Json.num_of_int (Pool.default_jobs ()));
+      ("quick", Json.Bool quick);
+      ("notes", Json.Str notes);
+      ("figures_wall_clock_s", obj (figs @ [ ("total", total) ]));
+      ( "study_seconds",
+        Json.Obj (List.rev_map (fun (study, e) -> (study, obj e)) !study_seconds) );
+      ( "micro_ns_per_run",
+        Json.Obj
+          (List.map
+             (fun (name, est, r2) ->
+               (name, obj [ ("estimate", est); ("r_square", r2) ]))
+             micro) );
+      (* The same metric objects dpma --metrics=json emits; the names and
+         units are the contract of docs/OBSERVABILITY.md. *)
+      ("metrics", Dpma_obs.Metrics.to_json ());
+    ]
 
 let () =
   (* In json mode stdout must carry nothing but the JSON document, so the
@@ -1261,21 +906,20 @@ let () =
      sweep cap degrades the run instead of crashing it: human rendering
      to stderr, the machine-readable dpma.degraded/1 verdict to stdout,
      exit 3 — the same contract as the dpma front end. *)
-  let degraded trip =
-    Format.eprintf "%a@." Rguard.pp_trip trip;
-    print_endline (Rguard.verdict_line trip);
-    exit 3
-  in
   try
-    if tiny then figures_tiny () else figures ();
-    if smoke then timed "study-timings" study_timings;
-    if smoke then timed "family-sweep" family_sweep;
-    if smoke then timed "family-scale" family_scale;
+    Figures.print ~on_timing:record
+      (if tiny then Figures.Tiny else if quick then Figures.Quick else Figures.Full)
+      Format.std_formatter;
+    if smoke then begin
+      timed "study-timings" study_timings;
+      timed "family-sweep" family_sweep;
+      timed "family-scale" family_scale
+    end;
     timed "scaled-study" scaled_study;
     timed "adhoc-study" adhoc_study;
     let micro = if smoke then [] else run_micro () in
     if json_mode then begin
-      let report = json_report ~jobs:(Pool.default_jobs ()) ~micro in
+      let report = Json.to_string ~indent:2 (json_report ~micro) ^ "\n" in
       let oc = open_out "BENCH_results.json" in
       output_string oc report;
       close_out oc;
@@ -1283,7 +927,7 @@ let () =
       print_string report;
       flush stdout
     end
-  with
-  | Rguard.Resource_exceeded trip -> degraded trip
-  | Ctmc.Not_converged { phase; iterations; residual; tolerance } ->
-      degraded (Rguard.convergence_trip ~phase ~iterations ~residual ~tolerance)
+  with Rguard.Resource_exceeded trip ->
+    Format.eprintf "%a@." Rguard.pp_trip trip;
+    print_endline (Rguard.verdict_line trip);
+    exit 3

@@ -55,8 +55,6 @@ let handle f =
       Printf.eprintf "measure syntax error: %s\n" msg;
       exit 2
   | Rguard.Resource_exceeded trip -> degraded trip
-  | Dpma_ctmc.Ctmc.Not_converged { phase; iterations; residual; tolerance } ->
-      degraded (Rguard.convergence_trip ~phase ~iterations ~residual ~tolerance)
   | Elaborate.Check_error msg ->
       Printf.eprintf "static error: %s\n" msg;
       exit 1
@@ -162,11 +160,9 @@ let obs_term =
   in
   Term.(const setup $ metrics $ trace)
 
-(* Resource limits and spill, on every subcommand: --max-seconds/--max-mb
-   install the ambient Dpma_util.Guard (polled between BFS and refinement
-   rounds and during simulation runs; a trip degrades cleanly, exit 3),
-   --spill-dir/--spill-mb set the ambient Segstore defaults so every build
-   of the run spills full segments to disk beyond the resident budget. *)
+(* Resource limits and spill, on every subcommand, validated and installed
+   by [Dpma_core.Limits.install] (shared with the bench); an invalid value
+   is a usage error. *)
 let limits_term =
   let max_seconds =
     Arg.(
@@ -212,24 +208,9 @@ let limits_term =
              that is set, else 64.")
   in
   let setup max_seconds max_mb spill_dir spill_mb =
-    (match spill_dir with
-    | Some dir ->
-        let budget_mb =
-          match (spill_mb, max_mb) with
-          | Some b, _ -> max 1 b
-          | None, Some m -> max 1 (m / 2)
-          | None, None -> 64
-        in
-        Dpma_lts.Segstore.set_defaults ~spill_dir:dir
-          ~max_resident_bytes:(budget_mb * 1024 * 1024) ()
-    | None -> ());
-    if max_seconds <> None || max_mb <> None then
-      Rguard.install
-        (Rguard.create ?max_seconds
-           ?max_resident_bytes:(Option.map (fun m -> m * 1024 * 1024) max_mb)
-           ())
+    Dpma_core.Limits.install ~max_seconds ~max_mb ~spill_dir ~spill_mb
   in
-  Term.(const setup $ max_seconds $ max_mb $ spill_dir $ spill_mb)
+  Term.(term_result' (const setup $ max_seconds $ max_mb $ spill_dir $ spill_mb))
 
 (* The unit-valued tail argument of every subcommand: observability and
    resource-limit setup. *)
@@ -833,94 +814,28 @@ let cmd_sec3 =
     Term.(const run $ jobs_arg $ common_term)
 
 let cmd_figures =
-  let run which fast jobs () =
+  let run only fast jobs () =
     apply_jobs jobs;
     handle (fun () ->
-        let rpc_sim =
-          if fast then
-            { General.default_sim_params with runs = 10; duration = 10_000.0; warmup = 1_000.0 }
-          else { General.default_sim_params with duration = 30_000.0; warmup = 3_000.0 }
-        in
-        let streaming_sim =
-          if fast then
-            { General.default_sim_params with runs = 5; duration = 60_000.0; warmup = 3_000.0 }
-          else
-            { General.default_sim_params with runs = 15; duration = 150_000.0; warmup = 5_000.0 }
-        in
-        let timeouts =
-          if fast then [ 0.5; 2.0; 5.0; 10.0; 12.5; 25.0 ]
-          else Figures.default_rpc_timeouts
-        in
-        let awakes =
-          if fast then [ 1.0; 50.0; 100.0; 400.0; 800.0 ]
-          else Figures.default_awake_periods
-        in
-        let want name = which = [] || List.mem name which in
-        if want "sec3" then
-          Format.printf "%a@.@." Figures.pp_sec3 (Figures.sec3_noninterference ());
-        let fig3m =
-          if want "fig3" || want "fig7" then Some (Figures.fig3_markov ~timeouts ())
-          else None
-        in
-        let fig3g =
-          if want "fig3" || want "fig7" then
-            Some (Figures.fig3_general ~timeouts ~sim:rpc_sim ())
-          else None
-        in
-        (match fig3m with
-        | Some rows ->
-            Format.printf "%a@.@."
-              (Figures.pp_rpc_rows ~title:"Fig. 3 (left): rpc Markovian") rows
-        | None -> ());
-        (match fig3g with
-        | Some rows ->
-            Format.printf "%a@.@."
-              (Figures.pp_rpc_rows ~title:"Fig. 3 (right): rpc general") rows
-        | None -> ());
-        if want "fig5" then
-          Format.printf "%a@.@." Figures.pp_validation_rows
-            (Figures.fig5_validation ~sim:rpc_sim ());
-        let fig4 =
-          if want "fig4" || want "fig8" then
-            Some (Figures.fig4_markov ~awake_periods:awakes ())
-          else None
-        in
-        let fig6 =
-          if want "fig6" || want "fig8" then
-            Some (Figures.fig6_general ~awake_periods:awakes ~sim:streaming_sim ())
-          else None
-        in
-        (match fig4 with
-        | Some rows ->
-            Format.printf "%a@.@."
-              (Figures.pp_streaming_rows ~title:"Fig. 4: streaming Markovian") rows
-        | None -> ());
-        (match fig6 with
-        | Some rows ->
-            Format.printf "%a@.@."
-              (Figures.pp_streaming_rows ~title:"Fig. 6: streaming general") rows
-        | None -> ());
-        (match (fig3m, fig3g) with
-        | Some m, Some g when want "fig7" ->
-            Figures.pp_fig7 ~markov:m ~general:g Format.std_formatter ();
-            Format.printf "@.@."
-        | _ -> ());
-        match (fig4, fig6) with
-        | Some m, Some g when want "fig8" ->
-            Figures.pp_fig8 ~markov:m ~general:g Format.std_formatter ();
-            Format.printf "@."
-        | _ -> ())
+        Figures.print ~only
+          (if fast then Figures.Quick else Figures.Full)
+          Format.std_formatter)
   in
   let which =
     Arg.(
-      value & pos_all string []
-      & info [] ~docv:"FIGURE"
+      value
+      & pos_all (enum (List.map (fun n -> (n, n)) Figures.section_names)) []
+      & info [] ~docv:"SECTION"
           ~doc:
-            "Subset to regenerate: sec3, fig3, fig4, fig5, fig6, fig7, fig8. \
-             Default: all.")
+            (Printf.sprintf "Sections to regenerate, printed in suite order: %s. \
+               Default: all."
+               (String.concat ", " Figures.section_names)))
   in
   let fast =
-    Arg.(value & flag & info [ "fast" ] ~doc:"Smaller sweeps and shorter simulations.")
+    Arg.(
+      value & flag
+      & info [ "fast" ]
+          ~doc:"Smaller sweeps and shorter simulations (the benchmark's quick size).")
   in
   Cmd.v
     (Cmd.info "figures" ~doc:"Regenerate the paper's evaluation figures")

@@ -23,8 +23,6 @@ type t = {
 
 exception Build_error of string
 
-exception Not_converged = Sparse.Not_converged
-
 let dense_threshold = 1500
 
 let label_name = Lts.label_name

@@ -46,20 +46,6 @@ type t = private {
 
 exception Build_error of string
 
-exception
-  Not_converged of {
-    phase : string;
-    iterations : int;
-    residual : float;
-    tolerance : float;
-  }
-(** An iterative loop (BSCC Gauss–Seidel and local absorption sweeps:
-    phase ["ctmc.solve"]; first-passage and reward fixed points: phase
-    ["ctmc.passage"]) reached its sweep cap before its change fell below
-    [tolerance]. The same exception as
-    {!Dpma_util.Sparse.Not_converged}; counted in
-    [ctmc.solve.unconverged]. *)
-
 val of_lts : Dpma_lts.Lts.t -> t
 (** Raises {!Build_error} on passive transitions, immediate cycles, or
     absent rate annotations (i.e. a functional LTS). *)
@@ -89,9 +75,12 @@ val steady_state : t -> float array
     (singleton components directly, nontrivial ones by local sweeps to a
     1e-14 change). Inside each BSCC the balance equations are solved
     densely (Gaussian elimination) up to {!dense_threshold} states and by
-    Gauss–Seidel (to a 1e-12 L1 change) above. Raises {!Not_converged}
-    when a loop hits its cap, and polls the ambient
-    {!Dpma_util.Guard} (phase ["ctmc.solve"]) before every sweep. *)
+    Gauss–Seidel (to a 1e-12 L1 change) above. Polls the ambient
+    {!Dpma_util.Guard} (phase ["ctmc.solve"]) before every sweep; a loop
+    that hits its cap raises [Dpma_util.Guard.Resource_exceeded] with a
+    convergence trip of the same phase (["ctmc.passage"] for the
+    first-passage and reward fixed points), counted in
+    [ctmc.solve.unconverged]. *)
 
 val dense_threshold : int
 

@@ -531,3 +531,149 @@ let pp_family_rows ppf rows =
         r.deterministic_thr)
     rows;
   Format.fprintf ppf "@]"
+
+(* ------------------------------------------------------------------ *)
+(* The figure suite                                                    *)
+
+type size = Tiny | Quick | Full
+
+let section_names =
+  [ "sec3"; "fig3"; "fig4"; "fig5"; "fig6"; "fig7"; "fig8"; "ablations";
+    "battery"; "disk" ]
+
+let sim_params runs duration warmup =
+  { General.default_sim_params with runs; duration; warmup }
+
+(* Battery lifetime (the title's unit): see battery.ml. *)
+let battery_table ppf ~timed ~timeouts =
+  let battery = Battery.default_params in
+  Format.fprintf ppf
+    "== Battery lifetime (capacity %d quanta, rpc appliance) ==@."
+    battery.Battery.capacity;
+  Format.fprintf ppf "%-9s | %-12s %-12s %s@." "timeout" "with DPM" "without"
+    "extension";
+  List.iter
+    (fun (t, l) ->
+      Format.fprintf ppf "%-9.1f | %-12.2f %-12.2f %+.0f%%@." t
+        l.Battery.with_dpm l.Battery.without_dpm (100.0 *. l.Battery.extension))
+    (timed (fun () -> Battery.lifetime_sweep battery ~timeouts));
+  Format.fprintf ppf "@."
+
+(* Third case study: the disk-drive break-even sweep. *)
+let disk_table ppf ~timed ~interarrivals =
+  Format.fprintf ppf "== Disk drive: spin-down break-even (third case study) ==@.";
+  Format.fprintf ppf "%-16s | %-12s %-12s | %-8s %s@." "interarrival(s)"
+    "e/req DPM" "e/req no" "drop DPM" "verdict";
+  let rows =
+    timed (fun () ->
+        Pool.parallel_map
+          (fun inter ->
+            Disk.compare_dpm
+              { Disk.default_params with Disk.interarrival_mean = inter })
+          interarrivals)
+  in
+  List.iter2
+    (fun inter ((w : Disk.metrics), (wo : Disk.metrics)) ->
+      Format.fprintf ppf "%-16.1f | %-12.0f %-12.0f | %-8.4f %s@."
+        (inter /. 1000.0) w.energy_per_request wo.energy_per_request
+        w.drop_ratio
+        (if w.energy_per_request < wo.energy_per_request then "DPM wins"
+         else "DPM counterproductive"))
+    interarrivals rows;
+  Format.fprintf ppf "@."
+
+let print ?(on_timing = fun _ _ -> ()) ?(only = []) size ppf =
+  let timed name f =
+    let t0 = Dpma_obs.Clock.now_s () in
+    let r = f () in
+    on_timing name (Dpma_obs.Clock.now_s () -. t0);
+    r
+  in
+  (* [pick quick full]: the value at the quick size, or at the full one. *)
+  let pick quick full = if size = Full then full else quick in
+  let table pp rows = Format.fprintf ppf "%a@.@." pp rows in
+  let rpc title rows = table (pp_rpc_rows ~title) rows in
+  let streaming title rows = table (pp_streaming_rows ~title) rows in
+  let sec3 () = table pp_sec3 (timed "sec3" (fun () -> sec3_noninterference ())) in
+  let sections =
+    if size = Tiny then
+      (* One Markovian and one simulated fig3 point: enough to touch every
+         pipeline metric. *)
+      let sim = sim_params 2 2_000.0 200.0 in
+      [
+        ("sec3", sec3);
+        ( "fig3",
+          fun () ->
+            rpc "Fig. 3 (left): rpc Markovian, one point"
+              (timed "fig3-markov" (fun () -> fig3_markov ~timeouts:[ 5.0 ] ()));
+            rpc "Fig. 3 (right): rpc general, one point"
+              (timed "fig3-general" (fun () ->
+                   fig3_general ~timeouts:[ 5.0 ] ~sim ())) );
+      ]
+    else
+      let rpc_sim = pick (sim_params 10 10_000.0 1_000.0) general_rpc_sim_defaults in
+      let streaming_sim =
+        pick (sim_params 5 50_000.0 3_000.0) (sim_params 10 120_000.0 5_000.0)
+      in
+      let timeouts = pick [ 0.5; 2.0; 5.0; 10.0; 12.5; 25.0 ] default_rpc_timeouts in
+      let awake_periods = pick [ 1.0; 100.0; 400.0; 800.0 ] default_awake_periods in
+      (* Figs. 7 and 8 are assembled from the rows of Figs. 3, 4 and 6, so
+         each sweep runs at most once per call. *)
+      let fig3m = lazy (timed "fig3-markov" (fun () -> fig3_markov ~timeouts ())) in
+      let fig3g =
+        lazy
+          (timed "fig3-general" (fun () ->
+               fig3_general ~timeouts ~sim:rpc_sim ()))
+      in
+      let fig4 = lazy (timed "fig4" (fun () -> fig4_markov ~awake_periods ())) in
+      let fig6 =
+        lazy
+          (timed "fig6" (fun () ->
+               fig6_general ~awake_periods ~sim:streaming_sim ()))
+      in
+      [
+        ("sec3", sec3);
+        ( "fig3",
+          fun () ->
+            rpc "Fig. 3 (left): rpc Markovian" (Lazy.force fig3m);
+            rpc "Fig. 3 (right): rpc general" (Lazy.force fig3g) );
+        ( "fig4",
+          fun () -> streaming "Fig. 4: streaming Markovian" (Lazy.force fig4) );
+        ( "fig5",
+          fun () ->
+            table pp_validation_rows
+              (timed "fig5" (fun () -> fig5_validation ~sim:rpc_sim ())) );
+        ("fig6", fun () -> streaming "Fig. 6: streaming general" (Lazy.force fig6));
+        ( "fig7",
+          fun () ->
+            pp_fig7 ~markov:(Lazy.force fig3m) ~general:(Lazy.force fig3g) ppf ();
+            Format.fprintf ppf "@.@." );
+        ( "fig8",
+          fun () ->
+            pp_fig8 ~markov:(Lazy.force fig4) ~general:(Lazy.force fig6) ppf ();
+            Format.fprintf ppf "@.@." );
+        (* Design-choice ablations (not figures of the paper; see DESIGN.md). *)
+        ( "ablations",
+          fun () ->
+            timed "ablations" (fun () ->
+                table pp_policy_rows (ablation_rpc_policy ());
+                table pp_lumping_rows (ablation_lumping ());
+                table pp_family_rows
+                  (ablation_distribution_family
+                     ~sim:(pick (sim_params 5 8_000.0 800.0) family_sim_defaults)
+                     ())) );
+        ( "battery",
+          fun () ->
+            battery_table ppf ~timed:(timed "battery")
+              ~timeouts:(pick [ 1.0; 10.0 ] [ 0.5; 1.0; 2.0; 5.0; 10.0; 25.0 ]) );
+        ( "disk",
+          fun () ->
+            disk_table ppf ~timed:(timed "disk")
+              ~interarrivals:
+                (pick [ 2_000.0; 30_000.0 ]
+                   [ 500.0; 2_000.0; 8_000.0; 15_000.0; 30_000.0; 120_000.0 ]) );
+      ]
+  in
+  List.iter
+    (fun (name, section) -> if only = [] || List.mem name only then section ())
+    sections

@@ -143,3 +143,32 @@ val ablation_distribution_family :
   family_row list
 
 val pp_family_rows : Format.formatter -> family_row list -> unit
+
+(** {2 The figure suite}
+
+    The whole evaluation as one list of named sections, printed in the
+    order of {!section_names}: the Sect. 3 verdicts, Figs. 3–8, the
+    ablations, battery lifetime and the disk break-even sweep. Both the
+    [dpma figures] command and the benchmark harness print through it. *)
+
+(** Sweep sizes: [Tiny] is sec3 plus one Markovian and one simulated
+    Fig. 3 point (the other sections are empty); [Quick] shrinks the
+    sweeps and simulations; [Full] runs the paper's sweeps. *)
+type size = Tiny | Quick | Full
+
+val section_names : string list
+(** ["sec3"], ["fig3"] … ["fig8"], ["ablations"], ["battery"], ["disk"]. *)
+
+val print :
+  ?on_timing:(string -> float -> unit) ->
+  ?only:string list ->
+  size ->
+  Format.formatter ->
+  unit
+(** [print size ppf] prints the sections named in [only] (default: all)
+    in suite order, each table followed by a blank line. Figs. 7 and 8
+    reuse the rows of Figs. 3, 4 and 6, so no sweep runs twice.
+    [on_timing name seconds] receives the wall-clock time of each sweep
+    as it finishes (["sec3"], ["fig3-markov"], ["fig3-general"],
+    ["fig4"], ["fig5"], ["fig6"], ["ablations"], ["battery"],
+    ["disk"]). *)

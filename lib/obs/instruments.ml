@@ -267,7 +267,7 @@ let ctmc_absorption_sweeps =
 
 let ctmc_solve_unconverged =
   c ~unit_:"loops"
-    ~desc:"solver loops that reached their sweep cap (raised Not_converged)"
+    ~desc:"solver loops that reached their sweep cap (raised a convergence trip)"
     "ctmc.solve.unconverged"
 
 let ctmc_solve_residual =

@@ -234,7 +234,7 @@ val ctmc_absorption_sweeps : Metrics.counter
 val ctmc_solve_unconverged : Metrics.counter
 (** [ctmc.solve.unconverged] — solver loops (Gauss–Seidel, absorption,
     first-passage and reward fixed points) that reached their sweep cap
-    and raised [Not_converged]. *)
+    and raised a [Guard.Resource_exceeded] convergence trip. *)
 
 val ctmc_solve_residual : Metrics.gauge
 (** [ctmc.solve.residual] — final balance-equation residual

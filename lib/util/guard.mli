@@ -19,8 +19,8 @@ type resource =
   | Resident_memory
   | Convergence
       (** not a guard budget: an iterative solver reached its sweep cap
-          ([limit] is its tolerance, [actual] its last change); the CTMC
-          engine's [Not_converged] renders through the same verdict *)
+          ([limit] is its tolerance, [actual] its last change), raised
+          by [Sparse.fixed_point] through {!convergence_trip} *)
 
 val resource_name : resource -> string
 (** ["wall_clock"] / ["resident_memory"] / ["convergence"] — the stable

@@ -54,14 +54,6 @@ let transpose m =
 
 type convergence = { iterations : int; residual : float }
 
-exception
-  Not_converged of {
-    phase : string;
-    iterations : int;
-    residual : float;
-    tolerance : float;
-  }
-
 let fixed_point ?(max_iter = 1_000_000) ~tol ~phase sweep =
   let rec go k =
     Guard.poll ~phase ~partial:(fun () -> [ ("iterations", float_of_int k) ]) ();
@@ -71,7 +63,9 @@ let fixed_point ?(max_iter = 1_000_000) ~tol ~phase sweep =
     else if k >= max_iter then begin
       Dpma_obs.Metrics.incr Dpma_obs.Instruments.ctmc_solve_unconverged;
       raise
-        (Not_converged { phase; iterations = k; residual = delta; tolerance = tol })
+        (Guard.Resource_exceeded
+           (Guard.convergence_trip ~phase ~iterations:k ~residual:delta
+              ~tolerance:tol))
     end
     else go k
   in

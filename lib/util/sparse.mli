@@ -38,28 +38,21 @@ val transpose : t -> t
     Every iterative loop of the CTMC engine runs through {!fixed_point}:
     it polls the ambient {!Guard} before each sweep (with the sweeps done
     so far as partial progress), stops when a sweep's change falls below
-    the tolerance, and raises {!Not_converged} — counted in
-    [ctmc.solve.unconverged] — when it reaches its sweep cap first. *)
+    the tolerance, and raises [Guard.Resource_exceeded] with a
+    {!Guard.convergence_trip} — counted in [ctmc.solve.unconverged] —
+    when it reaches its sweep cap first. *)
 
 type convergence = {
   iterations : int;  (** sweeps performed *)
   residual : float;  (** the last sweep's change, below the tolerance *)
 }
 
-exception
-  Not_converged of {
-    phase : string;
-    iterations : int;
-    residual : float;
-    tolerance : float;
-  }
-
 val fixed_point :
   ?max_iter:int -> tol:float -> phase:string -> (unit -> float) -> convergence
 (** [fixed_point ~tol ~phase sweep] runs [sweep] (which performs one
     sweep and returns its change) until the change is below [tol], at
     most [max_iter] times (default [10^6]). [phase] names the loop in
-    guard trips and in {!Not_converged}. Returns the converged loop's
+    guard trips, convergence trips included. Returns the converged loop's
     report; a loop that reaches its cap raises instead. *)
 
 val gauss_seidel_stationary :

@@ -251,9 +251,8 @@ let test_gauss_seidel_stationary () =
   Array.iter (fun v -> check_close 1e-8 "uniform" (1.0 /. 3.0) v) pi;
   Alcotest.(check bool) "converged" true (conv.Sparse.residual < 1e-12)
 
-(* A solver driven below the sweeps it needs raises Not_converged (the
-   CTMC engine's exception) with its phase and progress, and counts the
-   event. *)
+(* A solver driven below the sweeps it needs raises a convergence trip
+   with its phase and progress, and counts the event. *)
 let test_not_converged () =
   (* A dense 3-state generator: Gauss–Seidel needs many sweeps. *)
   let q =
@@ -267,10 +266,11 @@ let test_not_converged () =
   (match Sparse.gauss_seidel_stationary ~max_iter:2 q with
   | _ -> Alcotest.fail "two sweeps cannot reach 1e-12"
   | exception
-      Dpma_ctmc.Ctmc.Not_converged { phase; iterations; residual; tolerance } ->
+      Dpma_util.Guard.Resource_exceeded
+        { resource = Convergence; phase; limit; actual; partial } ->
       Alcotest.(check string) "phase" "ctmc.solve" phase;
-      Alcotest.(check int) "iterations" 2 iterations;
-      Alcotest.(check bool) "residual above tolerance" true (residual >= tolerance));
+      Alcotest.(check bool) "iterations" true (partial = [ ("iterations", 2.0) ]);
+      Alcotest.(check bool) "residual above tolerance" true (actual >= limit));
   Alcotest.(check int) "counted" (before + 1) (unconverged ());
   (* Under the default cap the same solve converges to pi Q = 0. *)
   let pi, conv = Sparse.gauss_seidel_stationary q in
@@ -354,7 +354,7 @@ let suite =
     Alcotest.test_case "transpose/identity" `Quick test_transpose_identity;
     Alcotest.test_case "sparse vs dense" `Quick test_sparse_vs_dense;
     Alcotest.test_case "gauss-seidel stationary" `Quick test_gauss_seidel_stationary;
-    Alcotest.test_case "solver cap raises Not_converged" `Quick test_not_converged;
+    Alcotest.test_case "solver cap trips convergence" `Quick test_not_converged;
     Alcotest.test_case "tarjan cycle" `Quick test_tarjan_cycle;
     Alcotest.test_case "tarjan reverse topological" `Quick test_tarjan_reverse_topological;
     Alcotest.test_case "bottom components" `Quick test_bottom_components;
