@@ -366,15 +366,16 @@ let cmd_noninterference =
           exit 2
         end;
         let el = load file in
+        let lts = Lts.of_spec ~max_states el.Elaborate.spec in
+        let is_high a = List.mem a high and is_low a = List.mem a low in
         if branching then begin
-          if NI.branching_secure_spec ~max_states el.Elaborate.spec ~high ~low
-          then
+          if NI.branching_secure lts ~high:is_high ~low:is_low then
             Format.printf
               "SECURE (branching bisimulation): the DPM does not interfere \
                with the low behavior@."
           else begin
             Format.printf "INSECURE under branching bisimulation";
-            (match NI.check_spec ~max_states el.Elaborate.spec ~high ~low with
+            (match NI.check_lts lts ~high:is_high ~low:is_low with
             | NI.Secure ->
                 Format.printf
                   " (but the paper's weak-bisimulation check passes: only the \
@@ -384,7 +385,7 @@ let cmd_noninterference =
           end
         end
         else begin
-          let verdict = NI.check_spec ~max_states el.Elaborate.spec ~high ~low in
+          let verdict = NI.check_lts lts ~high:is_high ~low:is_low in
           Format.printf "%a@." NI.pp_verdict verdict;
           match verdict with NI.Secure -> () | NI.Insecure _ -> exit 1
         end)

@@ -48,14 +48,6 @@ let branching_secure ?jobs lts ~high ~low =
   let hidden, removed = observed_pair lts ~high ~low in
   Bisim.branching_product_secure ?jobs hidden removed
 
-let branching_secure_spec ?max_states ?jobs spec ~high ~low =
-  let lts = Lts.of_spec ?max_states ?jobs spec in
-  branching_secure ?jobs lts ~high:(mem_of high) ~low:(mem_of low)
-
 let trace_secure ?jobs lts ~high ~low =
   let hidden, removed = observed_pair lts ~high ~low in
   Bisim.trace_product_secure ?jobs hidden removed
-
-let trace_secure_spec ?max_states ?jobs spec ~high ~low =
-  let lts = Lts.of_spec ?max_states ?jobs spec in
-  trace_secure ?jobs lts ~high:(mem_of high) ~low:(mem_of low)

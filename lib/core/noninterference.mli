@@ -60,14 +60,6 @@ val branching_secure :
     branching structure of internal stuttering). [true] implies the weak
     check passes too; a stricter designer may require it. *)
 
-val branching_secure_spec :
-  ?max_states:int ->
-  ?jobs:int ->
-  Dpma_pa.Term.spec ->
-  high:string list ->
-  low:string list ->
-  bool
-
 val trace_secure :
   ?jobs:int ->
   Dpma_lts.Lts.t ->
@@ -81,11 +73,3 @@ val trace_secure :
     legal prefix is invisible — the paper's simplified rpc system *passes*
     this check while failing the weak-bisimulation one, which is precisely
     why the methodology uses bisimulation. *)
-
-val trace_secure_spec :
-  ?max_states:int ->
-  ?jobs:int ->
-  Dpma_pa.Term.spec ->
-  high:string list ->
-  low:string list ->
-  bool

@@ -631,10 +631,6 @@ let probability_enabled c pi action =
   | None -> 0.0
   | Some a -> state_reward c pi (fun s -> if enables c s a then 1.0 else 0.0)
 
-let pp_stats ppf c =
-  Format.fprintf ppf "%d tangible states, %d rated transitions" c.n
-    (Array.length c.dst)
-
 let transient_reward c time r =
   let p = transient c time in
   let acc = ref 0.0 in

@@ -105,8 +105,6 @@ val probability_enabled : t -> float array -> string -> float
 (** Steady-state probability of being in a state enabling the action —
     the paper's monitor-based [STATE_REWARD(1)] measures. *)
 
-val pp_stats : Format.formatter -> t -> unit
-
 val transient_reward : t -> float -> (int -> float) -> float
 (** [transient_reward c time r] — expected instantaneous state reward at
     [time], i.e. [sum_s P(state = s at time) r(s)]. *)

@@ -81,13 +81,12 @@ let refine_par_cutoff ~jobs:_ =
   if Pool.hardware_parallelism () <= 1 then max_int else 1024
 
 (* A signature pass abstracts how the refinement loop obtains a state's
-   signature, so stateless signatures (strong, Markovian) and the lazily
-   cached weak/branching signatures share one driver. [sp_signature] is
-   the sequential path, also used by the coordinator (watched-pair
-   recomputation). [sp_worker], when present, creates a per-worker
+   signature, so stateless signatures (strong, Markovian, branching) and
+   the lazily cached weak signatures share one driver. [sp_signature] is
+   the sequential path. [sp_worker], when present, creates a per-worker
    signature function plus a completion hook run from the coordinating
-   domain after the worker's chunks are done (the lazy passes hand out
-   cache shards here and merge them back in the hook). [sp_advance],
+   domain after the worker's chunks are done (the lazy weak pass hands
+   out cache shards here and merges them back in the hook). [sp_advance],
    when present, is called between rounds — with the pre- and post-round
    partitions — so a caching pass can carry or invalidate its entries
    before block ids change meaning. *)
@@ -137,8 +136,8 @@ let chunk_classes ~block w (lo, len) =
 
 (* The shared driver behind [refine] and [refine_watched]: runs rounds to
    the fixpoint, or — when a watched pair is given — until the watched
-   states land in different blocks, retaining the pair of signatures that
-   split them. Returns [(partition, rounds, split)]. *)
+   states land in different blocks. Returns [(partition, rounds, split)],
+   [split] telling whether the watched pair was split. *)
 let refine_loop ?watch (lts : Lts.t) ~pass ~jobs ~par_cutoff =
   let module I = Dpma_obs.Instruments in
   let module M = Dpma_obs.Metrics in
@@ -157,7 +156,7 @@ let refine_loop ?watch (lts : Lts.t) ~pass ~jobs ~par_cutoff =
   let block = Array.make n 0 in
   let num_blocks = ref 1 in
   let rounds = ref 0 in
-  let split = ref None in
+  let split = ref false in
   let partial () =
     [ ("states", float_of_int n);
       ("rounds", float_of_int !rounds);
@@ -199,9 +198,9 @@ let refine_loop ?watch (lts : Lts.t) ~pass ~jobs ~par_cutoff =
                 rw_done })
             ~f:(chunk_classes ~block)
             ~finish:(fun w ->
-              (* Runs in the coordinating domain in worker order: lazy
-                 passes merge their cache shards into the parent here,
-                 before the watched-pair recomputation below reads it. *)
+              (* Runs in the coordinating domain in worker order: the
+                 lazy weak pass merges its cache shards into the parent
+                 here. *)
               w.rw_done ();
               M.observe I.bisim_par_blocks_per_worker
                 (float_of_int w.rw_classes))
@@ -232,19 +231,10 @@ let refine_loop ?watch (lts : Lts.t) ~pass ~jobs ~par_cutoff =
       end
     in
     M.observe I.bisim_blocks_per_round (float_of_int next);
-    let stop_watched =
-      match watch with
-      | Some (wa, wb) when new_block.(wa) <> new_block.(wb) ->
-          (* The signatures are recomputed against the pre-round
-             partition, exactly as the round that told the watched states
-             apart saw them. *)
-          let sa = pass.sp_signature block wa
-          and sb = pass.sp_signature block wb in
-          split := Some (sa.ints, sb.ints);
-          true
-      | _ -> false
-    in
-    if stop_watched then begin
+    (match watch with
+    | Some (wa, wb) -> split := new_block.(wa) <> new_block.(wb)
+    | None -> ());
+    if !split then begin
       num_blocks := next;
       Array.blit new_block 0 block 0 n;
       continue_ := false
@@ -297,22 +287,6 @@ let strong_signature (lts : Lts.t) block s =
 let strong_partition ?jobs ?par_cutoff lts =
   refine ?jobs ?par_cutoff lts ~signature:(strong_signature lts)
 
-(* States on a common tau-cycle are weakly bisimilar (each can silently
-   reach the other), so collapsing tau-SCCs before the lazy weak pass is
-   sound for weak equivalence and shrinks the LTS it condenses. *)
-let tau_scc_partition (lts : Lts.t) =
-  let tau_succ s =
-    let rec go i acc =
-      if i < lts.row.(s) then acc
-      else
-        go (i - 1)
-          (if lts.lab.(i) = Lts.tau then lts.tgt.(i) :: acc else acc)
-    in
-    go (lts.row.(s + 1) - 1) []
-  in
-  let comps = Dpma_util.Scc.tarjan ~succ:tau_succ lts.num_states in
-  Dpma_util.Scc.component_index ~n:lts.num_states comps
-
 let compose outer inner = Array.map (fun b -> outer.(b)) inner
 
 (* Lazy weak signatures: [Tau.Weak]'s per-component closure caches
@@ -351,7 +325,7 @@ let weak_refine ?jobs ?par_cutoff lts =
    branching, hence weakly, bisimilar and weak-trace equivalent. The
    members of a tau-SCC silently reach one another, so they are weakly
    bisimilar, trace equivalent, and — because the branching signature is
-   divergence-blind (see [Tau.Branching.compute]) — branching bisimilar
+   divergence-blind (see [branching_signature]) — branching bisimilar
    too, the tau self-loops left behind being inert. Both quotients are
    cheap and shrink whatever the closure-based passes run on. A
    divergence-sensitive variant would have to mark divergent SCCs rather
@@ -360,7 +334,7 @@ let weak_refine ?jobs ?par_cutoff lts =
 let pre_reduce ?jobs ?par_cutoff lts =
   let p1 = strong_partition ?jobs ?par_cutoff lts in
   let l1 = Lts.quotient lts p1 in
-  let p2 = tau_scc_partition l1 in
+  let p2 = (Tau.tau_sccs l1).comp_of in
   (compose p2 p1, Lts.quotient l1 p2)
 
 let weak_partition ?jobs ?par_cutoff lts =
@@ -425,34 +399,44 @@ let markovian_partition ?jobs ?par_cutoff lts =
    signature collects the (label, target block) pairs reachable after
    internal stuttering *within its own current block*; inert tau steps
    (same-block) are excluded. The fixpoint of this refinement is the
-   coarsest branching bisimulation. The signature computation lives in
-   [Tau.Branching], memoized per state and carried across rounds when
-   neither the state's own block nor any mentioned block splits. *)
-let branching_pass lts =
-  let cache = Tau.Branching.create lts in
-  ( {
-      sp_signature =
-        (fun block s ->
-          ints_signature (Tau.Branching.signature_fn cache block s));
-      sp_worker =
-        Some
-          (fun () ->
-            let sh = Tau.Branching.shard cache in
-            ( (fun block s ->
-                ints_signature (Tau.Branching.shard_signature_fn sh block s)),
-              fun () -> Tau.Branching.merge_shard cache sh ));
-      sp_advance =
-        Some
-          (fun ~old_block ~new_block ->
-            Tau.Branching.advance cache ~old_block ~new_block);
-    },
-    cache )
+   coarsest branching bisimulation. The closure is per state (it depends
+   on the state's own block), and it is recomputed every round: the
+   product front refines pre-reduced sides, where it is cheap. The
+   signature only reads the CSR and [block], so workers may share it. *)
+let branching_signature (lts : Lts.t) block s =
+  let b = block.(s) in
+  let seen = Int_tbl.create 8 in
+  Int_tbl.add seen s ();
+  let stack = ref [ s ] in
+  let closure = ref [ s ] in
+  while !stack <> [] do
+    match !stack with
+    | [] -> ()
+    | x :: rest ->
+        stack := rest;
+        for i = lts.row.(x) to lts.row.(x + 1) - 1 do
+          let t = lts.tgt.(i) in
+          if lts.lab.(i) = Lts.tau && block.(t) = b && not (Int_tbl.mem seen t)
+          then begin
+            Int_tbl.add seen t ();
+            closure := t :: !closure;
+            stack := t :: !stack
+          end
+        done
+  done;
+  let acc = ref [] in
+  List.iter
+    (fun x ->
+      for i = lts.row.(x) to lts.row.(x + 1) - 1 do
+        let t = lts.tgt.(i) in
+        if not (lts.lab.(i) = Lts.tau && block.(t) = b) then
+          acc := pack_pair lts.lab.(i) block.(t) :: !acc
+      done)
+    !closure;
+  ints_signature (sorted_dedup_array !acc)
 
 let branching_partition ?jobs ?par_cutoff lts =
-  let pass, cache = branching_pass lts in
-  let p = refine_pass ?jobs ?par_cutoff lts ~pass in
-  Tau.Branching.record cache;
-  p
+  refine ?jobs ?par_cutoff lts ~signature:(branching_signature lts)
 
 let branching_equivalent ?jobs ?par_cutoff a b =
   let union, ia, ib = Lts.disjoint_union a b in
@@ -625,9 +609,9 @@ let restrict_reachable (lts : Lts.t) =
 (* Signature refinement watched on one state pair: identical block
    assignment discipline to [refine] (first-seen order within a round,
    parallel signature pass included), but the loop exits as soon as the
-   watched states land in different blocks — retaining the pair of
-   signatures that split them — or as soon as the partition is stable,
-   whichever comes first. Returns [(partition, rounds, split)]. *)
+   watched states land in different blocks or as soon as the partition
+   is stable, whichever comes first. Returns [(partition, rounds,
+   split)]. *)
 let refine_watched_pass ?jobs ?par_cutoff (lts : Lts.t) ~pass ~watch =
   let jobs, par_cutoff = resolve_pool ?jobs ?par_cutoff () in
   Dpma_obs.Trace.with_span "bisim.refine"
@@ -641,8 +625,6 @@ type product_trail = {
   left : Lts.t;
   right : Lts.t;
   split_round : int;
-  left_signature : int array;
-  right_signature : int array;
 }
 
 type product_result =
@@ -675,8 +657,7 @@ let product_front ?jobs ?par_cutoff (a : Lts.t) (b : Lts.t) ~decide =
       let qa, pruned_a = reduce_side ?jobs ?par_cutoff a in
       let qb, pruned_b = reduce_side ?jobs ?par_cutoff b in
       let ((_, rounds, split) as result) = decide qa qb in
-      record_product_exit ~rounds ~pruned:(pruned_a + pruned_b)
-        (Option.is_none split);
+      record_product_exit ~rounds ~pruned:(pruned_a + pruned_b) (not split);
       result)
 
 let weak_product_check ?jobs ?par_cutoff (a : Lts.t) (b : Lts.t) =
@@ -692,22 +673,18 @@ let weak_product_check ?jobs ?par_cutoff (a : Lts.t) (b : Lts.t) =
     r
   in
   match product_front ?jobs ?par_cutoff a b ~decide with
-  | partition, rounds, None -> Product_secure { partition; rounds }
-  | _, rounds, Some (left_signature, right_signature) ->
-      Product_insecure
-        { left = a; right = b; split_round = rounds; left_signature;
-          right_signature }
+  | partition, rounds, false -> Product_secure { partition; rounds }
+  | _, rounds, true ->
+      Product_insecure { left = a; right = b; split_round = rounds }
 
 let branching_product_secure ?jobs ?par_cutoff (a : Lts.t) (b : Lts.t) =
   let decide qa qb =
     let union, ia, ib = Lts.disjoint_union qa qb in
-    let pass, cache = branching_pass union in
-    let r = refine_watched_pass ?jobs ?par_cutoff union ~pass ~watch:(ia, ib) in
-    Tau.Branching.record cache;
-    r
+    refine_watched ?jobs ?par_cutoff union
+      ~signature:(branching_signature union) ~watch:(ia, ib)
   in
   let _, _, split = product_front ?jobs ?par_cutoff a b ~decide in
-  Option.is_none split
+  not split
 
 let trace_product_secure ?max_states ?jobs ?par_cutoff (a : Lts.t)
     (b : Lts.t) =
@@ -720,4 +697,4 @@ let trace_product_secure ?max_states ?jobs ?par_cutoff (a : Lts.t)
       ~watch:(ia, ib)
   in
   let _, _, split = product_front ?jobs ?par_cutoff a b ~decide in
-  Option.is_none split
+  not split

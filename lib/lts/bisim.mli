@@ -18,7 +18,8 @@
     weak transitions are needed). Peak cache memory tracks live blocks,
     not the saturated edge set; docs/WEAK_EQUIVALENCE.md documents the
     contract, the invalidation rule and the memory model. Branching
-    signatures go through a per-state cache of the same design.
+    signatures (Blom–Orzan) are recomputed per state each round, like
+    the strong and Markovian ones.
 
     {2 Parallel refinement}
 
@@ -30,10 +31,10 @@
     assigning global class ids in first-seen order. The merged numbering
     is exactly the sequential first-seen-by-state-index numbering, so
     partitions, quotients, verdicts, and distinguishing formulas are
-    bit-identical for any job count. The lazy weak/branching passes keep
-    this property: workers compute closures into thread-confined cache
-    shards over the frozen parent cache, merged back deterministically
-    between rounds (shard entries for one component are content-equal by
+    bit-identical for any job count. The lazy weak pass keeps this
+    property: workers compute closures into thread-confined cache shards
+    over the frozen parent cache, merged back deterministically between
+    rounds (shard entries for one component are content-equal by
     construction).
 
     [?par_cutoff] is the state count below which a refinement runs
@@ -59,7 +60,7 @@ val markovian_partition : ?jobs:int -> ?par_cutoff:int -> Lts.t -> int array
 
 val branching_partition : ?jobs:int -> ?par_cutoff:int -> Lts.t -> int array
 (** Coarsest branching-bisimulation partition (Blom–Orzan signature
-    refinement, per-state cached across rounds). Branching bisimilarity
+    refinement). Branching bisimilarity
     is strictly finer than weak bisimilarity and preserves the branching
     structure of internal stuttering; it is offered as a stricter
     alternative for the noninterference check. *)
@@ -110,10 +111,10 @@ val trace_equivalent : ?jobs:int -> ?par_cutoff:int -> Lts.t -> Lts.t -> bool
     stitched unsaturated and refined through the lazy weak pass (no
     ["bisim.saturate"] span fires). The
     watched refinement over the stitched product stops as soon as the two
-    initial states split (early-exit INSECURE, splitting signatures
-    retained) or as soon as the partition over the pruned product is
-    stable with the initial states co-blocked (SECURE). Progress lands in
-    the [ni.product.*] and [bisim.tau.*] instruments. *)
+    initial states split (early-exit INSECURE) or as soon as the
+    partition over the pruned product is stable with the initial states
+    co-blocked (SECURE). Progress lands in the [ni.product.*] and (weak
+    check) [bisim.tau.*] instruments. *)
 
 type product_trail = {
   left : Lts.t;  (** the original (unpruned, unreduced) left side *)
@@ -121,11 +122,6 @@ type product_trail = {
   split_round : int;
       (** 1-based watched-refinement round whose signatures told the two
           initial states apart *)
-  left_signature : int array;
-      (** packed weak signature (see {!Lts}) of the left initial state's
-          class at the splitting round, over the reduced product's block
-          ids *)
-  right_signature : int array;  (** same, for the right initial state *)
 }
 (** Evidence of an initial-state split, sufficient for
     [Diagnose.of_product_trail] to extract a distinguishing formula
@@ -145,14 +141,13 @@ val weak_product_check :
     pruning, per-side pre-reduction, and watched early exit. The watched
     refinement parallelizes like every other: the early-exit check runs
     in the coordinator on the deterministically merged round result, so
-    the exit round, verdict, and splitting signatures are identical for
-    any job count. *)
+    the exit round and verdict are identical for any job count. *)
 
 val branching_product_secure :
   ?jobs:int -> ?par_cutoff:int -> Lts.t -> Lts.t -> bool
 (** {!branching_equivalent} through the watched product refiner: both
     sides are pruned and pre-reduced like {!weak_product_check}'s, and
-    the lazy branching pass refines their union until the initial states
+    branching signatures refine their union until the initial states
     split or the partition is stable. The tau-SCC collapse is sound
     because the branching signature is divergence-blind; a
     divergence-sensitive variant would have to mark divergent SCCs

@@ -214,8 +214,3 @@ let of_product_trail (trail : Bisim.product_trail) =
       (* The product refiner split the pair, and the tree refinement
          computes the same (weak-bisimulation) partition. *)
       assert false
-
-let weak_distinguishing_formula a b =
-  match Bisim.weak_product_check a b with
-  | Bisim.Product_secure _ -> None
-  | Bisim.Product_insecure trail -> Some (of_product_trail trail)

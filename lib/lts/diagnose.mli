@@ -22,8 +22,3 @@ val of_product_trail : Bisim.product_trail -> Hml.t
     initial states. The formula is identical to the one a fully
     stabilized tree extracts; the resulting modalities read as weak
     transitions. *)
-
-val weak_distinguishing_formula : Lts.t -> Lts.t -> Hml.t option
-(** Distinguishing formula for the initial states of two systems w.r.t.
-    weak bisimulation: runs {!Bisim.weak_product_check} and, on a split,
-    {!of_product_trail}; [None] iff the systems are weakly equivalent. *)

@@ -188,13 +188,6 @@ let enables_action lts s a =
   | None -> false
   | Some l -> l <> tau && enables_label lts s l
 
-let successors lts s l =
-  let rec go i acc =
-    if i < lts.row.(s) then acc
-    else go (i - 1) (if lts.lab.(i) = l then lts.tgt.(i) :: acc else acc)
-  in
-  go (lts.row.(s + 1) - 1) [] |> List.sort_uniq Int.compare
-
 let deadlock_states lts =
   let out = ref [] in
   for s = lts.num_states - 1 downto 0 do

@@ -127,8 +127,6 @@ val enables_action : t -> int -> string -> bool
 (** Does the state have an outgoing observable transition with that
     name? *)
 
-val successors : t -> int -> label -> int list
-
 val deadlock_states : t -> int list
 
 val reachable_from : t -> int -> bool array

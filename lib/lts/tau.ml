@@ -67,35 +67,34 @@ type condensation = {
   members : int array;
 }
 
+(* The tau-only sub-CSR, edges in their original order, so Tarjan visits
+   successors exactly as on the full relation restricted to tau. *)
+let tau_sccs (lts : Lts.t) =
+  let n = lts.num_states in
+  let row = Array.make (n + 1) 0 in
+  for s = 0 to n - 1 do
+    let k = ref 0 in
+    for i = lts.row.(s) to lts.row.(s + 1) - 1 do
+      if lts.lab.(i) = Lts.tau then incr k
+    done;
+    row.(s + 1) <- row.(s) + !k
+  done;
+  let dst = Array.make row.(n) 0 in
+  let next = ref 0 in
+  for i = 0 to lts.row.(n) - 1 do
+    if lts.lab.(i) = Lts.tau then begin
+      dst.(!next) <- lts.tgt.(i);
+      incr next
+    end
+  done;
+  Scc.tarjan_csr ~row ~dst n
+
 let condense (lts : Lts.t) =
   let n = lts.num_states in
-  let tau_succ s =
-    let rec go i acc =
-      if i < lts.row.(s) then acc
-      else
-        go (i - 1) (if lts.lab.(i) = Lts.tau then lts.tgt.(i) :: acc else acc)
-    in
-    go (lts.row.(s + 1) - 1) []
-  in
-  let comps = Scc.tarjan ~succ:tau_succ n in
-  let comp_of = Scc.component_index ~n comps in
-  let num_comps = List.length comps in
-  (* Member states of each component, grouped by counting sort. *)
-  let mem_row = Array.make (num_comps + 1) 0 in
-  for s = 0 to n - 1 do
-    mem_row.(comp_of.(s) + 1) <- mem_row.(comp_of.(s) + 1) + 1
-  done;
-  for c = 1 to num_comps do
-    mem_row.(c) <- mem_row.(c) + mem_row.(c - 1)
-  done;
-  let members = Array.make n 0 in
-  let cursor = Array.copy mem_row in
-  for s = 0 to n - 1 do
-    let c = comp_of.(s) in
-    members.(cursor.(c)) <- s;
-    cursor.(c) <- cursor.(c) + 1
-  done;
-  (* Condensed tau edges, deduped, self-loops dropped. Tarjan returns
+  let sccs = tau_sccs lts in
+  let comp_of = sccs.comp_of in
+  let num_comps = Scc.count sccs in
+  (* Condensed tau edges, deduped, self-loops dropped. Tarjan numbers
      components in reverse topological order, so every kept edge points
      to a strictly smaller id: a component's tau dependencies always
      carry smaller ids than the component itself. *)
@@ -121,10 +120,11 @@ let condense (lts : Lts.t) =
   for c = 0 to num_comps - 1 do
     Array.blit uniq.(c) 0 tau_tgt tau_row.(c) (Array.length uniq.(c))
   done;
-  { num_comps; comp_of; tau_row; tau_tgt; mem_row; members }
+  { num_comps; comp_of; tau_row; tau_tgt; mem_row = sccs.comp_row;
+    members = sccs.members }
 
 (* ------------------------------------------------------------------ *)
-(* Interning and cross-round renaming, shared by both caches           *)
+(* Interning and cross-round renaming                                  *)
 
 module Arr_key = struct
   type t = int array
@@ -544,7 +544,7 @@ end
 (* ------------------------------------------------------------------ *)
 (* Materialized saturation                                              *)
 
-(* The lazy caches above answer signature queries without ever building
+(* The lazy cache above answers signature queries without ever building
    the double-arrow relation; the functions below build it, for the few
    places that need actual weak transitions: [Bisim.minimize_weak]'s
    output (saturated at quotient size) and the diagnostics replay of a
@@ -614,156 +614,3 @@ let saturate ?(traced = true) lts =
       ~attrs:[ ("states", Dpma_obs.Trace.Int lts.Lts.num_states) ] (fun () ->
         saturate_impl lts)
   else saturate_impl lts
-
-(* ------------------------------------------------------------------ *)
-(* Branching signatures: per-state cache                                *)
-
-module Branching = struct
-  type t = {
-    lts : Lts.t;
-    pool : int array Arr_tbl.t;
-    sigs : int array option array;
-    stats : stats;
-  }
-
-  let create (lts : Lts.t) =
-    { lts; pool = Arr_tbl.create 256;
-      sigs = Array.make (max 1 lts.num_states) None; stats = fresh_stats () }
-
-  let bytes_peak t = t.stats.bytes_peak
-
-  (* The Blom–Orzan branching signature from scratch: the same-block tau
-     closure of [s], then every non-inert (label, block) pair, sorted
-     and deduped. The branching closure is per-state (it depends on the
-     state's own block), so unlike the weak cache the unit here is the
-     state, not the tau-SCC. *)
-  let compute (lts : Lts.t) block s =
-    let b = block.(s) in
-    let seen = Int_tbl.create 8 in
-    Int_tbl.add seen s ();
-    let stack = ref [ s ] in
-    let closure = ref [ s ] in
-    while !stack <> [] do
-      match !stack with
-      | [] -> ()
-      | x :: rest ->
-          stack := rest;
-          for i = lts.row.(x) to lts.row.(x + 1) - 1 do
-            let t = lts.tgt.(i) in
-            if
-              lts.lab.(i) = Lts.tau && block.(t) = b
-              && not (Int_tbl.mem seen t)
-            then begin
-              Int_tbl.add seen t ();
-              closure := t :: !closure;
-              stack := t :: !stack
-            end
-          done
-    done;
-    let acc = ref [] in
-    List.iter
-      (fun s' ->
-        for i = lts.row.(s') to lts.row.(s' + 1) - 1 do
-          let t = lts.tgt.(i) in
-          if not (lts.lab.(i) = Lts.tau && block.(t) = b) then
-            acc := pack_pair lts.lab.(i) block.(t) :: !acc
-        done)
-      !closure;
-    Array.of_list (List.sort_uniq Int.compare !acc)
-
-  let signature_fn t block s =
-    match t.sigs.(s) with
-    | Some a ->
-        t.stats.hits <- t.stats.hits + 1;
-        a
-    | None ->
-        let a = intern t.pool t.stats (compute t.lts block s) in
-        t.sigs.(s) <- Some a;
-        t.stats.misses <- t.stats.misses + 1;
-        a
-
-  type shard = {
-    bsh_parent : t;
-    bsh_tbl : int array Int_tbl.t;
-    bsh_stats : stats;
-  }
-
-  let shard t =
-    { bsh_parent = t; bsh_tbl = Int_tbl.create 256;
-      bsh_stats = fresh_stats () }
-
-  let shard_signature_fn sh block s =
-    match sh.bsh_parent.sigs.(s) with
-    | Some a ->
-        sh.bsh_stats.hits <- sh.bsh_stats.hits + 1;
-        a
-    | None -> (
-        match Int_tbl.find_opt sh.bsh_tbl s with
-        | Some a ->
-            sh.bsh_stats.hits <- sh.bsh_stats.hits + 1;
-            a
-        | None ->
-            let a = compute sh.bsh_parent.lts block s in
-            Int_tbl.replace sh.bsh_tbl s a;
-            sh.bsh_stats.misses <- sh.bsh_stats.misses + 1;
-            a)
-
-  let merge_shard t sh =
-    Int_tbl.iter
-      (fun s a ->
-        match t.sigs.(s) with
-        | Some _ -> ()
-        | None -> t.sigs.(s) <- Some (intern t.pool t.stats a))
-      sh.bsh_tbl;
-    t.stats.hits <- t.stats.hits + sh.bsh_stats.hits;
-    t.stats.misses <- t.stats.misses + sh.bsh_stats.misses
-
-  (* A branching entry additionally depends on the state's own block:
-     if that block split, formerly inert tau steps may have become
-     observable and the same-block closure may have shrunk, so the
-     entry is dropped even when every mentioned pair survives. *)
-  let advance t ~old_block ~new_block =
-    let rename = renaming ~old_block ~new_block in
-    Arr_tbl.reset t.pool;
-    t.stats.bytes <- 0;
-    let memo = Arr_tbl.create 64 in
-    Array.iteri
-      (fun s entry ->
-        match entry with
-        | None -> ()
-        | Some arr ->
-            if rename.(old_block.(s)) < 0 then begin
-              t.sigs.(s) <- None;
-              t.stats.invalidations <- t.stats.invalidations + 1
-            end
-            else
-              let remapped =
-                match Arr_tbl.find_opt memo arr with
-                | Some r -> r
-                | None ->
-                    let r = remap_pairs rename arr in
-                    Arr_tbl.add memo arr r;
-                    r
-              in
-              (match remapped with
-              | Some r ->
-                  t.sigs.(s) <- Some (intern t.pool t.stats r);
-                  t.stats.remaps <- t.stats.remaps + 1
-              | None ->
-                  t.sigs.(s) <- None;
-                  t.stats.invalidations <- t.stats.invalidations + 1))
-      t.sigs
-
-  let record t =
-    let module I = Dpma_obs.Instruments in
-    let module M = Dpma_obs.Metrics in
-    M.add I.bisim_tau_cache_hits t.stats.hits;
-    M.add I.bisim_tau_cache_misses t.stats.misses;
-    M.add I.bisim_tau_cache_remaps t.stats.remaps;
-    M.add I.bisim_tau_cache_invalidations t.stats.invalidations;
-    M.set I.bisim_tau_closure_bytes (float_of_int t.stats.bytes_peak);
-    t.stats.hits <- 0;
-    t.stats.misses <- 0;
-    t.stats.remaps <- 0;
-    t.stats.invalidations <- 0
-end

@@ -1,17 +1,24 @@
-(** Tau-SCC condensation and lazy tau-closure caches.
+(** Tau-SCCs, tau-SCC condensation and the lazy weak tau-closure cache.
 
     This module is the engine behind the on-the-fly weak saturation used
-    by {!Bisim}: weak and branching signatures are computed directly on
-    the packed CSR via on-demand tau-reachability over the condensation
-    DAG, memoized per tau-SCC component (weak) or per state (branching),
-    instead of materializing the saturated transition relation. Cached
-    entries are carried across refinement rounds by block renaming and
-    dropped when a block they depend on splits, so peak memory tracks
-    the number of live blocks, not the saturated edge count. The design,
-    the invalidation rule and the memory model are documented in
-    {e docs/WEAK_EQUIVALENCE.md}. *)
+    by {!Bisim}: weak signatures are computed directly on the packed CSR
+    via on-demand tau-reachability over the condensation DAG, memoized
+    per tau-SCC component, instead of materializing the saturated
+    transition relation. Cached entries are carried across refinement
+    rounds by block renaming and dropped when a block they depend on
+    splits, so peak memory tracks the number of live blocks, not the
+    saturated edge count. The design, the invalidation rule and the
+    memory model are documented in {e docs/WEAK_EQUIVALENCE.md}. Branching
+    signatures need no cache: {!Bisim} computes them per state on the
+    small pre-reduced systems it refines. *)
 
 (** {1 Condensation} *)
+
+(** [tau_sccs lts] — the strongly connected components of the tau-only
+    transition relation, by {!Dpma_util.Scc.tarjan_csr} over a tau-only
+    CSR that keeps each state's edge order. Components are numbered in
+    reverse topological order. *)
+val tau_sccs : Lts.t -> Dpma_util.Scc.components
 
 (** The tau-SCC condensation of an LTS: states grouped into strongly
     connected components of the tau-only transition relation, plus the
@@ -27,7 +34,8 @@ type condensation = {
       (** condensed tau edges, deduped, self-loops removed *)
   mem_row : int array;
       (** CSR row index into [members], length [num_comps + 1] *)
-  members : int array;  (** member states of each component *)
+  members : int array;
+      (** member states of each component, in Tarjan discovery order *)
 }
 
 (** [condense lts] computes the tau-SCC condensation of [lts]. Runs
@@ -107,7 +115,7 @@ end
 
 (** {1 Materialized saturation}
 
-    The caches above never build the double-arrow relation; the
+    The cache above never builds the double-arrow relation; the
     functions here do, for the few consumers that need actual weak
     transitions rather than signatures. *)
 
@@ -130,34 +138,3 @@ val saturate : ?traced:bool -> Lts.t -> Lts.t
     materialization step of {!Bisim.minimize_weak} (at quotient size,
     one state per weak class) and the small-model closure used by the
     diagnostics replay. *)
-
-(** {1 Branching signature cache} *)
-
-(** Per-state cache of branching signatures (the same-block tau closure
-    with inert steps excluded). Unlike the weak cache, validity of an
-    entry additionally requires the state's {e own} block to be unsplit,
-    because the same-block closure can shrink when the block splits. *)
-module Branching : sig
-  type t
-
-  type shard
-
-  val create : Lts.t -> t
-
-  (** Running peak of bytes interned across all rounds so far. *)
-  val bytes_peak : t -> int
-
-  (** [signature_fn t block s] is the branching signature of [s] under
-      partition [block], computed on demand and memoized per state. *)
-  val signature_fn : t -> int array -> int -> int array
-
-  val shard : t -> shard
-
-  val shard_signature_fn : shard -> int array -> int -> int array
-
-  val merge_shard : t -> shard -> unit
-
-  val advance : t -> old_block:int array -> new_block:int array -> unit
-
-  val record : t -> unit
-end

@@ -295,8 +295,6 @@ let eval_compiled compiled pi =
              if den = 0.0 then nan else num /. den)
        compiled)
 
-let compiled_names compiled = List.map (fun l -> l.cname) compiled
-
 type side_layout = { state_slot : int option; trans_slot : int option }
 
 type layout = {

@@ -81,8 +81,6 @@ val eval_compiled : ctmc_compiled -> float array -> float array
 (** Values in the compiled measure-list order under a stationary
     distribution of the same CTMC. *)
 
-val compiled_names : ctmc_compiled -> string list
-
 type compiled
 (** Measures compiled for the simulator: a list of {!Dpma_sim.Sim.estimand}
     plus the layout mapping estimands back to measures (a measure mixing

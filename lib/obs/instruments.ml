@@ -206,8 +206,8 @@ let bisim_tau_cache_invalidations =
 let bisim_tau_closure_bytes =
   g ~unit_:"bytes"
     ~desc:
-      "peak bytes interned in tau-closure caches by the last lazy \
-       weak/branching refinement"
+      "peak bytes interned in tau-closure caches by the last lazy weak \
+       refinement"
     "bisim.tau.closure_bytes_peak"
 
 (* Noninterference product refiner *)

@@ -165,8 +165,8 @@ val bisim_tau_components : Metrics.gauge
     lazy weak refinement (the unit of weak-signature caching). *)
 
 val bisim_tau_cache_hits : Metrics.counter
-(** [bisim.tau.cache_hits] — state signature lookups answered from a
-    tau-closure cache (weak or branching), summed over refinements. *)
+(** [bisim.tau.cache_hits] — state signature lookups answered from the
+    weak tau-closure cache, summed over refinements. *)
 
 val bisim_tau_cache_misses : Metrics.counter
 (** [bisim.tau.cache_misses] — tau-closure cache entries computed on
@@ -183,8 +183,8 @@ val bisim_tau_cache_invalidations : Metrics.counter
 
 val bisim_tau_closure_bytes : Metrics.gauge
 (** [bisim.tau.closure_bytes_peak] — peak bytes interned in tau-closure
-    caches by the last lazy weak/branching refinement (canonical arrays
-    only; bounded by live blocks, see docs/WEAK_EQUIVALENCE.md). *)
+    caches by the last lazy weak refinement (canonical arrays only;
+    bounded by live blocks, see docs/WEAK_EQUIVALENCE.md). *)
 
 (** {1 Noninterference product refiner (ni)} *)
 

@@ -81,29 +81,3 @@ let is_bottom ~row ~dst c ci =
     done
   done;
   not !leaves
-
-(* The list interface packs [succ] into a CSR once and runs the same
-   engine, so both interfaces number components identically. *)
-let csr_of_succ ~succ n =
-  let lists = Array.init n succ in
-  let row = Array.make (n + 1) 0 in
-  for v = 0 to n - 1 do
-    row.(v + 1) <- row.(v) + List.length lists.(v)
-  done;
-  let dst = Array.make row.(n) 0 in
-  Array.iteri
-    (fun v l -> List.iteri (fun k w -> dst.(row.(v) + k) <- w) l)
-    lists;
-  (row, dst)
-
-let tarjan ~succ n =
-  let row, dst = csr_of_succ ~succ n in
-  let c = tarjan_csr ~row ~dst n in
-  List.init (count c) (fun ci ->
-      List.init (c.comp_row.(ci + 1) - c.comp_row.(ci)) (fun k ->
-          c.members.(c.comp_row.(ci) + k)))
-
-let component_index ~n comps =
-  let idx = Array.make n (-1) in
-  List.iteri (fun ci vs -> List.iter (fun v -> idx.(v) <- ci) vs) comps;
-  idx

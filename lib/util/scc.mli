@@ -2,7 +2,8 @@
 
     The CTMC solver uses this to locate the recurrent class(es) of a chain
     with a transient prefix (e.g. the streaming client's initial delay),
-    and to walk its transient components sinks first. *)
+    and to walk its transient components sinks first; the weak and
+    branching refinements use it to collapse tau-cycles. *)
 
 type components = {
   comp_of : int array;  (** component index of each vertex *)
@@ -25,14 +26,3 @@ val count : components -> int
 
 val is_bottom : row:int array -> dst:int array -> components -> int -> bool
 (** [is_bottom ~row ~dst c ci] — no edge leaves component [ci]. *)
-
-val tarjan : succ:(int -> int list) -> int -> int list list
-(** [tarjan ~succ n] returns the strongly connected components of the graph
-    with vertices [0..n-1] and successor function [succ], in reverse
-    topological order (every edge goes from a later component to an earlier
-    one in the returned list). Same numbering as {!tarjan_csr} on the
-    packed successor lists. *)
-
-val component_index : n:int -> int list list -> int array
-(** [component_index ~n comps] maps each vertex to the index of its
-    component in [comps]. *)

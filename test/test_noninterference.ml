@@ -205,13 +205,18 @@ let test_simplified_rpc_trace_secure_but_not_bisim () =
   | NI.Insecure _ -> ()
   | NI.Secure -> Alcotest.fail "bisimulation check must still fail")
 
+let trace_secure_spec spec ~high ~low =
+  NI.trace_secure (Lts.of_spec spec)
+    ~high:(fun a -> List.mem a high)
+    ~low:(fun a -> List.mem a low)
+
 let test_revised_rpc_trace_secure () =
   let spec =
     (Rpc.elaborate ~mode:Rpc.Markovian ~monitors:false Rpc.default_params)
       .Elaborate.spec
   in
   Alcotest.(check bool) "revised rpc trace-secure" true
-    (NI.trace_secure_spec spec ~high:Rpc.high_actions ~low:Rpc.low_actions)
+    (trace_secure_spec spec ~high:Rpc.high_actions ~low:Rpc.low_actions)
 
 let test_trace_insecure_when_language_differs () =
   (* high enables a brand-new low action: even traces catch that. *)
@@ -227,7 +232,7 @@ let test_trace_insecure_when_language_differs () =
   in
   let spec = Dpma_pa.Term.spec ~defs ~init:(Dpma_pa.Term.call "P") in
   Alcotest.(check bool) "language difference detected" false
-    (NI.trace_secure_spec spec ~high:[ "high" ] ~low:[ "low"; "extra" ])
+    (trace_secure_spec spec ~high:[ "high" ] ~low:[ "low"; "extra" ])
 
 let trace_ni_suite =
   [

@@ -289,25 +289,39 @@ let test_not_converged () =
 
 let graph edges _n i = List.filter_map (fun (a, b) -> if a = i then Some b else None) edges
 
+(* The CSR of [n] vertices whose successors are [succ v], in list order. *)
+let csr_of_graph succ n =
+  let row = Array.make (n + 1) 0 in
+  for v = 0 to n - 1 do
+    row.(v + 1) <- row.(v) + List.length (succ v)
+  done;
+  (row, Array.of_list (List.concat_map succ (List.init n Fun.id)))
+
+(* Components as member lists, in component-number order. *)
+let tarjan_lists succ n =
+  let row, dst = csr_of_graph succ n in
+  let c = Scc.tarjan_csr ~row ~dst n in
+  List.init (Scc.count c) (fun ci ->
+      Array.to_list
+        (Array.sub c.Scc.members c.Scc.comp_row.(ci)
+           (c.Scc.comp_row.(ci + 1) - c.Scc.comp_row.(ci))))
+
 let test_tarjan_cycle () =
   let succ = graph [ (0, 1); (1, 2); (2, 0); (2, 3) ] 4 in
-  let comps = Scc.tarjan ~succ 4 in
+  let comps = tarjan_lists succ 4 in
   Alcotest.(check int) "two components" 2 (List.length comps);
   let sizes = List.map List.length comps |> List.sort compare in
   Alcotest.(check (list int)) "sizes" [ 1; 3 ] sizes
 
 let test_tarjan_reverse_topological () =
   let succ = graph [ (0, 1); (1, 2) ] 3 in
-  let comps = Scc.tarjan ~succ 3 in
+  let comps = tarjan_lists succ 3 in
   (* Sinks first: state 2 before 1 before 0. *)
   Alcotest.(check (list (list int))) "ordering" [ [ 2 ]; [ 1 ]; [ 0 ] ] comps
 
 let test_bottom_components () =
   let succ = graph [ (0, 1); (1, 0); (0, 2); (2, 3); (3, 2); (4, 4) ] 5 in
-  let row = Array.make 6 0 and dst = Array.of_list (List.concat_map succ [ 0; 1; 2; 3; 4 ]) in
-  for v = 0 to 4 do
-    row.(v + 1) <- row.(v) + List.length (succ v)
-  done;
+  let row, dst = csr_of_graph succ 5 in
   let comps = Scc.tarjan_csr ~row ~dst 5 in
   let bottoms =
     List.filter (Scc.is_bottom ~row ~dst comps) (List.init (Scc.count comps) Fun.id)
@@ -321,8 +335,7 @@ let prop_scc_partitions =
   QCheck.Test.make ~count:100 ~name:"tarjan components partition the vertices"
     QCheck.(list (pair (int_bound 9) (int_bound 9)))
     (fun edges ->
-      let succ i = List.filter_map (fun (a, b) -> if a = i then Some b else None) edges in
-      let comps = Scc.tarjan ~succ 10 in
+      let comps = tarjan_lists (graph edges 10) 10 in
       let all = List.concat comps |> List.sort compare in
       all = List.init 10 (fun i -> i))
 
