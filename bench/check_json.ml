@@ -39,11 +39,6 @@ let required =
     "guard.trips";
     "bisim.refine.rounds";
     "bisim.tau.components";
-    "bisim.tau.cache_hits";
-    "bisim.tau.cache_misses";
-    "bisim.tau.cache_remaps";
-    "bisim.tau.cache_invalidations";
-    "bisim.tau.closure_bytes_peak";
     "ni.product.states_pruned";
     "ni.product.rounds";
     "ni.product.secure_exits";
@@ -130,10 +125,7 @@ let () =
               "bisim.refine_seconds.j1"; "bisim.refine_seconds.j2";
               "bisim.refine_seconds.j4";
               "bisim.weak_refine_seconds.j1"; "bisim.weak_refine_seconds.j2";
-              "bisim.weak_refine_seconds.j4";
-              (* peak interned tau-closure payload of the weak sweep: the
-                 lazy pass must report its memory footprint *)
-              "bisim.tau.closure_bytes_peak"; "lts.states";
+              "bisim.weak_refine_seconds.j4"; "lts.states";
               "lts.transitions"; "lts.segment_bytes_peak";
               (* the forced-spill differential leg: bit-identical CSR,
                  and it must actually have spilled *)
@@ -258,9 +250,9 @@ let () =
     [ "lts.states"; "ctmc.states"; "sim.events"; "sos.memo.hits";
       "sos.memo.misses"; "lts.par.rounds"; "lts.par.segments";
       "lts.par.segment_bytes_peak";
-      (* the lazy weak pass must actually have exercised its tau-closure
-         cache and reported a memory high-water mark *)
-      "bisim.tau.cache_hits"; "bisim.tau.closure_bytes_peak";
+      (* the weak pass must actually have run: it condenses the tau
+         components it refines over *)
+      "bisim.tau.components";
       (* the forced-spill legs and the deliberate guard trip of the tiny
          run must land in the central registry *)
       "lts.spill.segments"; "lts.spill.bytes"; "guard.polls";

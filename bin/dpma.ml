@@ -131,7 +131,10 @@ let obs_term =
   let metrics =
     Arg.(
       value
-      & opt ~vopt:(Some "text") (some string) None
+      & opt
+          ~vopt:(Some Report.Text)
+          (some (enum [ ("text", Report.Text); ("json", Report.Json) ]))
+          None
       & info [ "metrics" ] ~docv:"FORMAT"
           ~doc:
             "Print pipeline metrics to stderr on exit; $(docv) is \
@@ -147,15 +150,7 @@ let obs_term =
              stderr on exit. Equivalent to $(b,DPMA_TRACE=1).")
   in
   let setup metrics trace =
-    (match metrics with
-    | None -> ()
-    | Some fmt ->
-        let fmt =
-          match String.lowercase_ascii (String.trim fmt) with
-          | "json" -> Report.Json
-          | _ -> Report.Text
-        in
-        Report.configure ~metrics:(Some fmt) ());
+    Option.iter (fun fmt -> Report.configure ~metrics:(Some fmt) ()) metrics;
     if trace then Report.configure ~trace:true ()
   in
   Term.(const setup $ metrics $ trace)

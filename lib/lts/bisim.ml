@@ -56,9 +56,9 @@ end
 
 module Int_tbl = Hashtbl.Make (Int_key)
 
-(* Signature-based partition refinement. [signature] maps a state to a
-   canonical representation of its outgoing behaviour w.r.t. the current
-   blocks; refinement stops when the block count is stable.
+(* Signature-based partition refinement. [signature block] maps a state
+   to a canonical representation of its outgoing behaviour w.r.t. the
+   blocks of [block]; refinement stops when the block count is stable.
 
    Each round re-keys every state by (current block, signature) and
    renumbers the classes densely in first-seen state order. With more
@@ -80,46 +80,22 @@ module Int_tbl = Hashtbl.Make (Int_key)
 let refine_par_cutoff ~jobs:_ =
   if Pool.hardware_parallelism () <= 1 then max_int else 1024
 
-(* A signature pass abstracts how the refinement loop obtains a state's
-   signature, so stateless signatures (strong, Markovian, branching) and
-   the lazily cached weak signatures share one driver. [sp_signature] is
-   the sequential path. [sp_worker], when present, creates a per-worker
-   signature function plus a completion hook run from the coordinating
-   domain after the worker's chunks are done (the lazy weak pass hands
-   out cache shards here and merges them back in the hook). [sp_advance],
-   when present, is called between rounds — with the pre- and post-round
-   partitions — so a caching pass can carry or invalidate its entries
-   before block ids change meaning. *)
-type sig_pass = {
-  sp_signature : int array -> int -> signature;
-  sp_worker : (unit -> (int array -> int -> signature) * (unit -> unit)) option;
-  sp_advance : (old_block:int array -> new_block:int array -> unit) option;
-}
-
-let plain_pass signature =
-  { sp_signature = signature; sp_worker = None; sp_advance = None }
-
 (* The distinct signature keys of one chunk, in local first-seen order,
    plus each chunk state's index into them. *)
 type chunk_classes = { cc_keys : Sig_key.t array; cc_locals : int array }
 
-type refine_worker = {
-  rw_table : int Sig_tbl.t;
-  mutable rw_classes : int;
-  rw_signature : int array -> int -> signature;
-  rw_done : unit -> unit;
-}
+type refine_worker = { rw_table : int Sig_tbl.t; mutable rw_classes : int }
 
 let empty_key = { Sig_key.old_block = 0; ints = [||]; floats = [||] }
 
-let chunk_classes ~block w (lo, len) =
+let chunk_classes ~block ~sig_of w (lo, len) =
   Sig_tbl.reset w.rw_table;
   let locals = Array.make len 0 in
   let rev_keys = ref [] in
   let next = ref 0 in
   for i = 0 to len - 1 do
     let s = lo + i in
-    let ({ ints; floats } : signature) = w.rw_signature block s in
+    let ({ ints; floats } : signature) = sig_of s in
     let key = { Sig_key.old_block = block.(s); ints; floats } in
     match Sig_tbl.find_opt w.rw_table key with
     | Some id -> locals.(i) <- id
@@ -134,11 +110,27 @@ let chunk_classes ~block w (lo, len) =
   List.iteri (fun j k -> keys.(!next - 1 - j) <- k) !rev_keys;
   { cc_keys = keys; cc_locals = locals }
 
-(* The shared driver behind [refine] and [refine_watched]: runs rounds to
-   the fixpoint, or — when a watched pair is given — until the watched
-   states land in different blocks. Returns [(partition, rounds, split)],
-   [split] telling whether the watched pair was split. *)
-let refine_loop ?watch (lts : Lts.t) ~pass ~jobs ~par_cutoff =
+let resolve_pool ?jobs ?par_cutoff () =
+  let jobs =
+    match jobs with Some j -> max 1 j | None -> Pool.default_jobs ()
+  in
+  let par_cutoff =
+    match par_cutoff with
+    | Some c -> max 0 c
+    | None -> refine_par_cutoff ~jobs
+  in
+  (jobs, par_cutoff)
+
+(* The one refinement driver: runs rounds to the fixpoint, or — when a
+   watched pair is given — until the watched states land in different
+   blocks, whichever comes first. Returns [(partition, rounds, split)],
+   [split] telling whether the watched pair was split. [signature block]
+   is applied once per round, in this domain; the function it returns
+   must be read-only, since the parallel workers share it. *)
+let refine_loop ?watch ?jobs ?par_cutoff (lts : Lts.t) ~signature =
+  let jobs, par_cutoff = resolve_pool ?jobs ?par_cutoff () in
+  Dpma_obs.Trace.with_span "bisim.refine"
+    ~attrs:[ ("states", Dpma_obs.Trace.Int lts.num_states) ] @@ fun () ->
   let module I = Dpma_obs.Instruments in
   let module M = Dpma_obs.Metrics in
   M.incr I.bisim_refines;
@@ -168,12 +160,13 @@ let refine_loop ?watch (lts : Lts.t) ~pass ~jobs ~par_cutoff =
     M.incr I.bisim_rounds;
     incr rounds;
     let new_block = Array.make n 0 in
+    let sig_of = signature block in
     let next =
       if not par then begin
         let table = Sig_tbl.create (2 * !num_blocks) in
         let next = ref 0 in
         for s = 0 to n - 1 do
-          let ({ ints; floats } : signature) = pass.sp_signature block s in
+          let ({ ints; floats } : signature) = sig_of s in
           let key = { Sig_key.old_block = block.(s); ints; floats } in
           match Sig_tbl.find_opt table key with
           | Some id -> new_block.(s) <- id
@@ -188,20 +181,9 @@ let refine_loop ?watch (lts : Lts.t) ~pass ~jobs ~par_cutoff =
         M.incr I.bisim_par_rounds;
         let classes =
           Pool.map_chunks_ordered ~jobs
-            ~init:(fun () ->
-              let rw_signature, rw_done =
-                match pass.sp_worker with
-                | Some mk -> mk ()
-                | None -> (pass.sp_signature, fun () -> ())
-              in
-              { rw_table = Sig_tbl.create 256; rw_classes = 0; rw_signature;
-                rw_done })
-            ~f:(chunk_classes ~block)
+            ~init:(fun () -> { rw_table = Sig_tbl.create 256; rw_classes = 0 })
+            ~f:(chunk_classes ~block ~sig_of)
             ~finish:(fun w ->
-              (* Runs in the coordinating domain in worker order: the
-                 lazy weak pass merges its cache shards into the parent
-                 here. *)
-              w.rw_done ();
               M.observe I.bisim_par_blocks_per_worker
                 (float_of_int w.rw_classes))
             chunks
@@ -234,45 +216,21 @@ let refine_loop ?watch (lts : Lts.t) ~pass ~jobs ~par_cutoff =
     (match watch with
     | Some (wa, wb) -> split := new_block.(wa) <> new_block.(wb)
     | None -> ());
-    if !split then begin
+    (* A watched split always adds a block (the refinement key includes
+       the old block), so a stable round never splits the pair. *)
+    if next = !num_blocks then continue_ := false
+    else begin
       num_blocks := next;
       Array.blit new_block 0 block 0 n;
-      continue_ := false
-    end
-    else if next = !num_blocks then continue_ := false
-    else begin
-      (* Another round is coming: let a caching pass carry its entries
-         across the renumbering before old block ids lose meaning. *)
-      (match pass.sp_advance with
-      | Some adv -> adv ~old_block:block ~new_block
-      | None -> ());
-      num_blocks := next;
-      Array.blit new_block 0 block 0 n
+      if !split then continue_ := false
     end
   done;
   M.set I.bisim_blocks (float_of_int !num_blocks);
   (block, !rounds, !split)
 
-let resolve_pool ?jobs ?par_cutoff () =
-  let jobs =
-    match jobs with Some j -> max 1 j | None -> Pool.default_jobs ()
-  in
-  let par_cutoff =
-    match par_cutoff with
-    | Some c -> max 0 c
-    | None -> refine_par_cutoff ~jobs
-  in
-  (jobs, par_cutoff)
-
-let refine_pass ?jobs ?par_cutoff (lts : Lts.t) ~pass =
-  let jobs, par_cutoff = resolve_pool ?jobs ?par_cutoff () in
-  Dpma_obs.Trace.with_span "bisim.refine"
-    ~attrs:[ ("states", Dpma_obs.Trace.Int lts.num_states) ] (fun () ->
-      let block, _, _ = refine_loop lts ~pass ~jobs ~par_cutoff in
-      block)
-
 let refine ?jobs ?par_cutoff lts ~signature =
-  refine_pass ?jobs ?par_cutoff lts ~pass:(plain_pass signature)
+  let block, _, _ = refine_loop ?jobs ?par_cutoff lts ~signature in
+  block
 
 let sorted_dedup_array (l : int list) =
   Array.of_list (List.sort_uniq Int.compare l)
@@ -289,37 +247,18 @@ let strong_partition ?jobs ?par_cutoff lts =
 
 let compose outer inner = Array.map (fun b -> outer.(b)) inner
 
-(* Lazy weak signatures: [Tau.Weak]'s per-component closure caches
-   produce, for each state, exactly the strong signature it would carry
-   on the saturated LTS (see lib/lts/tau.ml and
-   docs/WEAK_EQUIVALENCE.md), so refinement through this pass is
-   round-for-round bit-identical to strong refinement of the
-   materialized saturation while never building the weak relation.
-   Returns the pass and the cache (for the final instrument flush). *)
-let weak_pass lts =
-  let cache = Tau.Weak.create lts in
-  let seq = Tau.Weak.signature_fn cache in
-  ( {
-      sp_signature = (fun block s -> ints_signature (seq block s));
-      sp_worker =
-        Some
-          (fun () ->
-            let sh = Tau.Weak.shard cache in
-            let f = Tau.Weak.shard_signature_fn sh in
-            ( (fun block s -> ints_signature (f block s)),
-              fun () -> Tau.Weak.merge_shard cache sh ));
-      sp_advance =
-        Some
-          (fun ~old_block ~new_block ->
-            Tau.Weak.advance cache ~old_block ~new_block);
-    },
-    cache )
-
-let weak_refine ?jobs ?par_cutoff lts =
-  let pass, cache = weak_pass lts in
-  let p = refine_pass ?jobs ?par_cutoff lts ~pass in
-  Tau.Weak.record cache;
-  p
+(* Weak signatures: [Tau.weak_signatures] gives each state exactly the
+   strong signature it would carry on the saturated LTS (see
+   lib/lts/tau.ml and docs/WEAK_EQUIVALENCE.md), so refinement over it
+   is round-for-round bit-identical to strong refinement of the
+   materialized saturation while never building the weak relation. The
+   condensation runs here, once; each round's pass runs when the
+   refinement loop applies the result to its partition. *)
+let weak_signature lts =
+  let weak = Tau.weak_signatures lts in
+  fun block ->
+    let f = weak block in
+    fun s -> ints_signature (f s)
 
 (* Strong quotient then tau-SCC collapse. Strongly bisimilar states are
    branching, hence weakly, bisimilar and weak-trace equivalent. The
@@ -339,7 +278,9 @@ let pre_reduce ?jobs ?par_cutoff lts =
 
 let weak_partition ?jobs ?par_cutoff lts =
   let p, reduced = pre_reduce ?jobs ?par_cutoff lts in
-  compose (weak_refine ?jobs ?par_cutoff reduced) p
+  compose
+    (refine ?jobs ?par_cutoff reduced ~signature:(weak_signature reduced))
+    p
 
 (* For lumping, transitions to the same block accumulate: exponential rates
    add up; immediate weights add up per priority; passive weights add up.
@@ -606,21 +547,6 @@ let restrict_reachable (lts : Lts.t) =
     (pruned, n - !count)
   end
 
-(* Signature refinement watched on one state pair: identical block
-   assignment discipline to [refine] (first-seen order within a round,
-   parallel signature pass included), but the loop exits as soon as the
-   watched states land in different blocks or as soon as the partition
-   is stable, whichever comes first. Returns [(partition, rounds,
-   split)]. *)
-let refine_watched_pass ?jobs ?par_cutoff (lts : Lts.t) ~pass ~watch =
-  let jobs, par_cutoff = resolve_pool ?jobs ?par_cutoff () in
-  Dpma_obs.Trace.with_span "bisim.refine"
-    ~attrs:[ ("states", Dpma_obs.Trace.Int lts.num_states) ] (fun () ->
-      refine_loop ~watch lts ~pass ~jobs ~par_cutoff)
-
-let refine_watched ?jobs ?par_cutoff lts ~signature ~watch =
-  refine_watched_pass ?jobs ?par_cutoff lts ~pass:(plain_pass signature) ~watch
-
 type product_trail = {
   left : Lts.t;
   right : Lts.t;
@@ -667,10 +593,8 @@ let weak_product_check ?jobs ?par_cutoff (a : Lts.t) (b : Lts.t) =
      saturated union would. *)
   let decide qa qb =
     let union, ia, ib = Lts.disjoint_union qa qb in
-    let pass, cache = weak_pass union in
-    let r = refine_watched_pass ?jobs ?par_cutoff union ~pass ~watch:(ia, ib) in
-    Tau.Weak.record cache;
-    r
+    refine_loop ?jobs ?par_cutoff union ~signature:(weak_signature union)
+      ~watch:(ia, ib)
   in
   match product_front ?jobs ?par_cutoff a b ~decide with
   | partition, rounds, false -> Product_secure { partition; rounds }
@@ -680,7 +604,7 @@ let weak_product_check ?jobs ?par_cutoff (a : Lts.t) (b : Lts.t) =
 let branching_product_secure ?jobs ?par_cutoff (a : Lts.t) (b : Lts.t) =
   let decide qa qb =
     let union, ia, ib = Lts.disjoint_union qa qb in
-    refine_watched ?jobs ?par_cutoff union
+    refine_loop ?jobs ?par_cutoff union
       ~signature:(branching_signature union) ~watch:(ia, ib)
   in
   let _, _, split = product_front ?jobs ?par_cutoff a b ~decide in
@@ -693,7 +617,7 @@ let trace_product_secure ?max_states ?jobs ?par_cutoff (a : Lts.t)
       Lts.disjoint_union (determinize ?max_states qa)
         (determinize ?max_states qb)
     in
-    refine_watched ?jobs ?par_cutoff union ~signature:(strong_signature union)
+    refine_loop ?jobs ?par_cutoff union ~signature:(strong_signature union)
       ~watch:(ia, ib)
   in
   let _, _, split = product_front ?jobs ?par_cutoff a b ~decide in

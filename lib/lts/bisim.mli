@@ -6,20 +6,19 @@
 
     Weak (observational) equivalence is Milner's reduction to strong
     bisimulation over the double-arrow relation — but the double arrows
-    are never materialized. Weak signatures are computed on demand,
-    directly on the packed CSR, via lazy tau-closure over the tau-SCC
-    condensation DAG, memoized per component and carried across
-    refinement rounds until a block they depend on splits ({!Tau}).
-    The lazy signatures equal, pair for pair, the strong signatures of
-    the saturated LTS, so partitions, verdicts, rounds and distinguishing
+    are never materialized. Weak signatures are computed directly on the
+    packed CSR, one tau-closure pass per refinement round over the
+    tau-SCC condensation DAG, one entry per component
+    ({!Tau.weak_signatures}); nothing is carried from one round to the
+    next. They equal, pair for pair, the strong signatures of the
+    saturated LTS, so partitions, verdicts, rounds and distinguishing
     formulas are bit-identical to what strong refinement of the
-    materialized saturation would produce (the retired [--saturate]
-    oracle; {!Tau.saturate} still materializes the closure where actual
-    weak transitions are needed). Peak cache memory tracks live blocks,
-    not the saturated edge set; docs/WEAK_EQUIVALENCE.md documents the
-    contract, the invalidation rule and the memory model. Branching
-    signatures (Blom–Orzan) are recomputed per state each round, like
-    the strong and Markovian ones.
+    materialized saturation would produce ({!Tau.saturate} still
+    materializes the closure where actual weak transitions are needed).
+    A round's signature memory tracks live blocks, not the saturated
+    edge set; docs/WEAK_EQUIVALENCE.md documents the contract and the
+    memory model. Branching signatures (Blom–Orzan) are computed per
+    state each round, like the strong and Markovian ones.
 
     {2 Parallel refinement}
 
@@ -31,11 +30,16 @@
     assigning global class ids in first-seen order. The merged numbering
     is exactly the sequential first-seen-by-state-index numbering, so
     partitions, quotients, verdicts, and distinguishing formulas are
-    bit-identical for any job count. The lazy weak pass keeps this
-    property: workers compute closures into thread-confined cache shards
-    over the frozen parent cache, merged back deterministically between
-    rounds (shard entries for one component are content-equal by
-    construction).
+    bit-identical for any job count.
+
+    Every signature — strong, Markovian, branching, weak — is a function
+    of the round's partition: the refinement loop applies it to the
+    partition once per round, in the coordinating domain, and the
+    function that application returns must be read-only, because the
+    workers share it. Strong, Markovian and branching signatures do no
+    work at that application (partial application only); the weak one
+    runs its whole tau-closure pass there, so workers only look
+    signatures up.
 
     [?par_cutoff] is the state count below which a refinement runs
     sequentially even when [jobs > 1] (the signature pass is then too

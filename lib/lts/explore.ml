@@ -166,16 +166,10 @@ let run ?(max_states = 500_000) ?jobs ?par_threshold ?spill_dir
     let base = !lo in
     let frontier = Array.init fsize (fun i -> get_term terms (base + i)) in
     let derived =
-      if jobs = 1 || fsize < par_threshold then begin
-        let sh = shard () in
-        let out = Array.map (derive sh) frontier in
-        finish sh;
-        out
-      end
-      else
-        Pool.map_chunks_ordered ~jobs
-          ~chunk:(Pool.recommended_chunk ~n:fsize ~jobs)
-          ~init:shard ~f:derive ~finish frontier
+      Pool.map_chunks_ordered
+        ~jobs:(if fsize < par_threshold then 1 else jobs)
+        ~chunk:(Pool.recommended_chunk ~n:fsize ~jobs)
+        ~init:shard ~f:derive ~finish frontier
     in
     let tm = Dpma_obs.Clock.now_s () in
     Array.iter

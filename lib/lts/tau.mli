@@ -1,16 +1,13 @@
-(** Tau-SCCs, tau-SCC condensation and the lazy weak tau-closure cache.
+(** Tau-SCCs, tau-SCC condensation and the per-round weak signature pass.
 
     This module is the engine behind the on-the-fly weak saturation used
-    by {!Bisim}: weak signatures are computed directly on the packed CSR
-    via on-demand tau-reachability over the condensation DAG, memoized
-    per tau-SCC component, instead of materializing the saturated
-    transition relation. Cached entries are carried across refinement
-    rounds by block renaming and dropped when a block they depend on
-    splits, so peak memory tracks the number of live blocks, not the
-    saturated edge count. The design, the invalidation rule and the
-    memory model are documented in {e docs/WEAK_EQUIVALENCE.md}. Branching
-    signatures need no cache: {!Bisim} computes them per state on the
-    small pre-reduced systems it refines. *)
+    by {!Bisim}: weak signatures are computed directly on the packed CSR,
+    one tau-closure pass over the condensation DAG per refinement round,
+    one entry per tau-SCC component, instead of materializing the
+    saturated transition relation. Nothing is carried across rounds, so
+    weak signatures are as stateless as the strong, Markovian and
+    branching ones. The design and the memory model are documented in
+    {e docs/WEAK_EQUIVALENCE.md}. *)
 
 (** {1 Condensation} *)
 
@@ -38,84 +35,28 @@ type condensation = {
       (** member states of each component, in Tarjan discovery order *)
 }
 
-(** [condense lts] computes the tau-SCC condensation of [lts]. Runs
-    under a ["bisim.tau.condense"] span. Linear in states + edges. *)
+(** [condense lts] computes the tau-SCC condensation of [lts]. Linear in
+    states + edges. {!weak_signatures} runs it under a
+    ["bisim.tau.condense"] span. *)
 val condense : Lts.t -> condensation
 
-(** {1 Cross-round renaming} *)
+(** {1 Weak signatures} *)
 
-(** [renaming ~old_block ~new_block] maps each old block id to its new
-    id when the block did not split this round, or to [-1] when it did.
-    The mapping is injective on unsplit blocks: a refinement key
-    includes the old block, so a new block never spans two old ones. *)
-val renaming : old_block:int array -> new_block:int array -> int array
-
-(** [remap_pairs rename pairs] rewrites the block component of every
-    packed [(label, block)] pair through [rename] and re-sorts, or
-    returns [None] if any mentioned block was split. The result needs no
-    re-deduplication because [rename] is injective on unsplit blocks. *)
-val remap_pairs : int array -> int array -> int array option
-
-(** {1 Weak signature cache} *)
-
-(** Per-component cache of tau-closure block sets and full weak
-    signatures. For any state [s], {!Weak.signature_fn} returns exactly
-    the sorted, deduplicated packed-pair array that
-    [strong_signature (saturate lts) s] would produce — so signature
-    refinement over this cache is round-for-round bit-identical to
-    strong refinement of the materialized saturation. *)
-module Weak : sig
-  type t
-
-  (** A thread-confined worker view over a frozen parent cache, used by
-      the parallel refinement rounds. *)
-  type shard
-
-  (** [create lts] condenses [lts] (under a ["bisim.tau.condense"] span)
-      and returns an empty cache. *)
-  val create : Lts.t -> t
-
-  (** Number of tau-SCC components of the underlying LTS. *)
-  val components : t -> int
-
-  (** Running peak of bytes interned across all rounds so far. *)
-  val bytes_peak : t -> int
-
-  (** [signature_fn t] returns the signature function for sequential
-      use: [f block s] is the weak signature of [s] under partition
-      [block], computed on demand and memoized per component. *)
-  val signature_fn : t -> int array -> int -> int array
-
-  (** [shard t] creates a worker-local shard. The parent must stay
-      frozen (no [advance], no sequential lookups) while shards are
-      live. *)
-  val shard : t -> shard
-
-  (** Like {!signature_fn}, but lookups fall back from the frozen
-      parent to the shard's local tables, and computed entries are
-      stored only in the shard. *)
-  val shard_signature_fn : shard -> int array -> int -> int array
-
-  (** [merge_shard t sh] adopts [sh]'s entries into the parent — called
-      from the coordinating domain after all workers joined.
-      Concurrently computed duplicates are content-equal, so first-wins
-      adoption is deterministic in content. *)
-  val merge_shard : t -> shard -> unit
-
-  (** [advance t ~old_block ~new_block] carries the cache across a
-      refinement round: entries whose mentioned blocks all survived are
-      renamed in place; entries touching a split block are dropped and
-      recomputed on demand. *)
-  val advance : t -> old_block:int array -> new_block:int array -> unit
-
-  (** Flush accumulated hit/miss/remap/invalidation counts and peak
-      bytes into the [bisim.tau.*] instruments and reset the counters. *)
-  val record : t -> unit
-end
+(** [weak_signatures lts] condenses [lts] once (under a
+    ["bisim.tau.condense"] span) and sets [bisim.tau.components]. The
+    result [f] is applied once per refinement round: [f block] computes
+    the tau-closure block sets and the weak signatures of every
+    component of [lts] under partition [block], and returns a read-only
+    lookup. [f block s] is exactly the sorted, deduplicated packed-pair
+    array that [strong_signature (saturate lts) s] would produce — so
+    signature refinement over it is round-for-round bit-identical to
+    strong refinement of the materialized saturation. Nothing is kept
+    between rounds; the lookup may be shared by concurrent readers. *)
+val weak_signatures : Lts.t -> int array -> int -> int array
 
 (** {1 Materialized saturation}
 
-    The cache above never builds the double-arrow relation; the
+    {!weak_signatures} never builds the double-arrow relation; the
     functions here do, for the few consumers that need actual weak
     transitions rather than signatures. *)
 

@@ -176,39 +176,8 @@ let bisim_par_seq_fallbacks =
 
 let bisim_tau_components =
   g ~unit_:"components"
-    ~desc:"tau-SCC components condensed by the last lazy weak refinement"
+    ~desc:"tau-SCC components condensed by the last weak refinement"
     "bisim.tau.components"
-
-let bisim_tau_cache_hits =
-  c ~unit_:"lookups"
-    ~desc:"state signature lookups answered from a tau-closure cache"
-    "bisim.tau.cache_hits"
-
-let bisim_tau_cache_misses =
-  c ~unit_:"entries"
-    ~desc:"tau-closure cache entries computed on demand (misses)"
-    "bisim.tau.cache_misses"
-
-let bisim_tau_cache_remaps =
-  c ~unit_:"entries"
-    ~desc:
-      "cache entries carried across a refinement round by block renaming \
-       (every block they depend on was unsplit)"
-    "bisim.tau.cache_remaps"
-
-let bisim_tau_cache_invalidations =
-  c ~unit_:"entries"
-    ~desc:
-      "cache entries dropped across a refinement round because a block they \
-       depend on split"
-    "bisim.tau.cache_invalidations"
-
-let bisim_tau_closure_bytes =
-  g ~unit_:"bytes"
-    ~desc:
-      "peak bytes interned in tau-closure caches by the last lazy weak \
-       refinement"
-    "bisim.tau.closure_bytes_peak"
 
 (* Noninterference product refiner *)
 

@@ -162,29 +162,7 @@ val bisim_par_seq_fallbacks : Metrics.counter
 
 val bisim_tau_components : Metrics.gauge
 (** [bisim.tau.components] — tau-SCC components condensed by the last
-    lazy weak refinement (the unit of weak-signature caching). *)
-
-val bisim_tau_cache_hits : Metrics.counter
-(** [bisim.tau.cache_hits] — state signature lookups answered from the
-    weak tau-closure cache, summed over refinements. *)
-
-val bisim_tau_cache_misses : Metrics.counter
-(** [bisim.tau.cache_misses] — tau-closure cache entries computed on
-    demand because no cached entry was valid. *)
-
-val bisim_tau_cache_remaps : Metrics.counter
-(** [bisim.tau.cache_remaps] — cache entries carried across a refinement
-    round by block renaming, because every block they depend on was
-    unsplit that round. *)
-
-val bisim_tau_cache_invalidations : Metrics.counter
-(** [bisim.tau.cache_invalidations] — cache entries dropped across a
-    refinement round because a block they depend on split. *)
-
-val bisim_tau_closure_bytes : Metrics.gauge
-(** [bisim.tau.closure_bytes_peak] — peak bytes interned in tau-closure
-    caches by the last lazy weak refinement (canonical arrays only;
-    bounded by live blocks, see docs/WEAK_EQUIVALENCE.md). *)
+    weak refinement (the unit of the per-round weak signature pass). *)
 
 (** {1 Noninterference product refiner (ni)} *)
 

@@ -85,86 +85,12 @@ let record_failure failures f =
   in
   push ()
 
-let parallel_map ?jobs f xs =
-  match xs with
-  | [] -> []
-  | [ x ] -> [ f x ]
-  | _ ->
-      let jobs =
-        clamp_jobs (match jobs with Some j -> j | None -> default_jobs ())
-      in
-      if jobs = 1 || Domain.DLS.get inside_pool then List.map f xs
-      else begin
-        let input = Array.of_list xs in
-        let n = Array.length input in
-        let results = Array.make n None in
-        let next = Atomic.make 0 in
-        let failures : failure list Atomic.t = Atomic.make [] in
-        let chunk = clamp_jobs (n / (jobs * 4)) in
-        let busy_s = Atomic.make 0.0 in
-        let add_busy dt =
-          let rec go () =
-            let cur = Atomic.get busy_s in
-            if not (Atomic.compare_and_set busy_s cur (cur +. dt)) then go ()
-          in
-          go ()
-        in
-        let worker () =
-          let was_inside = Domain.DLS.get inside_pool in
-          Domain.DLS.set inside_pool true;
-          let t0 = Obs.Clock.now_s () in
-          let processed = ref 0 in
-          let continue_ = ref true in
-          while !continue_ do
-            let lo = Atomic.fetch_and_add next chunk in
-            if lo >= n || Atomic.get failures <> [] then continue_ := false
-            else
-              for i = lo to min (lo + chunk) n - 1 do
-                incr processed;
-                match f input.(i) with
-                | y -> results.(i) <- Some y
-                | exception exn ->
-                    let backtrace = Printexc.get_raw_backtrace () in
-                    record_failure failures { index = i; exn; backtrace }
-              done
-          done;
-          add_busy (Obs.Clock.now_s () -. t0);
-          Obs.Metrics.observe Obs.Instruments.pool_tasks_per_worker
-            (float_of_int !processed);
-          Domain.DLS.set inside_pool was_inside
-        in
-        let t_start = Obs.Clock.now_s () in
-        let spawned =
-          Array.init (min (jobs - 1) (n - 1)) (fun _ -> Domain.spawn worker)
-        in
-        worker ();
-        Array.iter Domain.join spawned;
-        let elapsed = Obs.Clock.now_s () -. t_start in
-        let workers = Array.length spawned + 1 in
-        Obs.Metrics.incr Obs.Instruments.pool_parallel_maps;
-        Obs.Metrics.add Obs.Instruments.pool_tasks n;
-        Obs.Metrics.set Obs.Instruments.pool_jobs (float_of_int workers);
-        if elapsed > 0.0 then
-          Obs.Metrics.set Obs.Instruments.pool_utilization
-            (Atomic.get busy_s /. (float_of_int workers *. elapsed));
-        match Atomic.get failures with
-        | [] -> Array.to_list (Array.map Option.get results)
-        | first :: rest ->
-            let worst =
-              List.fold_left
-                (fun best c -> if c.index < best.index then c else best)
-                first rest
-            in
-            Printexc.raise_with_backtrace worst.exn worst.backtrace
-      end
-
-let parallel_iter ?jobs f xs = ignore (parallel_map ?jobs (fun x -> f x) xs)
-
-(* Like [parallel_map] but over arrays, with a per-worker state threaded
-   through every application ([init] once per worker, [finish] after all
-   domains have joined, in worker-index order so merges are deterministic).
-   The level-synchronous LTS builder uses this to give every worker a
-   private SOS memo shard and merge the shards between BFS rounds. *)
+(* The one worker loop: maps [f] over an array with a per-worker state
+   threaded through every application ([init] once per worker, [finish]
+   after all domains have joined, in worker-index order so merges are
+   deterministic). The level-synchronous LTS builder uses this to give
+   every worker a private SOS memo shard and merge the shards between
+   BFS rounds; [parallel_map] below is its stateless list form. *)
 let map_chunks_ordered ?jobs ?chunk ~init ~f ?(finish = fun _ -> ()) xs =
   let n = Array.length xs in
   if n = 0 then [||]
@@ -256,3 +182,10 @@ let map_chunks_ordered ?jobs ?chunk ~init ~f ?(finish = fun _ -> ()) xs =
           Printexc.raise_with_backtrace worst.exn worst.backtrace
     end
   end
+
+let parallel_map ?jobs f xs =
+  Array.to_list
+    (map_chunks_ordered ?jobs ~init:ignore ~f:(fun () x -> f x)
+       (Array.of_list xs))
+
+let parallel_iter ?jobs f xs = ignore (parallel_map ?jobs (fun x -> f x) xs)

@@ -19,7 +19,7 @@
    (docs/WEAK_EQUIVALENCE.md). Its checks differ from the primary doc's:
    every metric it documents must exist in the registry (no stale rows),
    every registered `bisim.tau.*` instrument must appear in it (the
-   tau-closure cache counters are that doc's contract), and no
+   tau-closure instruments are that doc's contract), and no
    duplicates — so the instrument rows cannot drift from the
    implementation. *)
 

@@ -1,12 +1,12 @@
 (* Differential tests for the on-the-fly weak saturation (lib/lts/tau.ml
-   + the lazy passes in lib/lts/bisim.ml): the lazy tau-closure path must
-   be bit-identical to strong refinement of the materialized saturation —
-   reconstructed here from [Tau.saturate] and the public refinement API,
-   now that the [--saturate] oracle branches are gone — on partitions,
-   minimized LTSs and equivalence verdicts; product verdicts, trails and
-   distinguishing formulas must be identical for any job count; and the
-   cross-round cache advance must never change a signature compared to a
-   cold cache. *)
+   + the weak refinement in lib/lts/bisim.ml): the lazy tau-closure path
+   must be bit-identical to strong refinement of the materialized
+   saturation — reconstructed here from [Tau.saturate] and the public
+   refinement API — on partitions, minimized LTSs and equivalence
+   verdicts; product verdicts, trails and distinguishing formulas must
+   be identical for any job count; and [Tau.weak_signatures] must give,
+   under any partition and after any earlier round, exactly the strong
+   signatures of the saturated LTS. *)
 
 module Lts = Dpma_lts.Lts
 module Bisim = Dpma_lts.Bisim
@@ -17,8 +17,6 @@ module NI = Dpma_core.Noninterference
 module Rpc = Dpma_models.Rpc
 module Streaming = Dpma_models.Streaming
 module Elaborate = Dpma_adl.Elaborate
-module Metrics = Dpma_obs.Metrics
-module Instruments = Dpma_obs.Instruments
 
 let rpc_lts =
   lazy
@@ -193,7 +191,7 @@ let test_mutant_formula_differential () =
   Alcotest.(check string) "mutant formula" (formula 1) (formula 4)
 
 (* ------------------------------------------------------------------ *)
-(* Parallel identity of the cached weak path                            *)
+(* Parallel identity of the weak path                                   *)
 
 let test_weak_jobs_identity () =
   List.iter
@@ -214,64 +212,51 @@ let test_branching_jobs_identity () =
     (Bisim.branching_partition ~jobs:4 ~par_cutoff:0 lts)
 
 (* ------------------------------------------------------------------ *)
-(* Cache-invalidation property: signatures after [advance] equal
-   signatures computed from scratch against the new partition            *)
+(* Signature property on generated systems: [Test_lts.gen_lts] systems
+   have tau cycles and are not pre-reduced, so tau-SCCs with several
+   members (which every production caller collapses first) are covered
+   here. *)
 
-let check_advance name lts ~old_block ~new_block =
-  let warm = Tau.Weak.create lts in
-  let warm_sig = Tau.Weak.signature_fn warm in
-  for s = 0 to lts.Lts.num_states - 1 do
-    ignore (warm_sig old_block s)
+let saturated_signature (sat : Lts.t) block s =
+  let pairs = ref [] in
+  for i = sat.Lts.row.(s) to sat.Lts.row.(s + 1) - 1 do
+    pairs := ((sat.Lts.lab.(i) lsl 31) lor block.(sat.Lts.tgt.(i))) :: !pairs
   done;
-  Tau.Weak.advance warm ~old_block ~new_block;
-  let cold = Tau.Weak.create lts in
-  let cold_sig = Tau.Weak.signature_fn cold in
-  for s = 0 to lts.Lts.num_states - 1 do
-    Alcotest.(check bool)
-      (Printf.sprintf "%s: weak signature of state %d" name s)
-      true
-      (warm_sig new_block s = cold_sig new_block s)
-  done
+  Array.of_list (List.sort_uniq Int.compare !pairs)
 
-let test_cache_invalidation () =
-  let lts = Lazy.force rpc_lts in
-  let n = lts.Lts.num_states in
-  let trivial = Array.make n 0 in
-  let strong = Bisim.strong_partition lts in
-  let weak = Bisim.weak_partition lts in
-  (* Splits everywhere: one block refined into the strong partition. *)
-  check_advance "split-all" lts ~old_block:trivial ~new_block:strong;
-  (* Pure renaming, no splits: a permutation of the block ids. *)
-  let blocks = 1 + Array.fold_left max 0 strong in
-  let permuted = Array.map (fun b -> (b + 7) mod blocks) strong in
-  check_advance "rename-all" lts ~old_block:strong ~new_block:permuted;
-  (* Mixed: the weak partition refined into the strong one splits some
-     blocks and renames the rest. *)
-  check_advance "mixed" lts ~old_block:weak ~new_block:strong
+let arb_partitioned =
+  let gen =
+    QCheck.Gen.(
+      Test_lts.gen_lts >>= fun lts ->
+      let n = lts.Lts.num_states in
+      let part = array_size (return n) (int_range 0 (n - 1)) in
+      pair part part >|= fun (p1, p2) -> (lts, p1, p2))
+  in
+  let ints a = String.concat "," (Array.to_list (Array.map string_of_int a)) in
+  QCheck.make
+    ~print:(fun (lts, p1, p2) ->
+      Format.asprintf "%a p1=[%s] p2=[%s]" Lts.pp_stats lts (ints p1) (ints p2))
+    gen
 
-(* The renaming primitive itself: unsplit blocks map injectively, split
-   blocks map to -1, and remap preserves content exactly. *)
-let test_renaming_primitive () =
-  let old_block = [| 0; 0; 1; 1; 2 |] in
-  let new_block = [| 1; 1; 2; 0; 3 |] in
-  let rename = Tau.renaming ~old_block ~new_block in
-  Alcotest.(check bool) "rename table" true (rename = [| 1; -1; 3 |]);
-  Alcotest.(check bool) "remap survives" true
-    (Tau.remap_pairs rename [| 0; 2 |] = Some [| 1; 3 |]);
-  Alcotest.(check bool) "remap invalidates" true
-    (Tau.remap_pairs rename [| 0; 1 |] = None)
-
-(* ------------------------------------------------------------------ *)
-(* Instruments: a multi-round lazy refinement reuses remapped entries   *)
-
-let test_cache_counters () =
-  let hits0 = Metrics.count Instruments.bisim_tau_cache_hits in
-  let misses0 = Metrics.count Instruments.bisim_tau_cache_misses in
-  ignore (Bisim.weak_partition (Lazy.force small_streaming_lts));
-  Alcotest.(check bool) "cache hits recorded" true
-    (Metrics.count Instruments.bisim_tau_cache_hits > hits0);
-  Alcotest.(check bool) "cache misses recorded" true
-    (Metrics.count Instruments.bisim_tau_cache_misses > misses0)
+let prop_weak_signatures =
+  QCheck.Test.make ~count:300
+    ~name:"weak_signatures = saturated signatures, stateless across rounds"
+    arb_partitioned
+    (fun (lts, p1, p2) ->
+      let n = lts.Lts.num_states in
+      let sat = Tau.saturate ~traced:false lts in
+      let weak = Tau.weak_signatures lts in
+      let f1 = weak p1 in
+      let first = Array.init n f1 in
+      let f2 = weak p2 in
+      let fresh = Tau.weak_signatures lts p2 in
+      List.for_all
+        (fun s ->
+          f1 s = saturated_signature sat p1 s
+          && f2 s = saturated_signature sat p2 s
+          && f2 s = fresh s
+          && f1 s = first.(s))
+        (List.init n Fun.id))
 
 let suite =
   [
@@ -291,9 +276,5 @@ let suite =
       test_weak_jobs_identity;
     Alcotest.test_case "branching jobs-identical" `Quick
       test_branching_jobs_identity;
-    Alcotest.test_case "cache advance = cold recompute" `Quick
-      test_cache_invalidation;
-    Alcotest.test_case "renaming primitive" `Quick test_renaming_primitive;
-    Alcotest.test_case "tau cache counters recorded" `Quick
-      test_cache_counters;
+    QCheck_alcotest.to_alcotest ~long:false prop_weak_signatures;
   ]
