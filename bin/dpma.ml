@@ -362,15 +362,15 @@ let cmd_noninterference =
         end;
         let el = load file in
         let lts = Lts.of_spec ~max_states el.Elaborate.spec in
-        let is_high a = List.mem a high and is_low a = List.mem a low in
+        let front = NI.front lts ~high:(NI.mem_of high) ~low:(NI.mem_of low) in
         if branching then begin
-          if NI.branching_secure lts ~high:is_high ~low:is_low then
+          if Bisim.branching_front_secure front then
             Format.printf
               "SECURE (branching bisimulation): the DPM does not interfere \
                with the low behavior@."
           else begin
             Format.printf "INSECURE under branching bisimulation";
-            (match NI.check_lts lts ~high:is_high ~low:is_low with
+            (match NI.front_verdict front with
             | NI.Secure ->
                 Format.printf
                   " (but the paper's weak-bisimulation check passes: only the \
@@ -380,7 +380,7 @@ let cmd_noninterference =
           end
         end
         else begin
-          let verdict = NI.check_lts lts ~high:is_high ~low:is_low in
+          let verdict = NI.front_verdict front in
           Format.printf "%a@." NI.pp_verdict verdict;
           match verdict with NI.Secure -> () | NI.Insecure _ -> exit 1
         end)

@@ -241,39 +241,21 @@ let parse_rate st =
         end
       end
       else Ast.Inf (1, 1.0)
-  | IDENT "det" ->
+  | IDENT (("det" | "norm" | "unif" | "erlang" | "weibull") as name) -> (
       expect st LPAREN;
-      let c = expect_number st in
+      let rec args acc =
+        let acc = expect_number st :: acc in
+        if (peek st).token = COMMA then begin
+          ignore (next st);
+          args acc
+        end
+        else List.rev acc
+      in
+      let args = args [] in
       expect st RPAREN;
-      Ast.Gen (Dpma_dist.Dist.Deterministic c)
-  | IDENT "norm" ->
-      expect st LPAREN;
-      let m = expect_number st in
-      expect st COMMA;
-      let sd = expect_number st in
-      expect st RPAREN;
-      Ast.Gen (Dpma_dist.Dist.Normal (m, sd))
-  | IDENT "unif" ->
-      expect st LPAREN;
-      let a = expect_number st in
-      expect st COMMA;
-      let b = expect_number st in
-      expect st RPAREN;
-      Ast.Gen (Dpma_dist.Dist.Uniform (a, b))
-  | IDENT "erlang" ->
-      expect st LPAREN;
-      let k = expect_number st in
-      expect st COMMA;
-      let m = expect_number st in
-      expect st RPAREN;
-      Ast.Gen (Dpma_dist.Dist.Erlang (int_of_float k, m))
-  | IDENT "weibull" ->
-      expect st LPAREN;
-      let k = expect_number st in
-      expect st COMMA;
-      let l = expect_number st in
-      expect st RPAREN;
-      Ast.Gen (Dpma_dist.Dist.Weibull (k, l))
+      match Dpma_dist.Dist.of_args name args with
+      | Ok d -> Ast.Gen d
+      | Error message -> error_at t message)
   | _ ->
       error_at t
         (Format.asprintf

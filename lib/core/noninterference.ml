@@ -13,15 +13,35 @@ let observed_pair lts ~high ~low =
   in
   (with_dpm_hidden, without_dpm)
 
-let check_lts ?jobs lts ~high ~low =
+let front ?jobs lts ~high ~low =
   let hidden, removed = observed_pair lts ~high ~low in
-  (* Single pass: the product refiner decides the verdict (lazy weak
-     signatures, one watched refinement), and an INSECURE split hands
-     its trail straight to the diagnostics — the union is never
-     analyzed twice. *)
-  match Bisim.weak_product_check ?jobs hidden removed with
+  Bisim.product_front ?jobs hidden removed
+
+(* Single pass: the product refiner decides the verdict (lazy weak
+   signatures, one watched refinement), and an INSECURE split hands its
+   trail straight to the diagnostics — the union is never analyzed
+   twice. *)
+let front_verdict ?jobs front =
+  match Bisim.weak_front_check ?jobs front with
   | Bisim.Product_secure _ -> Secure
   | Bisim.Product_insecure trail -> Insecure (Diagnose.of_product_trail trail)
+
+let check_lts ?jobs lts ~high ~low =
+  front_verdict ?jobs (front ?jobs lts ~high ~low)
+
+let branching_secure ?jobs lts ~high ~low =
+  Bisim.branching_front_secure ?jobs (front ?jobs lts ~high ~low)
+
+let trace_secure ?jobs lts ~high ~low =
+  Bisim.trace_front_secure ?jobs (front ?jobs lts ~high ~low)
+
+(* The decisions run in sequence — weak, trace, branching — as the three
+   separate calls did; a tuple would evaluate them right to left. *)
+let check_hierarchy ?jobs lts ~high ~low =
+  let front = front ?jobs lts ~high ~low in
+  let verdict = front_verdict ?jobs front in
+  let trace = Bisim.trace_front_secure ?jobs front in
+  (verdict, trace, Bisim.branching_front_secure ?jobs front)
 
 (* The hide/restrict traversals query the classifier once per transition;
    a membership list scanned per query is quadratic in practice. Build
@@ -43,11 +63,3 @@ let pp_verdict ppf = function
         "@[<v>INSECURE: the DPM is observable by the client; distinguishing \
          formula:@,%a@]"
         (Hml.pp ~weak:true) formula
-
-let branching_secure ?jobs lts ~high ~low =
-  let hidden, removed = observed_pair lts ~high ~low in
-  Bisim.branching_product_secure ?jobs hidden removed
-
-let trace_secure ?jobs lts ~high ~low =
-  let hidden, removed = observed_pair lts ~high ~low in
-  Bisim.trace_product_secure ?jobs hidden removed

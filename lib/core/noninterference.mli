@@ -47,6 +47,37 @@ val observed_pair :
 (** The two compared systems: (DPM hidden, DPM removed), both with
     non-low actions hidden — exposed for inspection and testing. *)
 
+val mem_of : string list -> string -> bool
+(** [mem_of actions] classifies an action name by membership in
+    [actions], through a set built once — the classifier to hand to the
+    checks, which query it once per transition. *)
+
+val front :
+  ?jobs:int ->
+  Dpma_lts.Lts.t ->
+  high:(string -> bool) ->
+  low:(string -> bool) ->
+  Dpma_lts.Bisim.product_front
+(** The {!observed_pair}, pruned and pre-reduced once
+    ({!Dpma_lts.Bisim.product_front}); every check of the hierarchy can
+    run on it. *)
+
+val front_verdict : ?jobs:int -> Dpma_lts.Bisim.product_front -> verdict
+(** The paper's weak-bisimulation verdict on a {!front}, with the
+    distinguishing formula on failure. [check_lts] is [front_verdict] of
+    [front]. *)
+
+val check_hierarchy :
+  ?jobs:int ->
+  Dpma_lts.Lts.t ->
+  high:(string -> bool) ->
+  low:(string -> bool) ->
+  verdict * bool * bool
+(** [(verdict, trace_secure, branching_secure)] — the results of
+    {!check_lts}, {!trace_secure} and {!branching_secure} — from one
+    observed pair and one {!front}, so the pruning and pre-reduction run
+    once for all three checks. *)
+
 val pp_verdict : Format.formatter -> verdict -> unit
 
 val branching_secure :

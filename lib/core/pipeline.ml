@@ -29,18 +29,16 @@ let assess ?(sim_params = General.default_sim_params) ?max_states ?jobs study =
   let functional =
     Option.value ~default:study.spec study.functional_spec
   in
-  (* The functional LTS is built once and shared by the three checks;
-     when the study has no separate functional model it is also the
-     LTS the later phases analyze. *)
+  (* The functional LTS is built once and its observed pair reduced once
+     for the three checks; when the study has no separate functional
+     model it is also the LTS the later phases analyze. *)
   let functional_lts, (verdict, trace_secure, branching_secure) =
     span "pipeline.functional" (fun () ->
         let flts = Lts.of_spec ?max_states ?jobs functional in
-        let high a = List.exists (String.equal a) study.high
-        and low a = List.exists (String.equal a) study.low in
         ( flts,
-          ( Noninterference.check_lts ?jobs flts ~high ~low,
-            Noninterference.trace_secure ?jobs flts ~high ~low,
-            Noninterference.branching_secure ?jobs flts ~high ~low ) ))
+          Noninterference.check_hierarchy ?jobs flts
+            ~high:(Noninterference.mem_of study.high)
+            ~low:(Noninterference.mem_of study.low) ))
   in
   let lts =
     match study.functional_spec with

@@ -42,37 +42,47 @@ let variance = function
       let g x = exp (log_gamma x) in
       (l *. l) *. (g (1.0 +. (2.0 /. k)) -. (g (1.0 +. (1.0 /. k)) ** 2.0))
 
-let sample_exponential g mean =
+let[@inline] sample_exponential g mean =
   let u = 1.0 -. Prng.float g in
   -.mean *. log u
 
-let sample_standard_normal g =
-  (* Marsaglia polar method; at most a handful of rejections expected. *)
-  let rec draw () =
-    let u = (2.0 *. Prng.float g) -. 1.0 in
-    let v = (2.0 *. Prng.float g) -. 1.0 in
-    let s = (u *. u) +. (v *. v) in
-    if s >= 1.0 || s = 0.0 then draw () else u *. sqrt (-2.0 *. log s /. s)
-  in
-  draw ()
-
-let rec sample g dist =
+(* Plain loops and a store into [out]: a float returned from a
+   non-inlined or recursive function is boxed, one allocation per draw on
+   the simulator's hot path. The normal is Marsaglia's polar method (at
+   most a handful of rejections expected), resampled while negative. *)
+let sample_into g dist out i =
   match dist with
-  | Exponential m -> sample_exponential g m
-  | Deterministic c -> c
-  | Uniform (a, b) -> Prng.float_range g a b
+  | Exponential m -> out.(i) <- sample_exponential g m
+  | Deterministic c -> out.(i) <- c
+  | Uniform (a, b) -> out.(i) <- Prng.float_range g a b
   | Normal (m, sd) ->
-      let x = m +. (sd *. sample_standard_normal g) in
-      if x < 0.0 then sample g dist else x
+      let x = ref 0.0 in
+      let drawing = ref true in
+      while !drawing do
+        let u = (2.0 *. Prng.float g) -. 1.0 in
+        let v = (2.0 *. Prng.float g) -. 1.0 in
+        let s = (u *. u) +. (v *. v) in
+        if not (s >= 1.0 || s = 0.0) then begin
+          x := m +. (sd *. (u *. sqrt (-2.0 *. log s /. s)));
+          drawing := !x < 0.0
+        end
+      done;
+      out.(i) <- !x
   | Erlang (k, m) ->
       let stage_mean = m /. float_of_int k in
-      let rec go i acc =
-        if i = 0 then acc else go (i - 1) (acc +. sample_exponential g stage_mean)
-      in
-      go k 0.0
+      let acc = ref 0.0 in
+      for _ = 1 to k do
+        acc := !acc +. sample_exponential g stage_mean
+      done;
+      out.(i) <- !acc
   | Weibull (k, l) ->
       let u = 1.0 -. Prng.float g in
-      l *. ((-.log u) ** (1.0 /. k))
+      out.(i) <- l *. ((-.log u) ** (1.0 /. k))
+
+let sample g dist =
+  let out = Array.make 1 0.0 in
+  sample_into g dist out 0;
+  out.(0)
 
 let exponential_with_same_mean t = Exponential (mean t)
 
@@ -87,6 +97,39 @@ let pp ppf = function
   | Weibull (k, l) -> Format.fprintf ppf "weibull(%s,%s)" (fr k) (fr l)
 
 let to_string t = Format.asprintf "%a" pp t
+
+let of_args name args =
+  let literal =
+    Printf.sprintf "%s(%s)" name (String.concat "," (List.map fr args))
+  in
+  let bad form rule =
+    Error (Printf.sprintf "%s: %s needs %s" literal form rule)
+  in
+  match (name, args) with
+  | ("exp" | "det" | "unif" | "norm" | "erlang" | "weibull"), _
+    when not (List.for_all Float.is_finite args) ->
+      Error (Printf.sprintf "%s: arguments must be finite" literal)
+  | "exp", [ m ] -> if m > 0.0 then Ok (Exponential m) else bad "exp(m)" "m > 0"
+  | "det", [ c ] ->
+      if c >= 0.0 then Ok (Deterministic c) else bad "det(c)" "c >= 0"
+  | "unif", [ a; b ] ->
+      if 0.0 <= a && a <= b then Ok (Uniform (a, b))
+      else bad "unif(a,b)" "0 <= a <= b"
+  | "norm", [ m; sd ] ->
+      if m >= 0.0 && sd >= 0.0 then Ok (Normal (m, sd))
+      else bad "norm(m,sd)" "m >= 0 and sd >= 0"
+  | "erlang", [ k; m ] ->
+      if Float.is_integer k && k >= 1.0 && m > 0.0 then
+        Ok (Erlang (int_of_float k, m))
+      else bad "erlang(k,m)" "an integer k >= 1 and m > 0"
+  | "weibull", [ k; l ] ->
+      if k > 0.0 && l > 0.0 then Ok (Weibull (k, l))
+      else bad "weibull(k,l)" "k > 0 and l > 0"
+  | ("exp" | "det"), _ ->
+      Error (Printf.sprintf "%s: %s takes 1 argument" literal name)
+  | ("unif" | "norm" | "erlang" | "weibull"), _ ->
+      Error (Printf.sprintf "%s: %s takes 2 arguments" literal name)
+  | _ -> Error (Printf.sprintf "unknown distribution %S" name)
 
 let of_string s =
   let s = String.trim s in
@@ -112,19 +155,7 @@ let of_string s =
       else
         let name = String.sub s 0 i in
         let body = String.sub s (i + 1) (String.length s - i - 2) in
-        let ( let* ) = Result.bind in
-        let* args = parse_args name body in
-        (match (name, args) with
-        | "exp", [ m ] when m > 0.0 -> Ok (Exponential m)
-        | "det", [ c ] when c >= 0.0 -> Ok (Deterministic c)
-        | "unif", [ a; b ] when 0.0 <= a && a <= b -> Ok (Uniform (a, b))
-        | "norm", [ m; sd ] when sd >= 0.0 -> Ok (Normal (m, sd))
-        | "erlang", [ k; m ] when Float.is_integer k && k >= 1.0 && m > 0.0 ->
-            Ok (Erlang (int_of_float k, m))
-        | "weibull", [ k; l ] when k > 0.0 && l > 0.0 -> Ok (Weibull (k, l))
-        | ("exp" | "det" | "unif" | "norm" | "erlang" | "weibull"), _ ->
-            Error (Printf.sprintf "distribution %s: bad arguments in %S" name s)
-        | _, _ -> Error (Printf.sprintf "unknown distribution %S" name))
+        Result.bind (parse_args name body) (of_args name)
 
 let equal a b =
   match (a, b) with

@@ -564,61 +564,91 @@ let record_product_exit ~rounds ~pruned secure =
   Dpma_obs.Metrics.incr
     (if secure then I.ni_product_secure_exits else I.ni_product_insecure_exits)
 
-(* The per-side preparation every product front shares: prune to the
-   reachable part, then [pre_reduce] — per side, so the unreduced union
-   never exists. Returns the reduced side and the number of states the
-   pruning dropped (the reduction's merges are not counted). *)
-let reduce_side ?jobs ?par_cutoff lts =
-  let reachable, pruned = restrict_reachable lts in
-  (snd (pre_reduce ?jobs ?par_cutoff reachable), pruned)
+type product_front = {
+  front_left : Lts.t;  (* the original sides, kept for the insecure trail *)
+  front_right : Lts.t;
+  reduced_left : Lts.t;
+  reduced_right : Lts.t;
+  pruned : int;  (* states the reachability pruning dropped, both sides *)
+}
 
-(* One product front: both sides reduced, [decide] run on the reduced
-   pair, the exit recorded. [decide] returns the watched refinement's
-   [(partition, rounds, split)]. *)
-let product_front ?jobs ?par_cutoff (a : Lts.t) (b : Lts.t) ~decide =
-  Dpma_obs.Trace.with_span "bisim.product"
+(* Prune each side to its reachable part, then [pre_reduce] it — per
+   side, so the unreduced union never exists. The reduction's merges are
+   not counted in [pruned]. *)
+let product_front ?jobs ?par_cutoff (a : Lts.t) (b : Lts.t) =
+  Dpma_obs.Trace.with_span "bisim.front"
     ~attrs:
       [ ("states", Dpma_obs.Trace.Int (a.num_states + b.num_states)) ]
     (fun () ->
-      let qa, pruned_a = reduce_side ?jobs ?par_cutoff a in
-      let qb, pruned_b = reduce_side ?jobs ?par_cutoff b in
-      let ((_, rounds, split) as result) = decide qa qb in
-      record_product_exit ~rounds ~pruned:(pruned_a + pruned_b) (not split);
+      let reduce lts =
+        let reachable, pruned = restrict_reachable lts in
+        (snd (pre_reduce ?jobs ?par_cutoff reachable), pruned)
+      in
+      let reduced_left, pruned_a = reduce a in
+      let reduced_right, pruned_b = reduce b in
+      {
+        front_left = a;
+        front_right = b;
+        reduced_left;
+        reduced_right;
+        pruned = pruned_a + pruned_b;
+      })
+
+(* One decision on a front: the two reduced sides, each mapped through
+   [side], are stitched and refined under [signature] with the initial
+   states watched. Returns the watched refinement's
+   [(partition, rounds, split)]; the exit is recorded with the front's
+   pruned count, once per decision. *)
+let decide_on ?jobs ?par_cutoff ?(side = Fun.id) front ~signature =
+  Dpma_obs.Trace.with_span "bisim.product"
+    ~attrs:
+      [
+        ( "states",
+          Dpma_obs.Trace.Int
+            (front.reduced_left.num_states + front.reduced_right.num_states) );
+      ]
+    (fun () ->
+      let union, ia, ib =
+        Lts.disjoint_union (side front.reduced_left) (side front.reduced_right)
+      in
+      let ((_, rounds, split) as result) =
+        refine_loop ?jobs ?par_cutoff union ~signature:(signature union)
+          ~watch:(ia, ib)
+      in
+      record_product_exit ~rounds ~pruned:front.pruned (not split);
       result)
 
-let weak_product_check ?jobs ?par_cutoff (a : Lts.t) (b : Lts.t) =
-  (* Disjoint union commutes with saturation, so refining the unsaturated
-     union through the lazy weak pass sees the same signatures — hence
-     the same rounds, watched exit and trail — as strong refinement of a
-     saturated union would. *)
-  let decide qa qb =
-    let union, ia, ib = Lts.disjoint_union qa qb in
-    refine_loop ?jobs ?par_cutoff union ~signature:(weak_signature union)
-      ~watch:(ia, ib)
-  in
-  match product_front ?jobs ?par_cutoff a b ~decide with
+(* Disjoint union commutes with saturation, so refining the unsaturated
+   union through the lazy weak pass sees the same signatures — hence the
+   same rounds, watched exit and trail — as strong refinement of a
+   saturated union would. *)
+let weak_front_check ?jobs ?par_cutoff front =
+  match decide_on ?jobs ?par_cutoff front ~signature:weak_signature with
   | partition, rounds, false -> Product_secure { partition; rounds }
   | _, rounds, true ->
-      Product_insecure { left = a; right = b; split_round = rounds }
+      Product_insecure
+        { left = front.front_left; right = front.front_right;
+          split_round = rounds }
 
-let branching_product_secure ?jobs ?par_cutoff (a : Lts.t) (b : Lts.t) =
-  let decide qa qb =
-    let union, ia, ib = Lts.disjoint_union qa qb in
-    refine_loop ?jobs ?par_cutoff union
-      ~signature:(branching_signature union) ~watch:(ia, ib)
+let branching_front_secure ?jobs ?par_cutoff front =
+  let _, _, split =
+    decide_on ?jobs ?par_cutoff front ~signature:branching_signature
   in
-  let _, _, split = product_front ?jobs ?par_cutoff a b ~decide in
   not split
 
-let trace_product_secure ?max_states ?jobs ?par_cutoff (a : Lts.t)
-    (b : Lts.t) =
-  let decide qa qb =
-    let union, ia, ib =
-      Lts.disjoint_union (determinize ?max_states qa)
-        (determinize ?max_states qb)
-    in
-    refine_loop ?jobs ?par_cutoff union ~signature:(strong_signature union)
-      ~watch:(ia, ib)
+let trace_front_secure ?max_states ?jobs ?par_cutoff front =
+  let _, _, split =
+    decide_on ?jobs ?par_cutoff front ~side:(determinize ?max_states)
+      ~signature:strong_signature
   in
-  let _, _, split = product_front ?jobs ?par_cutoff a b ~decide in
   not split
+
+let weak_product_check ?jobs ?par_cutoff a b =
+  weak_front_check ?jobs ?par_cutoff (product_front ?jobs ?par_cutoff a b)
+
+let branching_product_secure ?jobs ?par_cutoff a b =
+  branching_front_secure ?jobs ?par_cutoff (product_front ?jobs ?par_cutoff a b)
+
+let trace_product_secure ?max_states ?jobs ?par_cutoff a b =
+  trace_front_secure ?max_states ?jobs ?par_cutoff
+    (product_front ?jobs ?par_cutoff a b)

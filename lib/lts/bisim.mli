@@ -107,18 +107,19 @@ val trace_equivalent : ?jobs:int -> ?par_cutoff:int -> Lts.t -> Lts.t -> bool
 
     The noninterference check relates the initial states of two LTSs; the
     product entry points below decide exactly that question without ever
-    materializing the disjoint union of the unreduced sides. Each side is
-    first pruned to the part reachable from its initial state and
-    pre-reduced on its own (strong quotient, tau-SCC collapse — one step
-    shared by all three fronts, sound for weak, branching and trace
-    equivalence alike); for the weak check the reduced sides are
-    stitched unsaturated and refined through the lazy weak pass (no
-    ["bisim.saturate"] span fires). The
-    watched refinement over the stitched product stops as soon as the two
-    initial states split (early-exit INSECURE) or as soon as the
+    materializing the disjoint union of the unreduced sides. A
+    {!product_front} prunes each side to the part reachable from its
+    initial state and pre-reduces it on its own (strong quotient, tau-SCC
+    collapse — sound for weak, branching and trace equivalence alike), once;
+    the weak, branching and trace decisions then all run on that one front.
+    For the weak decision the reduced sides are stitched unsaturated and
+    refined through the lazy weak pass (no ["bisim.saturate"] span fires).
+    The watched refinement over the stitched product stops as soon as the
+    two initial states split (early-exit INSECURE) or as soon as the
     partition over the pruned product is stable with the initial states
-    co-blocked (SECURE). Progress lands in the [ni.product.*] and (weak
-    check) [bisim.tau.*] instruments. *)
+    co-blocked (SECURE). Each decision records its exit in the
+    [ni.product.*] instruments (with the front's pruned-state count), and
+    the weak one in [bisim.tau.*]. *)
 
 type product_trail = {
   left : Lts.t;  (** the original (unpruned, unreduced) left side *)
@@ -138,29 +139,49 @@ type product_result =
           run. *)
   | Product_insecure of product_trail
 
-val weak_product_check :
-  ?jobs:int -> ?par_cutoff:int -> Lts.t -> Lts.t -> product_result
-(** [weak_product_check a b] decides weak bisimilarity of the two initial
-    states — the same verdict as {!weak_equivalent}, with reachability
-    pruning, per-side pre-reduction, and watched early exit. The watched
-    refinement parallelizes like every other: the early-exit check runs
-    in the coordinator on the deterministically merged round result, so
-    the exit round and verdict are identical for any job count. *)
+type product_front
+(** Two sides, each pruned to its reachable part and pre-reduced, plus
+    the original sides (for the insecure trail) and the number of states
+    the pruning dropped. *)
 
-val branching_product_secure :
-  ?jobs:int -> ?par_cutoff:int -> Lts.t -> Lts.t -> bool
-(** {!branching_equivalent} through the watched product refiner: both
-    sides are pruned and pre-reduced like {!weak_product_check}'s, and
-    branching signatures refine their union until the initial states
-    split or the partition is stable. The tau-SCC collapse is sound
-    because the branching signature is divergence-blind; a
+val product_front :
+  ?jobs:int -> ?par_cutoff:int -> Lts.t -> Lts.t -> product_front
+(** [product_front a b] prunes and pre-reduces both sides under one
+    ["bisim.front"] span. Build it once and run every decision on it. *)
+
+val weak_front_check :
+  ?jobs:int -> ?par_cutoff:int -> product_front -> product_result
+(** Weak bisimilarity of the two initial states — the same verdict as
+    {!weak_equivalent} on the original sides, with watched early exit.
+    The watched refinement parallelizes like every other: the early-exit
+    check runs in the coordinator on the deterministically merged round
+    result, so the exit round and verdict are identical for any job
+    count. *)
+
+val branching_front_secure :
+  ?jobs:int -> ?par_cutoff:int -> product_front -> bool
+(** {!branching_equivalent} through the watched product refiner:
+    branching signatures refine the reduced union until the initial
+    states split or the partition is stable. The tau-SCC collapse is
+    sound because the branching signature is divergence-blind; a
     divergence-sensitive variant would have to mark divergent SCCs
     instead. *)
 
+val trace_front_secure :
+  ?max_states:int -> ?jobs:int -> ?par_cutoff:int -> product_front -> bool
+(** {!trace_equivalent} through the watched product refiner: both reduced
+    sides (pruning and pre-reduction keep the weak-trace language) are
+    determinized, and the strong refinement of the determinized product
+    stops at the first initial-state split. *)
+
+val weak_product_check :
+  ?jobs:int -> ?par_cutoff:int -> Lts.t -> Lts.t -> product_result
+(** [weak_front_check] on [product_front a b]. *)
+
+val branching_product_secure :
+  ?jobs:int -> ?par_cutoff:int -> Lts.t -> Lts.t -> bool
+(** [branching_front_secure] on [product_front a b]. *)
+
 val trace_product_secure :
   ?max_states:int -> ?jobs:int -> ?par_cutoff:int -> Lts.t -> Lts.t -> bool
-(** {!trace_equivalent} through the watched product refiner: both sides
-    are pruned and pre-reduced like {!weak_product_check}'s (both steps
-    keep the weak-trace language) before determinization, and the strong
-    refinement of the determinized product stops at the first
-    initial-state split. *)
+(** [trace_front_secure] on [product_front a b]. *)

@@ -218,8 +218,10 @@ let step_of m s =
 let poll_interval = 0xFFFF
 
 (* Index of the segment containing time [t]: a monotone scan is fine, there
-   are few segments. Boundary times belong to the following segment. *)
-let segment_of boundaries t =
+   are few segments. Boundary times belong to the following segment. The
+   annotations keep the comparison a float one (the polymorphic compare
+   boxes both operands), and inlining keeps [t] unboxed. *)
+let[@inline] segment_of (boundaries : float array) (t : float) =
   let last = Array.length boundaries - 1 in
   let i = ref 0 in
   while !i < last && not (t < boundaries.(!i)) do
@@ -252,8 +254,8 @@ let simulate ?on_fire ?poll m ~boundaries g =
   let hits = Array.make (num_segments * count) 0.0 in
   let hits2 = Array.make (num_segments * count) 0.0 in
   (* Accrue state rewards of [s] over [lo, lo + dt), splitting at segment
-     boundaries. *)
-  let integrate s lo dt =
+     boundaries. Inlined, so its float arguments are never boxed. *)
+  let[@inline] integrate s lo dt =
     let hi = Float.min (lo +. dt) horizon in
     let seg_start = ref lo in
     while !seg_start < hi do
@@ -342,7 +344,7 @@ let simulate ?on_fire ?poll m ~boundaries g =
         for i = 0 to n - 1 do
           let l = enabled.(i) in
           if Bytes.get live l = '\000' then begin
-            clock.(l) <- Dist.sample g dists.(i);
+            Dist.sample_into g dists.(i) clock l;
             Bytes.set live l '\001'
           end
         done;

@@ -6,7 +6,9 @@
     streams (one per simulation replication). *)
 
 type t
-(** Mutable generator state. *)
+(** Mutable generator state: the 64-bit splitmix word, stored unboxed in
+    an 8-byte buffer, so advancing it reads and writes the word in place
+    and allocates nothing. *)
 
 val create : int -> t
 (** [create seed] makes a fresh generator from an integer seed. *)

@@ -222,6 +222,44 @@ let test_parse_errors () =
     "UNI";
   expect_parse_error "ARCHI_TYPE T(void) @" "unexpected character"
 
+(* Distribution literals go through [Dist.of_args], the rules
+   [Dist.of_string] applies: a bad literal is a parse error at the rate's
+   keyword, never a value that trips an assertion in the sampler, and a
+   fractional Erlang stage count is refused rather than truncated. *)
+let test_parse_distribution_literals () =
+  let src rate =
+    String.concat "\n"
+      [ "ARCHI_TYPE T(void)"; "ARCHI_ELEM_TYPES"; "ELEM_TYPE A_Type(void)";
+        Printf.sprintf "BEHAVIOR A_Beh(void; void) = <a, %s> . A_Beh()" rate;
+        "INPUT_INTERACTIONS void OUTPUT_INTERACTIONS void";
+        "ARCHI_TOPOLOGY ARCHI_ELEM_INSTANCES A : A_Type()";
+        "ARCHI_ATTACHMENTS void END" ]
+  in
+  List.iter
+    (fun (rate, expected) ->
+      match Parser.parse_result (src rate) with
+      | Ok _ -> Alcotest.failf "%s must be rejected" rate
+      | Error msg -> Alcotest.(check string) rate expected msg)
+    [ ("unif(3,1)", "line 4, column 34: unif(3,1): unif(a,b) needs 0 <= a <= b");
+      ( "erlang(1.5,2)",
+        "line 4, column 34: erlang(1.5,2): erlang(k,m) needs an integer k >= \
+         1 and m > 0" );
+      ( "erlang(0,1)",
+        "line 4, column 34: erlang(0,1): erlang(k,m) needs an integer k >= 1 \
+         and m > 0" );
+      ("weibull(0,1)", "line 4, column 34: weibull(0,1): weibull(k,l) needs k > 0 and l > 0");
+      ("det(1,2)", "line 4, column 34: det(1,2): det takes 1 argument");
+      ("norm(1)", "line 4, column 34: norm(1): norm takes 2 arguments") ];
+  let rate_of r =
+    match (List.hd (Parser.parse (src r)).Ast.elem_types).Ast.equations with
+    | { Ast.eq_body = Ast.Prefix (_, rate, _); _ } :: _ -> rate
+    | _ -> Alcotest.fail "expected a prefix"
+  in
+  Alcotest.(check bool) "erlang(2, 6)" true
+    (rate_of "erlang(2, 6)" = Ast.Gen (Dist.Erlang (2, 6.0)));
+  Alcotest.(check bool) "unif(1, 1)" true
+    (rate_of "unif(1, 1)" = Ast.Gen (Dist.Uniform (1.0, 1.0)))
+
 let test_lexer_positions () =
   (try
      ignore (Lexer.tokenize "abc\n  @");
@@ -448,6 +486,8 @@ let suite =
     Alcotest.test_case "parse minimal" `Quick test_parse_minimal;
     Alcotest.test_case "parse rates" `Quick test_parse_rates;
     Alcotest.test_case "parse errors" `Quick test_parse_errors;
+    Alcotest.test_case "parse distribution literals" `Quick
+      test_parse_distribution_literals;
     Alcotest.test_case "lexer positions" `Quick test_lexer_positions;
     Alcotest.test_case "lexer comments" `Quick test_lexer_comments;
     Alcotest.test_case "lexer CRLF/tab positions" `Quick

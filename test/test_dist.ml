@@ -102,7 +102,8 @@ let test_of_string_errors () =
   in
   List.iter expect_error
     [ "exp"; "exp()"; "exp(-1)"; "exp(0)"; "unif(3,1)"; "gauss(1,2)";
-      "erlang(1.5,2)"; "det(-1)"; "norm(1,-1)"; "weibull(0,1)" ]
+      "erlang(1.5,2)"; "det(-1)"; "norm(1,-1)"; "weibull(0,1)";
+      "norm(-1,1)"; "exp(inf)"; "det(nan)"; "erlang(0,1)"; "unif(1)" ]
 
 let test_equal_distinguishes () =
   Alcotest.(check bool) "exp vs det" false
@@ -115,6 +116,35 @@ let test_sampling_deterministic_given_seed () =
   let a = Dist.sample (Prng.create 99) d in
   let b = Dist.sample (Prng.create 99) d in
   Alcotest.(check (float 0.0)) "reproducible" a b
+
+(* Three draws per family from one seed, pinned bit for bit: the samplers
+   write straight into the simulator's clock array, and that rewrite
+   must keep every family's draw order and arithmetic (the normal's
+   third draw comes from resampling a negative value). *)
+let test_samples_pinned () =
+  List.iter
+    (fun (d, expected) ->
+      let g = Prng.create 7 in
+      let got = List.init 3 (fun _ -> Dist.sample g d) in
+      List.iter2
+        (fun e x ->
+          if not (Int64.equal (Int64.bits_of_float e) (Int64.bits_of_float x))
+          then
+            Alcotest.failf "%s: got %h, pinned %h" (Dist.to_string d) x e)
+        expected got)
+    [
+      (Dist.Exponential 2.0,
+       [ 0x1.f9dfa91949292p-1; 0x1.1564fc853fd13p-5; 0x1.27b5522e52a86p+2 ]);
+      (Dist.Deterministic 1.5, [ 1.5; 1.5; 1.5 ]);
+      (Dist.Uniform (1.0, 3.0),
+       [ 0x1.c797c3c8b2641p+0; 0x1.089879afe878cp+0; 0x1.66984080bab12p+1 ]);
+      (Dist.Normal (0.1, 1.0),
+       [ 0x1.dd40e17953802p-5; 0x1.f3f5610ddd497p-1; 0x1.339b1663ccc56p+0 ]);
+      (Dist.Erlang (3, 6.0),
+       [ 0x1.691c114a864d2p+2; 0x1.c382b1d6649eap+1; 0x1.2c3cd5e831706p+1 ]);
+      (Dist.Weibull (1.5, 2.0),
+       [ 0x1.3ff6343d3d67ap+0; 0x1.0e124492f7389p-3; 0x1.bf6109b970e0fp+1 ]);
+    ]
 
 let prop_samples_nonnegative =
   QCheck.Test.make ~count:100 ~name:"all samples are non-negative durations"
@@ -170,6 +200,7 @@ let suite =
     Alcotest.test_case "exponential with same mean" `Quick test_exponential_with_same_mean;
     Alcotest.test_case "string roundtrip" `Quick test_to_string_of_string_roundtrip;
     Alcotest.test_case "of_string errors" `Quick test_of_string_errors;
+    Alcotest.test_case "samples pinned per family" `Quick test_samples_pinned;
     Alcotest.test_case "equality" `Quick test_equal_distinguishes;
     Alcotest.test_case "sampling reproducible" `Quick test_sampling_deterministic_given_seed;
   ]

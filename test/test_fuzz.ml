@@ -206,6 +206,39 @@ let prop_trace_consistent_with_weak_on_models =
         Bisim.trace_equivalent hidden hidden
         && Bisim.weak_equivalent hidden hidden)
 
+(* The one-front hierarchy ([Noninterference.check_hierarchy]) equals the
+   three separate checks — verdict, formula text, both booleans and the
+   ni.product.* counter deltas — on random rings with a random
+   high / low / internal split of their actions. *)
+let prop_shared_front_matches_separate_checks =
+  QCheck.Test.make ~count:25
+    ~name:"fuzz: shared noninterference front = three separate checks"
+    QCheck.(pair arb_archi small_nat)
+    (fun (archi, seed) ->
+      let el = Elaborate.elaborate archi in
+      let lts = Lts.of_spec el.Elaborate.spec in
+      if lts.Lts.num_states > 400 then QCheck.assume_fail ()
+      else
+        let rng = Random.State.make [| seed |] in
+        let high, low =
+          List.fold_left
+            (fun (high, low) l ->
+              if l = Lts.tau then (high, low)
+              else
+                let a = Lts.label_name l in
+                match Random.State.int rng 3 with
+                | 0 -> (a :: high, low)
+                | 1 -> (high, a :: low)
+                | _ -> (high, low))
+            ([], []) (Lts.labels lts)
+        in
+        let module NI = Dpma_core.Noninterference in
+        let same, _, _ =
+          Test_noninterference.shared_front_matches_separate_calls lts
+            ~high:(NI.mem_of high) ~low:(NI.mem_of low)
+        in
+        same)
+
 let qtests =
   [
     prop_pp_parse_roundtrip;
@@ -214,6 +247,7 @@ let qtests =
     prop_deadlock_free_or_detected;
     prop_minimization_sound_on_models;
     prop_trace_consistent_with_weak_on_models;
+    prop_shared_front_matches_separate_checks;
   ]
 
 let suite = List.map (QCheck_alcotest.to_alcotest ~long:false) qtests

@@ -424,11 +424,10 @@ let test_product_counters () =
   Alcotest.(check bool) "unreachable states pruned" true
     (Metrics.count Instruments.ni_product_pruned > pruned_before)
 
-(* The branching front refines the same reduced sides as the weak one:
-   under each "bisim.product" span, the "bisim.refine" spans (the
-   per-side strong quotients, then the watched union) report the same
-   state counts. Dropping the branching front's reduction would make its
-   union refine the raw sides and change the last count. *)
+(* The branching decision refines the same reduced sides as the weak one:
+   under each "bisim.product" span, the "bisim.refine" spans (the watched
+   union; the per-side strong quotients run under "bisim.front") report
+   the same state counts. Refining the raw sides would change them. *)
 let refine_states_under_products () =
   let rec refines acc (s : Trace.span) =
     let acc =
@@ -473,8 +472,101 @@ let test_branching_refines_reduced_union () =
   Alcotest.(check (list int)) "same refinements, same state counts" weak
     branching
 
+(* One front for the whole hierarchy: [check_hierarchy] reduces the
+   observed pair once and runs the weak, trace and branching decisions on
+   it. It must report exactly what the three separate calls report — the
+   verdict, the formula text, both booleans — and move the ni.product.*
+   counters by the same amounts (each decision records the front's pruned
+   count). Exposed for the fuzz property in test_fuzz.ml. *)
+let product_counters () =
+  List.map Metrics.count
+    Instruments.
+      [ ni_product_pruned; ni_product_rounds; ni_product_secure_exits;
+        ni_product_insecure_exits ]
+
+let hierarchy_outcome run =
+  let before = product_counters () in
+  let verdict, trace, branching = run () in
+  let verdict =
+    match verdict with
+    | NI.Secure -> "SECURE"
+    | NI.Insecure f -> Hml.to_string ~weak:true f
+  in
+  (verdict, trace, branching, List.map2 ( - ) (product_counters ()) before)
+
+let shared_front_matches_separate_calls lts ~high ~low =
+  let separate =
+    hierarchy_outcome (fun () ->
+        ( NI.check_lts ~jobs:1 lts ~high ~low,
+          NI.trace_secure ~jobs:1 lts ~high ~low,
+          NI.branching_secure ~jobs:1 lts ~high ~low ))
+  in
+  let shared =
+    hierarchy_outcome (fun () -> NI.check_hierarchy ~jobs:1 lts ~high ~low)
+  in
+  (separate = shared, separate, shared)
+
+let check_shared_front spec ~high ~low ~expected =
+  let lts = Lts.of_spec spec in
+  let same, (verdict, trace, branching, deltas), (verdict', _, _, deltas') =
+    shared_front_matches_separate_calls lts ~high:(NI.mem_of high)
+      ~low:(NI.mem_of low)
+  in
+  Alcotest.(check string) "verdict and formula" verdict verdict';
+  Alcotest.(check (list int)) "ni.product.* deltas" deltas deltas';
+  Alcotest.(check bool) "same outcome" true same;
+  Alcotest.(check (triple bool bool bool))
+    "weak, trace, branching" expected
+    (verdict = "SECURE", trace, branching)
+
+let test_shared_front_simplified_rpc () =
+  check_shared_front (Lazy.force simplified_spec) ~high:Rpc.high_actions
+    ~low:Rpc.low_actions_simplified ~expected:(false, true, false)
+
+let test_shared_front_revised_rpc () =
+  check_shared_front
+    (Rpc.elaborate ~mode:Rpc.Markovian ~monitors:false Rpc.default_params)
+      .Elaborate.spec
+    ~high:Rpc.high_actions ~low:Rpc.low_actions ~expected:(true, true, true)
+
+let test_shared_front_streaming () =
+  check_shared_front (Lazy.force small_streaming_spec)
+    ~high:Streaming.high_actions ~low:Streaming.low_actions
+    ~expected:(true, true, true)
+
+(* The shared front's spans: one "bisim.front" (pruning and both
+   pre-reductions) and then one "bisim.product" per decision, the
+   decisions refining nothing but their own union. *)
+let test_shared_front_spans () =
+  let spec = Lazy.force small_streaming_spec in
+  let lts = Lts.of_spec spec in
+  with_tracing (fun () ->
+      ignore
+        (NI.check_hierarchy ~jobs:1 lts
+           ~high:(NI.mem_of Streaming.high_actions)
+           ~low:(NI.mem_of Streaming.low_actions));
+      Alcotest.(check int) "one front" 1 (count_spans "bisim.front");
+      Alcotest.(check int) "three decisions" 3 (count_spans "bisim.product");
+      match refine_states_under_products () with
+      | [ [ weak ]; [ _trace ]; [ branching ] ] ->
+          Alcotest.(check int) "weak and branching refine one union" weak
+            branching
+      | l ->
+          Alcotest.failf "expected one refinement per decision, got %s"
+            (String.concat "; "
+               (List.map
+                  (fun r -> String.concat "," (List.map string_of_int r))
+                  l)))
+
 let product_suite =
   [
+    Alcotest.test_case "shared front: simplified rpc" `Quick
+      test_shared_front_simplified_rpc;
+    Alcotest.test_case "shared front: revised rpc" `Quick
+      test_shared_front_revised_rpc;
+    Alcotest.test_case "shared front: streaming" `Quick
+      test_shared_front_streaming;
+    Alcotest.test_case "shared front spans" `Quick test_shared_front_spans;
     Alcotest.test_case "differential: simplified rpc" `Quick
       test_differential_simplified_rpc;
     Alcotest.test_case "differential: revised rpc" `Quick test_differential_revised_rpc;

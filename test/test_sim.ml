@@ -572,8 +572,39 @@ let test_replicate_polls_guard () =
       Alcotest.(check (list string)) "partial progress" [ "runs"; "events" ]
         (List.map fst trip.Guard.partial)
 
+(* The stepping loop allocates next to nothing: no boxed PRNG state, no
+   boxed sample on the way into the clock array. A fixed replication of
+   rpc's general model (deterministic, normal and exponential clocks)
+   must stay at or below 16 minor words per event: the engine that boxed
+   every draw ran at about 27, the unboxed one runs at about 1.3. Minor
+   words count this domain only, so the runs stay on it ([~jobs:1]). *)
+let test_replicate_minor_words_per_event () =
+  let module Rpc = Dpma_models.Rpc in
+  let module Pipeline = Dpma_core.Pipeline in
+  let module Measure = Dpma_measures.Measure in
+  let study = Rpc.study ~mode:Rpc.General Rpc.default_params in
+  let lts = Lts.of_spec study.Pipeline.spec in
+  let timing = Dpma_core.General.timing_of_list study.Pipeline.general_timings in
+  let estimands =
+    Measure.estimands (Measure.compile_sim lts study.Pipeline.measures)
+  in
+  let events_before = Metrics.count Instruments.sim_events in
+  let words_before = Gc.minor_words () in
+  ignore
+    (Sim.replicate ~jobs:1 ~timing ~warmup:1_000.0 ~lts ~duration:20_000.0
+       ~estimands ~runs:4 ~seed:17 ());
+  let words = Gc.minor_words () -. words_before in
+  let events = Metrics.count Instruments.sim_events - events_before in
+  Alcotest.(check bool) "enough events to amortize set-up" true
+    (events >= 100_000);
+  let per_event = words /. float_of_int events in
+  if per_event > 16.0 then
+    Alcotest.failf "%.2f minor words per event, above 16" per_event
+
 let accounting_suite =
   [
+    Alcotest.test_case "replicate minor words per event" `Quick
+      test_replicate_minor_words_per_event;
     Alcotest.test_case "replicate counts events" `Quick
       test_replicate_counts_events;
     Alcotest.test_case "first passage counts events" `Quick

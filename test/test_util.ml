@@ -61,6 +61,30 @@ let test_prng_split_independent () =
   done;
   Alcotest.(check bool) "split streams differ" true (!same < 4)
 
+(* The stream is pinned: the first four splitmix64 outputs for seed 42
+   (the standard splitmix64 sequence), those of one split, which is
+   seeded with the parent's first output, and a run of weighted picks. A
+   change of the state's representation or of the pick loop must not
+   move a single bit. *)
+let test_prng_pinned_stream () =
+  let draws g = List.init 4 (fun _ -> Prng.bits64 g) in
+  Alcotest.(check (list int64)) "create 42"
+    [ -4767286540954276203L; 2949826092126892291L; 5139283748462763858L;
+      6349198060258255764L ]
+    (draws (Prng.create 42));
+  let g = Prng.create 42 in
+  let h = Prng.split g in
+  Alcotest.(check (list int64)) "split of create 42"
+    [ 6332618229526065668L; -816328817471504299L; 8971565426155258802L;
+      1242533817266198696L ]
+    (draws h);
+  Alcotest.(check int64) "the parent resumes after the split"
+    2949826092126892291L (Prng.bits64 g);
+  let g = Prng.create 9 in
+  Alcotest.(check (list int)) "choose_weighted picks"
+    [ 3; 3; 2; 3; 2; 0; 2; 3 ]
+    (List.init 8 (fun _ -> Prng.choose_weighted g [| 0.5; 0.0; 2.0; 1.25 |]))
+
 let test_prng_copy () =
   let g = Prng.create 17 in
   ignore (Prng.bits64 g);
@@ -350,6 +374,7 @@ let suite =
     Alcotest.test_case "prng int bounds" `Quick test_prng_int_bounds;
     Alcotest.test_case "prng split independence" `Quick test_prng_split_independent;
     Alcotest.test_case "prng copy" `Quick test_prng_copy;
+    Alcotest.test_case "prng pinned stream" `Quick test_prng_pinned_stream;
     Alcotest.test_case "choose_weighted frequencies" `Quick test_choose_weighted;
     Alcotest.test_case "bernoulli frequency" `Quick test_bernoulli;
     Alcotest.test_case "welford mean/variance" `Quick test_welford_mean_variance;
