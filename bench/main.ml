@@ -46,6 +46,7 @@ module Ctmc = Dpma_ctmc.Ctmc
 module Sim = Dpma_sim.Sim
 module Elaborate = Dpma_adl.Elaborate
 module Parser = Dpma_adl.Parser
+module Ast = Dpma_adl.Ast
 module Measure = Dpma_measures.Measure
 module Flts = Dpma_lts.Flts
 module Prng = Dpma_util.Prng
@@ -493,100 +494,37 @@ let family_sweep () =
         ("family.speedup", base_s /. fam_total);
       ])
 
-(* Thousand-configuration grid: an ADL sweep grid (dpm toggle x dozing
-   timeout x awake period) elaborated to 2 x T x A members, analyzed by
-   the featured path — one union build, per-member projections, and
-   quotient-deduplicated CTMC solves — against the per-member pipeline
-   (Lts.of_spec + analyze_lts each). The dpm=0 half of the grid never
-   reaches the timeout/awake-sensitive behaviors, so all those members
-   collapse to one lumped quotient and share a single solve. The run
-   aborts on any of: a sampled projection differing from its pipeline
-   build (full CSR compare), a measure value off by more than 1e-12, no
-   solve sharing, or the featured leg failing to finish in under half
-   the baseline time. The baseline runs second, so shared warmup favors
-   it. Tiny runs shrink the grid to 2 x 4 x 8 = 64 members; smoke and
-   full runs race the whole 1024-member grid. *)
+(* Thousand-configuration grid: examples/specs/streaming_grid.aem (dpm
+   toggle x dozing timeout x awake period, 2 x T x A members) with its
+   measures, analyzed by the featured path — one union build, per-member
+   projections, and deduplicated CTMC solves — against the per-member
+   pipeline (Lts.of_spec + analyze_lts each). The dpm=0 half of the grid
+   never reaches the timeout/awake-sensitive behaviors, so all those
+   members project to one chain and share a single solve. The run aborts
+   on any of: a sampled projection differing from its pipeline build
+   (full CSR compare), a measure value not bit-identical to its pipeline
+   value (nan matches nan), no solve sharing, or the featured leg failing
+   to finish in under half the baseline time. The baseline runs second,
+   so shared warmup favors it. Tiny runs keep the first 4 timeout and
+   the first 8 awake values, 2 x 4 x 8 = 64 members; smoke and full runs
+   race the whole 1024-member grid. Both files are read relative to the
+   working directory, the repository root. *)
 let family_scale () =
   let t_max, a_max = if tiny then (4, 8) else (16, 32) in
-  let src =
-    Printf.sprintf
-      {|ARCHI_TYPE Streaming_Grid(void)
-
-feature dpm in {0, 1}
-feature timeout in {1 .. %d}
-feature awake in {1 .. %d}
-
-ARCHI_ELEM_TYPES
-
-ELEM_TYPE Source_Type(void)
-BEHAVIOR
-Source(void; void) =
-  <emit_frame, exp(0.5)> . Source()
-INPUT_INTERACTIONS void
-OUTPUT_INTERACTIONS UNI emit_frame
-
-ELEM_TYPE Buffer_Type(const integer size)
-BEHAVIOR
-Buffer(void; void) = Hold(0);
-Hold(integer h; void) =
-  choice {
-    cond(h < size) -> <put_frame, _> . Hold(h + 1),
-    cond(h > 0) -> <get_frame, _> . Hold(h - 1)
-  }
-INPUT_INTERACTIONS UNI put_frame; get_frame
-OUTPUT_INTERACTIONS void
-
-ELEM_TYPE Client_Type(void)
-BEHAVIOR
-Playing_Client(void; void) =
-  choice {
-    <fetch_frame, exp(1.0)> . <decode_frame, exp(8.0)> . Playing_Client(),
-    <doze_cmd, _> . Dozing_Client()
-  };
-Dozing_Client(void; void) =
-  <wake_client, exp_mean(timeout)> . Playing_Client()
-INPUT_INTERACTIONS UNI doze_cmd
-OUTPUT_INTERACTIONS UNI fetch_frame
-
-ELEM_TYPE Dpm_Type(void)
-BEHAVIOR
-Dpm(void; void) =
-  cond(dpm = 1) ->
-    <observe_idle, exp_mean(awake)> . <cmd_doze, inf> . Dpm()
-INPUT_INTERACTIONS void
-OUTPUT_INTERACTIONS UNI cmd_doze
-
-ARCHI_TOPOLOGY
-
-ARCHI_ELEM_INSTANCES
-SRC : Source_Type();
-BUF : Buffer_Type(2);
-CL  : Client_Type();
-PM  : Dpm_Type()
-
-ARCHI_ATTACHMENTS
-FROM SRC.emit_frame TO BUF.put_frame;
-FROM CL.fetch_frame TO BUF.get_frame;
-FROM PM.cmd_doze TO CL.doze_cmd
-
-END
-|}
-      t_max a_max
+  let read path = In_channel.with_open_bin path In_channel.input_all in
+  let archi = Parser.parse (read "examples/specs/streaming_grid.aem") in
+  let shrink (f : Ast.feature) =
+    let keep n = List.filteri (fun i _ -> i < n) f.f_domain in
+    match f.f_name with
+    | "timeout" -> { f with f_domain = keep t_max }
+    | "awake" -> { f with f_domain = keep a_max }
+    | _ -> f
   in
-  let measures =
-    Measure.parse
-      {|MEASURE frame_rate IS
-  ENABLED(CL.fetch_frame#BUF.get_frame) -> TRANS_REWARD(1);
-MEASURE doze_time IS
-  ENABLED(CL.wake_client) -> STATE_REWARD(1);
-MEASURE frames_per_doze IS
-  ENABLED(CL.fetch_frame#BUF.get_frame) -> TRANS_REWARD(1)
-  DIVIDED_BY
-  ENABLED(CL.wake_client) -> STATE_REWARD(1);|}
-  in
+  let archi = { archi with features = List.map shrink archi.features } in
+  let measures = Measure.parse (read "examples/specs/streaming_grid.measures") in
   (* Elaboration is identical work for both legs, so it stays outside
      the timers. *)
-  let fam_adl = Elaborate.elaborate_family (Parser.parse src) in
+  let fam_adl = Elaborate.elaborate_family archi in
   let specs =
     Array.map (fun m -> m.Elaborate.spec) fam_adl.Elaborate.members
   in
@@ -633,21 +571,32 @@ MEASURE frames_per_doze IS
            from its pipeline build"
           c)
     samples;
-  (* Every member's dedup-solved measure values against its own solve. *)
-  let close a b =
-    (Float.is_nan a && Float.is_nan b) || abs_float (a -. b) <= 1e-12
+  (* Every member's dedup analysis against its own solve, bit for bit
+     (nan matches nan), state counts included. *)
+  let same a b =
+    Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+    || (Float.is_nan a && Float.is_nan b)
   in
   Array.iteri
     (fun c (a : Markov.analysis) ->
+      let b = base.(c) in
+      if a.Markov.states <> b.Markov.states
+         || a.Markov.tangible <> b.Markov.tangible
+      then
+        fail
+          "VALUE MISMATCH family_scale: member %d: dedup %d/%d states vs \
+           pipeline %d/%d"
+          c a.Markov.states a.Markov.tangible b.Markov.states
+          b.Markov.tangible;
       List.iter2
         (fun (name, v) (bname, bv) ->
           assert (String.equal name bname);
-          if not (close v bv) then
+          if not (same v bv) then
             fail
               "VALUE MISMATCH family_scale: member %d measure %s: dedup \
                %.17g vs pipeline %.17g"
               c name v bv)
-        a.Markov.values base.(c).Markov.values)
+        a.Markov.values b.Markov.values)
     analyses;
   if solve_stats.Markov.distinct_quotients >= members then
     fail "NO SHARING family_scale: %d distinct quotients for %d members"
@@ -860,10 +809,10 @@ let run_micro () =
 let notes =
   "weak minimize on streaming_scaled (518218 states to 502591 classes and \
    3319813 weak transitions; dpma minimize --weak -j 1 --max-states \
-   600000, 2-vCPU host): 374 s wall with the per-round weak signature \
-   pass against 529 s with the cross-round tau-closure cache it \
-   replaced, measured back to back; 2.09 GiB peak RSS for both; 12 \
-   refinement rounds"
+   600000, 2-vCPU host): 49 s and 54 s wall with the mixing signature \
+   hash (Dpma_util.Hash) against 496 s with the label-dropping multiply \
+   hash it replaced, measured back to back; about 1.8 GiB peak RSS \
+   (VmHWM sampled each second) for both; 12 refinement rounds"
 
 let json_report ~micro =
   let figs = List.rev !wall_clock in

@@ -743,8 +743,8 @@ let cmd_family =
               ltss
         | Some mf ->
             let measures = load_measures mf in
-            (* Quotient-deduplicated solves: members whose lumped CTMCs
-               coincide share one steady-state solution. *)
+            (* Deduplicated solves: members with the same CTMC share
+               one steady-state solution. *)
             let analyses, solve_stats =
               Markov.analyze_ltss_dedup ?jobs ltss measures
             in

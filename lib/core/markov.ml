@@ -8,11 +8,10 @@ type analysis = {
   values : (string * float) list;
 }
 
-let analyze_lts lts measures =
-  Dpma_obs.Trace.with_span "markov.analyze"
-    ~attrs:[ ("states", Dpma_obs.Trace.Int lts.Lts.num_states) ] (fun () ->
-  let ctmc = Ctmc.of_lts lts in
-  let pi = Ctmc.steady_state ctmc in
+(* One member's values: every measure on the member's own CTMC under
+   [pi], a stationary distribution of that chain or of one with the same
+   {!Solve_key}. *)
+let evaluate lts ctmc pi measures =
   let t0 = Dpma_obs.Clock.now_s () in
   let values =
     List.map (fun m -> (m.Measure.name, Measure.eval_ctmc ctmc pi m)) measures
@@ -20,7 +19,13 @@ let analyze_lts lts measures =
   if measures <> [] then
     Dpma_obs.Metrics.observe Dpma_obs.Instruments.ctmc_reward_seconds
       (Dpma_obs.Clock.now_s () -. t0);
-  { states = lts.Lts.num_states; tangible = ctmc.Ctmc.n; values })
+  { states = lts.Lts.num_states; tangible = ctmc.Ctmc.n; values }
+
+let analyze_lts lts measures =
+  Dpma_obs.Trace.with_span "markov.analyze"
+    ~attrs:[ ("states", Dpma_obs.Trace.Int lts.Lts.num_states) ] (fun () ->
+  let ctmc = Ctmc.of_lts lts in
+  evaluate lts ctmc (Ctmc.steady_state ctmc) measures)
 
 let analyze_lts_lumped lts measures =
   let partition = Dpma_lts.Bisim.markovian_partition lts in
@@ -34,14 +39,7 @@ let family_ltss ?max_states ?jobs specs =
   let fam, _stats = Dpma_lts.Flts.build_family ?max_states ?jobs specs in
   Dpma_lts.Flts.project_all ?jobs fam
 
-let analyze_family ?max_states ?jobs specs measures =
-  let ltss = family_ltss ?max_states ?jobs specs in
-  Array.of_list
-    (Dpma_util.Pool.parallel_map ?jobs
-       (fun lts -> analyze_lts lts measures)
-       (Array.to_list ltss))
-
-(* --- Quotient-deduplicated family solves ----------------------------- *)
+(* --- Deduplicated family solves -------------------------------------- *)
 
 type family_solve_stats = {
   members : int;
@@ -49,19 +47,17 @@ type family_solve_stats = {
   solves_shared : int;
 }
 
-(* Dedup key of a CTMC's numeric solve structure: state count, initial
+(* Key of everything {!Ctmc.steady_state} reads: state count, initial
    distribution, and the per-state ordered (target, rate) rows. Label ids
-   are deliberately excluded — {!Ctmc.steady_state} never reads them, so
-   members differing only in labels share one solve. Rates compare by
-   their exact 64-bit patterns, so equal keys mean the solver runs on
-   identical numbers; the hash (FNV-1a) folds every word of those
-   arrays. *)
+   are deliberately excluded, so members differing only in labels share
+   one solve. Rates compare by their exact 64-bit patterns, so equal keys
+   mean the solver runs on identical numbers and returns identical
+   bits. *)
 module Solve_key = Hashtbl.Make (struct
   type t = Ctmc.t
 
   let same x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
 
-  (* For the hash only: the conversion drops the sign bit. *)
   let bits x = Int64.to_int (Int64.bits_of_float x)
 
   let floats_equal a b =
@@ -77,78 +73,46 @@ module Solve_key = Hashtbl.Make (struct
     && floats_equal a.rate b.rate
 
   let hash (c : t) =
-    let h = ref 0x811c9dc5 in
-    let mix x = h := (!h lxor x) * 0x01000193 land max_int in
-    mix c.n;
-    Array.iter mix c.init_state;
-    Array.iter (fun p -> mix (bits p)) c.init_prob;
-    Array.iter mix c.row;
-    Array.iter mix c.dst;
-    Array.iter (fun r -> mix (bits r)) c.rate;
-    !h
+    let module H = Dpma_util.Hash in
+    let fold_floats h a = Array.fold_left (fun h x -> H.fold h (bits x)) h a in
+    let h = H.fold_ints c.n c.init_state in
+    let h = H.fold_ints (fold_floats h c.init_prob) c.row in
+    H.int (fold_floats (H.fold_ints h c.dst) c.rate)
 end)
 
 let analyze_ltss_dedup ?jobs ltss measures =
   let members = Array.length ltss in
   if members = 0 then invalid_arg "Markov.analyze_ltss_dedup: empty family";
-  (* Per member (dealt to the pool): lump by ordinary lumpability, build
-     the quotient CTMC (its own dedup key), and compile the measures into
-     per-state reward vectors on the member's own CTMC (which carries its
-     action names). *)
-  let prepped =
+  let ctmcs =
     Array.of_list
-      (Dpma_util.Pool.parallel_map ?jobs
-         (fun lts ->
-           let partition = Dpma_lts.Bisim.markovian_partition ~jobs:1 lts in
-           let lumped = Lts.quotient_by_representative lts partition in
-           let ctmc = Ctmc.of_lts lumped in
-           (lts.Lts.num_states, ctmc, Measure.compile_ctmc ctmc measures))
-         (Array.to_list ltss))
+      (Dpma_util.Pool.parallel_map ?jobs Ctmc.of_lts (Array.to_list ltss))
   in
   (* Group members by key; representatives in first-appearance order so
-     the rep set (and thus every solve input) is deterministic. *)
+     the set of solves is deterministic. *)
   let rep_of_key = Solve_key.create 64 in
-  let rep_members = ref [] and nreps = ref 0 in
+  let reps = ref [] and nreps = ref 0 in
   let rep_idx =
-    Array.mapi
-      (fun i (_, ctmc, _) ->
+    Array.map
+      (fun ctmc ->
         match Solve_key.find_opt rep_of_key ctmc with
         | Some r -> r
         | None ->
             let r = !nreps in
             incr nreps;
             Solve_key.add rep_of_key ctmc r;
-            rep_members := i :: !rep_members;
+            reps := ctmc :: !reps;
             r)
-      prepped
+      ctmcs
   in
-  let rep_members = Array.of_list (List.rev !rep_members) in
-  (* One steady-state solve per distinct quotient. *)
   let pis =
     Array.of_list
-      (Dpma_util.Pool.parallel_map ?jobs
-         (fun mi ->
-           let _, ctmc, _ = prepped.(mi) in
-           Ctmc.steady_state ctmc)
-         (Array.to_list rep_members))
+      (Dpma_util.Pool.parallel_map ?jobs Ctmc.steady_state (List.rev !reps))
   in
-  (* Fan the shared solutions back out through each member's compiled
-     reward vectors. *)
-  let t0 = Dpma_obs.Clock.now_s () in
   let results =
     Array.mapi
-      (fun i (states, ctmc, compiled) ->
-        let pi = pis.(rep_idx.(i)) in
-        let vals = Measure.eval_compiled compiled pi in
-        let values =
-          List.mapi (fun j m -> (m.Measure.name, vals.(j))) measures
-        in
-        { states; tangible = ctmc.Ctmc.n; values })
-      prepped
+      (fun i lts -> evaluate lts ctmcs.(i) pis.(rep_idx.(i)) measures)
+      ltss
   in
-  if measures <> [] then
-    Dpma_obs.Metrics.observe Dpma_obs.Instruments.ctmc_reward_seconds
-      (Dpma_obs.Clock.now_s () -. t0);
   let stats =
     {
       members;
@@ -162,6 +126,9 @@ let analyze_ltss_dedup ?jobs ltss measures =
   Dpma_obs.Metrics.set I.family_solves_shared
     (float_of_int stats.solves_shared);
   (results, stats)
+
+let analyze_family ?max_states ?jobs specs measures =
+  fst (analyze_ltss_dedup ?jobs (family_ltss ?max_states ?jobs specs) measures)
 
 let without_dpm lts ~high =
   Lts.restrict lts ~remove:(fun a -> List.exists (String.equal a) high)

@@ -36,10 +36,9 @@ val analyze_family :
   Dpma_pa.Term.spec array ->
   Dpma_measures.Measure.t list ->
   analysis array
-(** {!family_ltss} followed by one {!analyze_lts} per configuration, the
-    CTMC solves dealt to the domain pool. Results are positionally
-    aligned with the input specs and identical to analyzing each spec
-    independently. *)
+(** {!analyze_ltss_dedup} over {!family_ltss}. Results are positionally
+    aligned with the input specs and bit-identical to {!analyze} on each
+    spec. *)
 
 val analyze_lts_lumped :
   Dpma_lts.Lts.t -> Dpma_measures.Measure.t list -> analysis
@@ -49,7 +48,7 @@ val analyze_lts_lumped :
 
 type family_solve_stats = {
   members : int;
-  distinct_quotients : int;  (** distinct lumped CTMCs actually solved *)
+  distinct_quotients : int;  (** distinct member CTMCs solved *)
   solves_shared : int;  (** [members - distinct_quotients] *)
 }
 
@@ -58,19 +57,18 @@ val analyze_ltss_dedup :
   Dpma_lts.Lts.t array ->
   Dpma_measures.Measure.t list ->
   analysis array * family_solve_stats
-(** Quotient-deduplicated family solve over already-projected member
-    LTSs. Each member is lumped by ordinary lumpability and its quotient
-    CTMC canonically keyed on the numeric solve structure (state count,
-    initial distribution, per-state (target, rate) lists — action names
-    excluded, since the solver never reads them); each {e distinct}
-    quotient's steady state is solved exactly once and fanned back out
-    through per-member compiled reward vectors. Sweep members frequently
-    collapse to few distinct quotients, so 1024 members cost far fewer
-    than 1024 solves. Per-member values agree with {!analyze_lts} up to
-    summation order (well within 1e-12 on the paper's models); [states]
-    is the member's own state count, [tangible] its lumped tangible
-    count. Records [family.distinct_quotients] / [family.solves_shared].
-    Raises [Invalid_argument] on an empty family. *)
+(** {!analyze_lts} on every member with a memoised solve. Each member's
+    own CTMC is keyed on everything the steady-state solver reads (state
+    count, initial distribution, per-state ordered (target, rate) rows,
+    rates by bit pattern; action names excluded), each {e distinct} key
+    is solved exactly once, and every member's measures are evaluated on
+    its own CTMC under the shared solution. Sweep members frequently
+    share their chain, so 1024 members cost far fewer than 1024 solves.
+    Every member's [analysis] is bit-identical to {!analyze_lts} on it.
+    CTMC builds and solves are dealt to the domain pool; the results do
+    not depend on [jobs]. Records [family.distinct_quotients] /
+    [family.solves_shared]. Raises [Invalid_argument] on an empty
+    family. *)
 
 val without_dpm : Dpma_lts.Lts.t -> high:string list -> Dpma_lts.Lts.t
 (** Restrict the DPM command actions. *)

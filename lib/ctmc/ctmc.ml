@@ -256,16 +256,6 @@ let enables c s a =
 let enables_action c s name =
   match Label.find name with Some a -> enables c s a | None -> false
 
-let firing_rate c s a =
-  let acc = ref 0.0 in
-  for k = c.row.(s) to c.row.(s + 1) - 1 do
-    if c.lab.(k) = a then acc := !acc +. c.rate.(k)
-  done;
-  for k = c.imm_row.(s) to c.imm_row.(s + 1) - 1 do
-    if c.imm_lab.(k) = a then acc := !acc +. c.imm_rate.(k)
-  done;
-  !acc
-
 (* --- Graph analysis ------------------------------------------------- *)
 
 (* Distinct successors over positive rates, self-loops dropped, in

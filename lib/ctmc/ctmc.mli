@@ -60,11 +60,6 @@ val enables : t -> int -> Dpma_pa.Label.t -> bool
 val enables_action : t -> int -> string -> bool
 (** {!enables} by action name. *)
 
-val firing_rate : t -> int -> Dpma_pa.Label.t -> float
-(** Total rate at which the label fires from the state: its timed
-    transitions, then its folded immediate firings, summed in CSR
-    order. *)
-
 (** {2 Stationary analysis} *)
 
 val steady_state : t -> float array

@@ -1,5 +1,6 @@
 module Rate = Dpma_pa.Rate
 module Pool = Dpma_util.Pool
+module Hash = Dpma_util.Hash
 
 (* Signatures are canonical encodings of a state's outgoing behaviour
    w.r.t. the current partition. They are packed into flat arrays — an
@@ -29,12 +30,11 @@ module Sig_key = struct
         !ok)
 
   let hash { old_block; ints; floats } =
-    let h = ref (old_block + 1) in
-    Array.iter (fun x -> h := (!h * 31) + x) ints;
+    let h = ref (Hash.fold_ints (old_block + 1) ints) in
     Array.iter
-      (fun x -> h := (!h * 31) + (Int64.to_int (Int64.bits_of_float x) land max_int))
+      (fun x -> h := Hash.fold !h (Int64.to_int (Int64.bits_of_float x)))
       floats;
-    !h land max_int
+    Hash.int !h
 end
 
 module Sig_tbl = Hashtbl.Make (Sig_key)
@@ -48,10 +48,10 @@ module Int_key = struct
 
   let equal : int -> int -> bool = Int.equal
 
-  (* Multiplicative (Fibonacci) mix: keys are packed (label, block) pairs
-     and state ids, dense enough that the generic [Hashtbl.hash] call is
-     pure overhead in the refinement hot loops. *)
-  let hash x = (x * 0x9E37_79B9) land max_int
+  (* Keys are packed (label, block) pairs and state ids: the generic
+     [Hashtbl.hash] call would be pure overhead in the refinement hot
+     loops. *)
+  let hash = Hash.int
 end
 
 module Int_tbl = Hashtbl.Make (Int_key)

@@ -47,7 +47,7 @@ module Int_key = struct
 
   let equal : int -> int -> bool = Int.equal
 
-  let hash x = (x * 0x9E37_79B9) land max_int
+  let hash = Dpma_util.Hash.int
 end
 
 module Int_tbl = Hashtbl.Make (Int_key)
@@ -130,10 +130,7 @@ module Arr_key = struct
     Array.iteri (fun i x -> if x <> b.(i) then ok := false) a;
     !ok
 
-  let hash (a : int array) =
-    let h = ref (Array.length a + 1) in
-    Array.iter (fun x -> h := (!h * 31) + x) a;
-    !h land max_int
+  let hash = Dpma_util.Hash.ints
 end
 
 module Arr_tbl = Hashtbl.Make (Arr_key)

@@ -227,74 +227,6 @@ let eval_ctmc ctmc pi m =
       let d = eval_clauses ctmc pi ds in
       if d = 0.0 then nan else numerator /. d
 
-(* Per-state reward vector of a clause list on a concrete CTMC: measure
-   value = sum over pi(s) > 0 of pi(s) * r(s). State clauses contribute
-   their reward on enabling states; transition clauses contribute reward
-   times the state's total firing rate of the action (timed transitions
-   plus folded immediate firings), matching {!eval_clauses} term for
-   term. Tabulating once lets many stationary distributions over the
-   same quotient CTMC be evaluated with one dot product each. *)
-let reward_vector (c : Ctmc.t) clauses =
-  let r = Array.make c.Ctmc.n 0.0 in
-  List.iter
-    (fun cl ->
-      (* A name never interned labels nothing, so it contributes 0. *)
-      match Dpma_pa.Label.find cl.action with
-      | None -> ()
-      | Some a -> (
-          match cl.kind with
-          | State_reward ->
-              for s = 0 to c.Ctmc.n - 1 do
-                if Ctmc.enables c s a then r.(s) <- r.(s) +. cl.reward
-              done
-          | Trans_reward ->
-              for s = 0 to c.Ctmc.n - 1 do
-                let rate = Ctmc.firing_rate c s a in
-                if rate <> 0.0 then r.(s) <- r.(s) +. (cl.reward *. rate)
-              done))
-    clauses;
-  r
-
-type ctmc_layout = {
-  cname : string;
-  cnum : float array;
-  cden : float array option;
-}
-
-type ctmc_compiled = ctmc_layout list
-
-let compile_ctmc ctmc measures =
-  List.map
-    (fun m ->
-      {
-        cname = m.name;
-        cnum = reward_vector ctmc m.clauses;
-        cden =
-          (match m.divisor with
-          | [] -> None
-          | ds -> Some (reward_vector ctmc ds));
-      })
-    measures
-
-let dot pi r =
-  let acc = ref 0.0 in
-  for s = 0 to Array.length pi - 1 do
-    if pi.(s) > 0.0 then acc := !acc +. (pi.(s) *. r.(s))
-  done;
-  !acc
-
-let eval_compiled compiled pi =
-  Array.of_list
-    (List.map
-       (fun l ->
-         let num = dot pi l.cnum in
-         match l.cden with
-         | None -> num
-         | Some d ->
-             let den = dot pi d in
-             if den = 0.0 then nan else num /. den)
-       compiled)
-
 type side_layout = { state_slot : int option; trans_slot : int option }
 
 type layout = {

@@ -66,21 +66,6 @@ val eval_ctmc : Dpma_ctmc.Ctmc.t -> float array -> t -> float
 (** Steady-state value: state clauses weigh the stationary probability of
     enabling states; transition clauses weigh action throughputs. *)
 
-type ctmc_compiled
-(** Measures compiled against one concrete CTMC: a per-state reward
-    vector per clause-list side, so evaluating a measure under a
-    stationary distribution is one dot product. Semantically equal to
-    {!eval_ctmc} (state clauses on enabling states, transition clauses
-    weighing timed plus folded immediate firing rates, [nan] on a zero
-    divisor) up to summation order. Used by the quotient-deduplicated
-    family solver to fan one shared solution out to many members. *)
-
-val compile_ctmc : Dpma_ctmc.Ctmc.t -> t list -> ctmc_compiled
-
-val eval_compiled : ctmc_compiled -> float array -> float array
-(** Values in the compiled measure-list order under a stationary
-    distribution of the same CTMC. *)
-
 type compiled
 (** Measures compiled for the simulator: a list of {!Dpma_sim.Sim.estimand}
     plus the layout mapping estimands back to measures (a measure mixing

@@ -278,13 +278,13 @@ val family_guard_words : Metrics.gauge
     guard, 63 configuration bits per word). *)
 
 val family_distinct_quotients : Metrics.gauge
-(** [family.distinct_quotients] — distinct lumped CTMC quotients of the
-    last quotient-deduplicated family solve; members whose lumped
-    models coincide share one steady-state solve. *)
+(** [family.distinct_quotients] — distinct member CTMCs solved by the
+    last deduplicated family solve; members whose CTMCs have the same
+    solve key share one steady-state solve. *)
 
 val family_solves_shared : Metrics.gauge
-(** [family.solves_shared] — members of the last quotient-deduplicated
-    family solve that reused another member's steady-state solution
+(** [family.solves_shared] — members of the last deduplicated family
+    solve that reused another member's steady-state solution
     (members − distinct quotients). *)
 
 (** {1 Domain pool (pool)} *)

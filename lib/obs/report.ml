@@ -25,8 +25,6 @@ let init_from_env () =
 
 let metrics_format () = Atomic.get metrics_config
 
-let trace_enabled () = Trace.enabled ()
-
 let to_json () =
   Json.Obj
     ([

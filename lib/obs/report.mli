@@ -26,9 +26,6 @@ val init_from_env : unit -> unit
 val metrics_format : unit -> format option
 (** The configured metrics report format, [None] when disabled. *)
 
-val trace_enabled : unit -> bool
-(** Whether span recording is on (same as {!Trace.enabled}). *)
-
 val to_json : unit -> Json.t
 (** The combined report as one [dpma.obs/1] JSON document: metrics array
     plus, when tracing is on, the trace object. *)

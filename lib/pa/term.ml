@@ -189,9 +189,6 @@ let rename map p =
       p
   end
 
-let apply_rename map a =
-  match List.assoc_opt a map with Some b -> b | None -> a
-
 let apply_rename_label map a =
   match List.assoc_opt a map with Some b -> b | None -> a
 
@@ -332,8 +329,3 @@ let spec ~defs ~init =
   in
   List.iter (fun (n, _) -> visit n) defs;
   { defs; init }
-
-let spec_action_names { defs; init } =
-  List.fold_left
-    (fun acc (_, t) -> Sset.union acc (action_names t))
-    (action_names init) defs

@@ -65,8 +65,6 @@ val rename_labels : (Label.t * Label.t) list -> t -> t
     derivation to rebuild successor terms without round-tripping through
     strings. They enforce the same tau discipline. *)
 
-val apply_rename : (string * string) list -> string -> string
-
 val apply_rename_label : (Label.t * Label.t) list -> Label.t -> Label.t
 
 val compare : t -> t -> int
@@ -99,5 +97,3 @@ val spec : defs:defs -> init:t -> spec
 
 val lookup : defs -> string -> t
 (** Raises [Not_found]. *)
-
-val spec_action_names : spec -> Sset.t

@@ -1,0 +1,20 @@
+(** Integer hashes for [Hashtbl.Make] keys.
+
+    [Hashtbl.Make] takes the bucket from the low bits of the hash, so
+    every hash here ends with a xor-shift-multiply mix that brings the
+    high bits down: keys that differ only in high bits (packed
+    [label lsl 31 lor block] pairs, float bit patterns) still spread
+    over the buckets. Results are non-negative. *)
+
+val int : int -> int
+(** Mix of one int. *)
+
+val fold : int -> int -> int
+(** [fold h x] folds one word into an unmixed accumulator (an FNV-1a
+    step); finish a fold with {!int}. *)
+
+val fold_ints : int -> int array -> int
+(** {!fold} over every element, left to right. *)
+
+val ints : int array -> int
+(** Mixed hash of an array and its length. *)

@@ -7,8 +7,6 @@ let of_csr ~row ~col ~value =
   then invalid_arg "Sparse.of_csr: inconsistent CSR arrays";
   { n; row; col; value }
 
-let dim m = m.n
-
 let get m i j =
   let acc = ref 0.0 in
   for k = m.row.(i) to m.row.(i + 1) - 1 do

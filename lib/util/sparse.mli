@@ -16,9 +16,6 @@ val of_csr : row:int array -> col:int array -> value:float array -> t
 (** Wrap packed arrays (not copied) as an [n × n] matrix, [n = length row
     - 1]. Raises [Invalid_argument] when the arrays disagree. *)
 
-val dim : t -> int
-(** Side length of the (square) matrix. *)
-
 val get : t -> int -> int -> float
 (** [get m i j] is entry [(i, j)] (repeated entries summed); [0.] where
     none is stored. *)

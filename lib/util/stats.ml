@@ -97,11 +97,5 @@ let of_samples ?confidence samples =
   List.iter (add acc) samples;
   summarize ?confidence acc
 
-let mean_of samples =
-  match samples with
-  | [] -> nan
-  | _ ->
-      List.fold_left ( +. ) 0.0 samples /. float_of_int (List.length samples)
-
 let relative_error ~reference x =
   abs_float (x -. reference) /. Float.max (abs_float reference) 1e-12

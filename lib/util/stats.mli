@@ -49,8 +49,5 @@ val normal_quantile : float -> float
 (** Quantile of the standard normal distribution
     (Acklam's rational approximation, |error| < 1.2e-8). *)
 
-val mean_of : float list -> float
-(** Arithmetic mean of a list; [nan] when empty. *)
-
 val relative_error : reference:float -> float -> float
 (** [relative_error ~reference x] = |x - reference| / max(|reference|, eps). *)

@@ -33,6 +33,18 @@ let check_lts_identical name (a : Lts.t) (b : Lts.t) =
         (b.Lts.state_name s)
   done
 
+let check_analysis_identical name (a : Markov.analysis) (b : Markov.analysis) =
+  Alcotest.(check int) (name ^ ": states") b.Markov.states a.Markov.states;
+  Alcotest.(check int) (name ^ ": tangible") b.Markov.tangible a.Markov.tangible;
+  List.iter2
+    (fun (n, v) (n', v') ->
+      Alcotest.(check string) (name ^ ": measure name") n' n;
+      if not
+           (Int64.equal (Int64.bits_of_float v) (Int64.bits_of_float v')
+           || (Float.is_nan v && Float.is_nan v'))
+      then Alcotest.failf "%s measure %s: %.17g vs %.17g" name n v v')
+    a.Markov.values b.Markov.values
+
 let check_ctmc_identical name (a : Ctmc.t) (b : Ctmc.t) =
   Alcotest.(check int) (name ^ ": tangible") a.Ctmc.n b.Ctmc.n;
   Alcotest.(check bool)
@@ -555,21 +567,47 @@ let test_dedup_solves () =
     "shared = members - distinct"
     (members - stats.Markov.distinct_quotients)
     stats.Markov.solves_shared;
-  (* Every member's measures agree with its own standalone pipeline —
-     dedup may only change summation order, so 1e-12 and nan-for-nan. *)
+  (* Every member's analysis equals its own standalone pipeline's, bit
+     for bit. *)
   Array.iteri
     (fun c spec ->
-      let solo = Markov.analyze_lts (Lts.of_spec spec) measures in
-      List.iter2
-        (fun (n, v) (n', v') ->
-          Alcotest.(check string)
-            (Printf.sprintf "member %d measure name" c)
-            n' n;
-          if not ((Float.is_nan v && Float.is_nan v') || abs_float (v -. v') <= 1e-12)
-          then
-            Alcotest.failf "member %d measure %s: %.17g vs %.17g" c n v v')
-        results.(c).Markov.values solo.Markov.values)
+      check_analysis_identical
+        (Printf.sprintf "member %d" c)
+        results.(c)
+        (Markov.analyze_lts (Lts.of_spec spec) measures))
     specs
+
+let test_dedup_label_only () =
+  (* Two hand-made members with the same shape and rates but different
+     action names: one shared solve, and each member's values (which
+     read its own names) still equal its own pipeline's. *)
+  let member up down =
+    let edge a r t =
+      { Lts.label = Lts.obs a; rate = Some (Dpma_pa.Rate.exp r); target = t }
+    in
+    Lts.make ~init:0 ~state_name:string_of_int
+      [| [ edge up 2.0 1 ]; [ edge down 3.0 0; edge down 0.5 2 ]; [ edge up 1.0 0 ] |]
+  in
+  let ltss = [| member "up" "down"; member "go" "stop" |] in
+  let measures =
+    Measure.parse
+      {|MEASURE up_rate IS ENABLED(up) -> TRANS_REWARD(1);
+MEASURE in_stop IS ENABLED(stop) -> STATE_REWARD(1);
+MEASURE per_go IS ENABLED(up) -> TRANS_REWARD(1)
+  DIVIDED_BY ENABLED(go) -> STATE_REWARD(1);|}
+  in
+  let results, stats = Markov.analyze_ltss_dedup ltss measures in
+  Alcotest.(check int) "one solve" 1 stats.Markov.distinct_quotients;
+  Alcotest.(check int) "one shared" 1 stats.Markov.solves_shared;
+  Array.iteri
+    (fun c lts ->
+      check_analysis_identical
+        (Printf.sprintf "member %d" c)
+        results.(c) (Markov.analyze_lts lts measures))
+    ltss;
+  Alcotest.(check bool)
+    "members read their own names" false
+    (Markov.value results.(0) "up_rate" = Markov.value results.(1) "up_rate")
 
 let suite =
   [
@@ -599,5 +637,7 @@ let suite =
       test_grid_sampled_identity;
     Alcotest.test_case "deduplicated solves match per-member solves" `Quick
       test_dedup_solves;
+    Alcotest.test_case "members differing only in labels share one solve"
+      `Quick test_dedup_label_only;
     QCheck_alcotest.to_alcotest ~long:false guard_prop;
   ]

@@ -363,6 +363,48 @@ let prop_scc_partitions =
       let all = List.concat comps |> List.sort compare in
       all = List.init 10 (fun i -> i))
 
+let test_hash_spreads_high_bits () =
+  (* Packed (label, block) signature words: the label sits above bit 31,
+     so only a mix that brings high bits down spreads them over the
+     buckets, which [Hashtbl.Make] takes from the low bits. 1000 keys
+     into 1024 buckets leave about 640 non-empty when the hash is
+     uniform; a hash that drops the label bits fills one. *)
+  let filled (type k) (module H : Hashtbl.HashedType with type t = k) keys =
+    let module T = Hashtbl.Make (H) in
+    let t = T.create 1024 in
+    List.iter (fun k -> T.replace t k ()) keys;
+    let st = T.stats t in
+    Alcotest.(check int) "bucket count" 1024 st.Hashtbl.num_buckets;
+    st.Hashtbl.num_buckets - st.Hashtbl.bucket_histogram.(0)
+  in
+  let packed = List.init 1000 (fun l -> (l lsl 31) lor 0) in
+  let ints =
+    filled
+      (module struct
+        type t = int
+
+        let equal = Int.equal
+        let hash = Dpma_util.Hash.int
+      end)
+      packed
+  in
+  let arrays =
+    filled
+      (module struct
+        type t = int array
+
+        let equal = ( = )
+        let hash = Dpma_util.Hash.ints
+      end)
+      (List.map (fun k -> [| k |]) packed)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "int keys fill %d of 1024 buckets" ints)
+    true (ints >= 512);
+  Alcotest.(check bool)
+    (Printf.sprintf "int array keys fill %d of 1024 buckets" arrays)
+    true (arrays >= 512)
+
 let qtests = [ prop_pqueue_sorts; prop_scc_partitions ]
 
 let suite =
@@ -396,6 +438,8 @@ let suite =
     Alcotest.test_case "tarjan cycle" `Quick test_tarjan_cycle;
     Alcotest.test_case "tarjan reverse topological" `Quick test_tarjan_reverse_topological;
     Alcotest.test_case "bottom components" `Quick test_bottom_components;
+    Alcotest.test_case "hash spreads packed labels" `Quick
+      test_hash_spreads_high_bits;
   ]
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) qtests
 
