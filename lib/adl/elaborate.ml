@@ -408,95 +408,169 @@ let rate_of_expr ~context ~env = function
 
 let max_expansions_default = 200_000
 
-(* One family member: [bindings] gives each feature its value. [check] has
-   already run. *)
-let elaborate_bound ~max_expansions ~bindings (archi : Ast.archi) =
-  Dpma_obs.Trace.with_span "adl.elaborate" (fun () ->
-  let feature_env =
-    List.map (fun (name, v) -> (name, Ast.VInt v)) bindings
+(* Features an instance's translation can read: those in its const
+   arguments and in its element type's guards, rates and call arguments.
+   [check] forbids local names that shadow a feature, and a superset
+   would do anyway: equal values here give an equal translation. *)
+let instance_features (archi : Ast.archi) (i : Ast.instance) =
+  let et = lookup_type archi i.inst_type in
+  let rate_args =
+    List.filter_map (function
+      | Ast.Exp_mean e -> Some e
+      | Ast.Passive _ | Ast.Exp _ | Ast.Inf _ | Ast.Gen _ -> None)
   in
-  let timings : (string, Dist.t) Hashtbl.t = Hashtbl.create 16 in
-  let record_timing name dist context =
-    match Hashtbl.find_opt timings name with
-    | None -> Hashtbl.add timings name dist
-    | Some existing ->
-        if not (Dist.equal existing dist) then
-          fail
-            "%s: action %s carries two different general distributions (%s \
-             and %s)"
-            context name (Dist.to_string existing) (Dist.to_string dist)
-  in
-  let defs = ref [] in
-  let expansions = ref 0 in
-  (* Expand one instance: the constants are (equation, argument values)
-     pairs reachable from the initial equation. *)
-  let translate_instance (i : Ast.instance) =
-    let et = lookup_type archi i.inst_type in
-    let inst = i.inst_name in
-    let const_env =
-      List.map2
-        (fun (p : Ast.param) arg ->
-          ( p.Ast.p_name,
-            eval ~context:(Printf.sprintf "instance %s" inst) feature_env arg ))
-        et.et_consts i.inst_args
-      @ feature_env
-    in
-    let expanded : (string * Ast.value list, unit) Hashtbl.t = Hashtbl.create 64 in
-    let queue = Queue.create () in
-    let enqueue eq_name args =
-      if not (Hashtbl.mem expanded (eq_name, args)) then begin
-        Hashtbl.add expanded (eq_name, args) ();
-        incr expansions;
-        if !expansions > max_expansions then
-          fail
-            "instance %s: more than %d expanded behaviors — unbounded data \
-             recursion? (raise max_expansions if intended)"
-            inst max_expansions;
-        Queue.add (eq_name, args) queue
-      end
-    in
-    let rec translate_bterm ~context env = function
-      | Ast.Stop -> Term.stop
-      | Ast.Prefix (a, rexpr, k) ->
-          let name = final_name archi inst a in
-          let rate = rate_of_expr ~context ~env rexpr in
-          (match rexpr with
-          | Ast.Gen d -> record_timing name d context
-          | Ast.Passive _ | Ast.Exp _ | Ast.Exp_mean _ | Ast.Inf _ -> ());
-          Term.prefix name rate (translate_bterm ~context env k)
-      | Ast.Choice ts -> Term.choice (List.map (translate_bterm ~context env) ts)
-      | Ast.Guard (e, t) -> (
-          (* Guards are resolved at expansion time: parameters are static
-             per expanded constant. A false guard contributes nothing (the
-             smart choice constructor drops Stop summands). *)
-          match eval ~context env e with
-          | Ast.VBool true -> translate_bterm ~context env t
-          | Ast.VBool false -> Term.stop
-          | Ast.VInt _ -> fail "%s: guard is not boolean" context)
-      | Ast.Call (callee, args) ->
-          let values = List.map (eval ~context env) args in
-          enqueue callee values;
-          Term.call (constant_name inst callee values)
-    in
-    let first = List.hd et.equations in
-    enqueue first.Ast.eq_name [];
-    while not (Queue.is_empty queue) do
-      let eq_name, args = Queue.pop queue in
-      let eq = Option.get (lookup_equation et eq_name) in
-      let context = Printf.sprintf "instance %s, equation %s" inst eq_name in
-      let env =
-        const_env
-        @ List.map2
-            (fun (p : Ast.param) v -> (p.Ast.p_name, v))
-            eq.Ast.eq_params args
+  List.concat_map
+    (fun (eq : Ast.equation) ->
+      bterm_guards eq.Ast.eq_body
+      @ rate_args (bterm_rate_exprs eq.Ast.eq_body)
+      @ List.concat_map snd (bterm_calls eq.Ast.eq_body))
+    et.equations
+  |> List.append i.inst_args
+  |> List.concat_map expr_vars
+  |> List.filter (fun x ->
+         List.exists
+           (fun (f : Ast.feature) -> String.equal f.Ast.f_name x)
+           archi.features)
+  |> List.sort_uniq String.compare
+
+(* One instance's translation, replayed into every member that binds its
+   features alike. *)
+type translation = {
+  tr_defs : (string * Term.t) list;  (* the constants it adds, newest first *)
+  tr_timings : (int * string * Dist.t * string) list;
+      (* each general distribution met, in order: expansions made before
+         it, final action name, distribution, error context *)
+  tr_expansions : int;
+  tr_init : (Term.t, exn) result;
+      (* the instance's initial constant, or the error that stopped the
+         translation; one stopped by the expansion budget has
+         [tr_expansions] past it *)
+}
+
+let overflow ~max_expansions inst =
+  fail
+    "instance %s: more than %d expanded behaviors — unbounded data \
+     recursion? (raise max_expansions if intended)"
+    inst max_expansions
+
+(* Expand one instance: the constants are (equation, argument values)
+   pairs reachable from the initial equation. [budget] is what the member
+   has left of [max_expansions]. *)
+let translate_instance ~max_expansions ~budget ~feature_env
+    (archi : Ast.archi) (i : Ast.instance) =
+  let et = lookup_type archi i.inst_type in
+  let inst = i.inst_name in
+  let defs = ref [] and timings = ref [] and expansions = ref 0 in
+  let init =
+    try
+      let const_env =
+        List.map2
+          (fun (p : Ast.param) arg ->
+            ( p.Ast.p_name,
+              eval ~context:(Printf.sprintf "instance %s" inst) feature_env arg
+            ))
+          et.et_consts i.inst_args
+        @ feature_env
       in
-      let body = translate_bterm ~context env eq.Ast.eq_body in
-      defs := (constant_name inst eq_name args, body) :: !defs
-    done;
-    Term.call (constant_name inst first.Ast.eq_name [])
+      let expanded : (string * Ast.value list, unit) Hashtbl.t =
+        Hashtbl.create 64
+      in
+      let queue = Queue.create () in
+      let enqueue eq_name args =
+        if not (Hashtbl.mem expanded (eq_name, args)) then begin
+          Hashtbl.add expanded (eq_name, args) ();
+          incr expansions;
+          if !expansions > budget then overflow ~max_expansions inst;
+          Queue.add (eq_name, args) queue
+        end
+      in
+      let rec translate_bterm ~context env = function
+        | Ast.Stop -> Term.stop
+        | Ast.Prefix (a, rexpr, k) ->
+            let name = final_name archi inst a in
+            let rate = rate_of_expr ~context ~env rexpr in
+            (match rexpr with
+            | Ast.Gen d ->
+                timings := (!expansions, name, d, context) :: !timings
+            | Ast.Passive _ | Ast.Exp _ | Ast.Exp_mean _ | Ast.Inf _ -> ());
+            Term.prefix name rate (translate_bterm ~context env k)
+        | Ast.Choice ts ->
+            Term.choice (List.map (translate_bterm ~context env) ts)
+        | Ast.Guard (e, t) -> (
+            (* Guards are resolved at expansion time: parameters are
+               static per expanded constant. A false guard contributes
+               nothing (the smart choice constructor drops Stop
+               summands). *)
+            match eval ~context env e with
+            | Ast.VBool true -> translate_bterm ~context env t
+            | Ast.VBool false -> Term.stop
+            | Ast.VInt _ -> fail "%s: guard is not boolean" context)
+        | Ast.Call (callee, args) ->
+            let values = List.map (eval ~context env) args in
+            enqueue callee values;
+            Term.call (constant_name inst callee values)
+      in
+      let first = List.hd et.equations in
+      enqueue first.Ast.eq_name [];
+      while not (Queue.is_empty queue) do
+        let eq_name, args = Queue.pop queue in
+        let eq = Option.get (lookup_equation et eq_name) in
+        let context = Printf.sprintf "instance %s, equation %s" inst eq_name in
+        let env =
+          const_env
+          @ List.map2
+              (fun (p : Ast.param) v -> (p.Ast.p_name, v))
+              eq.Ast.eq_params args
+        in
+        let body = translate_bterm ~context env eq.Ast.eq_body in
+        defs := (constant_name inst eq_name args, body) :: !defs
+      done;
+      Ok (Term.call (constant_name inst first.Ast.eq_name []))
+    with (Check_error _ | Invalid_argument _) as e -> Error e
   in
-  let initial_terms =
-    List.map (fun i -> (i, translate_instance i)) archi.instances
+  { tr_defs = !defs; tr_timings = List.rev !timings;
+    tr_expansions = !expansions; tr_init = init }
+
+(* What the members of one family share: the per-instance feature
+   dependencies and composition channels, the translation memo, and the
+   parts of the result no feature reaches. *)
+type plan = {
+  archi : Ast.archi;
+  max_expansions : int;
+  instances : (Ast.instance * string list * string list) list;
+      (* instance, the features it reads, the channels it shares with
+         the instances before it *)
+  memo : (string * int list, translation) Hashtbl.t;
+  actions : (string * string list) list;
+  unattached : string list;
+}
+
+let plan ~max_expansions (archi : Ast.archi) =
+  if archi.instances = [] then
+    fail "architecture %s has no instances" archi.name;
+  (* The synchronization set when adding instance [i] is the set of
+     channels shared with earlier instances — channel names are unique per
+     attachment, so this wires each attachment exactly once. *)
+  let channels_with earlier (i : Ast.instance) =
+    archi.attachments
+    |> List.filter (fun (a : Ast.attachment) ->
+           (String.equal a.from_inst i.inst_name
+           && List.exists
+                (fun (e : Ast.instance) -> String.equal e.inst_name a.to_inst)
+                earlier)
+           || (String.equal a.to_inst i.inst_name
+              && List.exists
+                   (fun (e : Ast.instance) ->
+                     String.equal e.inst_name a.from_inst)
+                   earlier))
+    |> List.map Ast.channel_name
+  in
+  let instances, _ =
+    List.fold_left
+      (fun (acc, earlier) (i : Ast.instance) ->
+        ( (i, instance_features archi i, channels_with earlier i) :: acc,
+          i :: earlier ))
+      ([], []) archi.instances
   in
   let instance_actions =
     List.map
@@ -508,41 +582,6 @@ let elaborate_bound ~max_expansions ~bindings (archi : Ast.archi) =
         (i.inst_name, List.sort_uniq String.compare finals))
       archi.instances
   in
-  (* Compose instances left to right; the synchronization set when adding
-     instance [i] is the set of channels shared with earlier instances —
-     channel names are unique per attachment, so this wires each attachment
-     exactly once. *)
-  let init =
-    match initial_terms with
-    | [] -> fail "architecture %s has no instances" archi.name
-    | (first_inst, first_term) :: rest ->
-        let channels_with earlier (i : Ast.instance) =
-          archi.attachments
-          |> List.filter (fun (a : Ast.attachment) ->
-                 (String.equal a.from_inst i.inst_name
-                 && List.exists
-                      (fun (e : Ast.instance) ->
-                        String.equal e.inst_name a.to_inst)
-                      earlier)
-                 || (String.equal a.to_inst i.inst_name
-                    && List.exists
-                         (fun (e : Ast.instance) ->
-                           String.equal e.inst_name a.from_inst)
-                         earlier))
-          |> List.map Ast.channel_name
-        in
-        let term, _ =
-          List.fold_left
-            (fun (acc, earlier) ((i : Ast.instance), init_term) ->
-              let sync = channels_with earlier i in
-              (Term.par_names acc sync init_term, i :: earlier))
-            (first_term, [ first_inst ])
-            rest
-        in
-        term
-  in
-  let spec = Term.spec ~defs:!defs ~init in
-  Dpma_obs.Metrics.add Dpma_obs.Instruments.adl_constants (List.length !defs);
   let attached_ports =
     List.concat_map
       (fun (a : Ast.attachment) ->
@@ -559,13 +598,82 @@ let elaborate_bound ~max_expansions ~bindings (archi : Ast.archi) =
         |> List.map (Ast.qualified i.inst_name))
       archi.instances
   in
+  { archi; max_expansions; instances = List.rev instances;
+    memo = Hashtbl.create 64; actions = instance_actions;
+    unattached = unattached_interactions }
+
+(* One family member: [bindings] gives each feature its value. [check] has
+   already run. *)
+let elaborate_bound p ~bindings =
+  Dpma_obs.Trace.with_span "adl.elaborate" (fun () ->
+  let max_expansions = p.max_expansions in
+  let feature_env =
+    List.map (fun (name, v) -> (name, Ast.VInt v)) bindings
+  in
+  let timings : (string, Dist.t) Hashtbl.t = Hashtbl.create 16 in
+  let record_timing name dist context =
+    match Hashtbl.find_opt timings name with
+    | None -> Hashtbl.add timings name dist
+    | Some existing ->
+        if not (Dist.equal existing dist) then
+          fail
+            "%s: action %s carries two different general distributions (%s \
+             and %s)"
+            context name (Dist.to_string existing) (Dist.to_string dist)
+  in
+  let defs = ref [] in
+  let expansions = ref 0 in
+  (* A memoized translation replays its timings and expansions in their
+     original order, so a conflict or an exhausted budget fails at the
+     same point, with the same message, as a fresh translation would. *)
+  let instance_init ((i : Ast.instance), features, _) =
+    let key =
+      (i.inst_name, List.map (fun f -> List.assoc f bindings) features)
+    in
+    let tr =
+      match Hashtbl.find_opt p.memo key with
+      | Some tr -> tr
+      | None ->
+          let tr =
+            translate_instance ~max_expansions
+              ~budget:(max_expansions - !expansions) ~feature_env p.archi i
+          in
+          if Result.is_ok tr.tr_init then Hashtbl.add p.memo key tr;
+          tr
+    in
+    List.iter
+      (fun (before, name, dist, context) ->
+        if !expansions + before > max_expansions then
+          overflow ~max_expansions i.inst_name;
+        record_timing name dist context)
+      tr.tr_timings;
+    expansions := !expansions + tr.tr_expansions;
+    if !expansions > max_expansions then overflow ~max_expansions i.inst_name;
+    defs := tr.tr_defs @ !defs;
+    match tr.tr_init with Ok t -> t | Error e -> raise e
+  in
+  let initial_terms =
+    List.map (fun ((_, _, sync) as i) -> (sync, instance_init i)) p.instances
+  in
+  (* Compose instances left to right, synchronizing each on the channels
+     it shares with the ones before it. *)
+  let init =
+    match initial_terms with
+    | [] -> assert false (* [plan] rejects an empty architecture *)
+    | (_, first) :: rest ->
+        List.fold_left
+          (fun acc (sync, t) -> Term.par_names acc sync t)
+          first rest
+  in
+  let spec = Term.spec ~defs:!defs ~init in
+  Dpma_obs.Metrics.add Dpma_obs.Instruments.adl_constants (List.length !defs);
   {
     spec;
     general_timings =
       Hashtbl.fold (fun k v acc -> (k, v) :: acc) timings []
       |> List.sort compare;
-    instance_actions;
-    unattached_interactions;
+    instance_actions = p.actions;
+    unattached_interactions = p.unattached;
   })
 
 let first_bindings (archi : Ast.archi) =
@@ -575,7 +683,8 @@ let first_bindings (archi : Ast.archi) =
 
 let elaborate ?(max_expansions = max_expansions_default) (archi : Ast.archi) =
   check archi;
-  elaborate_bound ~max_expansions ~bindings:(first_bindings archi) archi
+  elaborate_bound (plan ~max_expansions archi)
+    ~bindings:(first_bindings archi)
 
 type family = {
   features : (string * int list) list;
@@ -628,10 +737,8 @@ let elaborate_family ?(max_expansions = max_expansions_default) ?sweep
     fail "architecture %s: family has %d members (more than %d)" archi.name
       (List.length bindings) max_members;
   let bindings = Array.of_list bindings in
-  let members =
-    Array.map (fun b -> elaborate_bound ~max_expansions ~bindings:b archi)
-      bindings
-  in
+  let p = plan ~max_expansions archi in
+  let members = Array.map (fun b -> elaborate_bound p ~bindings:b) bindings in
   {
     features =
       List.map

@@ -67,7 +67,12 @@ val elaborate_family :
     process-constant names do not mention feature values, the members'
     definitions coincide on every behavior a feature does not reach —
     which is what lets [Dpma_pa.Feature.make] derive shared behaviors
-    once for the whole family. Raises {!Check_error} if no feature is
+    once for the whole family. Members that bind the features an
+    instance reads (in its const arguments and its element type's
+    guards, rates and call arguments) alike share that instance's
+    translation; every member still equals its own elaboration, and a
+    member's errors (distribution conflicts, [max_expansions]) are the
+    ones it would raise alone. Raises {!Check_error} if no feature is
     declared, [sweep] names an unknown feature, or the family exceeds
     4096 members. *)
 

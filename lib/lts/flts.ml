@@ -27,9 +27,9 @@ module Guard = struct
          let rec eq i = i < 0 || (a.(i) = b.(i) && eq (i - 1)) in
          eq (Array.length a - 1)
 
-    (* FNV-1a over the words. *)
-    let hash a =
-      Array.fold_left (fun h x -> (h lxor x) * 0x01000193 land max_int) 0x811c9dc5 a
+    (* Mixed: a one-configuration guard is a single bit, often above the
+       bucket mask, so an unmixed fold leaves the bucket bits alone. *)
+    let hash = Dpma_util.Hash.ints
   end
 
   module Tbl = Hashtbl.Make (Key)
@@ -259,7 +259,10 @@ let project t c =
      the edges whose guard admits it: discovery order reproduces the
      level-synchronous numbering of [Lts.build], and the guard-filtered
      edge list of each state is that configuration's own derivation list
-     (see flts.mli), so the result is bit-identical to [Lts.of_spec]. *)
+     (see flts.mli), so the result is bit-identical to [Lts.of_spec].
+     A state's edges are one contiguous run per derivation group, and
+     the groups are disjoint, so one membership test per run finds the
+     only run that admits [c]. *)
   let map = Array.make t.num_states (-1) in
   let order = ref (Array.make 1024 0) in
   let n = ref 0 in
@@ -283,18 +286,29 @@ let project t c =
   let i = ref 0 in
   while !i < !n do
     let s = !order.(!i) in
-    let acc = ref [] in
-    for e = t.row.(s) to t.row.(s + 1) - 1 do
-      if Guard.mem t.guards t.guard.(e) c then begin
-        let rate =
-          match t.rate_kind.(e) with
-          | 1 -> Some (Rate.Exp t.rate_val.(e))
-          | 2 -> Some (Rate.Imm { prio = t.rate_prio.(e); weight = t.rate_val.(e) })
-          | 3 -> Some (Rate.Passive { weight = t.rate_val.(e) })
-          | _ -> None
-        in
-        acc := { Lts.label = t.lab.(e); rate; target = id_of t.tgt.(e) } :: !acc
+    let stop = t.row.(s + 1) in
+    let rec find lo =
+      if lo >= stop then (lo, lo)
+      else begin
+        let g = t.guard.(lo) in
+        let hi = ref (lo + 1) in
+        while !hi < stop && t.guard.(!hi) = g do
+          incr hi
+        done;
+        if Guard.mem t.guards g c then (lo, !hi) else find !hi
       end
+    in
+    let lo, hi = find t.row.(s) in
+    let acc = ref [] in
+    for e = lo to hi - 1 do
+      let rate =
+        match t.rate_kind.(e) with
+        | 1 -> Some (Rate.Exp t.rate_val.(e))
+        | 2 -> Some (Rate.Imm { prio = t.rate_prio.(e); weight = t.rate_val.(e) })
+        | 3 -> Some (Rate.Passive { weight = t.rate_val.(e) })
+        | _ -> None
+      in
+      acc := { Lts.label = t.lab.(e); rate; target = id_of t.tgt.(e) } :: !acc
     done;
     rev_lists := List.rev !acc :: !rev_lists;
     incr i

@@ -131,8 +131,11 @@ val num_transitions : t -> int
 val project : t -> int -> Lts.t
 (** [project fam c] slices configuration [c]'s LTS out of the shared
     CSR — bit-identical to [Lts.of_spec] on the member specification (see
-    the module preamble). O(reachable states + edges) with no SOS
-    derivation. Safe to call concurrently from several domains. *)
+    the module preamble). A state's edges are one contiguous run per
+    derivation group and the groups are disjoint, so each visited state
+    costs one {!Guard.mem} per run up to the one admitting [c], plus the
+    copy of that run; no SOS derivation. Safe to call concurrently from
+    several domains. *)
 
 val project_all : ?jobs:int -> t -> Lts.t array
 (** Every configuration's projection, dealt to the domain pool; also

@@ -202,19 +202,33 @@ type group = { configs : int array; steps : (Label.t * Rate.t * Term.t) list }
 
 type shard = {
   parent : t;
-  sems : Semantics.shard array;
+  sems : Semantics.shard option array;
+      (* created on a configuration's first derivation in this shard *)
+  mutable created : Semantics.shard list;  (* the [Some] entries of [sems] *)
   local_calls : int array Int_tbl.t;
 }
 
 let shard fe =
   {
     parent = fe;
-    sems = Array.map Semantics.shard fe.engines;
+    sems = Array.make fe.nconfigs None;
+    created = [];
     local_calls = Int_tbl.create 256;
   }
 
+(* A configuration's SOS shard, created on first use. Creating a shard
+   only reads its (eager) parent engine, so a worker domain may do it. *)
+let sem sh c =
+  match sh.sems.(c) with
+  | Some s -> s
+  | None ->
+      let s = Semantics.shard sh.parent.engines.(c) in
+      sh.sems.(c) <- Some s;
+      sh.created <- s :: sh.created;
+      s
+
 let merge_shard sh =
-  Array.iter Semantics.merge_shard sh.sems;
+  List.iter Semantics.merge_shard sh.created;
   Int_tbl.iter
     (fun uid cs ->
       if not (Int_tbl.mem sh.parent.calls_tbl uid) then
@@ -267,19 +281,18 @@ module Key_tbl = Hashtbl.Make (struct
 
   let equal = key_equal
 
-  (* FNV-1a over both components of every pair. *)
   let hash a =
-    Array.fold_left
-      (fun h (x, y) ->
-        (((h lxor x) * 0x01000193 land max_int) lxor y) * 0x01000193 land max_int)
-      0x811c9dc5 a
+    Dpma_util.Hash.int
+      (Array.fold_left
+         (fun h (x, y) -> Dpma_util.Hash.fold (Dpma_util.Hash.fold h x) y)
+         (Array.length a) a)
 end)
 
 let derive_in sh t =
   let fe = sh.parent in
   let cs = calls sh t in
   if not (Array.exists (fun n -> fe.name_sens.(n)) cs) then
-    [ { configs = fe.all; steps = Semantics.derive_in sh.sems.(0) t } ]
+    [ { configs = fe.all; steps = Semantics.derive_in (sem sh 0) t } ]
   else begin
     (* Group the configurations by key, in first-configuration order:
        every configuration of a group derives to the same transition
@@ -304,7 +317,7 @@ let derive_in sh t =
       (fun g ->
         {
           configs = Array.of_list (List.rev g.gconfigs);
-          steps = Semantics.derive_in sh.sems.(g.gfirst) t;
+          steps = Semantics.derive_in (sem sh g.gfirst) t;
         })
       !groups
   end

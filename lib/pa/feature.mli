@@ -58,8 +58,13 @@ type group = {
 type shard
 
 val shard : t -> shard
-(** A single-domain worker view (one {!Semantics.shard} per
-    configuration plus a private sensitivity memo). *)
+(** A single-domain worker view: a private sensitivity memo and one
+    {!Semantics.shard} per configuration, created on that
+    configuration's first derivation through this shard (a group derives
+    under its first configuration only, so only configurations that head
+    a group get one). Creating a {!Semantics.shard} only reads its parent
+    engine, which {!make} created, so a worker domain may call this and
+    {!derive_in} freely. *)
 
 val derive_in : shard -> Term.t -> group list
 (** Derive the term for every configuration at once, grouped. Groups are
@@ -70,6 +75,7 @@ val derive_in : shard -> Term.t -> group list
     thread-safe: one domain per shard. *)
 
 val merge_shard : shard -> unit
-(** Fold the shard's buffered memo entries back into the parent (and the
-    parent {!Semantics.engine}s). Call from a single domain while no
-    worker is deriving, exactly like {!Semantics.merge_shard}. *)
+(** Fold the shard's buffered memo entries back into the parent (and,
+    for the configurations that created a {!Semantics.shard}, the parent
+    {!Semantics.engine}s). Call from a single domain while no worker is
+    deriving, exactly like {!Semantics.merge_shard}. *)

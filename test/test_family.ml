@@ -552,6 +552,209 @@ let test_grid_sampled_identity () =
         (Lts.of_spec specs.(c)))
     (List.sort_uniq Int.compare (List.init 8 (fun i -> i * (members - 1) / 7)))
 
+let test_grid_every_member_identity () =
+  (* Every member of a 64-member grid, not a sample: the projection keeps
+     one guard run per state, so a member whose run is not the first
+     one, or not the last one, takes each path. *)
+  let specs = grid_specs ~t_max:4 ~a_max:8 in
+  Alcotest.(check int) "grid members" 64 (Array.length specs);
+  let fam = fst (Flts.build_family specs) in
+  Array.iteri
+    (fun c spec ->
+      check_lts_identical
+        (Printf.sprintf "grid member %d" c)
+        (Flts.project fam c) (Lts.of_spec spec))
+    specs
+
+let test_member_without_edges () =
+  (* [T.Next] is one union state for both members, and under [stall = 1]
+     it has no outgoing edge: no guard run admits that member there, and
+     its projection must keep the state a deadlock. *)
+  let archi =
+    Parser.parse
+      {|
+ARCHI_TYPE Stall(void)
+
+feature stall in {0, 1}
+
+ARCHI_ELEM_TYPES
+
+ELEM_TYPE T_Type(void)
+BEHAVIOR
+Go(void; void) = <step, exp(1)> . Next();
+Next(void; void) = cond(stall = 0) -> <back, exp(2)> . Go()
+INPUT_INTERACTIONS void
+OUTPUT_INTERACTIONS void
+
+ARCHI_TOPOLOGY
+
+ARCHI_ELEM_INSTANCES
+T : T_Type()
+
+ARCHI_ATTACHMENTS void
+
+END
+|}
+  in
+  let specs =
+    Array.map (fun m -> m.Elaborate.spec)
+      (Elaborate.elaborate_family archi).Elaborate.members
+  in
+  let fam = fst (Flts.build_family specs) in
+  Alcotest.(check int) "union states" 2 fam.Flts.num_states;
+  Array.iteri
+    (fun c spec ->
+      check_lts_identical
+        (Printf.sprintf "stall member %d" c)
+        (Flts.project fam c) (Lts.of_spec spec))
+    specs
+
+(* [archi] with every feature's domain narrowed to its value in [binding]:
+   a one-member family elaborated on its own. *)
+let pinned (archi : Dpma_adl.Ast.archi) binding =
+  let module Ast = Dpma_adl.Ast in
+  {
+    archi with
+    Ast.features =
+      List.map
+        (fun (f : Ast.feature) ->
+          { f with Ast.f_domain = [ List.assoc f.Ast.f_name binding ] })
+        archi.Ast.features;
+  }
+
+let check_members_standalone name archi =
+  (* Instance translations are shared across members that bind the
+     features they read alike; each member must still equal its own
+     elaboration, down to physically equal constant bodies. *)
+  let fam = Elaborate.elaborate_family archi in
+  Array.iteri
+    (fun c (m : Elaborate.elaborated) ->
+      let name = Printf.sprintf "%s member %d" name c in
+      let solo =
+        (Elaborate.elaborate_family (pinned archi fam.Elaborate.bindings.(c)))
+          .Elaborate.members.(0)
+      in
+      let spec (e : Elaborate.elaborated) = e.Elaborate.spec in
+      let defs e = (spec e).Dpma_pa.Term.defs in
+      Alcotest.(check (list string))
+        (name ^ ": constant names")
+        (List.map fst (defs solo)) (List.map fst (defs m));
+      Alcotest.(check bool)
+        (name ^ ": constant bodies") true
+        (List.for_all2 (fun (_, a) (_, b) -> a == b) (defs solo) (defs m));
+      Alcotest.(check bool)
+        (name ^ ": init") true
+        ((spec solo).Dpma_pa.Term.init == (spec m).Dpma_pa.Term.init);
+      Alcotest.(check bool)
+        (name ^ ": general timings") true
+        (List.equal
+           (fun (a, d) (b, d') -> String.equal a b && Dpma_dist.Dist.equal d d')
+           solo.Elaborate.general_timings m.Elaborate.general_timings);
+      Alcotest.(check (list (pair string (list string))))
+        (name ^ ": instance actions")
+        solo.Elaborate.instance_actions m.Elaborate.instance_actions;
+      Alcotest.(check (list string))
+        (name ^ ": unattached interactions")
+        solo.Elaborate.unattached_interactions
+        m.Elaborate.unattached_interactions)
+    fam.Elaborate.members
+
+let test_members_match_standalone () =
+  check_members_standalone "grid" (Parser.parse (grid_aem ~t_max:4 ~a_max:8));
+  check_members_standalone "pinger" (Parser.parse family_aem)
+
+(* The receiver's translation reads no feature, so the second member
+   replays the first member's; the sender's grows with [depth] and picks
+   a general distribution by it. *)
+let parity_aem =
+  {|
+ARCHI_TYPE Parity(void)
+
+feature depth in {1, 4}
+
+ARCHI_ELEM_TYPES
+
+ELEM_TYPE Sender_Type(const integer n)
+BEHAVIOR
+Start(void; void) = Count(0);
+Count(integer k; void) =
+choice {
+  cond(k < n) -> <tick, exp(1)> . Count(k + 1),
+  cond(k >= n && n = 1) -> <send, det(1)> . Count(0),
+  cond(k >= n && n > 1) -> <send, det(2)> . Count(0)
+}
+INPUT_INTERACTIONS void
+OUTPUT_INTERACTIONS UNI send
+
+ELEM_TYPE Receiver_Type(const integer m)
+BEHAVIOR
+Start(void; void) = Wait(0);
+Wait(integer k; void) =
+choice {
+  cond(k < m) -> <skip, exp(1)> . Wait(k + 1),
+  cond(k >= m) -> <recv, det(1)> . Wait(0)
+}
+INPUT_INTERACTIONS UNI recv
+OUTPUT_INTERACTIONS void
+
+ARCHI_TOPOLOGY
+
+ARCHI_ELEM_INSTANCES
+S : Sender_Type(depth);
+R : Receiver_Type(3)
+
+ARCHI_ATTACHMENTS
+FROM S.send TO R.recv
+
+END
+|}
+
+let test_family_error_parity () =
+  (* Expansions: the sender 3 (depth 1) or 6 (depth 4), the receiver 5.
+     A family fails with the first failing member's own error. *)
+  let archi = Parser.parse parity_aem in
+  let error f =
+    match f () with
+    | exception Elaborate.Check_error m -> m
+    | _ -> Alcotest.fail "elaboration should fail"
+  in
+  let first_member_error max_expansions =
+    List.find_map
+      (fun v ->
+        match
+          Elaborate.elaborate_family ~max_expansions
+            (pinned archi [ ("depth", v) ])
+        with
+        | exception Elaborate.Check_error m -> Some m
+        | _ -> None)
+      [ 1; 4 ]
+    |> Option.get
+  in
+  let contains sub s =
+    let n = String.length sub in
+    let rec go i =
+      i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+    in
+    go 0
+  in
+  List.iter
+    (fun (max_expansions, expect) ->
+      let msg =
+        error (fun () -> Elaborate.elaborate_family ~max_expansions archi)
+      in
+      let name = Printf.sprintf "max_expansions %d" max_expansions in
+      Alcotest.(check string) name (first_member_error max_expansions) msg;
+      if not (contains expect msg) then
+        Alcotest.failf "%s: %S does not mention %S" name msg expect)
+    [
+      (5, "instance R: more than 5 expanded behaviors");
+      (* member 2 runs out in the replayed receiver, before its
+         distribution clashes with the sender's *)
+      (10, "instance R: more than 10 expanded behaviors");
+      (11, "carries two different general distributions (det(2) and det(1))");
+      (200_000, "carries two different general distributions");
+    ]
+
 let test_dedup_solves () =
   let specs = grid_specs ~t_max:4 ~a_max:8 in
   let members = Array.length specs in
@@ -635,6 +838,14 @@ let suite =
       test_adl_feature_ranges;
     Alcotest.test_case "1024-member grid projections bit-identical" `Quick
       test_grid_sampled_identity;
+    Alcotest.test_case "every grid member projects bit-identically" `Quick
+      test_grid_every_member_identity;
+    Alcotest.test_case "member without edges at a shared state" `Quick
+      test_member_without_edges;
+    Alcotest.test_case "family members equal their own elaboration" `Quick
+      test_members_match_standalone;
+    Alcotest.test_case "family elaboration errors match the member's" `Quick
+      test_family_error_parity;
     Alcotest.test_case "deduplicated solves match per-member solves" `Quick
       test_dedup_solves;
     Alcotest.test_case "members differing only in labels share one solve"

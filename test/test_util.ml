@@ -363,20 +363,31 @@ let prop_scc_partitions =
       let all = List.concat comps |> List.sort compare in
       all = List.init 10 (fun i -> i))
 
+(* Non-empty buckets of a 1024-bucket [Hashtbl.Make] table holding
+   [keys]: [Hashtbl.Make] takes the bucket from the low bits of the
+   hash. *)
+let filled (type k) (module H : Hashtbl.HashedType with type t = k) keys =
+  let module T = Hashtbl.Make (H) in
+  let t = T.create 1024 in
+  List.iter (fun k -> T.replace t k ()) keys;
+  let st = T.stats t in
+  Alcotest.(check int) "bucket count" 1024 st.Hashtbl.num_buckets;
+  st.Hashtbl.num_buckets - st.Hashtbl.bucket_histogram.(0)
+
+let int_array_key =
+  (module struct
+    type t = int array
+
+    let equal = ( = )
+    let hash = Dpma_util.Hash.ints
+  end : Hashtbl.HashedType
+    with type t = int array)
+
 let test_hash_spreads_high_bits () =
   (* Packed (label, block) signature words: the label sits above bit 31,
      so only a mix that brings high bits down spreads them over the
-     buckets, which [Hashtbl.Make] takes from the low bits. 1000 keys
-     into 1024 buckets leave about 640 non-empty when the hash is
-     uniform; a hash that drops the label bits fills one. *)
-  let filled (type k) (module H : Hashtbl.HashedType with type t = k) keys =
-    let module T = Hashtbl.Make (H) in
-    let t = T.create 1024 in
-    List.iter (fun k -> T.replace t k ()) keys;
-    let st = T.stats t in
-    Alcotest.(check int) "bucket count" 1024 st.Hashtbl.num_buckets;
-    st.Hashtbl.num_buckets - st.Hashtbl.bucket_histogram.(0)
-  in
+     buckets. 1000 keys into 1024 buckets leave about 640 non-empty when
+     the hash is uniform; a hash that drops the label bits fills one. *)
   let packed = List.init 1000 (fun l -> (l lsl 31) lor 0) in
   let ints =
     filled
@@ -388,22 +399,29 @@ let test_hash_spreads_high_bits () =
       end)
       packed
   in
-  let arrays =
-    filled
-      (module struct
-        type t = int array
-
-        let equal = ( = )
-        let hash = Dpma_util.Hash.ints
-      end)
-      (List.map (fun k -> [| k |]) packed)
-  in
+  let arrays = filled int_array_key (List.map (fun k -> [| k |]) packed) in
   Alcotest.(check bool)
     (Printf.sprintf "int keys fill %d of 1024 buckets" ints)
     true (ints >= 512);
   Alcotest.(check bool)
     (Printf.sprintf "int array keys fill %d of 1024 buckets" arrays)
     true (arrays >= 512)
+
+let test_hash_spreads_singleton_bitsets () =
+  (* The one-configuration feature guards of a 1024-member family: 17
+     words of 63 bits, one bit set. A fold without a final mix leaves the
+     low bits of a word whose bit lies above the bucket mask unchanged,
+     and such keys crowd into about a tenth of the buckets. *)
+  let words = 17 in
+  let singleton c =
+    let a = Array.make words 0 in
+    a.(c / 63) <- 1 lsl (c mod 63);
+    a
+  in
+  let n = filled int_array_key (List.init 1024 singleton) in
+  Alcotest.(check bool)
+    (Printf.sprintf "singleton bitsets fill %d of 1024 buckets" n)
+    true (n >= 512)
 
 let qtests = [ prop_pqueue_sorts; prop_scc_partitions ]
 
@@ -440,6 +458,8 @@ let suite =
     Alcotest.test_case "bottom components" `Quick test_bottom_components;
     Alcotest.test_case "hash spreads packed labels" `Quick
       test_hash_spreads_high_bits;
+    Alcotest.test_case "hash spreads singleton bitsets" `Quick
+      test_hash_spreads_singleton_bitsets;
   ]
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) qtests
 
