@@ -501,8 +501,8 @@ let family_sweep () =
    pipeline (Lts.of_spec + analyze_lts each). The dpm=0 half of the grid
    never reaches the timeout/awake-sensitive behaviors, so all those
    members project to one chain and share a single solve. The run aborts
-   on any of: a sampled projection differing from its pipeline build
-   (full CSR compare), a measure value not bit-identical to its pipeline
+   on any of: a member's projection differing from its pipeline build
+   (full CSR compare, every member), a measure value not bit-identical to its pipeline
    value (nan matches nan), no solve sharing, or the featured leg failing
    to finish in under half the baseline time. The baseline runs second,
    so shared warmup favors it. Tiny runs keep the first 4 timeout and
@@ -538,23 +538,22 @@ let family_scale () =
     clocked (fun () -> Markov.analyze_ltss_dedup ltss measures)
   in
   let fam_total = build_s +. project_s +. analyze_s in
-  (* Baseline leg, second: one full pipeline per member. *)
+  (* Baseline leg, second: one full pipeline per member, keeping each
+     member's own build for the identity check below. *)
   Gc.full_major ();
   let base, base_s =
     clocked (fun () ->
         Array.map
-          (fun spec -> Markov.analyze_lts (Lts.of_spec spec) measures)
+          (fun spec ->
+            let lts = Lts.of_spec spec in
+            (lts, Markov.analyze_lts lts measures))
           specs)
   in
-  (* Sampled bit-identity: eight members spread across the grid must
-     project to exactly the pipeline's CSR. *)
-  let samples =
-    List.sort_uniq Int.compare
-      (List.init 8 (fun i -> i * (members - 1) / 7))
-  in
-  List.iter
-    (fun c ->
-      let p = ltss.(c) and b = Lts.of_spec specs.(c) in
+  (* Bit-identity: every member must project to exactly its pipeline
+     build's CSR. *)
+  Array.iteri
+    (fun c (b, _) ->
+      let p = ltss.(c) in
       let same =
         p.Lts.num_states = b.Lts.num_states
         && p.Lts.init = b.Lts.init
@@ -570,7 +569,7 @@ let family_scale () =
           "FAMILY MISMATCH family_scale: member %d's projection differs \
            from its pipeline build"
           c)
-    samples;
+    base;
   (* Every member's dedup analysis against its own solve, bit for bit
      (nan matches nan), state counts included. *)
   let same a b =
@@ -579,7 +578,7 @@ let family_scale () =
   in
   Array.iteri
     (fun c (a : Markov.analysis) ->
-      let b = base.(c) in
+      let b = snd base.(c) in
       if a.Markov.states <> b.Markov.states
          || a.Markov.tangible <> b.Markov.tangible
       then

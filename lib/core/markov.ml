@@ -83,49 +83,54 @@ end)
 let analyze_ltss_dedup ?jobs ltss measures =
   let members = Array.length ltss in
   if members = 0 then invalid_arg "Markov.analyze_ltss_dedup: empty family";
-  let ctmcs =
-    Array.of_list
-      (Dpma_util.Pool.parallel_map ?jobs Ctmc.of_lts (Array.to_list ltss))
-  in
+  let module Trace = Dpma_obs.Trace in
+  Trace.with_span "markov.dedup" ~attrs:[ ("members", Trace.Int members) ]
+    (fun () ->
   (* Group members by key; representatives in first-appearance order so
      the set of solves is deterministic. *)
-  let rep_of_key = Solve_key.create 64 in
-  let reps = ref [] and nreps = ref 0 in
-  let rep_idx =
-    Array.map
-      (fun ctmc ->
-        match Solve_key.find_opt rep_of_key ctmc with
-        | Some r -> r
-        | None ->
-            let r = !nreps in
-            incr nreps;
-            Solve_key.add rep_of_key ctmc r;
-            reps := ctmc :: !reps;
-            r)
-      ctmcs
+  let ctmcs, rep_idx, reps =
+    Trace.with_span "markov.dedup.key" (fun () ->
+        let ctmcs =
+          Array.of_list
+            (Dpma_util.Pool.parallel_map ?jobs Ctmc.of_lts (Array.to_list ltss))
+        in
+        let rep_of_key = Solve_key.create 64 in
+        let reps = ref [] and nreps = ref 0 in
+        let rep_idx =
+          Array.map
+            (fun ctmc ->
+              match Solve_key.find_opt rep_of_key ctmc with
+              | Some r -> r
+              | None ->
+                  let r = !nreps in
+                  incr nreps;
+                  Solve_key.add rep_of_key ctmc r;
+                  reps := ctmc :: !reps;
+                  r)
+            ctmcs
+        in
+        (ctmcs, rep_idx, List.rev !reps))
   in
   let pis =
-    Array.of_list
-      (Dpma_util.Pool.parallel_map ?jobs Ctmc.steady_state (List.rev !reps))
+    Array.of_list (Dpma_util.Pool.parallel_map ?jobs Ctmc.steady_state reps)
   in
   let results =
-    Array.mapi
-      (fun i lts -> evaluate lts ctmcs.(i) pis.(rep_idx.(i)) measures)
-      ltss
+    Trace.with_span "markov.dedup.evaluate" (fun () ->
+        Array.mapi
+          (fun i lts -> evaluate lts ctmcs.(i) pis.(rep_idx.(i)) measures)
+          ltss)
   in
+  let distinct = Array.length pis in
   let stats =
-    {
-      members;
-      distinct_quotients = !nreps;
-      solves_shared = members - !nreps;
-    }
+    { members; distinct_quotients = distinct;
+      solves_shared = members - distinct }
   in
   let module I = Dpma_obs.Instruments in
   Dpma_obs.Metrics.set I.family_distinct_quotients
     (float_of_int stats.distinct_quotients);
   Dpma_obs.Metrics.set I.family_solves_shared
     (float_of_int stats.solves_shared);
-  (results, stats)
+  (results, stats))
 
 let analyze_family ?max_states ?jobs specs measures =
   fst (analyze_ltss_dedup ?jobs (family_ltss ?max_states ?jobs specs) measures)

@@ -67,8 +67,11 @@ val analyze_ltss_dedup :
     Every member's [analysis] is bit-identical to {!analyze_lts} on it.
     CTMC builds and solves are dealt to the domain pool; the results do
     not depend on [jobs]. Records [family.distinct_quotients] /
-    [family.solves_shared]. Raises [Invalid_argument] on an empty
-    family. *)
+    [family.solves_shared]. Traced as a [markov.dedup] span whose
+    children are [markov.dedup.key] (CTMC builds and keying) and
+    [markov.dedup.evaluate] (measures), with the [ctmc.solve] spans of
+    the distinct solves between them. Raises [Invalid_argument] on an
+    empty family. *)
 
 val without_dpm : Dpma_lts.Lts.t -> high:string list -> Dpma_lts.Lts.t
 (** Restrict the DPM command actions. *)

@@ -3,7 +3,6 @@
    projection. See flts.mli for the bit-identity contract. *)
 
 module Term = Dpma_pa.Term
-module Rate = Dpma_pa.Rate
 module Feature = Dpma_pa.Feature
 module Pool = Dpma_util.Pool
 
@@ -13,35 +12,13 @@ module Guard = struct
   (* Guards are packed bitsets over the configuration indices: 63 usable
      bits per OCaml int word, so a 1024-configuration family needs 17
      words per distinct guard instead of a sorted index array whose size
-     grows with the set. Intern/conjunction cost is O(words). *)
+     grows with the set. Intern cost is O(words). *)
 
   let bits_per_word = 63
 
-  module Key = struct
-    type t = int array
-
-    let equal a b =
-      a == b
-      || Array.length a = Array.length b
-         &&
-         let rec eq i = i < 0 || (a.(i) = b.(i) && eq (i - 1)) in
-         eq (Array.length a - 1)
-
-    (* Mixed: a one-configuration guard is a single bit, often above the
-       bucket mask, so an unmixed fold leaves the bucket bits alone. *)
-    let hash = Dpma_util.Hash.ints
-  end
-
-  module Tbl = Hashtbl.Make (Key)
-
-  module Pair_key = struct
-    type t = int * int
-
-    let equal (a1, b1) (a2, b2) = a1 = a2 && b1 = b2
-    let hash (a, b) = (a * 0x9e3779b1) lxor b land max_int
-  end
-
-  module Pair_tbl = Hashtbl.Make (Pair_key)
+  (* Mixed hash: a one-configuration guard is a single bit, often above
+     the bucket mask, so an unmixed fold leaves the bucket bits alone. *)
+  module Tbl = Hashtbl.Make (Dpma_util.Hash.Ints)
 
   type table = {
     nconfigs : int;
@@ -49,7 +26,6 @@ module Guard = struct
     ids : int Tbl.t;
     mutable rev : int array array;  (* id -> packed bitset *)
     mutable count : int;
-    inter_memo : int Pair_tbl.t;  (* (lo id, hi id) -> conjunction id *)
   }
 
   let all = 0
@@ -72,7 +48,7 @@ module Guard = struct
     let words = (nconfigs + bits_per_word - 1) / bits_per_word in
     let t =
       { nconfigs; words; ids = Tbl.create 64; rev = Array.make 8 [||];
-        count = 0; inter_memo = Pair_tbl.create 64 }
+        count = 0 }
     in
     (* The full set: every valid bit on. A full 63-bit word is [-1] (all
        bits set on a 63-bit int); a partial last word masks to the
@@ -123,47 +99,41 @@ module Guard = struct
     done;
     !n
 
-  let configs t g =
+  (* Bit index of a single-bit word (binary search; the sign bit of a
+     63-bit word is bit 62). *)
+  let bit_index b =
+    let rec go r b k =
+      if k = 0 then r
+      else if b lsr k <> 0 then go (r + k) (b lsr k) (k / 2)
+      else go r b (k / 2)
+    in
+    go 0 b 32
+
+  (* [f] on every configuration of [g], ascending; one step per set bit. *)
+  let iter t g f =
     let bits = t.rev.(g) in
+    for w = 0 to t.words - 1 do
+      let x = ref bits.(w) in
+      while !x <> 0 do
+        let low = !x land - !x in
+        f ((w * bits_per_word) + bit_index low);
+        x := !x lxor low
+      done
+    done
+
+  let configs t g =
     let out = Array.make (cardinal t g) 0 in
     let n = ref 0 in
-    for w = 0 to t.words - 1 do
-      let word = bits.(w) in
-      if word <> 0 then
-        for b = 0 to bits_per_word - 1 do
-          if word land (1 lsl b) <> 0 then begin
-            out.(!n) <- (w * bits_per_word) + b;
-            incr n
-          end
-        done
-    done;
+    iter t g (fun c ->
+        out.(!n) <- c;
+        incr n);
     out
 
   let mem t g c =
     g = all
     || t.rev.(g).(c / bits_per_word) land (1 lsl (c mod bits_per_word)) <> 0
 
-  let inter t ga gb =
-    if ga = gb then ga
-    else if ga = all then gb
-    else if gb = all then ga
-    else begin
-      let key = if ga < gb then (ga, gb) else (gb, ga) in
-      match Pair_tbl.find_opt t.inter_memo key with
-      | Some id -> id
-      | None ->
-          let a = t.rev.(ga) and b = t.rev.(gb) in
-          let bits = Array.make t.words 0 in
-          for w = 0 to t.words - 1 do
-            bits.(w) <- a.(w) land b.(w)
-          done;
-          let id = intern_bits t bits in
-          Pair_tbl.add t.inter_memo key id;
-          id
-    end
-
   let count t = t.count
-  let words t = t.words
   let table_words t = t.count * t.words
 end
 
@@ -250,87 +220,166 @@ let build_family ?max_states ?jobs ?par_threshold ?spill_dir
 
 (* --- Per-configuration projection ------------------------------------ *)
 
-let project t c =
-  if c < 0 || c >= t.nconfigs then
-    invalid_arg "Flts.project: configuration index out of range";
+(* A state's edges are one contiguous run per derivation group, and the
+   groups are disjoint, so at most one run of a state admits a given
+   configuration. [run_end t lo stop] is the end of the run starting at
+   edge [lo] of a state whose edges stop at [stop]. *)
+let run_end t lo stop =
+  let g = t.guard.(lo) in
+  let hi = ref (lo + 1) in
+  while !hi < stop && t.guard.(!hi) = g do
+    incr hi
+  done;
+  !hi
+
+(* The start of the run of [s] that admits [c], or [-1]: one
+   [Guard.mem] per run up to the admitting one. *)
+let scan_run t s c =
+  let stop = t.row.(s + 1) in
+  let rec find lo =
+    if lo >= stop then -1
+    else if Guard.mem t.guards t.guard.(lo) c then lo
+    else find (run_end t lo stop)
+  in
+  find t.row.(s)
+
+(* Words the run index of [project_all] may hold; states past the budget
+   keep the run scan. The 1024-member grid needs 15 * 1024. *)
+let index_budget = 1 lsl 22
+
+(* For each state with more than one run (within the budget), the start
+   of every configuration's run ([-1] for none), filled by walking each
+   run's guard bits once; [[||]] for the other states. *)
+let run_index t =
+  let index = Array.make t.num_states [||] in
+  let budget = ref index_budget in
+  for s = 0 to t.num_states - 1 do
+    let lo = t.row.(s) and stop = t.row.(s + 1) in
+    if lo < stop && run_end t lo stop < stop && !budget >= t.nconfigs then begin
+      budget := !budget - t.nconfigs;
+      let starts = Array.make t.nconfigs (-1) in
+      let rec fill lo =
+        if lo < stop then begin
+          Guard.iter t.guards t.guard.(lo) (fun c -> starts.(c) <- lo);
+          fill (run_end t lo stop)
+        end
+      in
+      fill lo;
+      index.(s) <- starts
+    end
+  done;
+  index
+
+(* One worker's reusable buffers: [map] (union state -> member state,
+   [-1] when unvisited) is reset after each member through the member's
+   own states, so a projection costs what the member holds. *)
+type scratch = {
+  map : int array;
+  mutable order : int array;  (* member state -> union state *)
+  mutable lo : int array;  (* member state -> its run [lo, hi) *)
+  mutable hi : int array;
+}
+
+let scratch t =
+  { map = Array.make t.num_states (-1); order = Array.make 64 0;
+    lo = Array.make 64 0; hi = Array.make 64 0 }
+
+let grow sc =
+  let n = Array.length sc.order in
+  let bigger a =
+    let b = Array.make (2 * n) 0 in
+    Array.blit a 0 b 0 n;
+    b
+  in
+  sc.order <- bigger sc.order;
+  sc.lo <- bigger sc.lo;
+  sc.hi <- bigger sc.hi
+
+(* FIFO traversal from the configuration's initial state following only
+   the run that admits it: discovery order reproduces the
+   level-synchronous numbering of [Lts.build], and that run is the
+   configuration's own derivation list (see flts.mli), so the result is
+   bit-identical to [Lts.of_spec]. The first pass numbers the states, the
+   second copies the runs into exact-size CSR arrays. *)
+let project_with t ~run sc c =
   Dpma_obs.Trace.with_span "family.project" (fun () ->
   let t0 = Dpma_obs.Clock.now_s () in
-  (* FIFO traversal from the configuration's initial state following only
-     the edges whose guard admits it: discovery order reproduces the
-     level-synchronous numbering of [Lts.build], and the guard-filtered
-     edge list of each state is that configuration's own derivation list
-     (see flts.mli), so the result is bit-identical to [Lts.of_spec].
-     A state's edges are one contiguous run per derivation group, and
-     the groups are disjoint, so one membership test per run finds the
-     only run that admits [c]. *)
-  let map = Array.make t.num_states (-1) in
-  let order = ref (Array.make 1024 0) in
+  let map = sc.map in
   let n = ref 0 in
-  let id_of s =
-    if map.(s) >= 0 then map.(s)
-    else begin
-      let id = !n in
-      incr n;
-      if id = Array.length !order then begin
-        let bigger = Array.make (2 * id) 0 in
-        Array.blit !order 0 bigger 0 id;
-        order := bigger
-      end;
-      !order.(id) <- s;
-      map.(s) <- id;
-      id
+  let visit s =
+    if map.(s) < 0 then begin
+      if !n = Array.length sc.order then grow sc;
+      sc.order.(!n) <- s;
+      map.(s) <- !n;
+      incr n
     end
   in
-  ignore (id_of t.init.(c) : int);
-  let rev_lists = ref [] in
+  visit t.init.(c);
+  let m = ref 0 in
   let i = ref 0 in
   while !i < !n do
-    let s = !order.(!i) in
-    let stop = t.row.(s + 1) in
-    let rec find lo =
-      if lo >= stop then (lo, lo)
-      else begin
-        let g = t.guard.(lo) in
-        let hi = ref (lo + 1) in
-        while !hi < stop && t.guard.(!hi) = g do
-          incr hi
-        done;
-        if Guard.mem t.guards g c then (lo, !hi) else find !hi
-      end
-    in
-    let lo, hi = find t.row.(s) in
-    let acc = ref [] in
+    let s = sc.order.(!i) in
+    let lo = run s c in
+    let hi = if lo < 0 then lo else run_end t lo t.row.(s + 1) in
+    sc.lo.(!i) <- lo;
+    sc.hi.(!i) <- hi;
     for e = lo to hi - 1 do
-      let rate =
-        match t.rate_kind.(e) with
-        | 1 -> Some (Rate.Exp t.rate_val.(e))
-        | 2 -> Some (Rate.Imm { prio = t.rate_prio.(e); weight = t.rate_val.(e) })
-        | 3 -> Some (Rate.Passive { weight = t.rate_val.(e) })
-        | _ -> None
-      in
-      acc := { Lts.label = t.lab.(e); rate; target = id_of t.tgt.(e) } :: !acc
+      visit t.tgt.(e)
     done;
-    rev_lists := List.rev !acc :: !rev_lists;
+    m := !m + (hi - lo);
     incr i
   done;
-  let trans = Array.of_list (List.rev !rev_lists) in
-  let order = Array.sub !order 0 !n in
+  let n = !n and m = !m in
+  let row = Array.make (n + 1) m in
+  let lab = Array.make m 0 and tgt = Array.make m 0 in
+  let rate_kind = Array.make m 0 and rate_prio = Array.make m 0 in
+  let rate_val = Array.make m 0.0 in
+  let e = ref 0 in
+  for i = 0 to n - 1 do
+    row.(i) <- !e;
+    let lo = sc.lo.(i) in
+    let len = sc.hi.(i) - lo in
+    if len > 0 then begin
+      let e0 = !e in
+      Array.blit t.lab lo lab e0 len;
+      Array.blit t.rate_kind lo rate_kind e0 len;
+      Array.blit t.rate_val lo rate_val e0 len;
+      Array.blit t.rate_prio lo rate_prio e0 len;
+      for k = 0 to len - 1 do
+        tgt.(e0 + k) <- map.(t.tgt.(lo + k))
+      done;
+      e := e0 + len
+    end
+  done;
+  let order = Array.sub sc.order 0 n in
+  Array.iter (fun s -> map.(s) <- -1) order;
   let term = t.term in
   let lts =
-    Lts.make ~init:0
+    Lts.of_csr ~init:0
       ~state_name:(fun i -> Term.to_string (term order.(i)))
-      trans
+      ~row ~lab ~tgt ~rate_kind ~rate_val ~rate_prio
   in
-  let module I = Dpma_obs.Instruments in
-  Dpma_obs.Metrics.observe I.family_project_seconds
+  Dpma_obs.Metrics.observe Dpma_obs.Instruments.family_project_seconds
     (Dpma_obs.Clock.now_s () -. t0);
   lts)
 
+let project t c =
+  if c < 0 || c >= t.nconfigs then
+    invalid_arg "Flts.project: configuration index out of range";
+  project_with t ~run:(scan_run t) (scratch t) c
+
 let project_all ?jobs t =
-  let ltss =
-    Pool.parallel_map ?jobs (project t) (List.init t.nconfigs Fun.id)
+  let index = run_index t in
+  let run s c =
+    let starts = index.(s) in
+    if Array.length starts > 0 then starts.(c) else scan_run t s c
   in
-  let arr = Array.of_list ltss in
+  let arr =
+    Pool.map_chunks_ordered ?jobs
+      ~init:(fun () -> scratch t)
+      ~f:(project_with t ~run)
+      (Array.init t.nconfigs Fun.id)
+  in
   let total =
     Array.fold_left (fun acc (l : Lts.t) -> acc + l.Lts.num_states) 0 arr
   in

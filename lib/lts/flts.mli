@@ -35,11 +35,10 @@
 (** Interned feature guards: packed bitsets over the configuration
     indices (63 usable bits per word), hash-consed into small integer
     ids by payload content. Id {!Guard.all} always denotes the full
-    configuration set. Intern and conjunction cost is O(words) — a
-    1024-configuration family pays 17 words per distinct guard — and
-    the observable API (sorted-input [intern], sorted [configs],
-    [mem], [inter]) is unchanged from the sorted-index-array
-    representation, so projection stays bit-identical. *)
+    configuration set. Interning costs O(words) — a 1024-configuration
+    family pays 17 words per distinct guard — and the observable API
+    (sorted-input [intern], sorted [configs], [mem]) is that of the
+    sorted-index-array representation. *)
 module Guard : sig
   type table
 
@@ -57,12 +56,6 @@ module Guard : sig
       is not retained. Raises [Invalid_argument] if the input is out of
       range or not strictly sorted (checked on every call). *)
 
-  val inter : table -> int -> int -> int
-  (** Guard conjunction (word-wise AND), interned. Commutative and
-      associative — the id of a conjunction is independent of the order
-      the conjuncts were derived or combined in. Non-trivial pairs are
-      memoized under a symmetric (lo, hi) key. *)
-
   val mem : table -> int -> int -> bool
   (** [mem tbl g c]: does guard [g] admit configuration [c]? One bit
       test. *)
@@ -76,9 +69,6 @@ module Guard : sig
 
   val count : table -> int
   (** Distinct guards interned so far. *)
-
-  val words : table -> int
-  (** Payload words per guard: [(nconfigs + 62) / 63]. *)
 
   val table_words : table -> int
   (** Total payload words held by the table ([count * words]) — the
@@ -134,10 +124,19 @@ val project : t -> int -> Lts.t
     the module preamble). A state's edges are one contiguous run per
     derivation group and the groups are disjoint, so each visited state
     costs one {!Guard.mem} per run up to the one admitting [c], plus the
-    copy of that run; no SOS derivation. Safe to call concurrently from
-    several domains. *)
+    copy of that run; no SOS derivation. The member's CSR arrays are
+    written directly (a numbering pass, then a copy pass); the only
+    union-sized allocation is one state map. Safe to call concurrently
+    from several domains. *)
 
 val project_all : ?jobs:int -> t -> Lts.t array
-(** Every configuration's projection, dealt to the domain pool; also
-    records the family sharing ratio (union states / summed projected
-    states) in the metrics registry. *)
+(** Every configuration's projection ([project fam c] for each [c], in
+    order), dealt to the domain pool. Before the members it builds one
+    run index: for each union state with more than one guard run, the
+    start of every configuration's run (one word per configuration,
+    filled by walking each run's guard bits once; at most [2^22] words,
+    states past that keep the run scan). A member then finds its run in
+    O(1) and costs O(its own states and edges): each worker reuses one
+    state map, reset through the member's own states. The index is
+    dropped when the call returns. Also records the family sharing ratio
+    (union states / summed projected states) in the metrics registry. *)

@@ -39,6 +39,17 @@ type t = {
 
 exception Too_many_states = Explore.Too_many_states
 
+let of_csr ~init ~state_name ~row ~lab ~tgt ~rate_kind ~rate_val ~rate_prio =
+  let n = Array.length row - 1 in
+  if n < 0 then invalid_arg "Lts.of_csr: empty row array";
+  let m = row.(n) in
+  if Array.length lab <> m || Array.length tgt <> m
+     || Array.length rate_kind <> m || Array.length rate_val <> m
+     || Array.length rate_prio <> m
+  then invalid_arg "Lts.of_csr: edge arrays disagree with the row offsets";
+  { init; num_states = n; state_name; row; lab; tgt; rate_kind; rate_val;
+    rate_prio }
+
 let pack ~init ~state_name (trans : transition list array) =
   let n = Array.length trans in
   let m = Array.fold_left (fun acc l -> acc + List.length l) 0 trans in
@@ -150,11 +161,11 @@ let build ?max_states ?jobs ?par_threshold ?spill_dir ?max_resident_bytes
   M.observe I.lts_build_seconds x.Explore.stats.build_seconds;
   (* State names are rendered lazily: they are only needed in diagnostics. *)
   let term = x.Explore.term in
-  ( { init = x.Explore.seeds.(0); num_states = x.Explore.num_states;
-      state_name = (fun i -> Term.to_string (term i));
-      row = x.Explore.row; lab = x.Explore.lab; tgt = x.Explore.tgt;
-      rate_kind = x.Explore.rate_kind; rate_val = x.Explore.rate_val;
-      rate_prio = x.Explore.rate_prio },
+  ( of_csr ~init:x.Explore.seeds.(0)
+      ~state_name:(fun i -> Term.to_string (term i))
+      ~row:x.Explore.row ~lab:x.Explore.lab ~tgt:x.Explore.tgt
+      ~rate_kind:x.Explore.rate_kind ~rate_val:x.Explore.rate_val
+      ~rate_prio:x.Explore.rate_prio,
     x.Explore.stats ))
 
 let of_spec ?max_states ?jobs ?par_threshold ?spill_dir ?max_resident_bytes
@@ -263,6 +274,8 @@ end
 module Triple_tbl = Hashtbl.Make (Triple)
 
 let quotient lts block =
+  Dpma_obs.Trace.with_span "lts.quotient"
+    ~attrs:[ ("states", Dpma_obs.Trace.Int lts.num_states) ] (fun () ->
   let num_blocks = 1 + Array.fold_left max (-1) block in
   let seen = Triple_tbl.create 64 in
   let trans = Array.make num_blocks [] in
@@ -285,7 +298,7 @@ let quotient lts block =
   done;
   make ~init:block.(lts.init)
     ~state_name:(fun b -> lts.state_name representative.(b))
-    trans
+    trans)
 
 let map_labels lts f =
   (* Rebuild the CSR arrays directly, keeping edge order. *)

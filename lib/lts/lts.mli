@@ -61,6 +61,21 @@ val make : init:int -> state_name:(int -> string) -> transition list array -> t
 (** Pack per-state transition lists (index = state) into CSR form,
     preserving list order. *)
 
+val of_csr :
+  init:int ->
+  state_name:(int -> string) ->
+  row:int array ->
+  lab:int array ->
+  tgt:int array ->
+  rate_kind:int array ->
+  rate_val:float array ->
+  rate_prio:int array ->
+  t
+(** Wrap already-packed CSR arrays (taken by reference, not copied) in
+    an LTS of [Array.length row - 1] states. The arrays must follow the
+    encoding of {!t}; only their lengths are checked ([Invalid_argument]
+    when an edge array's length is not [row.(num_states)]). *)
+
 val rate_of : t -> int -> Dpma_pa.Rate.t option
 (** Rate annotation of the edge at the given flat index. *)
 

@@ -120,20 +120,7 @@ let condense (lts : Lts.t) =
 (* ------------------------------------------------------------------ *)
 (* Weak signatures: one C / W pass per round                            *)
 
-module Arr_key = struct
-  type t = int array
-
-  let equal (a : int array) (b : int array) =
-    Array.length a = Array.length b
-    &&
-    let ok = ref true in
-    Array.iteri (fun i x -> if x <> b.(i) then ok := false) a;
-    !ok
-
-  let hash = Dpma_util.Hash.ints
-end
-
-module Arr_tbl = Hashtbl.Make (Arr_key)
+module Arr_tbl = Hashtbl.Make (Dpma_util.Hash.Ints)
 
 (* Reusable int scratch for the C and W passes: pushes are amortized
    O(1) into a growable array, and [scratch_flush_sorted] sorts the live

@@ -16,6 +16,8 @@ end)
 
 module Int_tbl = Hashtbl.Make (Int)
 
+module Ints_tbl = Hashtbl.Make (Dpma_util.Hash.Ints)
+
 type t = {
   nconfigs : int;
   engines : Semantics.engine array;
@@ -24,16 +26,17 @@ type t = {
   name_ids : int Str_tbl.t;
   name_sens : bool array;
       (* an affected constant occurs in the name's unguarded closure *)
-  closure_keys : (int * int) array option array array;
-      (* closure_keys.(name).(config): the (name id, body uid) pairs of
-         the affected constants in the name's unguarded closure under that
-         configuration, sorted; [None] when the name is undefined there *)
+  key_ids : int array array;
+      (* key_ids.(name).(config), for a sensitive name: a small id of the
+         bodies of the affected constants in the name's unguarded closure
+         under that configuration, [-1] when the name is undefined there;
+         [||] for an insensitive name *)
   calls_tbl : int array Int_tbl.t;
-      (* term uid -> sorted name ids of its unguarded Calls; written only
-         by merge_shard / between rounds, read lock-free by shards *)
+      (* term uid -> sorted ids of the sensitive names among its unguarded
+         Calls; written only by merge_shard / between rounds, read
+         lock-free by shards *)
 }
 
-let nconfigs fe = fe.nconfigs
 let inits fe = Array.copy fe.inits
 
 let sos_stats fe =
@@ -44,16 +47,16 @@ let sos_stats fe =
     Semantics.{ hits = 0; misses = 0 }
     fe.engines
 
-(* Sorted distinct name ids of the unguarded [Call]s of a term: the calls
-   reachable without crossing a [Prefix]. *)
-let calls_of_term name_ids t =
+(* Sorted distinct name ids of the unguarded [Call]s of a term (the calls
+   reachable without crossing a [Prefix]) that satisfy [keep]. *)
+let calls_of_term ?(keep = fun _ -> true) name_ids t =
   let acc = ref [] in
   let rec go (t : Term.t) =
     match t.Term.node with
     | Term.Stop | Term.Prefix _ -> ()
     | Term.Call n -> (
         match Str_tbl.find_opt name_ids n with
-        | Some id -> acc := id :: !acc
+        | Some id -> if keep id then acc := id :: !acc
         | None ->
             invalid_arg
               (Printf.sprintf "Feature: constant %s undefined in the family" n))
@@ -65,22 +68,6 @@ let calls_of_term name_ids t =
   in
   go t;
   Array.of_list (List.sort_uniq Int.compare !acc)
-
-let pair_compare (a1, b1) (a2, b2) =
-  let c = Int.compare a1 a2 in
-  if c <> 0 then c else Int.compare b1 b2
-
-let key_equal (a : (int * int) array) b =
-  a == b
-  || Array.length a = Array.length b
-     &&
-     let rec eq i =
-       i < 0
-       ||
-       let xa, ya = a.(i) and xb, yb = b.(i) in
-       xa = xb && ya = yb && eq (i - 1)
-     in
-     eq (Array.length a - 1)
 
 let make specs =
   let nconfigs = Array.length specs in
@@ -147,45 +134,73 @@ let make specs =
   for n = 0 to num_names - 1 do
     ignore (sens n : bool)
   done;
-  (* Closure keys, eagerly for every (name, configuration): within one
-     configuration the definitions are validated closed, so the recursion
-     only hits [None] at the very top (a constant absent from that
-     configuration altogether). *)
-  let closure_keys = Array.make_matrix num_names nconfigs None in
-  let keys_done = Array.make_matrix num_names nconfigs false in
-  let rec key_of n c =
-    if keys_done.(n).(c) then closure_keys.(n).(c)
+  (* The sensitive unguarded calls of a body, memoized on its uid: an
+     unaffected body is one term for the whole family. *)
+  let body_calls = Int_tbl.create 64 in
+  let calls_of_body (b : Term.t) =
+    match Int_tbl.find_opt body_calls b.Term.uid with
+    | Some cs -> cs
+    | None ->
+        let cs = calls_of_term ~keep:(fun m -> name_sens.(m)) name_ids b in
+        Int_tbl.add body_calls b.Term.uid cs;
+        cs
+  in
+  (* Closure key ids, eagerly for every (sensitive name, configuration).
+     A name's key under a configuration is its own body's uid if it is
+     affected, followed by the key ids of the sensitive names its body
+     calls unguarded (insensitive ones contribute nothing that varies);
+     keys are interned per name, ids counting from 0 in configuration
+     order. Two configurations get one id exactly when every affected
+     constant of the closure has the same body under both, i.e. when
+     their sets of (affected name, body) pairs over the closure agree —
+     a term's tuple of key ids therefore groups configurations exactly
+     as those merged sets would. Within one configuration the
+     definitions are validated closed, so an undefined callee means a
+     constant absent from that configuration altogether. *)
+  let key_ids =
+    Array.init num_names (fun n ->
+        if name_sens.(n) then Array.make nconfigs (-2) else [||])
+  in
+  let key_tbls = Array.init num_names (fun _ -> Ints_tbl.create 16) in
+  let rec key_id n c =
+    let ids = key_ids.(n) in
+    if ids.(c) <> -2 then ids.(c)
     else begin
       let k =
         match bodies.(n).(c) with
-        | None -> None
+        | None -> -1
         | Some b ->
-            let here = if affected.(n) then [ (n, b.Term.uid) ] else [] in
-            let parts =
-              Array.fold_left
-                (fun acc m ->
-                  match key_of m c with
-                  | None ->
-                      invalid_arg
-                        (Printf.sprintf
-                           "Feature.make: %s undefined under a configuration \
-                            that defines %s"
-                           names.(m) names.(n))
-                  | Some k -> Array.to_list k @ acc)
-                here
-                (calls_of_term name_ids b)
-            in
-            Some (Array.of_list (List.sort_uniq pair_compare parts))
+            let cs = calls_of_body b in
+            let key = Array.make (Array.length cs + 1) (-1) in
+            if affected.(n) then key.(0) <- b.Term.uid;
+            Array.iteri
+              (fun i m ->
+                let km = key_id m c in
+                if km < 0 then
+                  invalid_arg
+                    (Printf.sprintf
+                       "Feature.make: %s undefined under a configuration \
+                        that defines %s"
+                       names.(m) names.(n));
+                key.(i + 1) <- km)
+              cs;
+            let tbl = key_tbls.(n) in
+            (match Ints_tbl.find_opt tbl key with
+            | Some id -> id
+            | None ->
+                let id = Ints_tbl.length tbl in
+                Ints_tbl.add tbl key id;
+                id)
       in
-      keys_done.(n).(c) <- true;
-      closure_keys.(n).(c) <- k;
+      ids.(c) <- k;
       k
     end
   in
   for n = 0 to num_names - 1 do
-    for c = 0 to nconfigs - 1 do
-      ignore (key_of n c : (int * int) array option)
-    done
+    if name_sens.(n) then
+      for c = 0 to nconfigs - 1 do
+        ignore (key_id n c : int)
+      done
   done;
   {
     nconfigs;
@@ -194,7 +209,7 @@ let make specs =
     all = Array.init nconfigs Fun.id;
     name_ids;
     name_sens;
-    closure_keys;
+    key_ids;
     calls_tbl = Int_tbl.create 1024;
   }
 
@@ -216,17 +231,6 @@ let shard fe =
     local_calls = Int_tbl.create 256;
   }
 
-(* A configuration's SOS shard, created on first use. Creating a shard
-   only reads its (eager) parent engine, so a worker domain may do it. *)
-let sem sh c =
-  match sh.sems.(c) with
-  | Some s -> s
-  | None ->
-      let s = Semantics.shard sh.parent.engines.(c) in
-      sh.sems.(c) <- Some s;
-      sh.created <- s :: sh.created;
-      s
-
 let merge_shard sh =
   List.iter Semantics.merge_shard sh.created;
   Int_tbl.iter
@@ -236,6 +240,8 @@ let merge_shard sh =
     sh.local_calls;
   Int_tbl.reset sh.local_calls
 
+(* The sensitive unguarded calls of a term; empty for an insensitive
+   term. *)
 let calls sh (t : Term.t) =
   match Int_tbl.find_opt sh.local_calls t.Term.uid with
   | Some a -> a
@@ -243,75 +249,66 @@ let calls sh (t : Term.t) =
       match Int_tbl.find_opt sh.parent.calls_tbl t.Term.uid with
       | Some a -> a
       | None ->
-          let a = calls_of_term sh.parent.name_ids t in
+          let fe = sh.parent in
+          let a =
+            calls_of_term ~keep:(fun n -> fe.name_sens.(n)) fe.name_ids t
+          in
           Int_tbl.add sh.local_calls t.Term.uid a;
           a)
 
-(* The grouping key of a sensitive term under one configuration: merged
-   closure keys of its unguarded calls, or [None] when some call is
-   undefined there (the term is unreachable under that configuration). *)
-let state_key fe cs c =
-  let exception Missing in
-  try
-    let parts =
-      Array.fold_left
-        (fun acc n ->
-          match fe.closure_keys.(n).(c) with
-          | None -> raise Missing
-          | Some k -> k :: acc)
-        [] cs
-    in
-    match parts with
-    | [] -> Some [||]
-    | [ k ] -> Some k
-    | parts ->
-        Some
-          (Array.of_list
-             (List.sort_uniq pair_compare
-                (List.concat_map Array.to_list parts)))
-  with Missing -> None
+let insensitive sh t = Array.length (calls sh t) = 0
+
+(* A configuration's SOS shard, created on first use. Creating a shard
+   only reads its (eager) parent engine, so a worker domain may do it.
+   An insensitive subterm derives alike under every configuration, so
+   every other configuration's shard routes it to configuration 0's:
+   derived once per round, not once per group head. *)
+let rec sem sh c =
+  match sh.sems.(c) with
+  | Some s -> s
+  | None ->
+      let route = if c = 0 then None else Some (insensitive sh, sem sh 0) in
+      let s = Semantics.shard ?route sh.parent.engines.(c) in
+      sh.sems.(c) <- Some s;
+      sh.created <- s :: sh.created;
+      s
 
 type pre_group = {
   gfirst : int;
   mutable gconfigs : int list;  (* reversed *)
 }
 
-module Key_tbl = Hashtbl.Make (struct
-  type t = (int * int) array
-
-  let equal = key_equal
-
-  let hash a =
-    Dpma_util.Hash.int
-      (Array.fold_left
-         (fun h (x, y) -> Dpma_util.Hash.fold (Dpma_util.Hash.fold h x) y)
-         (Array.length a) a)
-end)
-
 let derive_in sh t =
   let fe = sh.parent in
   let cs = calls sh t in
-  if not (Array.exists (fun n -> fe.name_sens.(n)) cs) then
+  if Array.length cs = 0 then
     [ { configs = fe.all; steps = Semantics.derive_in (sem sh 0) t } ]
   else begin
-    (* Group the configurations by key, in first-configuration order:
-       every configuration of a group derives to the same transition
-       list, so one derivation (under the group's first configuration)
-       serves them all. Hashtable lookup keeps the grouping O(configs),
-       not O(configs * groups); the emitted group order (first
-       appearance) is pinned by the side list. *)
-    let tbl = Key_tbl.create 16 in
+    (* Group the configurations by the tuple of their calls' key ids, in
+       first-configuration order: every configuration of a group derives
+       to the same transition list, so one derivation (under the group's
+       first configuration) serves them all. Hashtable lookup keeps the
+       grouping O(configs), not O(configs * groups); the emitted group
+       order (first appearance) is pinned by the side list. A
+       configuration under which some call is undefined has no group:
+       the term is unreachable there. *)
+    let tbl = Ints_tbl.create 16 in
     let groups = ref [] in
+    let k = Array.make (Array.length cs) 0 in
     for c = 0 to fe.nconfigs - 1 do
-      match state_key fe cs c with
-      | None -> ()
-      | Some k -> (
-          match Key_tbl.find_opt tbl k with
-          | Some g -> g.gconfigs <- c :: g.gconfigs
-          | None ->
-              let g = { gfirst = c; gconfigs = [ c ] } in
-              Key_tbl.add tbl k g;
-              groups := g :: !groups)
+      let defined = ref true in
+      for i = 0 to Array.length cs - 1 do
+        let id = fe.key_ids.(cs.(i)).(c) in
+        if id < 0 then defined := false;
+        k.(i) <- id
+      done;
+      if !defined then
+        match Ints_tbl.find_opt tbl k with
+        | Some g -> g.gconfigs <- c :: g.gconfigs
+        | None ->
+            let g = { gfirst = c; gconfigs = [ c ] } in
+            Ints_tbl.add tbl (Array.copy k) g;
+            groups := g :: !groups
     done;
     List.rev_map
       (fun g ->

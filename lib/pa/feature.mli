@@ -37,10 +37,14 @@ type t
 
 val make : Term.spec array -> t
 (** Build the family engine: union constant table, affected/sensitive
-    analysis, per-configuration closure keys, and one {!Semantics.engine}
-    per configuration. Raises [Invalid_argument] on an empty family. *)
-
-val nconfigs : t -> int
+    analysis, and one {!Semantics.engine} per configuration (each memo
+    table starts small). Each sensitive constant's closure key under
+    each configuration — the bodies of the affected constants in its
+    unguarded closure — is interned once, here, to a small int id, so
+    grouping a term compares the int tuple of its sensitive calls' ids.
+    Equal tuples hold exactly when the merged closure keys are equal, so
+    the groups, their order and their members are those of grouping by
+    the keys themselves. Raises [Invalid_argument] on an empty family. *)
 
 val inits : t -> Term.t array
 (** The initial term of each configuration, in configuration order. *)
@@ -62,9 +66,14 @@ val shard : t -> shard
     {!Semantics.shard} per configuration, created on that
     configuration's first derivation through this shard (a group derives
     under its first configuration only, so only configurations that head
-    a group get one). Creating a {!Semantics.shard} only reads its parent
-    engine, which {!make} created, so a worker domain may call this and
-    {!derive_in} freely. *)
+    a group get one, plus configuration 0's). Every other
+    configuration's shard routes the insensitive subterms it meets to
+    configuration 0's shard (see {!Semantics.shard}): they derive alike
+    under every configuration, so a subterm that every group head shares
+    is derived once per round and memoized once. Creating a
+    {!Semantics.shard} only reads its parent engine, which {!make}
+    created, so a worker domain may call this and {!derive_in}
+    freely. *)
 
 val derive_in : shard -> Term.t -> group list
 (** Derive the term for every configuration at once, grouped. Groups are

@@ -18,13 +18,20 @@ type trans = (Label.t * Rate.t * Term.t) list
 (* The recursive derivation core is parameterized over a cache so the same
    code path serves the serialized engine (mutex-protected memo, atomic
    hit/miss counters) and the per-worker shards of the parallel builder
-   (lock-free local table in front of a frozen parent memo). [c_find] is
-   responsible for hit/miss accounting so the recursion stays branch-free. *)
+   (lock-free local table in front of a frozen parent memo). [c_find]
+   counts the hits and [c_store] the misses (derivations computed), so a
+   term routed elsewhere by [c_route] is counted once, by the cache that
+   answers it. *)
 type cache = {
   c_defs : Term.defs;
   c_find : int -> trans option;
   c_store : int -> trans -> unit;
+  c_route : ((Term.t -> bool) * cache) option;
 }
+
+(* Memo tables start small and grow: a featured build creates one engine
+   per configuration, most of which derive little. *)
+let initial_buckets = 16
 
 type engine = {
   defs : Term.defs;
@@ -52,31 +59,30 @@ type shard = {
 type stats = { hits : int; misses : int }
 
 let make defs =
-  let memo = Uid_tbl.create 1024 in
+  let memo = Uid_tbl.create initial_buckets in
   let memo_lock = Mutex.create () in
   let hits = Atomic.make 0 and misses = Atomic.make 0 in
   let c_find uid =
     Mutex.lock memo_lock;
     let r = Uid_tbl.find_opt memo uid in
     Mutex.unlock memo_lock;
-    (match r with
-    | Some _ -> Atomic.incr hits
-    | None -> Atomic.incr misses);
+    if Option.is_some r then Atomic.incr hits;
     r
   in
   let c_store uid trans =
+    Atomic.incr misses;
     Mutex.lock memo_lock;
     Uid_tbl.replace memo uid trans;
     Mutex.unlock memo_lock
   in
   { defs; memo; memo_lock; hits; misses;
-    cache = { c_defs = defs; c_find; c_store } }
+    cache = { c_defs = defs; c_find; c_store; c_route = None } }
 
 let stats (e : engine) =
   { hits = Atomic.get e.hits; misses = Atomic.get e.misses }
 
-let shard (e : engine) =
-  let local = Uid_tbl.create 256 in
+let shard ?route (e : engine) =
+  let local = Uid_tbl.create initial_buckets in
   let fresh = ref [] in
   let hits = ref 0 and misses = ref 0 in
   let c_find uid =
@@ -93,16 +99,19 @@ let shard (e : engine) =
             incr hits;
             Uid_tbl.replace local uid trans;
             Some trans
-        | None ->
-            incr misses;
-            None)
+        | None -> None)
   in
   let c_store uid trans =
+    incr misses;
     Uid_tbl.replace local uid trans;
     fresh := (uid, trans) :: !fresh
   in
+  let c_route =
+    Option.map (fun (shared, target) -> (shared, target.sh_cache)) route
+  in
   { sh_parent = e; sh_local = local; sh_fresh = fresh; sh_hits = hits;
-    sh_misses = misses; sh_cache = { c_defs = e.defs; c_find; c_store } }
+    sh_misses = misses;
+    sh_cache = { c_defs = e.defs; c_find; c_store; c_route } }
 
 let shard_stats (sh : shard) = { hits = !(sh.sh_hits); misses = !(sh.sh_misses) }
 
@@ -134,10 +143,13 @@ let sorted_sync_actions s =
 let rec derive_c c (t : Term.t) =
   match c.c_find t.uid with
   | Some trans -> trans
-  | None ->
-      let trans = derive_uncached c t in
-      c.c_store t.uid trans;
-      trans
+  | None -> (
+      match c.c_route with
+      | Some (shared, target) when shared t -> derive_c target t
+      | _ ->
+          let trans = derive_uncached c t in
+          c.c_store t.uid trans;
+          trans)
 
 and derive_uncached c (t : Term.t) =
   match t.node with

@@ -31,7 +31,9 @@ exception Sync_error of { action : string; message : string }
 type engine
 
 val make : Term.defs -> engine
-(** A fresh engine (empty memo) for the given constant definitions. *)
+(** A fresh engine (empty memo) for the given constant definitions. Its
+    memo table, like a {!shard}'s, starts at 16 buckets and grows with
+    use. *)
 
 val derive : engine -> Term.t -> (Label.t * Rate.t * Term.t) list
 (** Memoized SOS derivation. Thread-safe (serialized on the engine memo). *)
@@ -40,16 +42,25 @@ type stats = { hits : int; misses : int }
 
 val stats : engine -> stats
 (** Memo hits (derivations answered from the table) and misses (derivations
-    actually computed) since the engine was created. Read atomically —
+    actually computed) since the engine was created; a routed term (see
+    {!shard}) counts in its target's engine only. Read atomically —
     consistent even while other domains derive. After {!merge_shard},
     includes the merged shards' counts. *)
 
 type shard
 
-val shard : engine -> shard
+val shard : ?route:(Term.t -> bool) * shard -> engine -> shard
 (** A single-domain worker view of [engine]: derivations answered from a
     private table or the (frozen) parent memo, new results buffered
-    locally until {!merge_shard}. *)
+    locally until {!merge_shard}.
+
+    With [~route:(shared, target)], a term missing from both tables for
+    which [shared] holds is derived through [target] instead — answered
+    from, or stored in, [target]'s tables, not this shard's. The caller
+    guarantees that [target]'s definitions derive every such term (and,
+    recursively, its subterms) exactly as this engine's would; [target]
+    must live on the same domain. A featured build routes the terms no
+    configuration difference can reach to one shared shard. *)
 
 val derive_in : shard -> Term.t -> (Label.t * Rate.t * Term.t) list
 (** Memoized SOS derivation through the shard. Not thread-safe — one

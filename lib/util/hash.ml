@@ -12,3 +12,16 @@ let fold_ints h a =
   !h
 
 let ints a = int (fold_ints (Array.length a) a)
+
+module Ints = struct
+  type t = int array
+
+  let equal (a : int array) b =
+    a == b
+    || Array.length a = Array.length b
+       &&
+       let rec eq i = i < 0 || (a.(i) = b.(i) && eq (i - 1)) in
+       eq (Array.length a - 1)
+
+  let hash = ints
+end

@@ -18,3 +18,7 @@ val fold_ints : int -> int array -> int
 
 val ints : int array -> int
 (** Mixed hash of an array and its length. *)
+
+module Ints : Hashtbl.HashedType with type t = int array
+(** Int arrays compared element-wise and hashed by {!ints}, for
+    [Hashtbl.Make]. *)

@@ -322,32 +322,25 @@ let guard_prop =
   in
   let arb_set = QCheck.make ~print:QCheck.Print.(list int) gen in
   QCheck.Test.make ~count:200
-    ~name:"family: guard conjunction is order-independent"
+    ~name:"family: guard interning is content-keyed"
     (QCheck.triple arb_set arb_set arb_set)
     (fun (a, b, c) ->
       let tbl = Flts.Guard.create ~nconfigs:12 in
       let ia = Flts.Guard.intern tbl (Array.of_list a) in
       let ib = Flts.Guard.intern tbl (Array.of_list b) in
       let ic = Flts.Guard.intern tbl (Array.of_list c) in
-      (* Commutativity and associativity at the id level: conjunction
-         reaches the same interned guard no matter the derivation
-         order. *)
-      let ab = Flts.Guard.inter tbl ia ib in
-      let ba = Flts.Guard.inter tbl ib ia in
-      let abc = Flts.Guard.inter tbl ab ic in
-      let bca = Flts.Guard.inter tbl (Flts.Guard.inter tbl ib ic) ia in
-      (* Re-interning the same content is the identity. *)
+      (* Equal sets share an id, distinct sets do not, and re-interning a
+         guard's own content is the identity. *)
+      let same x y ix iy = (x = y) = (ix = iy) in
       let ia' = Flts.Guard.intern tbl (Flts.Guard.configs tbl ia) in
-      ab = ba && abc = bca && ia = ia'
-      && Flts.Guard.configs tbl abc
-         = Array.of_list
-             (List.filter (fun x -> List.mem x b && List.mem x c) a))
+      same a b ia ib && same b c ib ic && same a c ia ic && ia = ia'
+      && Flts.Guard.configs tbl ic = Array.of_list c)
 
 (* Differential model check for the packed-bitset guard table: random
    subsets at widths below, at, and far past the 63-bit word boundary
    must behave exactly like the sorted-int-set reference semantics —
-   intern/configs round-trips, mem on every index, cardinal, and
-   conjunction. *)
+   intern/configs round-trips, mem on every index, cardinal and
+   re-interning. *)
 let test_guard_bitset_model () =
   (* Deterministic xorshift so every run exercises the same subsets. *)
   let rand = ref 0x2545F4914F6CDD1D in
@@ -385,28 +378,13 @@ let test_guard_bitset_model () =
           if Flts.Guard.mem tbl ga c <> Array.mem c a then
             Alcotest.failf "width %d: mem %d disagrees with the set" nconfigs c
         done;
-        let gi = Flts.Guard.inter tbl ga gb in
-        let expect =
-          Array.of_list
-            (List.filter (fun x -> Array.mem x b) (Array.to_list a))
-        in
-        if Flts.Guard.configs tbl gi <> expect then
-          Alcotest.failf "width %d: conjunction disagrees with the set"
-            nconfigs;
-        Alcotest.(check int)
-          (Printf.sprintf "width %d: conjunction cardinal" nconfigs)
-          (Array.length expect)
-          (Flts.Guard.cardinal tbl gi);
-        (* ALL is the conjunction identity, and hash-consing means the
-           reference intersection interns to the very same id. *)
-        Alcotest.(check bool)
-          (Printf.sprintf "width %d: inter all" nconfigs)
-          true
-          (Flts.Guard.inter tbl ga Flts.Guard.all = ga);
+        (* Interning is content-keyed: the same set, packed again,
+           reaches the same id. *)
         Alcotest.(check bool)
           (Printf.sprintf "width %d: re-intern" nconfigs)
           true
-          (Flts.Guard.intern tbl expect = gi)
+          (Flts.Guard.intern tbl (Array.copy a) = ga
+          && Flts.Guard.intern tbl b = gb)
       done)
     [ 3; 64; 100; 1024 ]
 
@@ -537,19 +515,38 @@ END
   | exception Parser.Parse_error _ -> ()
   | _ -> Alcotest.fail "empty range 5 .. 1 should be rejected"
 
+(* [project_all]'s indexed lookup, [project]'s run scan and the member's
+   own build must agree on member [c]. *)
+let check_member_projections name fam all c spec =
+  let own = Lts.of_spec spec in
+  check_lts_identical (name ^ " (project)") (Flts.project fam c) own;
+  check_lts_identical (name ^ " (project_all)") all.(c) own
+
 let test_grid_sampled_identity () =
   (* The full thousand-member grid: eight members spread across it must
      project bit-identically to their standalone builds. *)
   let specs = grid_specs ~t_max:16 ~a_max:32 in
   let members = Array.length specs in
   Alcotest.(check int) "grid members" 1024 members;
-  let fam = fst (Flts.build_family specs) in
+  let fam, stats = Flts.build_family specs in
+  (* The union's shape: grouping configurations differently would split
+     or merge guards, states or edges. *)
+  Alcotest.(check int) "union states" 22 fam.Flts.num_states;
+  Alcotest.(check int) "union transitions" 6424 (Flts.num_transitions fam);
+  Alcotest.(check int) "guards" 578 stats.Flts.guard_count;
+  Alcotest.(check int) "guard words" 9826 stats.Flts.guard_words;
+  let all = Flts.project_all fam in
+  Alcotest.(check int) "projections" members (Array.length all);
+  let _, solve_stats =
+    Markov.analyze_ltss_dedup all (Measure.parse grid_measures_src)
+  in
+  Alcotest.(check int) "distinct solves" 513
+    solve_stats.Markov.distinct_quotients;
   List.iter
     (fun c ->
-      check_lts_identical
+      check_member_projections
         (Printf.sprintf "grid member %d" c)
-        (Flts.project fam c)
-        (Lts.of_spec specs.(c)))
+        fam all c specs.(c))
     (List.sort_uniq Int.compare (List.init 8 (fun i -> i * (members - 1) / 7)))
 
 let test_grid_every_member_identity () =
@@ -559,11 +556,11 @@ let test_grid_every_member_identity () =
   let specs = grid_specs ~t_max:4 ~a_max:8 in
   Alcotest.(check int) "grid members" 64 (Array.length specs);
   let fam = fst (Flts.build_family specs) in
+  let all = Flts.project_all fam in
   Array.iteri
     (fun c spec ->
-      check_lts_identical
-        (Printf.sprintf "grid member %d" c)
-        (Flts.project fam c) (Lts.of_spec spec))
+      check_member_projections (Printf.sprintf "grid member %d" c) fam all c
+        spec)
     specs
 
 let test_member_without_edges () =

@@ -239,6 +239,119 @@ let prop_shared_front_matches_separate_checks =
         in
         same)
 
+(* Feature families over random rings: one or two small-domain features
+   [f0] (and [f1]), read by an extra branch of one station,
+   [cond(f0 >= v) -> <boost, exp_mean(f)> . Run(h)], so members differ
+   both in which transitions exist and in a rate. *)
+let gen_family_archi =
+  let open Gen in
+  let* archi = gen_archi in
+  let* nfeat = int_range 1 2 in
+  let* sizes = list_repeat nfeat (int_range 2 3) in
+  let features =
+    List.mapi
+      (fun i k ->
+        { Ast.f_name = Printf.sprintf "f%d" i;
+          f_domain = List.init k (fun v -> v + 1) })
+      sizes
+  in
+  let* threshold = int_range 1 (List.hd sizes) in
+  let* station = int_range 0 (List.length archi.Ast.elem_types - 1) in
+  let rated = Printf.sprintf "f%d" (nfeat - 1) in
+  let branch =
+    Ast.Guard
+      ( Ast.Binop (Ast.Ge, Ast.Var "f0", Ast.Int threshold),
+        Ast.Prefix
+          ( "boost",
+            Ast.Exp_mean (Ast.Var rated),
+            Ast.Call ("Run", [ Ast.Var "h" ]) ) )
+  in
+  let add_branch (eq : Ast.equation) =
+    match eq.Ast.eq_body with
+    | Ast.Choice ts when eq.Ast.eq_name = "Run" ->
+        { eq with Ast.eq_body = Ast.Choice (ts @ [ branch ]) }
+    | _ -> eq
+  in
+  let elem_types =
+    List.mapi
+      (fun i (et : Ast.elem_type) ->
+        if i = station then
+          { et with Ast.equations = List.map add_branch et.Ast.equations }
+        else et)
+      archi.Ast.elem_types
+  in
+  return { archi with Ast.features; elem_types }
+
+let same_lts (a : Lts.t) (b : Lts.t) =
+  a.Lts.num_states = b.Lts.num_states
+  && a.Lts.init = b.Lts.init && a.Lts.row = b.Lts.row && a.Lts.lab = b.Lts.lab
+  && a.Lts.tgt = b.Lts.tgt && a.Lts.rate_kind = b.Lts.rate_kind
+  && a.Lts.rate_prio = b.Lts.rate_prio
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       a.Lts.rate_val b.Lts.rate_val
+  && List.for_all
+       (fun s -> String.equal (a.Lts.state_name s) (b.Lts.state_name s))
+       (List.init a.Lts.num_states Fun.id)
+
+let same_analysis (a : Dpma_core.Markov.analysis) (b : Dpma_core.Markov.analysis)
+    =
+  let module Markov = Dpma_core.Markov in
+  a.Markov.states = b.Markov.states
+  && a.Markov.tangible = b.Markov.tangible
+  && List.equal
+       (fun (n, v) (n', v') ->
+         String.equal n n'
+         && (Int64.equal (Int64.bits_of_float v) (Int64.bits_of_float v')
+            || (Float.is_nan v && Float.is_nan v')))
+       a.Markov.values b.Markov.values
+
+(* Every member of a generated family, at 1 and 2 jobs: the indexed
+   [project_all], the scanning [project] and the member's own build agree
+   on the CSR and the state names, and the deduplicated solves give each
+   member exactly its own [analyze_lts] figures (when every member's
+   CTMC builds). *)
+let prop_family_members_match_own_builds =
+  let module Flts = Dpma_lts.Flts in
+  let module Markov = Dpma_core.Markov in
+  let measures =
+    Dpma_measures.Measure.parse
+      {|MEASURE thr IS ENABLED(S0.fwd#S1.recv) -> TRANS_REWARD(1);
+MEASURE boosting IS ENABLED(S0.boost) -> STATE_REWARD(1);|}
+  in
+  QCheck.Test.make ~count:20
+    ~name:"fuzz: feature families project and solve like their members"
+    (QCheck.make ~print:(fun a -> Format.asprintf "%a" Ast.pp a)
+       gen_family_archi)
+    (fun archi ->
+      let specs =
+        Array.map
+          (fun m -> m.Elaborate.spec)
+          (Elaborate.elaborate_family archi).Elaborate.members
+      in
+      let own = Array.map (fun spec -> Lts.of_spec spec) specs in
+      let own_analyses =
+        try Some (Array.map (fun l -> Markov.analyze_lts l measures) own)
+        with Ctmc.Build_error _ -> None
+      in
+      List.for_all
+        (fun jobs ->
+          let fam, _ = Flts.build_family ~jobs ~par_threshold:1 specs in
+          let all = Flts.project_all ~jobs fam in
+          Array.length all = Array.length specs
+          && Array.for_all Fun.id
+               (Array.mapi
+                  (fun c l ->
+                    same_lts all.(c) l && same_lts (Flts.project fam c) l)
+                  own)
+          &&
+          match own_analyses with
+          | None -> true
+          | Some expect ->
+              let got, _ = Markov.analyze_ltss_dedup ~jobs all measures in
+              Array.for_all2 same_analysis got expect)
+        [ 1; 2 ])
+
 let qtests =
   [
     prop_pp_parse_roundtrip;
@@ -248,6 +361,7 @@ let qtests =
     prop_minimization_sound_on_models;
     prop_trace_consistent_with_weak_on_models;
     prop_shared_front_matches_separate_checks;
+    prop_family_members_match_own_builds;
   ]
 
 let suite = List.map (QCheck_alcotest.to_alcotest ~long:false) qtests
