@@ -603,9 +603,9 @@ let plan ~max_expansions (archi : Ast.archi) =
     unattached = unattached_interactions }
 
 (* One family member: [bindings] gives each feature its value. [check] has
-   already run. *)
+   already run. The caller opens the [adl.elaborate] span: one per model,
+   or one over every member of a family. *)
 let elaborate_bound p ~bindings =
-  Dpma_obs.Trace.with_span "adl.elaborate" (fun () ->
   let max_expansions = p.max_expansions in
   let feature_env =
     List.map (fun (name, v) -> (name, Ast.VInt v)) bindings
@@ -674,7 +674,7 @@ let elaborate_bound p ~bindings =
       |> List.sort compare;
     instance_actions = p.actions;
     unattached_interactions = p.unattached;
-  })
+  }
 
 let first_bindings (archi : Ast.archi) =
   List.map
@@ -683,8 +683,9 @@ let first_bindings (archi : Ast.archi) =
 
 let elaborate ?(max_expansions = max_expansions_default) (archi : Ast.archi) =
   check archi;
-  elaborate_bound (plan ~max_expansions archi)
-    ~bindings:(first_bindings archi)
+  Dpma_obs.Trace.with_span "adl.elaborate" (fun () ->
+      elaborate_bound (plan ~max_expansions archi)
+        ~bindings:(first_bindings archi))
 
 type family = {
   features : (string * int list) list;
@@ -737,8 +738,14 @@ let elaborate_family ?(max_expansions = max_expansions_default) ?sweep
     fail "architecture %s: family has %d members (more than %d)" archi.name
       (List.length bindings) max_members;
   let bindings = Array.of_list bindings in
-  let p = plan ~max_expansions archi in
-  let members = Array.map (fun b -> elaborate_bound p ~bindings:b) bindings in
+  let members =
+    let module Trace = Dpma_obs.Trace in
+    Trace.with_span "adl.elaborate"
+      ~attrs:[ ("members", Trace.Int (Array.length bindings)) ]
+      (fun () ->
+        let p = plan ~max_expansions archi in
+        Array.map (fun b -> elaborate_bound p ~bindings:b) bindings)
+  in
   {
     features =
       List.map

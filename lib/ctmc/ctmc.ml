@@ -46,33 +46,54 @@ module Buf = struct
     if b.len = Array.length b.data then b.data else Array.sub b.data 0 b.len
 end
 
-(* Immediate alternatives of a vanishing state: maximal priority wins, then
-   weights give a probabilistic choice. *)
-let immediate_branches (lts : Lts.t) s =
-  let imms = ref [] in
-  for i = lts.row.(s + 1) - 1 downto lts.row.(s) do
-    if lts.rate_kind.(i) = 2 then
-      imms :=
-        (lts.rate_prio.(i), lts.rate_val.(i), lts.lab.(i), lts.tgt.(i))
-        :: !imms
-  done;
-  let imms = !imms in
-  let max_prio = List.fold_left (fun m (p, _, _, _) -> max m p) min_int imms in
-  let top = List.filter (fun (p, _, _, _) -> p = max_prio) imms in
-  let total = List.fold_left (fun acc (_, w, _, _) -> acc +. w) 0.0 top in
-  List.map (fun (_, w, a, u) -> (u, w /. total, a)) top
+(* Sorts [a.(0 .. len-1)] by [key] (distinct keys). The ranges sorted
+   here are a state's distinct targets or labels, usually a handful, so
+   short ones take an allocation-free insertion sort. *)
+let sort_prefix a len (key : int -> int) =
+  if len > 32 then begin
+    let sorted = Array.sub a 0 len in
+    Array.sort (fun x y -> Int.compare (key x) (key y)) sorted;
+    Array.blit sorted 0 a 0 len
+  end
+  else
+    for i = 1 to len - 1 do
+      let x = a.(i) in
+      let kx = key x in
+      let j = ref (i - 1) in
+      while !j >= 0 && key a.(!j) > kx do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- x
+    done
 
-(* Merge association lists of weighted label counts, summing in list
-   order; the result is sorted by label name. *)
-let merge_counts lists =
-  let table = Hashtbl.create 8 in
-  List.iter
-    (List.iter (fun (a, c) ->
-         let cur = Option.value ~default:0.0 (Hashtbl.find_opt table a) in
-         Hashtbl.replace table a (cur +. c)))
-    lists;
-  Hashtbl.fold (fun a c acc -> (a, c) :: acc) table []
-  |> List.sort (fun (a, _) (b, _) -> Label.compare_by_name a b)
+(* Sums keyed by a dense int (a state or a label id) with stamped cells:
+   [open_] starts a new sum in O(1), [add] sums each key's terms in call
+   order starting from [0.0], and [keys] lists the touched keys. *)
+type scratch = {
+  sum : float array;
+  stamp : int array;
+  keys : int array;
+  mutable nkeys : int;
+  mutable epoch : int;
+}
+
+let scratch n =
+  { sum = Array.make n 0.0; stamp = Array.make n 0; keys = Array.make n 0;
+    nkeys = 0; epoch = 0 }
+
+let open_ sc =
+  sc.epoch <- sc.epoch + 1;
+  sc.nkeys <- 0
+
+let add sc k x =
+  if sc.stamp.(k) = sc.epoch then sc.sum.(k) <- sc.sum.(k) +. x
+  else begin
+    sc.stamp.(k) <- sc.epoch;
+    sc.sum.(k) <- 0.0 +. x;
+    sc.keys.(sc.nkeys) <- k;
+    sc.nkeys <- sc.nkeys + 1
+  end
 
 let of_lts (lts : Lts.t) =
   Obs.Trace.with_span "ctmc.build"
@@ -80,8 +101,10 @@ let of_lts (lts : Lts.t) =
   let n0 = lts.num_states in
   (* Classify states and validate rates. *)
   let vanishing = Array.make n0 false in
+  let max_lab = ref 0 in
   for s = 0 to n0 - 1 do
     for i = lts.row.(s) to lts.row.(s + 1) - 1 do
+      if lts.lab.(i) > !max_lab then max_lab := lts.lab.(i);
       match lts.rate_kind.(i) with
       | 0 ->
           raise
@@ -102,51 +125,108 @@ let of_lts (lts : Lts.t) =
       | _ -> ()
     done
   done;
+  let nlabels = !max_lab + 1 in
+  (* Immediate-label counts are listed by label name; ranking the
+     immediate labels by name once lets every list sort by int. *)
+  let rank = Array.make nlabels 0 in
+  let () =
+    let seen = Array.make nlabels false in
+    Array.iteri
+      (fun i k -> if k = 2 then seen.(lts.lab.(i)) <- true)
+      lts.rate_kind;
+    let imm = ref [] in
+    for l = nlabels - 1 downto 0 do
+      if seen.(l) then imm := l :: !imm
+    done;
+    List.iteri
+      (fun r l -> rank.(l) <- r)
+      (List.sort Label.compare_by_name !imm)
+  in
   (* Resolve a vanishing state to its distribution over tangible states,
      together with the expected number of firings of each immediate label
      along the way (for impulse rewards on immediate actions). Memoized
-     DFS; a cycle among vanishing states is a time trap. *)
-  let resolved : (int, (int * float) list * (int * float) list) Hashtbl.t =
-    Hashtbl.create 64
+     DFS over the maximal-priority immediate edges; a cycle among
+     vanishing states is a time trap. A resolved state owns one range of
+     the distribution pool (targets ascending) and one of the count pool
+     (labels by name). *)
+  let status = Array.make n0 0 (* 0 open, 1 in progress, 2 resolved *) in
+  let d_lo = Array.make n0 0 and d_hi = Array.make n0 0 in
+  let c_lo = Array.make n0 0 and c_hi = Array.make n0 0 in
+  let d_state = Buf.create 64 0 and d_prob = Buf.create 64 0.0 in
+  let c_lab = Buf.create 64 0 and c_val = Buf.create 64 0.0 in
+  let states = scratch n0 and labels = scratch nlabels in
+  let max_prio s =
+    let m = ref min_int in
+    for i = lts.row.(s) to lts.row.(s + 1) - 1 do
+      if lts.rate_kind.(i) = 2 && lts.rate_prio.(i) > !m then
+        m := lts.rate_prio.(i)
+    done;
+    !m
   in
-  let in_progress = Hashtbl.create 16 in
   let rec resolve s =
-    if not vanishing.(s) then ([ (s, 1.0) ], [])
-    else
-      match Hashtbl.find_opt resolved s with
-      | Some d -> d
-      | None ->
-          if Hashtbl.mem in_progress s then
-            raise
-              (Build_error
-                 (Printf.sprintf
-                    "cycle of immediate transitions through state %d (time \
-                     trap)"
-                    s));
-          Hashtbl.add in_progress s ();
-          let parts =
-            List.map
-              (fun (u, p, a) ->
-                let dist_u, counts_u = resolve u in
-                ( List.map (fun (v, q) -> (v, p *. q)) dist_u,
-                  (a, p) :: List.map (fun (b, c) -> (b, p *. c)) counts_u ))
-              (immediate_branches lts s)
-          in
-          (* Merge duplicate targets. *)
-          let merged = Hashtbl.create 8 in
-          List.iter
-            (fun (v, p) ->
-              let cur = Option.value ~default:0.0 (Hashtbl.find_opt merged v) in
-              Hashtbl.replace merged v (cur +. p))
-            (List.concat_map fst parts);
-          let dist =
-            Hashtbl.fold (fun v p acc -> (v, p) :: acc) merged []
-            |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-          in
-          let counts = merge_counts (List.map snd parts) in
-          Hashtbl.remove in_progress s;
-          Hashtbl.add resolved s (dist, counts);
-          (dist, counts)
+    if status.(s) = 1 then
+      raise
+        (Build_error
+           (Printf.sprintf
+              "cycle of immediate transitions through state %d (time trap)"
+              s));
+    if status.(s) = 0 then begin
+      status.(s) <- 1;
+      let lo = lts.row.(s) and hi = lts.row.(s + 1) in
+      let prio = max_prio s in
+      let top i = lts.rate_kind.(i) = 2 && lts.rate_prio.(i) = prio in
+      let total = ref 0.0 in
+      for i = lo to hi - 1 do
+        if top i then begin
+          total := !total +. lts.rate_val.(i);
+          if vanishing.(lts.tgt.(i)) then resolve lts.tgt.(i)
+        end
+      done;
+      let total = !total in
+      (* Each branch's tangible distribution scaled by its probability,
+         duplicate targets summed in branch order. *)
+      open_ states;
+      for i = lo to hi - 1 do
+        if top i then begin
+          let p = lts.rate_val.(i) /. total and u = lts.tgt.(i) in
+          if vanishing.(u) then
+            for k = d_lo.(u) to d_hi.(u) - 1 do
+              add states d_state.data.(k) (p *. d_prob.data.(k))
+            done
+          else add states u (p *. 1.0)
+        end
+      done;
+      sort_prefix states.keys states.nkeys Fun.id;
+      d_lo.(s) <- d_state.len;
+      for k = 0 to states.nkeys - 1 do
+        let v = states.keys.(k) in
+        Buf.push d_state v;
+        Buf.push d_prob states.sum.(v)
+      done;
+      d_hi.(s) <- d_state.len;
+      (* Each branch fires its own label once, then its target's firings,
+         both scaled by the branch probability. *)
+      open_ labels;
+      for i = lo to hi - 1 do
+        if top i then begin
+          let p = lts.rate_val.(i) /. total and u = lts.tgt.(i) in
+          add labels lts.lab.(i) p;
+          if vanishing.(u) then
+            for k = c_lo.(u) to c_hi.(u) - 1 do
+              add labels c_lab.data.(k) (p *. c_val.data.(k))
+            done
+        end
+      done;
+      sort_prefix labels.keys labels.nkeys (Array.get rank);
+      c_lo.(s) <- c_lab.len;
+      for k = 0 to labels.nkeys - 1 do
+        let l = labels.keys.(k) in
+        Buf.push c_lab l;
+        Buf.push c_val labels.sum.(l)
+      done;
+      c_hi.(s) <- c_lab.len;
+      status.(s) <- 2
+    end
   in
   (* Dense renumbering of tangible states. *)
   let new_id = Array.make n0 (-1) in
@@ -177,55 +257,80 @@ let of_lts (lts : Lts.t) =
   let imm_row = Array.make (n + 1) 0 in
   let enabled_row = Array.make (n + 1) 0 in
   let exit_rate = Array.make n 0.0 in
+  (* One transition of tangible state [id]: LTS edge [i] into tangible
+     state [v] with probability [p]. *)
+  let emit id i v p =
+    let t = new_id.(v) and r = lts.rate_val.(i) *. p in
+    Buf.push dst t;
+    Buf.push rate r;
+    Buf.push lab lts.lab.(i);
+    if t <> id then exit_rate.(id) <- exit_rate.(id) +. r
+  in
   for s = 0 to n0 - 1 do
     if not vanishing.(s) then begin
-      let id = new_id.(s) in
-      let names = ref [] in
-      for i = lts.row.(s) to lts.row.(s + 1) - 1 do
-        if lts.lab.(i) <> Lts.tau then names := lts.lab.(i) :: !names
+      let id = new_id.(s) and lo = lts.row.(s) and hi = lts.row.(s + 1) in
+      (* Observable labels by id, each once. *)
+      open_ labels;
+      for i = lo to hi - 1 do
+        if lts.lab.(i) <> Lts.tau then add labels lts.lab.(i) 0.0
       done;
-      List.iter (Buf.push enabled_lab) (List.sort_uniq Int.compare !names);
+      sort_prefix labels.keys labels.nkeys Fun.id;
+      for k = 0 to labels.nkeys - 1 do
+        Buf.push enabled_lab labels.keys.(k)
+      done;
       (* Timed edges in reverse LTS order, each fanned out over the
          tangible distribution of its target; the immediate firings they
-         trigger are summed per label in the same order. *)
-      let imm_parts = ref [] in
-      for i = lts.row.(s + 1) - 1 downto lts.row.(s) do
+         trigger are summed per label in the same order. Their targets
+         are resolved first, in that same order, which fixes the time trap
+         a model with several reports. *)
+      for i = hi - 1 downto lo do
+        if lts.rate_kind.(i) = 1 && vanishing.(lts.tgt.(i)) then
+          resolve lts.tgt.(i)
+      done;
+      open_ labels;
+      for i = hi - 1 downto lo do
         if lts.rate_kind.(i) = 1 then begin
-          let lambda = lts.rate_val.(i) in
-          let dist, counts = resolve lts.tgt.(i) in
-          List.iter
-            (fun (v, p) ->
-              let t = new_id.(v) and r = lambda *. p in
-              Buf.push dst t;
-              Buf.push rate r;
-              Buf.push lab lts.lab.(i);
-              if t <> id then exit_rate.(id) <- exit_rate.(id) +. r)
-            dist;
-          if counts <> [] then
-            imm_parts :=
-              List.map (fun (b, c) -> (b, lambda *. c)) counts :: !imm_parts
+          let lambda = lts.rate_val.(i) and u = lts.tgt.(i) in
+          if vanishing.(u) then begin
+            for k = d_lo.(u) to d_hi.(u) - 1 do
+              emit id i d_state.data.(k) d_prob.data.(k)
+            done;
+            for k = c_lo.(u) to c_hi.(u) - 1 do
+              add labels c_lab.data.(k) (lambda *. c_val.data.(k))
+            done
+          end
+          else emit id i u 1.0
         end
       done;
-      if !imm_parts <> [] then
-        List.iter
-          (fun (b, r) ->
-            Buf.push imm_lab b;
-            Buf.push imm_rate r)
-          (merge_counts (List.rev !imm_parts));
+      sort_prefix labels.keys labels.nkeys (Array.get rank);
+      for k = 0 to labels.nkeys - 1 do
+        let l = labels.keys.(k) in
+        Buf.push imm_lab l;
+        Buf.push imm_rate labels.sum.(l)
+      done;
       row.(id + 1) <- dst.len;
       imm_row.(id + 1) <- imm_lab.len;
       enabled_row.(id + 1) <- enabled_lab.len
     end
   done;
-  let initial = fst (resolve lts.init) in
+  let init_state, init_prob =
+    let s = lts.init in
+    if vanishing.(s) then begin
+      resolve s;
+      ( Array.init (d_hi.(s) - d_lo.(s)) (fun k ->
+            new_id.(d_state.data.(d_lo.(s) + k))),
+        Array.sub d_prob.data d_lo.(s) (d_hi.(s) - d_lo.(s)) )
+    end
+    else ([| new_id.(s) |], [| 1.0 |])
+  in
   let module I = Obs.Instruments in
   Obs.Metrics.incr I.ctmc_builds;
   Obs.Metrics.add I.ctmc_states n;
   Obs.Metrics.add I.ctmc_transitions dst.len;
   {
     n;
-    init_state = Array.of_list (List.map (fun (v, _) -> new_id.(v)) initial);
-    init_prob = Array.of_list (List.map snd initial);
+    init_state;
+    init_prob;
     row;
     dst = Buf.contents dst;
     rate = Buf.contents rate;

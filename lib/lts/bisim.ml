@@ -43,18 +43,8 @@ type signature = { ints : int array; floats : float array }
 
 let ints_signature ints = { ints; floats = [||] }
 
-module Int_key = struct
-  type t = int
-
-  let equal : int -> int -> bool = Int.equal
-
-  (* Keys are packed (label, block) pairs and state ids: the generic
-     [Hashtbl.hash] call would be pure overhead in the refinement hot
-     loops. *)
-  let hash = Hash.int
-end
-
-module Int_tbl = Hashtbl.Make (Int_key)
+(* Keys are packed (label, block) pairs and state ids. *)
+module Int_tbl = Hashtbl.Make (Hash.Int)
 
 (* Signature-based partition refinement. [signature block] maps a state
    to a canonical representation of its outgoing behaviour w.r.t. the

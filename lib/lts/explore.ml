@@ -4,7 +4,7 @@
 module Term = Dpma_pa.Term
 module Rate = Dpma_pa.Rate
 module Pool = Dpma_util.Pool
-module Int_tbl = Hashtbl.Make (Int)
+module Uid_tbl = Hashtbl.Make (Dpma_util.Hash.Int)
 module I = Dpma_obs.Instruments
 module M = Dpma_obs.Metrics
 
@@ -110,15 +110,15 @@ let run ?(max_states = 500_000) ?jobs ?par_threshold ?spill_dir
   in
   let rows = Segstore.create pol ~int_cols:1 ~float_col:false in
   (* Hash-consed terms: the state table is keyed by unique id. *)
-  let table : int Int_tbl.t = Int_tbl.create 1024 in
+  let table : int Uid_tbl.t = Uid_tbl.create 1024 in
   let terms = { t_segs = Array.make 4 [||]; t_nsegs = 0; t_total = 0 } in
   let id_of (term : Term.t) =
-    match Int_tbl.find_opt table term.Term.uid with
+    match Uid_tbl.find_opt table term.Term.uid with
     | Some id -> id
     | None ->
         let id = terms.t_total in
         if id >= max_states then raise (Too_many_states max_states);
-        Int_tbl.add table term.Term.uid id;
+        Uid_tbl.add table term.Term.uid id;
         push_term terms term;
         id
   in

@@ -302,7 +302,6 @@ let grow sc =
    bit-identical to [Lts.of_spec]. The first pass numbers the states, the
    second copies the runs into exact-size CSR arrays. *)
 let project_with t ~run sc c =
-  Dpma_obs.Trace.with_span "family.project" (fun () ->
   let t0 = Dpma_obs.Clock.now_s () in
   let map = sc.map in
   let n = ref 0 in
@@ -361,14 +360,20 @@ let project_with t ~run sc c =
   in
   Dpma_obs.Metrics.observe Dpma_obs.Instruments.family_project_seconds
     (Dpma_obs.Clock.now_s () -. t0);
-  lts)
+  lts
+
+(* One [family.project] span per call, however many members it projects. *)
+let project_span members f =
+  let module Trace = Dpma_obs.Trace in
+  Trace.with_span "family.project" ~attrs:[ ("members", Trace.Int members) ] f
 
 let project t c =
   if c < 0 || c >= t.nconfigs then
     invalid_arg "Flts.project: configuration index out of range";
-  project_with t ~run:(scan_run t) (scratch t) c
+  project_span 1 (fun () -> project_with t ~run:(scan_run t) (scratch t) c)
 
 let project_all ?jobs t =
+  project_span t.nconfigs @@ fun () ->
   let index = run_index t in
   let run s c =
     let starts = index.(s) in

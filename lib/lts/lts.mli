@@ -138,6 +138,9 @@ val labels : t -> label list
 val enabled : t -> int -> label list
 (** Distinct labels enabled in a state. *)
 
+val enables_label : t -> int -> label -> bool
+(** Does the state have an outgoing transition with that label id? *)
+
 val enables_action : t -> int -> string -> bool
 (** Does the state have an outgoing observable transition with that
     name? *)

@@ -42,15 +42,7 @@ module Scc = Dpma_util.Scc
    the same signature tables the saturated oracle path fills. *)
 let pack_pair label block = (label lsl 31) lor block
 
-module Int_key = struct
-  type t = int
-
-  let equal : int -> int -> bool = Int.equal
-
-  let hash = Dpma_util.Hash.int
-end
-
-module Int_tbl = Hashtbl.Make (Int_key)
+module Int_tbl = Hashtbl.Make (Dpma_util.Hash.Int)
 
 type condensation = {
   num_comps : int;

@@ -255,15 +255,23 @@ let compile_sim lts measures =
       | cs ->
           (* Tabulate the state reward once per state up front: the simulator
              evaluates this on every integration step, and scanning the
-             clause list (with an enables_action edge scan per clause) per
-             step dominated long runs. *)
+             clause list (with an edge scan per clause) per step dominated
+             long runs. Each clause's label is resolved once; tau and names
+             no model uses resolve to -1, which no edge carries. *)
+          let labels =
+            List.map
+              (fun c ->
+                match Dpma_pa.Label.find c.action with
+                | Some l when not (Lts.is_tau l) -> l
+                | Some _ | None -> -1)
+              cs
+          in
           let reward =
             Array.init lts.Lts.num_states (fun s ->
-                List.fold_left
-                  (fun acc c ->
-                    if Lts.enables_action lts s c.action then acc +. c.reward
-                    else acc)
-                  0.0 cs)
+                List.fold_left2
+                  (fun acc c l ->
+                    if Lts.enables_label lts s l then acc +. c.reward else acc)
+                  0.0 cs labels)
           in
           Some (push (Sim.Time_average (Array.get reward)))
     in

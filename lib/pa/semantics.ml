@@ -15,6 +15,30 @@ exception Sync_error of { action : string; message : string }
 
 type trans = (Label.t * Rate.t * Term.t) list
 
+(* Synchronization actions are derived in alphabetical name order (the
+   order the string-set representation used to give), so transition
+   lists, and hence BFS state numbering downstream, do not depend on label
+   interning order. Each sync set's name-ordered action list is computed
+   once per engine and shared with its shards. Sets are keyed by
+   identity: a derived successor carries its parent's set, so a model
+   reaches only the few sets its elaboration built. The list only grows,
+   by compare-and-set, so shards on other domains read it without a
+   lock. *)
+type sync_orders = (Lset.t * Label.t list) list Atomic.t
+
+let rec assq_set s = function
+  | [] -> None
+  | (s', l) :: rest -> if s' == s then Some l else assq_set s rest
+
+let rec sync_order (orders : sync_orders) s =
+  let known = Atomic.get orders in
+  match assq_set s known with
+  | Some l -> l
+  | None ->
+      let l = Lset.elements s |> List.sort Label.compare_by_name in
+      if Atomic.compare_and_set orders known ((s, l) :: known) then l
+      else sync_order orders s
+
 (* The recursive derivation core is parameterized over a cache so the same
    code path serves the serialized engine (mutex-protected memo, atomic
    hit/miss counters) and the per-worker shards of the parallel builder
@@ -27,6 +51,7 @@ type cache = {
   c_find : int -> trans option;
   c_store : int -> trans -> unit;
   c_route : ((Term.t -> bool) * cache) option;
+  c_sync : sync_orders;
 }
 
 (* Memo tables start small and grow: a featured build creates one engine
@@ -44,13 +69,10 @@ type engine = {
 
 type shard = {
   sh_parent : engine;
+  (* Only the derivations this shard computed: parent-memo hits are read
+     in place, so every entry is one [merge_shard] must offer the
+     parent. *)
   sh_local : trans Uid_tbl.t;
-  (* Entries this shard actually computed (as opposed to copies of parent
-     memo hits cached in [sh_local] for lock-free re-reads): the only
-     entries [merge_shard] must offer the parent. Kept as a list so the
-     merge touches O(new derivations) instead of walking the whole local
-     table under the parent lock every round. *)
-  sh_fresh : (int * trans) list ref;
   sh_hits : int ref;
   sh_misses : int ref;
   sh_cache : cache;
@@ -76,69 +98,58 @@ let make defs =
     Mutex.unlock memo_lock
   in
   { defs; memo; memo_lock; hits; misses;
-    cache = { c_defs = defs; c_find; c_store; c_route = None } }
+    cache =
+      { c_defs = defs; c_find; c_store; c_route = None;
+        c_sync = Atomic.make [] } }
 
 let stats (e : engine) =
   { hits = Atomic.get e.hits; misses = Atomic.get e.misses }
 
 let shard ?route (e : engine) =
   let local = Uid_tbl.create initial_buckets in
-  let fresh = ref [] in
   let hits = ref 0 and misses = ref 0 in
   let c_find uid =
-    match Uid_tbl.find_opt local uid with
-    | Some _ as r ->
-        incr hits;
-        r
-    | None -> (
-        (* The parent memo is read without the lock: while shards are live
-           no domain writes it — workers buffer results locally and the
-           coordinator merges them between rounds. *)
-        match Uid_tbl.find_opt e.memo uid with
-        | Some trans ->
-            incr hits;
-            Uid_tbl.replace local uid trans;
-            Some trans
-        | None -> None)
+    let r =
+      match Uid_tbl.find_opt local uid with
+      | Some _ as r -> r
+      (* The parent memo is read without the lock: while shards are live
+         no domain writes it — workers buffer results locally and the
+         coordinator merges them between rounds. *)
+      | None -> Uid_tbl.find_opt e.memo uid
+    in
+    if Option.is_some r then incr hits;
+    r
   in
   let c_store uid trans =
     incr misses;
-    Uid_tbl.replace local uid trans;
-    fresh := (uid, trans) :: !fresh
+    Uid_tbl.replace local uid trans
   in
   let c_route =
     Option.map (fun (shared, target) -> (shared, target.sh_cache)) route
   in
-  { sh_parent = e; sh_local = local; sh_fresh = fresh; sh_hits = hits;
-    sh_misses = misses;
-    sh_cache = { c_defs = e.defs; c_find; c_store; c_route } }
+  { sh_parent = e; sh_local = local; sh_hits = hits; sh_misses = misses;
+    sh_cache =
+      { c_defs = e.defs; c_find; c_store; c_route;
+        c_sync = e.cache.c_sync } }
 
 let shard_stats (sh : shard) = { hits = !(sh.sh_hits); misses = !(sh.sh_misses) }
 
 let merge_shard (sh : shard) =
   let e = sh.sh_parent in
   Mutex.lock e.memo_lock;
-  List.iter
-    (fun (uid, trans) ->
+  Uid_tbl.iter
+    (fun uid trans ->
       if not (Uid_tbl.mem e.memo uid) then Uid_tbl.replace e.memo uid trans)
-    !(sh.sh_fresh);
+    sh.sh_local;
   Mutex.unlock e.memo_lock;
   ignore (Atomic.fetch_and_add e.hits !(sh.sh_hits));
   ignore (Atomic.fetch_and_add e.misses !(sh.sh_misses));
   sh.sh_hits := 0;
   sh.sh_misses := 0;
-  sh.sh_fresh := [];
   Uid_tbl.reset sh.sh_local
 
 let passive_total trans =
   List.fold_left (fun acc (_, r, _) -> acc +. Rate.apparent_weight r) 0.0 trans
-
-(* Synchronization actions are derived in alphabetical name order — the
-   order the string-set representation used to give — so transition lists,
-   and hence BFS state numbering downstream, do not depend on label
-   interning order. *)
-let sorted_sync_actions s =
-  Lset.elements s |> List.sort Label.compare_by_name
 
 let rec derive_c c (t : Term.t) =
   match c.c_find t.uid with
@@ -207,20 +218,10 @@ and derive_uncached c (t : Term.t) =
                    qs)
         end
       in
-      let sync = List.concat_map sync_on (sorted_sync_actions s) in
+      let sync = List.concat_map sync_on (sync_order c.c_sync s) in
       left @ right @ sync
 
 let derive (e : engine) t = derive_c e.cache t
 let derive_in (sh : shard) t = derive_c sh.sh_cache t
 
 let transitions defs t = derive (make defs) t
-
-let enabled_actions defs t =
-  transitions defs t
-  |> List.fold_left
-       (fun acc (a, _, _) ->
-         if Label.equal a Label.tau then acc
-         else Term.Sset.add (Label.name a) acc)
-       Term.Sset.empty
-
-let is_deadlocked defs t = transitions defs t = []

@@ -78,8 +78,3 @@ val merge_shard : shard -> unit
 
 val transitions : Term.defs -> Term.t -> (Label.t * Rate.t * Term.t) list
 (** One-shot derivation through an ephemeral engine. *)
-
-val enabled_actions : Term.defs -> Term.t -> Term.Sset.t
-(** Action names (tau excluded) enabled in [t]. *)
-
-val is_deadlocked : Term.defs -> Term.t -> bool

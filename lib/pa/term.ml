@@ -17,10 +17,11 @@ let tau = "tau"
 
 (* ------------------------------------------------------------------ *)
 (* Hash-consing. Children are compared by physical identity (they are
-   themselves hash-consed), labels and label sets by integer value, rates
-   structurally. The table is a plain bucket map keyed by node hash:
-   terms live as long as the process, which matches how specifications are
-   used (built once, explored many times). *)
+   themselves hash-consed), labels by integer value, label sets by
+   identity and then by value (derived successors share their parent's
+   set), rates structurally. The table is a plain bucket map keyed by
+   node hash: terms live as long as the process, which matches how
+   specifications are used (built once, explored many times). *)
 
 let rec list_physically_equal xs ys =
   match (xs, ys) with
@@ -40,9 +41,9 @@ let node_equal n1 n2 =
   | Choice ts1, Choice ts2 -> list_physically_equal ts1 ts2
   | Call n1, Call n2 -> String.equal n1 n2
   | Par (p1, s1, q1), Par (p2, s2, q2) ->
-      p1 == p2 && q1 == q2 && Lset.equal s1 s2
+      p1 == p2 && q1 == q2 && (s1 == s2 || Lset.equal s1 s2)
   | Hide (s1, p1), Hide (s2, p2) | Restrict (s1, p1), Restrict (s2, p2) ->
-      p1 == p2 && Lset.equal s1 s2
+      p1 == p2 && (s1 == s2 || Lset.equal s1 s2)
   | Rename (m1, p1), Rename (m2, p2) -> p1 == p2 && rename_map_equal m1 m2
   | (Stop | Prefix _ | Choice _ | Call _ | Par _ | Hide _ | Restrict _
     | Rename _), _ ->
@@ -68,7 +69,11 @@ let node_hash = function
            19 map)
         p.uid
 
-let table : (int, t list) Hashtbl.t = Hashtbl.create 4096
+(* Keyed by the node hash, a polynomial fold the table finishes with the
+   shared int mix; every construction looks it up. *)
+module Hash_tbl = Hashtbl.Make (Dpma_util.Hash.Int)
+
+let table : t list Hash_tbl.t = Hash_tbl.create 4096
 
 let mutex = Mutex.create ()
 
@@ -79,17 +84,19 @@ let live = ref 0
 let cons node =
   let h = node_hash node land max_int in
   Mutex.lock mutex;
-  let bucket = Option.value ~default:[] (Hashtbl.find_opt table h) in
-  let t =
-    match List.find_opt (fun t -> node_equal t.node node) bucket with
-    | Some t -> t
-    | None ->
+  let bucket =
+    match Hash_tbl.find_opt table h with Some b -> b | None -> []
+  in
+  let rec find = function
+    | [] ->
         let t = { uid = !next_uid; node } in
         incr next_uid;
         incr live;
-        Hashtbl.replace table h (t :: bucket);
+        Hash_tbl.replace table h (t :: bucket);
         t
+    | t :: rest -> if node_equal t.node node then t else find rest
   in
+  let t = find bucket in
   Mutex.unlock mutex;
   t
 
@@ -147,8 +154,6 @@ let hide s p =
   check_no_tau "hide" s;
   hide_labels (lset_of_sset s) p
 
-let hide_names names p = hide (Sset.of_list names) p
-
 let restrict_labels s p =
   check_no_tau_label "restrict" s;
   if Lset.is_empty s then p else cons (Restrict (s, p))
@@ -156,8 +161,6 @@ let restrict_labels s p =
 let restrict s p =
   check_no_tau "restrict" s;
   restrict_labels (lset_of_sset s) p
-
-let restrict_names names p = restrict (Sset.of_list names) p
 
 let rename_labels map p =
   if map = [] then p

@@ -49,9 +49,7 @@ val call : string -> t
 val par : t -> Sset.t -> t -> t
 val par_names : t -> string list -> t -> t
 val hide : Sset.t -> t -> t
-val hide_names : string list -> t -> t
 val restrict : Sset.t -> t -> t
-val restrict_names : string list -> t -> t
 val rename : (string * string) list -> t -> t
 
 val prefix_label : Label.t -> Rate.t -> t -> t

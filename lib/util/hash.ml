@@ -13,6 +13,14 @@ let fold_ints h a =
 
 let ints a = int (fold_ints (Array.length a) a)
 
+module Int = struct
+  type t = int
+
+  let equal : int -> int -> bool = Int.equal
+
+  let hash = int
+end
+
 module Ints = struct
   type t = int array
 

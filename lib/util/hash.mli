@@ -19,6 +19,11 @@ val fold_ints : int -> int array -> int
 val ints : int array -> int
 (** Mixed hash of an array and its length. *)
 
+module Int : Hashtbl.HashedType with type t = int
+(** Ints hashed by {!int}, for [Hashtbl.Make]: the generic
+    [Hashtbl.hash] runtime call would be pure overhead on hot int
+    keys. *)
+
 module Ints : Hashtbl.HashedType with type t = int array
 (** Int arrays compared element-wise and hashed by {!ints}, for
     [Hashtbl.Make]. *)

@@ -4,10 +4,198 @@
    Tarjan, the large-BSCC Gauss–Seidel sweeps Hashtbl columns, and
    absorption probabilities come from global fixed-point sweeps over every
    transient state, reachable or not. test_ctmc.ml compares the packed
-   [Ctmc.steady_state] against it on generated chains. *)
+   [Ctmc.steady_state] against it on generated chains.
+
+   [of_lts] below is the list-based vanishing-state elimination the
+   array-based [Ctmc.of_lts] replaced: per-state [Hashtbl]s and
+   [(label, count)] lists sorted by label name. *)
 
 module Ctmc = Dpma_ctmc.Ctmc
+module Lts = Dpma_lts.Lts
+module Label = Dpma_pa.Label
 module Linalg = Dpma_util.Linalg
+
+(* --- Vanishing-state elimination, list version ----------------------- *)
+
+(* Every field of a [Ctmc.t], as plain arrays. *)
+type built = {
+  b_n : int;
+  b_init_state : int array;
+  b_init_prob : float array;
+  b_row : int array;
+  b_dst : int array;
+  b_rate : float array;
+  b_lab : int array;
+  b_imm_row : int array;
+  b_imm_lab : int array;
+  b_imm_rate : float array;
+  b_enabled_row : int array;
+  b_enabled_lab : int array;
+  b_exit_rate : float array;
+}
+
+let built_of_ctmc (c : Ctmc.t) =
+  { b_n = c.Ctmc.n; b_init_state = c.Ctmc.init_state;
+    b_init_prob = c.Ctmc.init_prob; b_row = c.Ctmc.row; b_dst = c.Ctmc.dst;
+    b_rate = c.Ctmc.rate; b_lab = c.Ctmc.lab; b_imm_row = c.Ctmc.imm_row;
+    b_imm_lab = c.Ctmc.imm_lab; b_imm_rate = c.Ctmc.imm_rate;
+    b_enabled_row = c.Ctmc.enabled_row; b_enabled_lab = c.Ctmc.enabled_lab;
+    b_exit_rate = c.Ctmc.exit_rate }
+
+(* Immediate alternatives of a vanishing state: maximal priority wins, then
+   weights give a probabilistic choice. *)
+let immediate_branches (lts : Lts.t) s =
+  let imms = ref [] in
+  for i = lts.row.(s + 1) - 1 downto lts.row.(s) do
+    if lts.rate_kind.(i) = 2 then
+      imms :=
+        (lts.rate_prio.(i), lts.rate_val.(i), lts.lab.(i), lts.tgt.(i))
+        :: !imms
+  done;
+  let imms = !imms in
+  let max_prio = List.fold_left (fun m (p, _, _, _) -> max m p) min_int imms in
+  let top = List.filter (fun (p, _, _, _) -> p = max_prio) imms in
+  let total = List.fold_left (fun acc (_, w, _, _) -> acc +. w) 0.0 top in
+  List.map (fun (_, w, a, u) -> (u, w /. total, a)) top
+
+(* Merge association lists of weighted label counts, summing in list
+   order; the result is sorted by label name. *)
+let merge_counts lists =
+  let table = Hashtbl.create 8 in
+  List.iter
+    (List.iter (fun (a, c) ->
+         let cur = Option.value ~default:0.0 (Hashtbl.find_opt table a) in
+         Hashtbl.replace table a (cur +. c)))
+    lists;
+  Hashtbl.fold (fun a c acc -> (a, c) :: acc) table []
+  |> List.sort (fun (a, _) (b, _) -> Label.compare_by_name a b)
+
+let of_lts (lts : Lts.t) =
+  let error fmt = Printf.ksprintf (fun m -> raise (Ctmc.Build_error m)) fmt in
+  let n0 = lts.num_states in
+  let vanishing = Array.make n0 false in
+  for s = 0 to n0 - 1 do
+    for i = lts.row.(s) to lts.row.(s + 1) - 1 do
+      match lts.rate_kind.(i) with
+      | 0 ->
+          error
+            "state %d has an unrated transition on %s (functional model fed \
+             to the CTMC builder?)"
+            s
+            (Lts.label_name lts.lab.(i))
+      | 3 ->
+          error
+            "unsynchronized passive action %s in state %d: every passive \
+             action must be attached to an active partner"
+            (Lts.label_name lts.lab.(i)) s
+      | 2 -> vanishing.(s) <- true
+      | _ -> ()
+    done
+  done;
+  let resolved = Hashtbl.create 64 in
+  let in_progress = Hashtbl.create 16 in
+  let rec resolve s =
+    if not vanishing.(s) then ([ (s, 1.0) ], [])
+    else
+      match Hashtbl.find_opt resolved s with
+      | Some d -> d
+      | None ->
+          if Hashtbl.mem in_progress s then
+            error "cycle of immediate transitions through state %d (time trap)"
+              s;
+          Hashtbl.add in_progress s ();
+          let parts =
+            List.map
+              (fun (u, p, a) ->
+                let dist_u, counts_u = resolve u in
+                ( List.map (fun (v, q) -> (v, p *. q)) dist_u,
+                  (a, p) :: List.map (fun (b, c) -> (b, p *. c)) counts_u ))
+              (immediate_branches lts s)
+          in
+          let merged = Hashtbl.create 8 in
+          List.iter
+            (fun (v, p) ->
+              let cur = Option.value ~default:0.0 (Hashtbl.find_opt merged v) in
+              Hashtbl.replace merged v (cur +. p))
+            (List.concat_map fst parts);
+          let dist =
+            Hashtbl.fold (fun v p acc -> (v, p) :: acc) merged []
+            |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+          in
+          let counts = merge_counts (List.map snd parts) in
+          Hashtbl.remove in_progress s;
+          Hashtbl.add resolved s (dist, counts);
+          (dist, counts)
+  in
+  let new_id = Array.make n0 (-1) in
+  let count = ref 0 in
+  for s = 0 to n0 - 1 do
+    if not vanishing.(s) then begin
+      new_id.(s) <- !count;
+      incr count
+    end
+  done;
+  let n = !count in
+  if n = 0 then error "no tangible state (all states vanishing)";
+  let dst = ref [] and rate = ref [] and lab = ref [] in
+  let imm_lab = ref [] and imm_rate = ref [] and enabled_lab = ref [] in
+  let row = Array.make (n + 1) 0 in
+  let imm_row = Array.make (n + 1) 0 in
+  let enabled_row = Array.make (n + 1) 0 in
+  let exit_rate = Array.make n 0.0 in
+  let ndst = ref 0 and nimm = ref 0 and nenabled = ref 0 in
+  for s = 0 to n0 - 1 do
+    if not vanishing.(s) then begin
+      let id = new_id.(s) in
+      let names = ref [] in
+      for i = lts.row.(s) to lts.row.(s + 1) - 1 do
+        if lts.lab.(i) <> Lts.tau then names := lts.lab.(i) :: !names
+      done;
+      List.iter
+        (fun a ->
+          enabled_lab := a :: !enabled_lab;
+          incr nenabled)
+        (List.sort_uniq Int.compare !names);
+      let imm_parts = ref [] in
+      for i = lts.row.(s + 1) - 1 downto lts.row.(s) do
+        if lts.rate_kind.(i) = 1 then begin
+          let lambda = lts.rate_val.(i) in
+          let dist, counts = resolve lts.tgt.(i) in
+          List.iter
+            (fun (v, p) ->
+              let t = new_id.(v) and r = lambda *. p in
+              dst := t :: !dst;
+              rate := r :: !rate;
+              lab := lts.lab.(i) :: !lab;
+              incr ndst;
+              if t <> id then exit_rate.(id) <- exit_rate.(id) +. r)
+            dist;
+          if counts <> [] then
+            imm_parts :=
+              List.map (fun (b, c) -> (b, lambda *. c)) counts :: !imm_parts
+        end
+      done;
+      if !imm_parts <> [] then
+        List.iter
+          (fun (b, r) ->
+            imm_lab := b :: !imm_lab;
+            imm_rate := r :: !imm_rate;
+            incr nimm)
+          (merge_counts (List.rev !imm_parts));
+      row.(id + 1) <- !ndst;
+      imm_row.(id + 1) <- !nimm;
+      enabled_row.(id + 1) <- !nenabled
+    end
+  done;
+  let initial = fst (resolve lts.init) in
+  let arr l = Array.of_list (List.rev !l) in
+  { b_n = n;
+    b_init_state = Array.of_list (List.map (fun (v, _) -> new_id.(v)) initial);
+    b_init_prob = Array.of_list (List.map snd initial);
+    b_row = row; b_dst = arr dst; b_rate = arr rate; b_lab = arr lab;
+    b_imm_row = imm_row; b_imm_lab = arr imm_lab; b_imm_rate = arr imm_rate;
+    b_enabled_row = enabled_row; b_enabled_lab = arr enabled_lab;
+    b_exit_rate = exit_rate }
 
 type chain = {
   n : int;

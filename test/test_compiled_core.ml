@@ -13,6 +13,10 @@ module Markov = Dpma_core.Markov
 module General = Dpma_core.General
 module Pipeline = Dpma_core.Pipeline
 
+let hide_names names p = Term.hide (Term.Sset.of_list names) p
+
+let restrict_names names p = Term.restrict (Term.Sset.of_list names) p
+
 (* ------------------------------------------------------------------ *)
 (* Label interning *)
 
@@ -67,7 +71,7 @@ let test_hashcons_physical_equality () =
     Term.par_names
       (Term.prefix "a" r (Term.prefix "b" r Term.stop))
       [ "a" ]
-      (Term.hide_names [ "h" ] (Term.choice [ Term.prefix "a" r Term.stop ]))
+      (hide_names [ "h" ] (Term.choice [ Term.prefix "a" r Term.stop ]))
   in
   let t1 = mk () and t2 = mk () in
   Alcotest.(check bool) "physically equal" true (t1 == t2);
@@ -92,12 +96,12 @@ let test_hashcons_equal_iff_physical () =
       Term.choice [ Term.prefix "a" r Term.stop; Term.prefix "b" r Term.stop ];
       Term.call "P";
       Term.par_names (Term.call "P") [ "a" ] (Term.call "Q");
-      Term.hide_names [ "a" ] (Term.call "P");
-      Term.restrict_names [ "a" ] (Term.call "P");
+      hide_names [ "a" ] (Term.call "P");
+      restrict_names [ "a" ] (Term.call "P");
       Term.rename [ ("a", "b") ] (Term.call "P");
       (* Re-built duplicates of the above. *)
       Term.prefix "a" r Term.stop;
-      Term.hide_names [ "a" ] (Term.call "P");
+      hide_names [ "a" ] (Term.call "P");
     ]
   in
   List.iter
@@ -119,6 +123,22 @@ let test_hashcons_count_shares () =
   Alcotest.(check int) "re-building allocates nothing" mid (Term.hashcons_count ());
   Alcotest.(check bool) "first build allocated something" true (mid > before)
 
+(* Derived successors rebuild [Par], [Hide] and [Restrict] nodes around
+   their parent's label set, but elaboration may build an equal set as a
+   separate block: the sharing table must still return one node. *)
+let test_hashcons_equal_label_sets () =
+  let a = Label.intern "lset_probe_a" and b = Label.intern "lset_probe_b" in
+  let s1 = Term.Lset.of_list [ a; b ] and s2 = Term.Lset.of_list [ b; a ] in
+  Alcotest.(check bool) "equal sets in distinct blocks" true
+    (Term.Lset.equal s1 s2 && s1 != s2);
+  let p = Term.prefix "lset_probe_a" r Term.stop and q = Term.call "Q" in
+  Alcotest.(check bool) "par" true
+    (Term.par_labels p s1 q == Term.par_labels p s2 q);
+  Alcotest.(check bool) "hide" true
+    (Term.hide_labels s1 p == Term.hide_labels s2 p);
+  Alcotest.(check bool) "restrict" true
+    (Term.restrict_labels s1 p == Term.restrict_labels s2 p)
+
 (* ------------------------------------------------------------------ *)
 (* SOS memoization *)
 
@@ -136,6 +156,83 @@ let test_sos_memo_hits () =
   Alcotest.(check int) "second derive is pure hit" (s1.Semantics.misses)
     s2.Semantics.misses;
   Alcotest.(check bool) "hits increased" true (s2.Semantics.hits > s1.Semantics.hits)
+
+(* Synchronizations come out in action-name order whatever the label ids:
+   through a one-shot derivation, an engine's second (cached) derivation
+   of another term on the same set, and a builder shard. *)
+let test_sync_name_order () =
+  let z = Label.intern "syncord_zulu" and a = Label.intern "syncord_alpha" in
+  Alcotest.(check bool) "interned out of name order" true (z < a);
+  let side rate k =
+    Term.choice
+      [ Term.prefix_label z rate (Term.call k);
+        Term.prefix_label a rate Term.stop ]
+  in
+  let passive = Rate.passive () in
+  let set = Term.Lset.of_list [ z; a ] in
+  let t1 = Term.par_labels (side r "P") set (side passive "Q") in
+  let t2 = Term.par_labels (side r "Q") set (side passive "P") in
+  let defs = [ ("P", Term.stop); ("Q", Term.stop) ] in
+  let names trans = List.map (fun (l, _, _) -> Label.name l) trans in
+  let expected = [ "syncord_alpha"; "syncord_zulu" ] in
+  Alcotest.(check (list string)) "one-shot" expected
+    (names (Semantics.transitions defs t1));
+  let engine = Semantics.make defs in
+  Alcotest.(check (list string)) "engine" expected
+    (names (Semantics.derive engine t1));
+  Alcotest.(check (list string)) "engine, cached order" expected
+    (names (Semantics.derive engine t2));
+  let sh = Semantics.shard (Semantics.make defs) in
+  Alcotest.(check (list string)) "shard" expected
+    (names (Semantics.derive_in sh t2))
+
+(* A digest of an LTS's CSR: row offsets, label names, targets, rate
+   kinds, rate-value bits and priorities. *)
+let csr_digest (l : Lts.t) =
+  let b = Buffer.create 65536 in
+  let ints a =
+    Array.iter (fun x -> Buffer.add_string b (string_of_int x); Buffer.add_char b ',') a;
+    Buffer.add_char b '|'
+  in
+  ints l.Lts.row;
+  Array.iter
+    (fun x -> Buffer.add_string b (Lts.label_name x); Buffer.add_char b ',')
+    l.Lts.lab;
+  Buffer.add_char b '|';
+  ints l.Lts.tgt;
+  ints l.Lts.rate_kind;
+  Array.iter
+    (fun x ->
+      Buffer.add_string b (Int64.to_string (Int64.bits_of_float x));
+      Buffer.add_char b ',')
+    l.Lts.rate_val;
+  Buffer.add_char b '|';
+  ints l.Lts.rate_prio;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* The full and functional state spaces of both paper studies, pinned
+   bit for bit (captured from the string-sorting SOS and the polymorphic
+   sharing table), at one and two jobs: derivation order, state numbering
+   and packed rates must not move. *)
+let test_pinned_csr_digests () =
+  let check name (study : Pipeline.study) ~full ~functional =
+    let fspec = Option.value ~default:study.Pipeline.spec study.functional_spec in
+    List.iter
+      (fun jobs ->
+        let tag what = Printf.sprintf "%s %s (jobs %d)" name what jobs in
+        Alcotest.(check string) (tag "full") full
+          (csr_digest (Lts.of_spec ~jobs study.Pipeline.spec));
+        Alcotest.(check string) (tag "functional") functional
+          (csr_digest (Lts.of_spec ~jobs fspec)))
+      [ 1; 2 ]
+  in
+  check "rpc" (Dpma_models.Rpc.study Dpma_models.Rpc.default_params)
+    ~full:"a540542c996214a9b75acd6069bf8222"
+    ~functional:"6aacb7ca405c9ba6fd1d71fa171f8eee";
+  check "streaming"
+    (Dpma_models.Streaming.study Dpma_models.Streaming.default_params)
+    ~full:"520658c6a2a84094f3ead014324c3762"
+    ~functional:"616e41979897f7ba98045bfcda75c6b9"
 
 (* ------------------------------------------------------------------ *)
 (* Differential test: the two paper studies against reference values
@@ -295,7 +392,11 @@ let suite =
     Alcotest.test_case "hashcons equal iff physical" `Quick
       test_hashcons_equal_iff_physical;
     Alcotest.test_case "hashcons sharing table" `Quick test_hashcons_count_shares;
+    Alcotest.test_case "hashcons equal label sets" `Quick
+      test_hashcons_equal_label_sets;
     Alcotest.test_case "sos memo hits" `Quick test_sos_memo_hits;
+    Alcotest.test_case "sync order by action name" `Quick test_sync_name_order;
+    Alcotest.test_case "pinned CSR digests" `Slow test_pinned_csr_digests;
     Alcotest.test_case "differential: rpc" `Slow test_differential_rpc;
     Alcotest.test_case "differential: streaming" `Slow test_differential_streaming;
   ]

@@ -770,10 +770,198 @@ let test_not_converged_verdict () =
       Alcotest.(check bool) "one line" false
         (String.contains (Guard.verdict_line trip) '\n')
 
+(* --- Vanishing-state elimination against the list version ----------- *)
+
+(* A generated LTS for [Ctmc.of_lts]: each state is timed (exponential
+   edges) or vanishing (immediate edges of mixed priorities and weights
+   under several labels, mostly to higher-numbered states so chains form,
+   sometimes backwards so time traps form, and sometimes a preempted
+   timed edge beside them). A few unrated or passive edges exercise the
+   validation errors. *)
+type van_edge = { src : int; kind : int; lab : int; prio : int; value : float; dst : int }
+
+type van_case = { states : int; init : int; van_edges : van_edge list }
+
+(* Interned out of name order, so id order and name order disagree. *)
+let van_imm_labels =
+  Array.map Lts.obs [| "van.zulu"; "van.alpha"; "van.mike"; "van.bravo" |]
+
+let van_timed_labels = [| Lts.obs "van.timed_y"; Lts.obs "van.timed_b"; Lts.tau |]
+
+let gen_van_case =
+  let open Gen in
+  let* states = int_range 2 9 in
+  let any = int_bound (states - 1) in
+  let forward s = if s = states - 1 then any else int_range (s + 1) (states - 1) in
+  let timed s =
+    let+ lab = int_bound (Array.length van_timed_labels - 1)
+    and+ value = oneofl [ 0.5; 1.0; 2.0; 3.0; 7.25 ]
+    and+ dst = any in
+    { src = s; kind = 1; lab = van_timed_labels.(lab); prio = 0; value; dst }
+  in
+  let immediate s =
+    let+ lab = int_bound (Array.length van_imm_labels - 1)
+    and+ prio = oneofl [ 0; 0; 1; 2 ]
+    and+ value = oneofl [ 0.3; 0.5; 1.0; 2.0; 3.7 ]
+    and+ dst = frequency [ (6, forward s); (1, any) ] in
+    { src = s; kind = 2; lab = van_imm_labels.(lab); prio; value; dst }
+  in
+  let odd s =
+    let+ kind = oneofl [ 0; 3 ] and+ dst = any in
+    { src = s; kind; lab = van_timed_labels.(0); prio = 0; value = 1.0; dst }
+  in
+  let state_edges s =
+    let* vanishing = bool in
+    let* own =
+      if vanishing then
+        let* imms = list_size (int_range 1 4) (immediate s) in
+        let+ preempted = list_size (int_range 0 1) (timed s) in
+        imms @ preempted
+      else list_size (int_range 0 3) (timed s)
+    in
+    let+ extra = frequency [ (40, return []); (1, map (fun e -> [ e ]) (odd s)) ] in
+    own @ extra
+  in
+  let rec all s acc =
+    if s < 0 then return acc
+    else
+      let* es = state_edges s in
+      let* es = shuffle_l es in
+      all (s - 1) (es @ acc)
+  in
+  let* van_edges = all (states - 1) [] in
+  let+ init = any in
+  { states; init; van_edges }
+
+let print_van_case c =
+  Printf.sprintf "%d states, init %d\n%s" c.states c.init
+    (String.concat "\n"
+       (List.map
+          (fun e ->
+            Printf.sprintf "  %d -%s/%d/p%d/%g-> %d" e.src (Lts.label_name e.lab)
+              e.kind e.prio e.value e.dst)
+          c.van_edges))
+
+let arb_van_case =
+  QCheck.make ~print:print_van_case
+    ~shrink:(fun c ->
+      QCheck.Iter.map
+        (fun van_edges -> { c with van_edges })
+        (QCheck.Shrink.list_spine c.van_edges))
+    gen_van_case
+
+(* Edges grouped by source in list order. *)
+let lts_of_van_case c =
+  let per = Array.make c.states [] in
+  List.iter (fun e -> per.(e.src) <- e :: per.(e.src)) (List.rev c.van_edges);
+  let edges = Array.concat (Array.to_list (Array.map Array.of_list per)) in
+  let row = Array.make (c.states + 1) 0 in
+  Array.iteri (fun s es -> row.(s + 1) <- row.(s) + List.length es) per;
+  Lts.of_csr ~init:c.init ~state_name:string_of_int ~row
+    ~lab:(Array.map (fun e -> e.lab) edges)
+    ~tgt:(Array.map (fun e -> e.dst) edges)
+    ~rate_kind:(Array.map (fun e -> e.kind) edges)
+    ~rate_val:(Array.map (fun e -> e.value) edges)
+    ~rate_prio:(Array.map (fun e -> e.prio) edges)
+
+let same_bits a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       a b
+
+(* Every field of the two builds, floats bit for bit; the first differing
+   field's name, if any. *)
+let built_mismatch (a : Ctmc_oracle.built) (b : Ctmc_oracle.built) =
+  let open Ctmc_oracle in
+  List.find_map
+    (fun (name, same) -> if same then None else Some name)
+    [
+      ("n", a.b_n = b.b_n);
+      ("init_state", a.b_init_state = b.b_init_state);
+      ("init_prob", same_bits a.b_init_prob b.b_init_prob);
+      ("row", a.b_row = b.b_row);
+      ("dst", a.b_dst = b.b_dst);
+      ("rate", same_bits a.b_rate b.b_rate);
+      ("lab", a.b_lab = b.b_lab);
+      ("imm_row", a.b_imm_row = b.b_imm_row);
+      ("imm_lab", a.b_imm_lab = b.b_imm_lab);
+      ("imm_rate", same_bits a.b_imm_rate b.b_imm_rate);
+      ("enabled_row", a.b_enabled_row = b.b_enabled_row);
+      ("enabled_lab", a.b_enabled_lab = b.b_enabled_lab);
+      ("exit_rate", same_bits a.b_exit_rate b.b_exit_rate);
+    ]
+
+let build_both lts =
+  let run f = match f lts with b -> Ok b | exception Ctmc.Build_error m -> Error m in
+  ( run (fun l -> Ctmc_oracle.built_of_ctmc (Ctmc.of_lts l)),
+    run Ctmc_oracle.of_lts )
+
+let prop_of_lts_matches_oracle =
+  QCheck.Test.make ~count:500
+    ~name:"vanishing elimination matches the list version bit for bit"
+    arb_van_case (fun case ->
+      match build_both (lts_of_van_case case) with
+      | Ok a, Ok b -> (
+          match built_mismatch a b with
+          | None -> true
+          | Some field -> QCheck.Test.fail_reportf "field %s differs" field)
+      | Error a, Error b -> String.equal a b
+      | Ok _, Error m -> QCheck.Test.fail_reportf "only the oracle failed: %s" m
+      | Error m, Ok _ -> QCheck.Test.fail_reportf "only of_lts failed: %s" m)
+
+(* A vanishing hub with more branches (targets and labels) than the short
+   sorts handle: its tangible spokes are numbered against branch order and
+   its labels interned against name order. *)
+let test_wide_fanout_matches_oracle () =
+  let k = 40 in
+  let labels = Array.init k (fun i -> Lts.obs (Printf.sprintf "wide.%02d" (k - i))) in
+  (* State 0 is the hub; spoke [j] is state [1 + (j * 7) mod k]. *)
+  let hub =
+    List.init k (fun j ->
+        { Lts.label = labels.(j);
+          rate = Some (Rate.imm ~weight:(1.0 +. (0.1 *. float_of_int j)) ());
+          target = 1 + (j * 7 mod k) })
+  in
+  let spoke i =
+    [ { Lts.label = labels.(i - 1); rate = Some (Rate.exp (float_of_int i)); target = 0 } ]
+  in
+  let lts =
+    Lts.make ~init:0 ~state_name:string_of_int
+      (Array.init (k + 1) (fun s -> if s = 0 then hub else spoke s))
+  in
+  match build_both lts with
+  | Ok a, Ok b -> (
+      match built_mismatch a b with
+      | None -> ()
+      | Some field -> Alcotest.failf "field %s differs" field)
+  | _ -> Alcotest.fail "a build failed"
+
+(* The paper models: the streaming chain is mostly vanishing states whose
+   immediate frame deliveries carry throughput measures. *)
+let test_paper_models_match_oracle () =
+  List.iter
+    (fun (name, (study : Dpma_core.Pipeline.study)) ->
+      let lts = Lts.of_spec study.Dpma_core.Pipeline.spec in
+      match build_both lts with
+      | Ok a, Ok b -> (
+          match built_mismatch a b with
+          | None -> ()
+          | Some field -> Alcotest.failf "%s: field %s differs" name field)
+      | _ -> Alcotest.failf "%s: a build failed" name)
+    [
+      ("rpc", Dpma_models.Rpc.study Dpma_models.Rpc.default_params);
+      ("streaming", Dpma_models.Streaming.study Dpma_models.Streaming.default_params);
+    ]
+
 let oracle_suite =
   [
     Alcotest.test_case "streaming chains match the list oracle" `Slow
       test_streaming_matches_oracle;
+    Alcotest.test_case "paper models' CTMCs match the list builder" `Slow
+      test_paper_models_match_oracle;
+    Alcotest.test_case "wide vanishing fan-out matches the list builder" `Quick
+      test_wide_fanout_matches_oracle;
     Alcotest.test_case "absorption through a transient cycle" `Quick
       test_absorption_through_transient_cycle;
     Alcotest.test_case "solver loops poll the guard" `Quick test_solver_polls_guard;
@@ -783,6 +971,7 @@ let oracle_suite =
       [
         prop_matches_oracle;
         prop_single_bscc_bit_identical;
+        prop_of_lts_matches_oracle;
         prop_stationary;
         prop_reachable_restriction;
       ]

@@ -549,6 +549,44 @@ let test_grid_sampled_identity () =
         fam all c specs.(c))
     (List.sort_uniq Int.compare (List.init 8 (fun i -> i * (members - 1) / 7)))
 
+(* A traced family run opens one span per phase, not one per member: the
+   tracer's root count (capped at 10,000) stays at the phase count
+   whatever the family size. *)
+let test_family_trace_roots () =
+  let module Trace = Dpma_obs.Trace in
+  Trace.reset ();
+  Trace.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Trace.set_enabled false;
+      Trace.reset ())
+    (fun () ->
+      let fam =
+        Elaborate.elaborate_family (Parser.parse (grid_aem ~t_max:4 ~a_max:8))
+      in
+      let specs = Array.map (fun m -> m.Elaborate.spec) fam.Elaborate.members in
+      let flts, _ = Flts.build_family ~jobs:1 specs in
+      let ltss = Flts.project_all ~jobs:1 flts in
+      ignore
+        (Markov.analyze_ltss_dedup ~jobs:1 ltss (Measure.parse grid_measures_src));
+      let roots = Trace.roots () in
+      Alcotest.(check (list string))
+        "one root per phase"
+        [ "adl.parse"; "adl.elaborate"; "family.build"; "family.project";
+          "markov.dedup" ]
+        (List.map (fun sp -> sp.Trace.name) roots);
+      List.iter
+        (fun sp ->
+          if List.mem sp.Trace.name [ "adl.elaborate"; "family.project" ] then begin
+            Alcotest.(check bool)
+              (sp.Trace.name ^ " members") true
+              (List.assoc_opt "members" sp.Trace.attrs = Some (Trace.Int 64));
+            Alcotest.(check int) (sp.Trace.name ^ " has no per-member children")
+              0 (List.length sp.Trace.children)
+          end)
+        roots;
+      Alcotest.(check int) "nothing dropped" 0 (Trace.dropped ()))
+
 let test_grid_every_member_identity () =
   (* Every member of a 64-member grid, not a sample: the projection keeps
      one guard run per state, so a member whose run is not the first
@@ -837,6 +875,8 @@ let suite =
       test_grid_sampled_identity;
     Alcotest.test_case "every grid member projects bit-identically" `Quick
       test_grid_every_member_identity;
+    Alcotest.test_case "traced family: one span per phase" `Quick
+      test_family_trace_roots;
     Alcotest.test_case "member without edges at a shared state" `Quick
       test_member_without_edges;
     Alcotest.test_case "family members equal their own elaboration" `Quick

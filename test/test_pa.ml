@@ -8,6 +8,10 @@ module Sset = Dpma_pa.Term.Sset
 
 let check_int = Alcotest.(check int)
 
+let hide_names names p = Term.hide (Sset.of_list names) p
+
+let restrict_names names p = Term.restrict (Sset.of_list names) p
+
 (* ------------------------------------------------------------------ *)
 (* Rates *)
 
@@ -76,7 +80,7 @@ let test_rename_validation () =
 
 let test_hide_restrict_tau_guard () =
   Alcotest.check_raises "hide tau" (Invalid_argument "Term.hide: tau cannot be hide")
-    (fun () -> ignore (Term.hide_names [ Term.tau ] Term.stop));
+    (fun () -> ignore (hide_names [ Term.tau ] Term.stop));
   Alcotest.check_raises "par tau" (Invalid_argument "Term.par: tau cannot be par")
     (fun () -> ignore (Term.par_names Term.stop [ Term.tau ] Term.stop))
 
@@ -85,7 +89,7 @@ let test_action_names () =
     Term.par_names
       (Term.prefix "a" a_rate (Term.prefix Term.tau a_rate Term.stop))
       [ "sync" ]
-      (Term.hide_names [ "h" ] (Term.prefix "b" a_rate Term.stop))
+      (hide_names [ "h" ] (Term.prefix "b" a_rate Term.stop))
   in
   let names = Term.action_names t in
   Alcotest.(check (list string)) "names" [ "a"; "b"; "sync" ] (Sset.elements names)
@@ -141,14 +145,14 @@ let test_call_unfolding () =
   | _ -> Alcotest.fail "unexpected transitions"
 
 let test_hiding_relabels_to_tau () =
-  let t = Term.hide_names [ "a" ] (Term.prefix "a" a_rate Term.stop) in
+  let t = hide_names [ "a" ] (Term.prefix "a" a_rate Term.stop) in
   match trans [] t with
   | [ (lbl, _, _) ] -> Alcotest.(check string) "tau" Term.tau lbl
   | _ -> Alcotest.fail "expected one transition"
 
 let test_restriction_blocks () =
   let t =
-    Term.restrict_names [ "a" ]
+    restrict_names [ "a" ]
       (Term.choice [ Term.prefix "a" a_rate Term.stop; Term.prefix "b" a_rate Term.stop ])
   in
   let ts = trans [] t in
@@ -216,12 +220,22 @@ let test_tau_does_not_synchronize () =
   let ts = trans [] (Term.par_names p [] q) in
   check_int "both tau steps" 2 (List.length ts)
 
+(* Action names (tau excluded) enabled in [t]. *)
+let enabled_actions defs t =
+  Semantics.transitions defs t
+  |> List.fold_left
+       (fun acc (a, _, _) ->
+         if Label.equal a Label.tau then acc else Sset.add (Label.name a) acc)
+       Sset.empty
+
+let is_deadlocked defs t = Semantics.transitions defs t = []
+
 let test_enabled_actions_and_deadlock () =
   let t = Term.choice [ Term.prefix "a" a_rate Term.stop; Term.prefix Term.tau a_rate Term.stop ] in
   Alcotest.(check (list string)) "tau excluded" [ "a" ]
-    (Sset.elements (Semantics.enabled_actions [] t));
-  Alcotest.(check bool) "stop deadlocked" true (Semantics.is_deadlocked [] Term.stop);
-  Alcotest.(check bool) "prefix alive" false (Semantics.is_deadlocked [] t)
+    (Sset.elements (enabled_actions [] t));
+  Alcotest.(check bool) "stop deadlocked" true (is_deadlocked [] Term.stop);
+  Alcotest.(check bool) "prefix alive" false (is_deadlocked [] t)
 
 let test_multiway_composition () =
   (* Three components in a chain: a |[x]| (b |[y]| c). *)
