@@ -188,28 +188,6 @@ let test_sync_name_order () =
 
 (* A digest of an LTS's CSR: row offsets, label names, targets, rate
    kinds, rate-value bits and priorities. *)
-let csr_digest (l : Lts.t) =
-  let b = Buffer.create 65536 in
-  let ints a =
-    Array.iter (fun x -> Buffer.add_string b (string_of_int x); Buffer.add_char b ',') a;
-    Buffer.add_char b '|'
-  in
-  ints l.Lts.row;
-  Array.iter
-    (fun x -> Buffer.add_string b (Lts.label_name x); Buffer.add_char b ',')
-    l.Lts.lab;
-  Buffer.add_char b '|';
-  ints l.Lts.tgt;
-  ints l.Lts.rate_kind;
-  Array.iter
-    (fun x ->
-      Buffer.add_string b (Int64.to_string (Int64.bits_of_float x));
-      Buffer.add_char b ',')
-    l.Lts.rate_val;
-  Buffer.add_char b '|';
-  ints l.Lts.rate_prio;
-  Digest.to_hex (Digest.string (Buffer.contents b))
-
 (* The full and functional state spaces of both paper studies, pinned
    bit for bit (captured from the string-sorting SOS and the polymorphic
    sharing table), at one and two jobs: derivation order, state numbering
@@ -221,9 +199,9 @@ let test_pinned_csr_digests () =
       (fun jobs ->
         let tag what = Printf.sprintf "%s %s (jobs %d)" name what jobs in
         Alcotest.(check string) (tag "full") full
-          (csr_digest (Lts.of_spec ~jobs study.Pipeline.spec));
+          (Lts_fixture.csr_digest (Lts.of_spec ~jobs study.Pipeline.spec));
         Alcotest.(check string) (tag "functional") functional
-          (csr_digest (Lts.of_spec ~jobs fspec)))
+          (Lts_fixture.csr_digest (Lts.of_spec ~jobs fspec)))
       [ 1; 2 ]
   in
   check "rpc" (Dpma_models.Rpc.study Dpma_models.Rpc.default_params)

@@ -347,6 +347,33 @@ let test_figure_row_shapes () =
   let row = List.hd v in
   Alcotest.(check bool) "markov energy positive" true (row.Figures.markov_energy > 0.0)
 
+(* The shipped specs whose header says "regenerate with lib/models/…"
+   are pretty-printed generator output: each must equal [Ast.pp] of its
+   generator's default configuration, the [%] header and blank lines
+   aside. The files are deps of the test stanza; the test runs in
+   [_build/default/test]. *)
+let spec_lines text =
+  String.split_on_char '\n' text
+  |> List.filter (fun l ->
+         let l = String.trim l in
+         l <> "" && l.[0] <> '%')
+
+let test_shipped_specs_regenerate () =
+  List.iter
+    (fun (file, archi) ->
+      let path = Filename.concat "../examples/specs" file in
+      let shipped = In_channel.with_open_bin path In_channel.input_all in
+      Alcotest.(check (list string)) file
+        (spec_lines (Format.asprintf "%a" Dpma_adl.Ast.pp archi))
+        (spec_lines shipped))
+    [
+      ("streaming.aem", Streaming.archi ~mode:Streaming.General Streaming.default_params);
+      ("rpc_revised.aem", Rpc.archi ~mode:Rpc.General Rpc.default_params);
+      ("adhoc_net.aem", Adhoc.archi Adhoc.default_params);
+      ( "streaming_scaled.aem",
+        Streaming.scaled_archi Streaming.default_scaled_params );
+    ]
+
 let suite =
   [
     Alcotest.test_case "rpc structure" `Quick test_rpc_structure;
@@ -367,6 +394,8 @@ let suite =
     Alcotest.test_case "streaming study wiring" `Quick test_streaming_study_wiring;
     Alcotest.test_case "scaled model" `Quick test_scaled_model;
     Alcotest.test_case "adhoc model" `Quick test_adhoc_model;
+    Alcotest.test_case "shipped specs regenerate" `Quick
+      test_shipped_specs_regenerate;
     Alcotest.test_case "adhoc metrics/validation" `Quick
       test_adhoc_metrics_and_validation;
     Alcotest.test_case "buffer size validation" `Quick test_buffer_size_validation;
