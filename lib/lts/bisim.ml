@@ -374,17 +374,15 @@ let branching_equivalent ?jobs ?par_cutoff a b =
   let block = branching_partition ?jobs ?par_cutoff union in
   block.(ia) = block.(ib)
 
-let same_class block s t = block.(s) = block.(t)
-
 let strong_equivalent ?jobs ?par_cutoff a b =
   let union, ia, ib = Lts.disjoint_union a b in
   let block = strong_partition ?jobs ?par_cutoff union in
-  same_class block ia ib
+  block.(ia) = block.(ib)
 
 let weak_equivalent ?jobs ?par_cutoff a b =
   let union, ia, ib = Lts.disjoint_union a b in
   let block = weak_partition ?jobs ?par_cutoff union in
-  same_class block ia ib
+  block.(ia) = block.(ib)
 
 let minimize_strong ?jobs ?par_cutoff lts =
   Lts.quotient lts (strong_partition ?jobs ?par_cutoff lts)
@@ -416,7 +414,10 @@ let minimize_weak ?jobs ?par_cutoff lts =
      size loses nothing — and the quadratic step runs on the minimized
      LTS instead of the input. *)
   let p = dense_renumber (weak_partition ?jobs ?par_cutoff lts) in
-  Tau.saturate (Lts.quotient lts p)
+  let quotient = Lts.quotient lts p in
+  Dpma_obs.Trace.with_span "bisim.saturate"
+    ~attrs:[ ("states", Dpma_obs.Trace.Int quotient.num_states) ] (fun () ->
+      Tau.saturate quotient)
 
 module Int_list_key = struct
   type t = int list
@@ -456,11 +457,10 @@ let determinize ?(max_states = 500_000) (lts : Lts.t) =
         id
   in
   let init = id_of (close [ lts.init ]) in
-  let edges = ref [] in
+  let w = Lts.writer 64 in
   let head = ref 0 in
   while !head < !count do
-    let id = !head in
-    let set = !sets.(id) in
+    let set = !sets.(!head) in
     incr head;
     (* Group the observable successors of the (already tau-closed) set. *)
     let by_label : int list Int_tbl.t = Int_tbl.create 8 in
@@ -474,22 +474,17 @@ let determinize ?(max_states = 500_000) (lts : Lts.t) =
           end
         done)
       set;
-    let outgoing =
-      Int_tbl.fold
-        (fun l targets acc ->
-          { Lts.label = l; rate = None; target = id_of (close targets) } :: acc)
-        by_label []
-    in
-    edges := (id, outgoing) :: !edges
+    (* New subsets are numbered in the table's iteration order; the
+       state's edges are stored in the reverse of it. *)
+    Int_tbl.iter
+      (fun l targets -> Lts.add_edge w l (id_of (close targets)))
+      by_label;
+    Lts.close_state ~reverse:true w
   done;
-  let n = !count in
-  let trans = Array.make n [] in
-  List.iter (fun (id, outgoing) -> trans.(id) <- outgoing) !edges;
   let sets = !sets in
-  Lts.make ~init
+  Lts.finish w ~init
     ~state_name:(fun i ->
       "{" ^ String.concat "," (List.map string_of_int sets.(i)) ^ "}")
-    trans
 
 let trace_equivalent ?jobs ?par_cutoff a b =
   strong_equivalent ?jobs ?par_cutoff (determinize a) (determinize b)
@@ -521,19 +516,7 @@ let restrict_reachable (lts : Lts.t) =
         incr next
       end
     done;
-    let trans = Array.make !count [] in
-    for i = 0 to !count - 1 do
-      trans.(i) <-
-        List.map
-          (fun (tr : Lts.transition) ->
-            { tr with Lts.target = new_of_old.(tr.target) })
-          (Lts.transitions_of lts old_of_new.(i))
-    done;
-    let pruned =
-      Lts.make ~init:new_of_old.(lts.init)
-        ~state_name:(fun i -> lts.state_name old_of_new.(i))
-        trans
-    in
+    let pruned = Lts.copy_states lts old_of_new new_of_old in
     (pruned, n - !count)
   end
 
@@ -632,13 +615,3 @@ let trace_front_secure ?max_states ?jobs ?par_cutoff front =
       ~signature:strong_signature
   in
   not split
-
-let weak_product_check ?jobs ?par_cutoff a b =
-  weak_front_check ?jobs ?par_cutoff (product_front ?jobs ?par_cutoff a b)
-
-let branching_product_secure ?jobs ?par_cutoff a b =
-  branching_front_secure ?jobs ?par_cutoff (product_front ?jobs ?par_cutoff a b)
-
-let trace_product_secure ?max_states ?jobs ?par_cutoff a b =
-  trace_front_secure ?max_states ?jobs ?par_cutoff
-    (product_front ?jobs ?par_cutoff a b)

@@ -85,16 +85,19 @@ val minimize_weak : ?jobs:int -> ?par_cutoff:int -> Lts.t -> Lts.t
     (double-arrow) transitions of the result — one weak-transition edge
     set per class pair. The partition comes from the lazy pass (the
     input is never saturated); double arrows are materialized by
-    {!Tau.saturate} on the quotient only (one state per weak class), so
-    the quadratic step runs at minimized size. *)
-
-val same_class : int array -> int -> int -> bool
+    {!Tau.saturate} on the quotient only (one state per weak class),
+    under a ["bisim.saturate"] span, so the quadratic step runs at
+    minimized size. *)
 
 val determinize : ?max_states:int -> Lts.t -> Lts.t
 (** Observable-deterministic automaton by epsilon-closure subset
     construction: tau-free, one transition per (state, label), recognizing
     exactly the weak traces of the input. Exponential in the worst case;
-    raises {!Lts.Too_many_states} beyond [max_states] (default 500_000). *)
+    raises {!Lts.Too_many_states} beyond [max_states] (default 500_000).
+    Subsets are numbered in breadth-first order; within a state, new
+    successor subsets are numbered in the iteration order of a table
+    keyed by label id, and the state's edges are stored in the reverse
+    of that order. *)
 
 val trace_equivalent : ?jobs:int -> ?par_cutoff:int -> Lts.t -> Lts.t -> bool
 (** Weak trace equivalence (equality of observable-trace languages, which
@@ -173,15 +176,3 @@ val trace_front_secure :
     sides (pruning and pre-reduction keep the weak-trace language) are
     determinized, and the strong refinement of the determinized product
     stops at the first initial-state split. *)
-
-val weak_product_check :
-  ?jobs:int -> ?par_cutoff:int -> Lts.t -> Lts.t -> product_result
-(** [weak_front_check] on [product_front a b]. *)
-
-val branching_product_secure :
-  ?jobs:int -> ?par_cutoff:int -> Lts.t -> Lts.t -> bool
-(** [branching_front_secure] on [product_front a b]. *)
-
-val trace_product_secure :
-  ?max_states:int -> ?jobs:int -> ?par_cutoff:int -> Lts.t -> Lts.t -> bool
-(** [trace_front_secure] on [product_front a b]. *)

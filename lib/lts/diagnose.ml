@@ -54,6 +54,23 @@ let formula_core ~early_stop (lts : Lts.t) s0 t0 =
   let members : int list Int_tbl.t = Int_tbl.create 64 in
   Int_tbl.add members root.id (List.init n (fun i -> i));
   let labels = Lts.labels lts in
+  (* The [label]-successors of [s], through [f], sorted and deduped. *)
+  let successors s label f =
+    let acc = ref [] in
+    for i = lts.row.(s) to lts.row.(s + 1) - 1 do
+      if lts.lab.(i) = label then acc := f lts.tgt.(i) :: !acc
+    done;
+    List.sort_uniq Int.compare !acc
+  in
+  (* The target of the first [label]-edge of [s] satisfying [p]. *)
+  let first_target s label p =
+    let rec go i =
+      if i >= lts.row.(s + 1) then assert false
+      else if lts.lab.(i) = label && p lts.tgt.(i) then lts.tgt.(i)
+      else go (i + 1)
+    in
+    go lts.row.(s)
+  in
   let clock = ref 0 in
   let try_split_block block_node =
     let states = Int_tbl.find members block_node.id in
@@ -63,14 +80,7 @@ let formula_core ~early_stop (lts : Lts.t) s0 t0 =
         (* For each label, group the block's states by the set of leaf
            blocks they can reach; the first proper split wins. *)
         let attempt label =
-          let targets_of s =
-            Lts.transitions_of lts s
-            |> List.filter_map (fun (tr : Lts.transition) ->
-                   if Lts.label_equal tr.label label then
-                     Some leaf.(tr.target).id
-                   else None)
-            |> List.sort_uniq Int.compare
-          in
+          let targets_of s = successors s label (fun t -> leaf.(t).id) in
           let reach = List.map (fun s -> (s, targets_of s)) states in
           let candidate_ids =
             List.concat_map snd reach |> List.sort_uniq Int.compare
@@ -84,24 +94,10 @@ let formula_core ~early_stop (lts : Lts.t) s0 t0 =
                 if yes = [] || no = [] then find_splitter rest
                 else begin
                   let splitter =
-                    (* Recover the node for cid: it is the current leaf of
-                       any target state with that id; find via one member. *)
-                    let _, ts = List.hd yes in
-                    ignore ts;
-                    let found = ref None in
-                    List.iter
-                      (fun (s, _) ->
-                        List.iter
-                          (fun (tr : Lts.transition) ->
-                            if
-                              Lts.label_equal tr.label label
-                              && leaf.(tr.target).id = cid
-                            then found := Some leaf.(tr.target))
-                          (Lts.transitions_of lts s))
-                      yes;
-                    match !found with
-                    | Some node -> node
-                    | None -> assert false
+                    (* The current leaf with id [cid]: every state in
+                       [yes] has a [label]-edge into it. *)
+                    let s = fst (List.hd yes) in
+                    leaf.(first_target s label (fun t -> leaf.(t).id = cid))
                   in
                   let child_yes = make_node (Some block_node) (block_node.depth + 1) in
                   let child_no = make_node (Some block_node) (block_node.depth + 1) in
@@ -163,27 +159,10 @@ let formula_core ~early_stop (lts : Lts.t) s0 t0 =
           let s_in_yes = is_ancestor child_yes leaf.(s) in
           let s', t' = if s_in_yes then (s, t) else (t, s) in
           (* s' has a [label]-move into the splitter block; t' has none. *)
-          let succ_in_splitter =
-            Lts.transitions_of lts s'
-            |> List.filter_map (fun (tr : Lts.transition) ->
-                   if
-                     Lts.label_equal tr.label label
-                     && is_ancestor splitter leaf.(tr.target)
-                   then Some tr.target
-                   else None)
-          in
           let witness =
-            match succ_in_splitter with
-            | w :: _ -> w
-            | [] -> assert false
+            first_target s' label (fun t -> is_ancestor splitter leaf.(t))
           in
-          let t_succs =
-            Lts.transitions_of lts t'
-            |> List.filter_map (fun (tr : Lts.transition) ->
-                   if Lts.label_equal tr.label label then Some tr.target
-                   else None)
-            |> List.sort_uniq Int.compare
-          in
+          let t_succs = successors t' label Fun.id in
           let conjuncts = List.map (fun u -> dist witness u) t_succs in
           let formula = Hml.diamond label (Hml.conj conjuncts) in
           if s_in_yes then formula else Hml.neg formula
@@ -199,14 +178,13 @@ let distinguishing_formula lts s0 t0 = formula_core ~early_stop:false lts s0 t0
    quotiented away. That closure is diagnostic-grade work — it only runs
    once insecurity is already established, on the small models a designer
    is actively debugging — so it is accounted under its own
-   "diagnose.saturate" span rather than the check's single
-   "bisim.saturate" one. *)
+   "diagnose.saturate" span ([Tau.saturate] opens none). *)
 let of_product_trail (trail : Bisim.product_trail) =
   let union, ia, ib = Lts.disjoint_union trail.Bisim.left trail.Bisim.right in
   let saturated =
     Dpma_obs.Trace.with_span "diagnose.saturate"
       ~attrs:[ ("states", Dpma_obs.Trace.Int union.Lts.num_states) ]
-      (fun () -> Tau.saturate ~traced:false union)
+      (fun () -> Tau.saturate union)
   in
   match formula_core ~early_stop:true saturated ia ib with
   | Some f -> f

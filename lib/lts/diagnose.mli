@@ -15,9 +15,8 @@ val distinguishing_formula : Lts.t -> int -> int -> Hml.t option
 
 val of_product_trail : Bisim.product_trail -> Hml.t
 (** Distinguishing formula from the splitter trail of an INSECURE
-    {!Bisim.weak_product_check}: builds and saturates the (unreduced)
-    disjoint union once — under a ["diagnose.saturate"] span, since the
-    verdict's single ["bisim.saturate"] already ran — and stops the
+    {!Bisim.weak_front_check}: builds and saturates the (unreduced)
+    disjoint union once, under a ["diagnose.saturate"] span, and stops the
     splitting-tree refinement at the first split separating the two
     initial states. The formula is identical to the one a fully
     stabilized tree extracts; the resulting modalities read as weak

@@ -23,8 +23,6 @@ let label_compare a b =
 
 let pp_label ppf l = Format.pp_print_string ppf (Label.name l)
 
-type transition = { label : label; rate : Dpma_pa.Rate.t option; target : int }
-
 type t = {
   init : int;
   num_states : int;
@@ -50,48 +48,80 @@ let of_csr ~init ~state_name ~row ~lab ~tgt ~rate_kind ~rate_val ~rate_prio =
   { init; num_states = n; state_name; row; lab; tgt; rate_kind; rate_val;
     rate_prio }
 
-let pack ~init ~state_name (trans : transition list array) =
-  let n = Array.length trans in
-  let m = Array.fold_left (fun acc l -> acc + List.length l) 0 trans in
-  let row = Array.make (n + 1) 0 in
-  let lab = Array.make m 0 in
-  let tgt = Array.make m 0 in
-  let rate_kind = Array.make m 0 in
-  let rate_val = Array.make m 0.0 in
-  let rate_prio = Array.make m 0 in
-  let e = ref 0 in
-  for s = 0 to n - 1 do
-    row.(s) <- !e;
-    List.iter
-      (fun tr ->
-        let i = !e in
-        lab.(i) <- tr.label;
-        tgt.(i) <- tr.target;
-        (match tr.rate with
-        | None -> ()
-        | Some (Dpma_pa.Rate.Exp lambda) ->
-            rate_kind.(i) <- 1;
-            rate_val.(i) <- lambda
-        | Some (Dpma_pa.Rate.Imm { prio; weight }) ->
-            rate_kind.(i) <- 2;
-            rate_val.(i) <- weight;
-            rate_prio.(i) <- prio
-        | Some (Dpma_pa.Rate.Passive { weight }) ->
-            rate_kind.(i) <- 3;
-            rate_val.(i) <- weight);
-        incr e)
-      trans.(s)
-  done;
-  row.(n) <- !e;
-  { init; num_states = n; state_name; row; lab; tgt; rate_kind; rate_val;
-    rate_prio }
+(* --- The CSR writer ------------------------------------------------ *)
 
-let make ~init ~state_name trans =
-  let t0 = Dpma_obs.Clock.now_s () in
-  let lts = pack ~init ~state_name trans in
-  Dpma_obs.Metrics.observe Dpma_obs.Instruments.lts_csr_pack_seconds
-    (Dpma_obs.Clock.now_s () -. t0);
-  lts
+(* Edge arrays grow by doubling; [finish] trims them to the edge count. *)
+type writer = {
+  mutable w_row : int array;
+  mutable w_states : int;
+  mutable w_edges : int;
+  mutable w_lab : int array;
+  mutable w_tgt : int array;
+  mutable w_kind : int array;
+  mutable w_val : float array;
+  mutable w_prio : int array;
+}
+
+let writer capacity =
+  let c = max 16 capacity in
+  { w_row = Array.make 17 0; w_states = 0; w_edges = 0;
+    w_lab = Array.make c 0; w_tgt = Array.make c 0; w_kind = Array.make c 0;
+    w_val = Array.make c 0.0; w_prio = Array.make c 0 }
+
+let grow a len zero =
+  let b = Array.make (2 * Array.length a) zero in
+  Array.blit a 0 b 0 len;
+  b
+
+let add_edge w label target =
+  let e = w.w_edges in
+  if e = Array.length w.w_lab then begin
+    w.w_lab <- grow w.w_lab e 0;
+    w.w_tgt <- grow w.w_tgt e 0;
+    w.w_kind <- grow w.w_kind e 0;
+    w.w_val <- grow w.w_val e 0.0;
+    w.w_prio <- grow w.w_prio e 0
+  end;
+  w.w_lab.(e) <- label;
+  w.w_tgt.(e) <- target;
+  w.w_edges <- e + 1
+
+let copy_edge w lts i ~label ~target =
+  add_edge w label target;
+  let e = w.w_edges - 1 in
+  w.w_kind.(e) <- lts.rate_kind.(i);
+  w.w_val.(e) <- lts.rate_val.(i);
+  w.w_prio.(e) <- lts.rate_prio.(i)
+
+let close_state ?(reverse = false) w =
+  let s = w.w_states in
+  if reverse then begin
+    let swap a i j =
+      let x = a.(i) in
+      a.(i) <- a.(j);
+      a.(j) <- x
+    in
+    let i = ref w.w_row.(s) and j = ref (w.w_edges - 1) in
+    while !i < !j do
+      swap w.w_lab !i !j;
+      swap w.w_tgt !i !j;
+      swap w.w_kind !i !j;
+      swap w.w_val !i !j;
+      swap w.w_prio !i !j;
+      incr i;
+      decr j
+    done
+  end;
+  if s + 1 = Array.length w.w_row then w.w_row <- grow w.w_row (s + 1) 0;
+  w.w_row.(s + 1) <- w.w_edges;
+  w.w_states <- s + 1
+
+let finish w ~init ~state_name =
+  let m = w.w_edges in
+  let trim a = if Array.length a = m then a else Array.sub a 0 m in
+  of_csr ~init ~state_name ~row:(Array.sub w.w_row 0 (w.w_states + 1))
+    ~lab:(trim w.w_lab) ~tgt:(trim w.w_tgt) ~rate_kind:(trim w.w_kind)
+    ~rate_val:(trim w.w_val) ~rate_prio:(trim w.w_prio)
 
 let rate_of lts i =
   match lts.rate_kind.(i) with
@@ -100,16 +130,6 @@ let rate_of lts i =
   | 2 ->
       Some (Dpma_pa.Rate.Imm { prio = lts.rate_prio.(i); weight = lts.rate_val.(i) })
   | _ -> Some (Dpma_pa.Rate.Passive { weight = lts.rate_val.(i) })
-
-let transitions_of lts s =
-  let rec go i acc =
-    if i < lts.row.(s) then acc
-    else
-      go (i - 1)
-        ({ label = lts.lab.(i); rate = rate_of lts i; target = lts.tgt.(i) }
-        :: acc)
-  in
-  go (lts.row.(s + 1) - 1) []
 
 let out_degree lts s = lts.row.(s + 1) - lts.row.(s)
 
@@ -239,19 +259,15 @@ let disjoint_union a b =
   for s = 0 to b.num_states do
     row.(a.num_states + s) <- ma + b.row.(s)
   done;
-  let append av bv =
-    let out = Array.append av bv in
-    out
-  in
-  let lab = append a.lab b.lab in
+  let lab = Array.append a.lab b.lab in
   let tgt = Array.make m 0 in
   Array.blit a.tgt 0 tgt 0 ma;
   for i = 0 to mb - 1 do
     tgt.(ma + i) <- b.tgt.(i) + a.num_states
   done;
-  let rate_kind = append a.rate_kind b.rate_kind in
-  let rate_val = append a.rate_val b.rate_val in
-  let rate_prio = append a.rate_prio b.rate_prio in
+  let rate_kind = Array.append a.rate_kind b.rate_kind in
+  let rate_val = Array.append a.rate_val b.rate_val in
+  let rate_prio = Array.append a.rate_prio b.rate_prio in
   let state_name i =
     if i < a.num_states then a.state_name i
     else b.state_name (i - a.num_states)
@@ -262,81 +278,74 @@ let disjoint_union a b =
   in
   (union, a.init, b.init + a.num_states)
 
-(* Monomorphic dedup table over (block, label, target block) triples. *)
-module Triple = struct
-  type t = int * int * int
+module Int_tbl = Hashtbl.Make (Dpma_util.Hash.Int)
 
-  let equal (a1, b1, c1) (a2, b2, c2) = a1 = a2 && b1 = b2 && c1 = c2
-
-  let hash (a, b, c) = (((a * 31) + b) * 31) + c
-end
-
-module Triple_tbl = Hashtbl.Make (Triple)
-
+(* Each block's edges are discovered over its member states in state
+   order and written in reverse discovery order, each (label, target
+   block) once, with the rate of its first edge. The states of a block
+   are grouped by a counting sort, so the blocks are written in id
+   order; [owner] maps a packed (label, target block) pair to the last
+   block that wrote it, so an edge is a duplicate iff its own block
+   did. *)
 let quotient lts block =
   Dpma_obs.Trace.with_span "lts.quotient"
     ~attrs:[ ("states", Dpma_obs.Trace.Int lts.num_states) ] (fun () ->
+  let n = lts.num_states in
   let num_blocks = 1 + Array.fold_left max (-1) block in
-  let seen = Triple_tbl.create 64 in
-  let trans = Array.make num_blocks [] in
-  let representative = Array.make num_blocks (-1) in
-  for s = lts.num_states - 1 downto 0 do
-    representative.(block.(s)) <- s
+  let start = Array.make (num_blocks + 1) 0 in
+  Array.iter (fun b -> start.(b + 1) <- start.(b + 1) + 1) block;
+  for b = 0 to num_blocks - 1 do
+    start.(b + 1) <- start.(b + 1) + start.(b)
   done;
-  for s = 0 to lts.num_states - 1 do
+  let members = Array.make n 0 in
+  let next = Array.sub start 0 num_blocks in
+  for s = 0 to n - 1 do
     let b = block.(s) in
-    for i = lts.row.(s) to lts.row.(s + 1) - 1 do
-      let key = (b, lts.lab.(i), block.(lts.tgt.(i))) in
-      if not (Triple_tbl.mem seen key) then begin
-        Triple_tbl.add seen key ();
-        trans.(b) <-
-          { label = lts.lab.(i); rate = rate_of lts i;
-            target = block.(lts.tgt.(i)) }
-          :: trans.(b)
-      end
-    done
+    members.(next.(b)) <- s;
+    next.(b) <- next.(b) + 1
   done;
-  make ~init:block.(lts.init)
-    ~state_name:(fun b -> lts.state_name representative.(b))
-    trans)
+  let owner = Int_tbl.create 64 in
+  let w = writer (num_transitions lts) in
+  for b = 0 to num_blocks - 1 do
+    for k = start.(b) to start.(b + 1) - 1 do
+      let s = members.(k) in
+      for i = lts.row.(s) to lts.row.(s + 1) - 1 do
+        let label = lts.lab.(i) and target = block.(lts.tgt.(i)) in
+        let key = (label lsl 31) lor target in
+        match Int_tbl.find_opt owner key with
+        | Some b' when b' = b -> ()
+        | _ ->
+            Int_tbl.replace owner key b;
+            copy_edge w lts i ~label ~target
+      done
+    done;
+    close_state ~reverse:true w
+  done;
+  finish w ~init:block.(lts.init)
+    ~state_name:(fun b -> lts.state_name members.(start.(b))))
+
+let copy_states lts states map =
+  let w = writer (num_transitions lts) in
+  Array.iter
+    (fun s ->
+      for i = lts.row.(s) to lts.row.(s + 1) - 1 do
+        copy_edge w lts i ~label:lts.lab.(i) ~target:map.(lts.tgt.(i))
+      done;
+      close_state w)
+    states;
+  finish w ~init:map.(lts.init) ~state_name:(fun i -> lts.state_name states.(i))
 
 let map_labels lts f =
-  (* Rebuild the CSR arrays directly, keeping edge order. *)
-  let m = num_transitions lts in
-  let keep = Array.make m false in
-  let new_lab = Array.make m 0 in
-  let kept = ref 0 in
-  for i = 0 to m - 1 do
-    match f lts.lab.(i) with
-    | Some l ->
-        keep.(i) <- true;
-        new_lab.(i) <- l;
-        incr kept
-    | None -> ()
-  done;
-  let m' = !kept in
-  let row = Array.make (lts.num_states + 1) 0 in
-  let lab = Array.make m' 0 in
-  let tgt = Array.make m' 0 in
-  let rate_kind = Array.make m' 0 in
-  let rate_val = Array.make m' 0.0 in
-  let rate_prio = Array.make m' 0 in
-  let e = ref 0 in
+  let w = writer (num_transitions lts) in
   for s = 0 to lts.num_states - 1 do
-    row.(s) <- !e;
     for i = lts.row.(s) to lts.row.(s + 1) - 1 do
-      if keep.(i) then begin
-        lab.(!e) <- new_lab.(i);
-        tgt.(!e) <- lts.tgt.(i);
-        rate_kind.(!e) <- lts.rate_kind.(i);
-        rate_val.(!e) <- lts.rate_val.(i);
-        rate_prio.(!e) <- lts.rate_prio.(i);
-        incr e
-      end
-    done
+      match f lts.lab.(i) with
+      | Some label -> copy_edge w lts i ~label ~target:lts.tgt.(i)
+      | None -> ()
+    done;
+    close_state w
   done;
-  row.(lts.num_states) <- !e;
-  { lts with row; lab; tgt; rate_kind; rate_val; rate_prio }
+  finish w ~init:lts.init ~state_name:lts.state_name
 
 let hide_all_but lts ~keep =
   map_labels lts (fun l ->
@@ -361,14 +370,7 @@ let quotient_by_representative lts block =
   for s = lts.num_states - 1 downto 0 do
     representative.(block.(s)) <- s
   done;
-  let trans =
-    Array.init num_blocks (fun b ->
-        transitions_of lts representative.(b)
-        |> List.map (fun tr -> { tr with target = block.(tr.target) }))
-  in
-  make ~init:block.(lts.init)
-    ~state_name:(fun b -> lts.state_name representative.(b))
-    trans
+  copy_states lts representative block
 
 let pp_dot ?(max_states = 2000) ppf lts =
   if lts.num_states > max_states then

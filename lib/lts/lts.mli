@@ -12,9 +12,9 @@
     (target states), and the packed rate arrays. Hot loops (partition
     refinement, CTMC extraction, simulation stepping) index these arrays
     directly — the simulator packs each visited state's edge range into a
-    step record of label ids and targets, and keys its clocks by label id;
-    {!transitions_of} unpacks a state's edges into the list-of-records
-    view for cold consumers. *)
+    step record of label ids and targets, and keys its clocks by label id.
+    The CSR is the only representation: every producer writes it, either
+    through the {!Explore} engine or through the {!writer} below. *)
 
 type label = Dpma_pa.Label.t
 (** Interned label id; [tau] is [0]. *)
@@ -37,8 +37,6 @@ val label_compare : label -> label -> int
 
 val pp_label : Format.formatter -> label -> unit
 
-type transition = { label : label; rate : Dpma_pa.Rate.t option; target : int }
-
 type t = private {
   init : int;
   num_states : int;
@@ -56,10 +54,6 @@ type t = private {
 }
 
 exception Too_many_states of int
-
-val make : init:int -> state_name:(int -> string) -> transition list array -> t
-(** Pack per-state transition lists (index = state) into CSR form,
-    preserving list order. *)
 
 val of_csr :
   init:int ->
@@ -79,10 +73,36 @@ val of_csr :
 val rate_of : t -> int -> Dpma_pa.Rate.t option
 (** Rate annotation of the edge at the given flat index. *)
 
-val transitions_of : t -> int -> transition list
-(** The outgoing transitions of a state, in packing order. *)
-
 val out_degree : t -> int -> int
+
+(** {1 Writing an LTS}
+
+    The one CSR writer of the derived LTSs ({!quotient}, {!copy_states},
+    {!map_labels}, [Bisim.determinize], [Tau.saturate]). States are
+    written in id order: a state's edges are appended, then the state is
+    closed. *)
+
+type writer
+
+val writer : int -> writer
+(** A writer for an LTS of about the given number of edges (a capacity
+    hint; the edge arrays grow past it). *)
+
+val add_edge : writer -> label -> int -> unit
+(** [add_edge w label target] appends an unrated edge to the open
+    state. *)
+
+val copy_edge : writer -> t -> int -> label:label -> target:int -> unit
+(** [copy_edge w lts i ~label ~target] appends an edge with the rate of
+    edge [i] of [lts]. *)
+
+val close_state : ?reverse:bool -> writer -> unit
+(** Close the open state; the next edge opens the next state. With
+    [~reverse:true] its edges are stored in the reverse of their append
+    order. *)
+
+val finish : writer -> init:int -> state_name:(int -> string) -> t
+(** The LTS of the closed states. The writer must not be used after. *)
 
 type build_stats = Explore.stats = {
   jobs : int;
@@ -157,10 +177,19 @@ val disjoint_union : t -> t -> t * int * int
 val quotient : t -> int array -> t
 (** [quotient lts block] merges states mapped to the same block id;
     transitions are deduplicated by (label, target) keeping the first
-    rate annotation. The result's init is [block.(lts.init)]'s class. *)
+    rate annotation. A block's edges come in reverse order of discovery
+    over its states in state order; a block is named after its smallest
+    state. The result's init is [block.(lts.init)]'s class. *)
+
+val copy_states : t -> int array -> int array -> t
+(** [copy_states lts states map]: state [i] of the result carries the
+    edges of state [states.(i)] of [lts], in order and with their rates,
+    each target [t] renamed [map.(t)], and is named after it. The
+    initial state is [map.(lts.init)]. *)
 
 val map_labels : t -> (label -> label option) -> t
-(** Relabel transitions; [None] deletes the transition (restriction). *)
+(** Relabel transitions, keeping edge order; [None] deletes the
+    transition (restriction). *)
 
 val hide_all_but : t -> keep:(string -> bool) -> t
 (** Turn every observable transition whose name fails [keep] into [tau]. *)

@@ -258,18 +258,20 @@ let tau_closure (lts : Lts.t) =
   done;
   closure
 
-let saturate_impl (lts : Lts.t) =
-  let n = lts.num_states in
+(* A state's weak moves are written in reverse insertion order: tau
+   moves to its closure, then observable moves per emitter, each (label,
+   target) once. *)
+let saturate (lts : Lts.t) =
   let closure = tau_closure lts in
-  let trans = Array.make n [] in
+  let w = Lts.writer (Lts.num_transitions lts) in
   let seen = Int_tbl.create 256 in
-  for s = 0 to n - 1 do
+  for s = 0 to lts.num_states - 1 do
     Int_tbl.reset seen;
     let add label target =
       let key = pack_pair label target in
       if not (Int_tbl.mem seen key) then begin
         Int_tbl.add seen key ();
-        trans.(s) <- { Lts.label; rate = None; target } :: trans.(s)
+        Lts.add_edge w label target
       end
     in
     (* s =tau*=> s' gives weak internal moves to everything in closure. *)
@@ -282,13 +284,7 @@ let saturate_impl (lts : Lts.t) =
           if l <> Lts.tau then
             List.iter (fun t -> add l t) closure.(lts.tgt.(i))
         done)
-      closure.(s)
+      closure.(s);
+    Lts.close_state ~reverse:true w
   done;
-  Lts.make ~init:lts.init ~state_name:lts.state_name trans
-
-let saturate ?(traced = true) lts =
-  if traced then
-    Dpma_obs.Trace.with_span "bisim.saturate"
-      ~attrs:[ ("states", Dpma_obs.Trace.Int lts.Lts.num_states) ] (fun () ->
-        saturate_impl lts)
-  else saturate_impl lts
+  Lts.finish w ~init:lts.init ~state_name:lts.state_name

@@ -67,13 +67,15 @@ val tau_closure : Lts.t -> int list array
     {!saturate}, both of which run on small or already-minimized
     models. *)
 
-val saturate : ?traced:bool -> Lts.t -> Lts.t
+val saturate : Lts.t -> Lts.t
 (** Weak-transition closure: in the result, an [Obs a] transition
     [s -> t] exists iff [s =tau*=> . -a-> . =tau*=> t] in the input, and
     a [Tau] transition [s -> t] iff [s =tau*=> t] (including [s = t]).
-    Rates are dropped. [~traced:false] skips the ["bisim.saturate"]
-    tracing span — for callers (diagnostics) that account the closure
-    under a span of their own.
+    Rates are dropped. A state's edges are stored in the reverse of
+    their insertion order (tau moves over the sorted closure, then
+    observable moves per emitter). Opens no span: callers account the
+    closure under their own ([bisim.saturate] in
+    {!Bisim.minimize_weak}, [diagnose.saturate] in the diagnostics).
 
     The weak equivalence entry points never call this: it is the final
     materialization step of {!Bisim.minimize_weak} (at quotient size,

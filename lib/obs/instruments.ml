@@ -65,7 +65,7 @@ let lts_build_seconds =
 
 let lts_csr_pack_seconds =
   h ~unit_:"seconds"
-    ~desc:"wall-clock time spent packing each LTS into CSR arrays"
+    ~desc:"wall-clock time spent packing each explored LTS into CSR arrays"
     "lts.csr_pack.seconds"
 
 (* Level-synchronous parallel builder *)

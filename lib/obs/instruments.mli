@@ -68,10 +68,11 @@ val lts_build_seconds : Metrics.histogram
 (** [lts.build.seconds] — wall-clock time of each LTS construction. *)
 
 val lts_csr_pack_seconds : Metrics.histogram
-(** [lts.csr_pack.seconds] — wall-clock time spent packing each LTS into
-    its CSR (compressed sparse row) arrays, included in
-    [lts.build.seconds] (or [family.build.seconds]) for builds from a
-    specification. *)
+(** [lts.csr_pack.seconds] — wall-clock time the exploration engine
+    spends compacting each built LTS's segments into its CSR (compressed
+    sparse row) arrays, included in [lts.build.seconds] (or
+    [family.build.seconds]). Derived LTSs (quotients, saturation,
+    determinization) are written by [Lts.writer] and not observed. *)
 
 val lts_par_rounds : Metrics.counter
 (** [lts.par.rounds] — level-synchronous BFS rounds (frontier expansions),

@@ -38,12 +38,6 @@ val with_span : string -> ?attrs:(string * attr) list -> (unit -> 'a) -> 'a
     raises (the exception is re-raised). When tracing is disabled this is
     [f ()]. *)
 
-val add_attr : string -> attr -> unit
-(** Attach an attribute to the innermost active span of the calling
-    domain; a no-op when tracing is disabled or no span is active. Useful
-    for values only known mid-span (e.g. a state count discovered during
-    the build the span wraps). *)
-
 val roots : unit -> span list
 (** Completed top-level spans, in ascending start time. *)
 

@@ -13,7 +13,7 @@ open Dpma_sim.Sim
 
 let label_name = Lts.label_name
 
-let resolve assignment (tr : Lts.transition) =
+let resolve assignment (tr : Lts_fixture.transition) =
   let name = label_name tr.label in
   match assignment name with
   | Some t -> t
@@ -45,9 +45,9 @@ let max_zero_steps = 10_000
    label (see [run_segments]). *)
 type step_info =
   | Deadlocked
-  | Immediate_race of { top : Lts.transition list; weights : float array }
+  | Immediate_race of { top : Lts_fixture.transition list; weights : float array }
   | Timed_race of {
-      by_label : (string, (Lts.transition * Dist.t) list) Hashtbl.t;
+      by_label : (string, (Lts_fixture.transition * Dist.t) list) Hashtbl.t;
       enabled_labels : string list;
     }
 
@@ -125,7 +125,7 @@ let run_segments ?(timing = fun _ -> None) ?(trace = fun ~time:_ ~action:_ ~stat
     match cache.(s) with
     | Some info -> info
     | None ->
-        let trans = Lts.transitions_of lts s in
+        let trans = Lts_fixture.transitions_of lts s in
         let info =
           match trans with
           | [] -> Deadlocked
@@ -169,12 +169,12 @@ let run_segments ?(timing = fun _ -> None) ?(trace = fun ~time:_ ~action:_ ~stat
                       resolved
                   in
                   let by_label :
-                      (string, (Lts.transition * Dist.t) list) Hashtbl.t =
+                      (string, (Lts_fixture.transition * Dist.t) list) Hashtbl.t =
                     Hashtbl.create 8
                   in
                   List.iter
                     (fun ((tr, _) as entry) ->
-                      let name = label_name tr.Lts.label in
+                      let name = label_name tr.Lts_fixture.label in
                       let cur =
                         Option.value ~default:[]
                           (Hashtbl.find_opt by_label name)
@@ -205,10 +205,10 @@ let run_segments ?(timing = fun _ -> None) ?(trace = fun ~time:_ ~action:_ ~stat
             (Simulation_error
                "livelock: too many consecutive immediate transitions");
         let tr = List.nth top (Prng.choose_weighted g weights) in
-        let action = label_name tr.Lts.label in
+        let action = label_name tr.Lts_fixture.label in
         count_firing action;
         incr events;
-        state := tr.Lts.target;
+        state := tr.Lts_fixture.target;
         trace ~time:!now ~action ~state:!state
     | Timed_race { by_label; enabled_labels } ->
             zero_steps := 0;
@@ -265,7 +265,7 @@ let run_segments ?(timing = fun _ -> None) ?(trace = fun ~time:_ ~action:_ ~stat
               in
               count_firing name;
               incr events;
-              state := tr.Lts.target;
+              state := tr.Lts_fixture.target;
               trace ~time:!now ~action:name ~state:!state
             end
   done;

@@ -164,8 +164,8 @@ let test_passive_rejected () =
 
 let test_functional_model_rejected () =
   let lts =
-    Lts.make ~init:0 ~state_name:string_of_int
-      [| [ { Lts.label = Lts.obs "a"; rate = None; target = 0 } ] |]
+    Lts_fixture.make ~init:0 ~state_name:string_of_int
+      [| [ { Lts_fixture.label = Lts.obs "a"; rate = None; target = 0 } ] |]
   in
   (try
      ignore (Ctmc.of_lts lts);
@@ -544,15 +544,18 @@ let lts_of_chain c =
   List.iteri
     (fun i (s, t, r) ->
       let label = chain_labels.(i mod Array.length chain_labels) in
-      trans.(s) <- { Lts.label; rate = Some (Rate.exp r); target = t } :: trans.(s))
+      trans.(s) <-
+        { Lts_fixture.label; rate = Some (Rate.exp r); target = t } :: trans.(s))
     c.edges;
   List.iter
     (fun (t, weight) ->
       trans.(c.tangible) <-
-        { Lts.label = chain_labels.(0); rate = Some (Rate.imm ~weight ()); target = t }
+        { Lts_fixture.label = chain_labels.(0); rate = Some (Rate.imm ~weight ());
+          target = t }
         :: trans.(c.tangible))
     c.entry;
-  Lts.make ~init:(if vanishing then c.tangible else 0) ~state_name:string_of_int trans
+  Lts_fixture.make ~init:(if vanishing then c.tangible else 0)
+    ~state_name:string_of_int trans
 
 let close_to_oracle ~old v =
   Float.abs (v -. old) <= (1e-10 *. Float.abs old) +. 1e-15
@@ -622,10 +625,10 @@ let reachable_part (lts : Lts.t) =
       if b then
         trans.(id.(s)) <-
           List.map
-            (fun (tr : Lts.transition) -> { tr with target = id.(tr.target) })
-            (Lts.transitions_of lts s))
+            (fun (tr : Lts_fixture.transition) -> { tr with target = id.(tr.target) })
+            (Lts_fixture.transitions_of lts s))
     keep;
-  (Lts.make ~init:id.(lts.Lts.init) ~state_name:string_of_int trans, id)
+  (Lts_fixture.make ~init:id.(lts.Lts.init) ~state_name:string_of_int trans, id)
 
 (* The solver only works on the reachable chain: solving a chain with
    unreachable states does the same sweeps and BSCC solves as solving its
@@ -652,9 +655,9 @@ let prop_reachable_restriction =
       let tangible (lts : Lts.t) =
         let t = Array.make lts.Lts.num_states (-1) and k = ref 0 in
         for s = 0 to lts.Lts.num_states - 1 do
-          if not (List.exists (fun (tr : Lts.transition) ->
+          if not (List.exists (fun (tr : Lts_fixture.transition) ->
                       match tr.rate with Some (Rate.Imm _) -> true | _ -> false)
-                    (Lts.transitions_of lts s))
+                    (Lts_fixture.transitions_of lts s))
           then begin
             t.(s) <- !k;
             incr k
@@ -919,15 +922,16 @@ let test_wide_fanout_matches_oracle () =
   (* State 0 is the hub; spoke [j] is state [1 + (j * 7) mod k]. *)
   let hub =
     List.init k (fun j ->
-        { Lts.label = labels.(j);
+        { Lts_fixture.label = labels.(j);
           rate = Some (Rate.imm ~weight:(1.0 +. (0.1 *. float_of_int j)) ());
           target = 1 + (j * 7 mod k) })
   in
   let spoke i =
-    [ { Lts.label = labels.(i - 1); rate = Some (Rate.exp (float_of_int i)); target = 0 } ]
+    [ { Lts_fixture.label = labels.(i - 1);
+        rate = Some (Rate.exp (float_of_int i)); target = 0 } ]
   in
   let lts =
-    Lts.make ~init:0 ~state_name:string_of_int
+    Lts_fixture.make ~init:0 ~state_name:string_of_int
       (Array.init (k + 1) (fun s -> if s = 0 then hub else spoke s))
   in
   match build_both lts with

@@ -821,9 +821,9 @@ let test_dedup_label_only () =
      read its own names) still equal its own pipeline's. *)
   let member up down =
     let edge a r t =
-      { Lts.label = Lts.obs a; rate = Some (Dpma_pa.Rate.exp r); target = t }
+      { Lts_fixture.label = Lts.obs a; rate = Some (Dpma_pa.Rate.exp r); target = t }
     in
-    Lts.make ~init:0 ~state_name:string_of_int
+    Lts_fixture.make ~init:0 ~state_name:string_of_int
       [| [ edge up 2.0 1 ]; [ edge down 3.0 0; edge down 0.5 2 ]; [ edge up 1.0 0 ] |]
   in
   let ltss = [| member "up" "down"; member "go" "stop" |] in

@@ -260,7 +260,7 @@ let reference_check hidden removed =
   if Bisim.weak_equivalent hidden removed then None
   else
     let union, ia, ib = Lts.disjoint_union hidden removed in
-    let sat = Tau.saturate ~traced:false union in
+    let sat = Tau.saturate union in
     match Diagnose.distinguishing_formula sat ia ib with
     | Some f -> Some f
     | None -> Alcotest.fail "reference pipeline disagrees with itself"
@@ -342,7 +342,7 @@ let test_streaming_mutant_insecure () =
         in
         Lts.disjoint_union hidden removed
       in
-      let sat = Tau.saturate ~traced:false union in
+      let sat = Tau.saturate union in
       Alcotest.(check bool) "formula holds with DPM observable" true
         (Hml.sat sat ia formula);
       Alcotest.(check bool) "formula fails with DPM removed" false

@@ -118,6 +118,10 @@ let test_scaled_jobs () = check_jobs_identical "scaled" (Lazy.force scaled_lts)
    round and the extracted formula must all be independent of the job
    count. The simplified rpc is the paper's INSECURE example; the
    streaming system its SECURE one. *)
+(* A noninterference product front; with more than one job, every
+   round is dealt to the pool. *)
+let front jobs a b = Bisim.product_front ~jobs ~par_cutoff:0 a b
+
 let test_product_verdicts () =
   let high a = List.mem a Rpc.high_actions in
   let low a = List.mem a Rpc.low_actions_simplified in
@@ -125,7 +129,7 @@ let test_product_verdicts () =
     NI.observed_pair (Lazy.force simplified_rpc_lts) ~high ~low
   in
   let trail jobs =
-    match Bisim.weak_product_check ~jobs ~par_cutoff:0 hidden removed with
+    match Bisim.weak_front_check ~jobs ~par_cutoff:0 (front jobs hidden removed) with
     | Bisim.Product_secure _ -> Alcotest.fail "simplified rpc must be insecure"
     | Bisim.Product_insecure trail -> trail
   in
@@ -148,7 +152,7 @@ let test_product_secure_verdicts () =
     NI.observed_pair (Lazy.force small_streaming_lts) ~high ~low
   in
   let result jobs =
-    match Bisim.weak_product_check ~jobs ~par_cutoff:0 hidden removed with
+    match Bisim.weak_front_check ~jobs ~par_cutoff:0 (front jobs hidden removed) with
     | Bisim.Product_secure { partition; rounds } -> (partition, rounds)
     | Bisim.Product_insecure _ -> Alcotest.fail "streaming must be secure"
   in
@@ -156,11 +160,11 @@ let test_product_secure_verdicts () =
   Alcotest.(check int) "secure exit round j1=j4" r1 r4;
   check_partition "product partition j1 vs j4" p1 p4;
   Alcotest.(check bool) "branching product j1=j4"
-    (Bisim.branching_product_secure ~jobs:1 hidden removed)
-    (Bisim.branching_product_secure ~jobs:4 ~par_cutoff:0 hidden removed);
+    (Bisim.branching_front_secure ~jobs:1 (front 1 hidden removed))
+    (Bisim.branching_front_secure ~jobs:4 ~par_cutoff:0 (front 4 hidden removed));
   Alcotest.(check bool) "trace product j1=j4"
-    (Bisim.trace_product_secure ~jobs:1 hidden removed)
-    (Bisim.trace_product_secure ~jobs:4 ~par_cutoff:0 hidden removed)
+    (Bisim.trace_front_secure ~jobs:1 (front 1 hidden removed))
+    (Bisim.trace_front_secure ~jobs:4 ~par_cutoff:0 (front 4 hidden removed))
 
 (* Repeatedly deals the same refinement to four domains (oversubscribed
    on small hosts — the harshest interleavings) and compares every run
@@ -206,7 +210,7 @@ let prop_generated_jobs_identical =
         refine ~jobs:1 lts = refine ~jobs:4 ~par_cutoff:0 lts
       in
       let weak_outcome jobs =
-        match Bisim.weak_product_check ~jobs ~par_cutoff:0 a b with
+        match Bisim.weak_front_check ~jobs ~par_cutoff:0 (front jobs a b) with
         | Bisim.Product_secure { partition; rounds } -> Ok (partition, rounds)
         | Bisim.Product_insecure t -> Error t.Bisim.split_round
       in
@@ -216,10 +220,10 @@ let prop_generated_jobs_identical =
             (("weak", Bisim.weak_partition) :: refine_kinds))
         [ a; b ]
       && weak_outcome 1 = weak_outcome 4
-      && Bisim.branching_product_secure ~jobs:1 a b
-         = Bisim.branching_product_secure ~jobs:4 ~par_cutoff:0 a b
-      && Bisim.trace_product_secure ~jobs:1 a b
-         = Bisim.trace_product_secure ~jobs:4 ~par_cutoff:0 a b)
+      && Bisim.branching_front_secure ~jobs:1 (front 1 a b)
+         = Bisim.branching_front_secure ~jobs:4 ~par_cutoff:0 (front 4 a b)
+      && Bisim.trace_front_secure ~jobs:1 (front 1 a b)
+         = Bisim.trace_front_secure ~jobs:4 ~par_cutoff:0 (front 4 a b))
 
 let suite =
   [

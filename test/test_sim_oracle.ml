@@ -117,10 +117,10 @@ let lts_of_case c =
         | Unrated -> None
       in
       let tr =
-        { Lts.label = label_pool.(e.lbl); rate; target = e.tgt } in
+        { Lts_fixture.label = label_pool.(e.lbl); rate; target = e.tgt } in
       trans.(e.src) <- tr :: trans.(e.src))
     (List.rev c.edges);
-  Lts.make ~init:0 ~state_name:string_of_int trans
+  Lts_fixture.make ~init:0 ~state_name:string_of_int trans
 
 let timing_of_case c name =
   List.find_map

@@ -73,7 +73,7 @@ let oracle_weak_partition lts =
   let l1 = Lts.quotient lts p1 in
   let p2 = (Tau.condense l1).Tau.comp_of in
   let l2 = Lts.quotient l1 p2 in
-  let p3 = Bisim.strong_partition (Tau.saturate ~traced:false l2) in
+  let p3 = Bisim.strong_partition (Tau.saturate l2) in
   Array.init (Array.length p1) (fun s -> p3.(p2.(p1.(s))))
 
 let test_partition_differentials () =
@@ -95,7 +95,7 @@ let test_partition_differentials () =
    materialized. *)
 let oracle_weak_equivalent x y =
   let union, ia, ib = Lts.disjoint_union x y in
-  let p = Bisim.strong_partition (Tau.saturate ~traced:false union) in
+  let p = Bisim.strong_partition (Tau.saturate union) in
   p.(ia) = p.(ib)
 
 let test_equivalent_agrees () =
@@ -127,7 +127,7 @@ let test_minimize_differentials () =
       let lts = Lazy.force lts in
       let lazy_min = Bisim.minimize_weak lts in
       let oracle =
-        let sat = Tau.saturate ~traced:false lts in
+        let sat = Tau.saturate lts in
         Lts.quotient sat (Bisim.strong_partition sat)
       in
       Alcotest.(check int) (name ^ ": num_states") oracle.Lts.num_states
@@ -149,7 +149,8 @@ let test_product_insecure_differential () =
     NI.observed_pair (Lazy.force simplified_rpc_lts) ~high ~low
   in
   let trail jobs =
-    match Bisim.weak_product_check ~jobs ~par_cutoff:0 hidden removed with
+    let front = Bisim.product_front ~jobs ~par_cutoff:0 hidden removed in
+    match Bisim.weak_front_check ~jobs ~par_cutoff:0 front with
     | Bisim.Product_secure _ -> Alcotest.fail "simplified rpc must be insecure"
     | Bisim.Product_insecure trail -> trail
   in
@@ -167,7 +168,8 @@ let test_product_secure_differential () =
     NI.observed_pair (Lazy.force small_streaming_lts) ~high ~low
   in
   let result jobs =
-    match Bisim.weak_product_check ~jobs ~par_cutoff:0 hidden removed with
+    let front = Bisim.product_front ~jobs ~par_cutoff:0 hidden removed in
+    match Bisim.weak_front_check ~jobs ~par_cutoff:0 front with
     | Bisim.Product_secure { partition; rounds } -> (partition, rounds)
     | Bisim.Product_insecure _ -> Alcotest.fail "streaming must be secure"
   in
@@ -244,7 +246,7 @@ let prop_weak_signatures =
     arb_partitioned
     (fun (lts, p1, p2) ->
       let n = lts.Lts.num_states in
-      let sat = Tau.saturate ~traced:false lts in
+      let sat = Tau.saturate lts in
       let weak = Tau.weak_signatures lts in
       let f1 = weak p1 in
       let first = Array.init n f1 in
