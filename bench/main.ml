@@ -298,10 +298,7 @@ let study_timings () =
     in
     let check_s =
       timed_secure "secure verdict" (fun () ->
-          match
-            NI.check_spec functional ~high:study.Dpma_core.Pipeline.high
-              ~low:study.Dpma_core.Pipeline.low
-          with
+          match NI.check_lts flts ~high ~low with
           | NI.Secure -> true
           | NI.Insecure _ -> false)
     in
@@ -726,13 +723,10 @@ let micro_tests =
     t "adl/parse-rpc" (fun () -> ignore (Dpma_adl.Parser.parse paper_text));
     t "lts/build-rpc" (fun () -> ignore (Lts.of_spec (Lazy.force rpc_spec)));
     t "bisim/weak-equivalence-rpc" (fun () ->
-        let lts = Lazy.force rpc_lts in
-        let hidden, removed =
-          NI.observed_pair lts
-            ~high:(fun a -> List.exists (String.equal a) Rpc.high_actions)
-            ~low:(fun a -> List.exists (String.equal a) Rpc.low_actions)
-        in
-        ignore (Bisim.weak_equivalent hidden removed));
+        ignore
+          (NI.check_lts (Lazy.force rpc_lts)
+             ~high:(fun a -> List.mem a Rpc.high_actions)
+             ~low:(fun a -> List.mem a Rpc.low_actions)));
     t "ctmc/solve-rpc" (fun () ->
         let c = Ctmc.of_lts (Lazy.force rpc_lts) in
         ignore (Ctmc.steady_state c));

@@ -49,10 +49,6 @@ type rate_expr =
           the exponential with the same mean for the Markovian view and
           records the distribution for the simulator. *)
 
-val pp_rate_expr : Format.formatter -> rate_expr -> unit
-
-val pp_expr : Format.formatter -> expr -> unit
-
 type value = VInt of int | VBool of bool
 
 val pp_value : Format.formatter -> value -> unit

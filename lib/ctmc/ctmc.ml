@@ -343,8 +343,6 @@ let of_lts (lts : Lts.t) =
     exit_rate;
   })
 
-let total_exit_rate c s = c.exit_rate.(s)
-
 let uniformization_rate c =
   1.1 *. Float.max (Array.fold_left Float.max 0.0 c.exit_rate) 1e-9
 
@@ -415,13 +413,6 @@ let initial_support c =
 let comp_members (comps : Scc.components) ci =
   Array.sub comps.members comps.comp_row.(ci)
     (comps.comp_row.(ci + 1) - comps.comp_row.(ci))
-
-let bsccs c =
-  let row, dst = successor_graph c in
-  let comps = Scc.tarjan_csr ~row ~dst c.n in
-  List.init (Scc.count comps) Fun.id
-  |> List.filter (Scc.is_bottom ~row ~dst comps)
-  |> List.map (fun ci -> Array.to_list (comp_members comps ci))
 
 (* --- Steady state --------------------------------------------------- *)
 

@@ -50,15 +50,11 @@ val of_lts : Dpma_lts.Lts.t -> t
 (** Raises {!Build_error} on passive transitions, immediate cycles, or
     absent rate annotations (i.e. a functional LTS). *)
 
-val total_exit_rate : t -> int -> float
-
 val uniformization_rate : t -> float
 
-val enables : t -> int -> Dpma_pa.Label.t -> bool
-(** Does the state enable the observable label (binary search)? *)
-
 val enables_action : t -> int -> string -> bool
-(** {!enables} by action name. *)
+(** Does the state enable the observable action of this name (binary
+    search over its label id)? *)
 
 (** {2 Stationary analysis} *)
 
@@ -78,10 +74,6 @@ val steady_state : t -> float array
     [ctmc.solve.unconverged]. *)
 
 val dense_threshold : int
-
-val bsccs : t -> int list list
-(** All bottom strongly connected components, reachable or not, each in
-    Tarjan discovery order. *)
 
 val transient : t -> float -> float array
 (** [transient c time] — state distribution at [time], by uniformization

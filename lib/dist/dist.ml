@@ -84,8 +84,6 @@ let sample g dist =
   sample_into g dist out 0;
   out.(0)
 
-let exponential_with_same_mean t = Exponential (mean t)
-
 let fr = Dpma_util.Floatfmt.repr
 
 let pp ppf = function

@@ -27,10 +27,6 @@ val sample_into : Dpma_util.Prng.t -> t -> float array -> int -> unit
     in [out.(i)], so the sample is never boxed; the simulator writes its
     clocks with it. *)
 
-val exponential_with_same_mean : t -> t
-(** The exponential distribution matching [mean t] — used by the validation
-    phase, which re-runs the general model with exponential delays. *)
-
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 

@@ -286,7 +286,7 @@ module Triple_key = struct
 
   let equal (a1, b1, c1) (a2, b2, c2) = a1 = a2 && b1 = b2 && c1 = c2
 
-  let hash (a, b, c) = (((a * 31) + b) * 31) + c
+  let hash (a, b, c) = Hash.int (Hash.fold (Hash.fold (Hash.fold 3 a) b) c)
 end
 
 module Triple_tbl = Hashtbl.Make (Triple_key)
@@ -424,7 +424,7 @@ module Int_list_key = struct
 
   let equal = List.equal Int.equal
 
-  let hash l = List.fold_left (fun acc x -> (acc * 31) + x) 17 l land max_int
+  let hash l = Hash.int (List.fold_left Hash.fold 17 l)
 end
 
 module Int_list_tbl = Hashtbl.Make (Int_list_key)

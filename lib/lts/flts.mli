@@ -66,13 +66,6 @@ module Guard : sig
   val cardinal : table -> int -> int
   (** Number of configurations a guard admits (popcount, no
       materialized {!configs} array). *)
-
-  val count : table -> int
-  (** Distinct guards interned so far. *)
-
-  val table_words : table -> int
-  (** Total payload words held by the table ([count * words]) — the
-      resident size of the guard store. *)
 end
 
 type t = private {

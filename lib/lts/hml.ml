@@ -4,8 +4,6 @@ type t =
   | And of t list
   | Diamond of Lts.label * t
 
-let tt = True
-
 let neg = function Not f -> f | f -> Not f
 
 let conj fs =

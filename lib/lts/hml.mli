@@ -15,7 +15,6 @@ type t =
       (** over a saturated LTS, [Diamond (Tau, f)] is the weak
           "after some internal moves" modality *)
 
-val tt : t
 val neg : t -> t
 val conj : t list -> t
 (** Flattens nested conjunctions and drops [True] conjuncts. *)

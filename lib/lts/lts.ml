@@ -12,8 +12,6 @@ let label_name = Label.name
 
 let is_tau l = l = 0
 
-let label_equal : label -> label -> bool = Int.equal
-
 (* Display order, not id order: tau first, then names alphabetically. *)
 let label_compare a b =
   if a = b then 0
@@ -131,8 +129,6 @@ let rate_of lts i =
       Some (Dpma_pa.Rate.Imm { prio = lts.rate_prio.(i); weight = lts.rate_val.(i) })
   | _ -> Some (Dpma_pa.Rate.Passive { weight = lts.rate_val.(i) })
 
-let out_degree lts s = lts.row.(s + 1) - lts.row.(s)
-
 (* --- State-space construction ---------------------------------------- *)
 
 type build_stats = Explore.stats = {
@@ -213,11 +209,6 @@ let enables_label lts s l =
     i < lts.row.(s + 1) && (lts.lab.(i) = l || go (i + 1))
   in
   go lts.row.(s)
-
-let enables_action lts s a =
-  match Label.find a with
-  | None -> false
-  | Some l -> l <> tau && enables_label lts s l
 
 let deadlock_states lts =
   let out = ref [] in

@@ -29,12 +29,6 @@ val label_name : label -> string
 
 val is_tau : label -> bool
 
-val label_equal : label -> label -> bool
-
-val label_compare : label -> label -> int
-(** Display order: [tau] first, then observable labels alphabetically by
-    name — id order would depend on interning order. *)
-
 val pp_label : Format.formatter -> label -> unit
 
 type t = private {
@@ -73,14 +67,12 @@ val of_csr :
 val rate_of : t -> int -> Dpma_pa.Rate.t option
 (** Rate annotation of the edge at the given flat index. *)
 
-val out_degree : t -> int -> int
-
 (** {1 Writing an LTS}
 
     The one CSR writer of the derived LTSs ({!quotient}, {!copy_states},
-    {!map_labels}, [Bisim.determinize], [Tau.saturate]). States are
-    written in id order: a state's edges are appended, then the state is
-    closed. *)
+    {!hide_all_but}, {!restrict}, [Bisim.determinize], [Tau.saturate]).
+    States are written in id order: a state's edges are appended, then
+    the state is closed. *)
 
 type writer
 
@@ -91,10 +83,6 @@ val writer : int -> writer
 val add_edge : writer -> label -> int -> unit
 (** [add_edge w label target] appends an unrated edge to the open
     state. *)
-
-val copy_edge : writer -> t -> int -> label:label -> target:int -> unit
-(** [copy_edge w lts i ~label ~target] appends an edge with the rate of
-    edge [i] of [lts]. *)
 
 val close_state : ?reverse:bool -> writer -> unit
 (** Close the open state; the next edge opens the next state. With
@@ -152,18 +140,15 @@ val of_spec :
 val num_transitions : t -> int
 
 val labels : t -> label list
-(** All distinct transition labels, sorted by {!label_compare} ([tau]
-    first if present). *)
+(** All distinct transition labels, [tau] first if present, then
+    observable labels alphabetically by name (id order would depend on
+    interning order). *)
 
 val enabled : t -> int -> label list
 (** Distinct labels enabled in a state. *)
 
 val enables_label : t -> int -> label -> bool
 (** Does the state have an outgoing transition with that label id? *)
-
-val enables_action : t -> int -> string -> bool
-(** Does the state have an outgoing observable transition with that
-    name? *)
 
 val deadlock_states : t -> int list
 
@@ -186,10 +171,6 @@ val copy_states : t -> int array -> int array -> t
     edges of state [states.(i)] of [lts], in order and with their rates,
     each target [t] renamed [map.(t)], and is named after it. The
     initial state is [map.(lts.init)]. *)
-
-val map_labels : t -> (label -> label option) -> t
-(** Relabel transitions, keeping edge order; [None] deletes the
-    transition (restriction). *)
 
 val hide_all_but : t -> keep:(string -> bool) -> t
 (** Turn every observable transition whose name fails [keep] into [tau]. *)

@@ -181,17 +181,3 @@ let lifetime_sweep ?policy ?jobs p ~timeouts =
       ( timeout,
         { with_dpm; without_dpm; extension = (with_dpm /. without_dpm) -. 1.0 } ))
     (List.mapi (fun i t -> (i, t)) timeouts)
-
-let power_of_state (ctmc : Ctmc.t) s =
-  let enables = Ctmc.enables_action ctmc s in
-  if enables "S.monitor_busy_server" then 3.0
-  else if enables "S.monitor_idle_server" then 2.0
-  else if enables "S.monitor_awaking_server" then 2.0
-  else 0.0
-
-let expected_energy_delivered ?policy p =
-  let el = Elaborate.elaborate (archi ?policy p) in
-  let ctmc = Ctmc.of_lts (Lts.of_spec el.Elaborate.spec) in
-  Ctmc.expected_accumulated_reward ctmc
-    ~reward:(fun s -> power_of_state ctmc s)
-    ~until:(fun s -> Ctmc.enables_action ctmc s empty_monitor)

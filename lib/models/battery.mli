@@ -56,11 +56,3 @@ val lifetime_sweep :
 (** [expected_lifetime] across DPM shutdown timeouts. The sweep points run
     in parallel on [jobs] domains; the DPM-less chain does not depend on
     the timeout, so it is solved once and shared across the sweep. *)
-
-val expected_energy_delivered : ?policy:Rpc.policy -> params -> float
-(** Expected energy (power-unit-ms) accumulated by the server until the
-    battery empties. Conservation makes this exactly
-    [capacity /. quantum_rate] regardless of the DPM: every quantum the
-    battery holds is eventually drawn, no more and no less — a strong
-    cross-check of the elaboration, the CTMC construction and the
-    accumulated-reward solver, used by the test suite. *)

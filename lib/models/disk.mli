@@ -45,7 +45,6 @@ val elaborate : params -> Dpma_adl.Elaborate.elaborated
 val high_actions : string list
 val low_actions : string list
 
-val measures_source : string
 val measures : unit -> Dpma_measures.Measure.t list
 
 type metrics = {
@@ -55,8 +54,6 @@ type metrics = {
   drop_ratio : float;  (** queue-overflow drops per submitted request *)
   sleep_fraction : float;
 }
-
-val metrics_of_values : (string * float) list -> metrics
 
 val compare_dpm : params -> metrics * metrics
 (** (with DPM, without DPM) at the given parameters. *)

@@ -337,6 +337,9 @@ let pp_streaming_rows ~title ppf rows =
 (* ------------------------------------------------------------------ *)
 (* Tradeoff curves                                                     *)
 
+(* Fig. 7 / Fig. 8: energy-quality tradeoff curves, assembled from the
+   sweeps above (energy/request vs waiting time; energy/frame vs miss). *)
+
 let pp_fig7 ~markov ~general ppf () =
   Format.fprintf ppf
     "@[<v>== Fig. 7: rpc energy/request vs waiting time tradeoff ==@,";

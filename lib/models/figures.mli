@@ -59,8 +59,6 @@ val fig5_validation :
   unit ->
   validation_row list
 
-val pp_validation_rows : Format.formatter -> validation_row list -> unit
-
 (** One sweep point of the streaming comparison (Fig. 4, Fig. 6, Fig. 8). *)
 type streaming_row = {
   awake_period : float;
@@ -83,18 +81,6 @@ val fig6_general :
 val pp_streaming_rows :
   title:string -> Format.formatter -> streaming_row list -> unit
 
-(** Fig. 7 / Fig. 8: energy-quality tradeoff curves, assembled from the
-    sweeps above (energy/request vs waiting time; energy/frame vs miss). *)
-val pp_fig7 :
-  markov:rpc_row list -> general:rpc_row list -> Format.formatter -> unit -> unit
-
-val pp_fig8 :
-  markov:streaming_row list ->
-  general:streaming_row list ->
-  Format.formatter ->
-  unit ->
-  unit
-
 (** {2 Ablations} (not in the paper; design-choice studies called out in
     DESIGN.md) *)
 
@@ -109,7 +95,6 @@ type policy_row = {
 }
 
 val ablation_rpc_policy : ?jobs:int -> ?timeouts:float list -> unit -> policy_row list
-val pp_policy_rows : Format.formatter -> policy_row list -> unit
 
 (** Ordinary lumpability as a CTMC pre-reduction: states, solve time and
     measure agreement with the unlumped solution. *)
@@ -121,7 +106,6 @@ type lumping_row = {
 }
 
 val ablation_lumping : ?jobs:int -> unit -> lumping_row list
-val pp_lumping_rows : Format.formatter -> lumping_row list -> unit
 
 (** Distribution-family ablation: rpc throughput (with DPM) when the
     deterministic delays are replaced by k-stage Erlangs — showing the
@@ -141,8 +125,6 @@ val ablation_distribution_family :
   ?sim:Dpma_core.General.sim_params ->
   unit ->
   family_row list
-
-val pp_family_rows : Format.formatter -> family_row list -> unit
 
 (** {2 The figure suite}
 

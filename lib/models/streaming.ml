@@ -415,26 +415,6 @@ let scaled_archi ?(mode = Markovian) ?(monitors = false) sp =
 let scaled_spec ?mode ?monitors sp =
   (Elaborate.elaborate (scaled_archi ?mode ?monitors sp)).Elaborate.spec
 
-let scaled_high_actions sp =
-  List.concat
-    (List.init sp.stations (fun k ->
-         let i = k + 1 in
-         [
-           Printf.sprintf "DPM%d.send_shutdown#NIC%d.receive_shutdown" i i;
-           Printf.sprintf "DPM%d.send_wakeup#NIC%d.receive_wakeup" i i;
-         ]))
-
-let scaled_low_actions sp =
-  List.concat
-    (List.init sp.stations (fun k ->
-         let i = k + 1 in
-         [
-           Printf.sprintf "C%d.take_frame#B%d.get_frame" i i;
-           Printf.sprintf "C%d.report_miss#B%d.miss_frame" i i;
-           Printf.sprintf "C%d.render_frame" i;
-           Printf.sprintf "C%d.start_delay" i;
-         ]))
-
 (* Memoized exactly like [Rpc.elaborate]: figure sweeps (fig4, fig6, fig8
    and the DPM-less references) revisit the same configurations, and the
    sweeps run on a domain pool, hence the mutex. *)

@@ -62,12 +62,6 @@ val scaled_spec :
   ?mode:mode -> ?monitors:bool -> scaled_params -> Dpma_pa.Term.spec
 (** [scaled_archi] elaborated to a process-algebra specification. *)
 
-val scaled_high_actions : scaled_params -> string list
-(** Every station's DPM shutdown and wakeup channels. *)
-
-val scaled_low_actions : scaled_params -> string list
-(** Every station's client actions. *)
-
 val elaborate :
   ?mode:mode -> ?monitors:bool -> params -> Dpma_adl.Elaborate.elaborated
 (** Memoized per configuration, exactly like {!Rpc.elaborate}

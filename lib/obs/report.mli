@@ -23,9 +23,6 @@ val init_from_env : unit -> unit
     {!configure} accordingly. Variables that are unset leave the current
     configuration untouched, so explicit flags win when applied after. *)
 
-val metrics_format : unit -> format option
-(** The configured metrics report format, [None] when disabled. *)
-
 val to_json : unit -> Json.t
 (** The combined report as one [dpma.obs/1] JSON document: metrics array
     plus, when tracing is on, the trace object. *)

@@ -54,10 +54,4 @@ let count () = !next
 
 let equal : t -> t -> bool = Int.equal
 
-let compare : t -> t -> int = Int.compare
-
-let hash : t -> int = fun id -> id
-
 let compare_by_name a b = String.compare (name a) (name b)
-
-let pp ppf id = Format.pp_print_string ppf (name id)

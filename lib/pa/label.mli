@@ -34,11 +34,7 @@ val count : unit -> int
 (** Number of distinct labels interned so far (including [tau]). *)
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
-val hash : t -> int
 
 val compare_by_name : t -> t -> int
 (** Alphabetical order of the printable names — the deterministic order
     for user-facing listings (id order depends on interning order). *)
-
-val pp : Format.formatter -> t -> unit

@@ -223,5 +223,3 @@ and derive_uncached c (t : Term.t) =
 
 let derive (e : engine) t = derive_c e.cache t
 let derive_in (sh : shard) t = derive_c sh.sh_cache t
-
-let transitions defs t = derive (make defs) t

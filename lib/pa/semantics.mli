@@ -1,7 +1,7 @@
 (** Structural operational semantics of the process algebra kernel.
 
-    [transitions defs t] derives the multiset of outgoing transitions of
-    [t]: interned action label ({!Label.tau} for invisible), rate, and
+    [derive (make defs) t] derives the multiset of outgoing transitions
+    of [t]: interned action label ({!Label.tau} for invisible), rate, and
     successor term. Multiple identical entries are meaningful (their
     exponential rates add up in the Markovian interpretation).
 
@@ -75,6 +75,3 @@ val merge_shard : shard -> unit
     parent engine (first writer wins per term — the derivation is pure, so
     duplicates are identical) and reset the shard. Call from a single
     domain while no worker is deriving. *)
-
-val transitions : Term.defs -> Term.t -> (Label.t * Rate.t * Term.t) list
-(** One-shot derivation through an ephemeral engine. *)

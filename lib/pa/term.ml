@@ -195,11 +195,7 @@ let rename map p =
 let apply_rename_label map a =
   match List.assoc_opt a map with Some b -> b | None -> a
 
-let compare a b = Int.compare a.uid b.uid
-
 let equal a b = a == b
-
-let hash a = a.uid
 
 (* ------------------------------------------------------------------ *)
 (* Rendering. Label sets print in alphabetical name order, matching the

@@ -65,17 +65,11 @@ val rename_labels : (Label.t * Label.t) list -> t -> t
 
 val apply_rename_label : (Label.t * Label.t) list -> Label.t -> Label.t
 
-val compare : t -> t -> int
-(** Total order by unique id — constant time; consistent within a process,
-    not across processes (ids depend on construction order). *)
-
 val equal : t -> t -> bool
-val hash : t -> int
 
 val hashcons_count : unit -> int
 (** Number of distinct live terms in the hash-consing table. *)
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
 val action_names : t -> Sset.t

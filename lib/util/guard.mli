@@ -22,10 +22,6 @@ type resource =
           ([limit] is its tolerance, [actual] its last change), raised
           by [Sparse.fixed_point] through {!convergence_trip} *)
 
-val resource_name : resource -> string
-(** ["wall_clock"] / ["resident_memory"] / ["convergence"] — the stable
-    identifiers used in the degraded verdict. *)
-
 type trip = {
   resource : resource;  (** which budget was violated *)
   phase : string;  (** the phase that was polling, e.g. ["lts.build"] *)
@@ -47,23 +43,15 @@ val install : t -> unit
 (** Make [g] the ambient guard of the process. One guard per run: a
     second [install] replaces the first. *)
 
-val clear : unit -> unit
-(** Remove the ambient guard (idempotent). A trip clears it implicitly,
-    so later phases of a degraded run are not re-aborted on sight. *)
-
 val installed : unit -> bool
 
 val with_guard : t -> (unit -> 'a) -> 'a
-(** [install], run, then [clear] (also on exception). *)
+(** [install], run, then remove the ambient guard (also on exception). *)
 
 val poll : ?partial:(unit -> (string * float) list) -> phase:string -> unit -> unit
 (** Check the ambient guard, if any. On a violated budget, clears the
     guard and raises {!Resource_exceeded} with [partial ()] attached.
     No-op (and no metrics) when no guard is installed. *)
-
-val resident_bytes : unit -> float
-(** The resident-memory measure guards compare against:
-    [Gc.quick_stat] major-heap words in bytes. *)
 
 val convergence_trip :
   phase:string -> iterations:int -> residual:float -> tolerance:float -> trip

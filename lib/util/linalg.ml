@@ -37,29 +37,3 @@ let solve a b =
     x.(row) <- !s /. m.(row).(row)
   done;
   x
-
-let mat_vec a x =
-  let n = Array.length a in
-  Array.init n (fun i ->
-      let row = a.(i) in
-      let s = ref 0.0 in
-      for j = 0 to Array.length row - 1 do
-        s := !s +. (row.(j) *. x.(j))
-      done;
-      !s)
-
-let transpose a =
-  let n = Array.length a in
-  if n = 0 then [||]
-  else
-    let m = Array.length a.(0) in
-    Array.init m (fun j -> Array.init n (fun i -> a.(i).(j)))
-
-let identity n =
-  Array.init n (fun i -> Array.init n (fun j -> if i = j then 1.0 else 0.0))
-
-let residual_inf a x b =
-  let ax = mat_vec a x in
-  let r = ref 0.0 in
-  Array.iteri (fun i v -> r := Float.max !r (abs_float (v -. b.(i)))) ax;
-  !r

@@ -8,15 +8,3 @@ val solve : float array array -> float array -> float array
 (** [solve a b] solves [a x = b] by Gaussian elimination with partial
     pivoting. Raises [Failure] when [a] is (numerically) singular.
     [a] and [b] are not modified. *)
-
-val mat_vec : float array array -> float array -> float array
-(** [mat_vec a x] is the matrix–vector product [a x]. *)
-
-val transpose : float array array -> float array array
-(** A fresh transposed copy of the (rectangular) matrix. *)
-
-val identity : int -> float array array
-(** [identity n] is the [n × n] identity matrix. *)
-
-val residual_inf : float array array -> float array -> float array -> float
-(** [residual_inf a x b] is [||a x - b||_inf], for verifying solutions. *)

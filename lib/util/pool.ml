@@ -187,5 +187,3 @@ let parallel_map ?jobs f xs =
   Array.to_list
     (map_chunks_ordered ?jobs ~init:ignore ~f:(fun () x -> f x)
        (Array.of_list xs))
-
-let parallel_iter ?jobs f xs = ignore (parallel_map ?jobs (fun x -> f x) xs)

@@ -52,9 +52,6 @@ val parallel_map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
     analysis and simulation paths are: randomness flows through explicit
     {!Prng.t} values and shared model structures are read-only). *)
 
-val parallel_iter : ?jobs:int -> ('a -> unit) -> 'a list -> unit
-(** [parallel_map] for effects only. *)
-
 val map_chunks_ordered :
   ?jobs:int ->
   ?chunk:int ->

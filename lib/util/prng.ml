@@ -42,10 +42,6 @@ let int g bound =
   let v = Int64.to_int (Int64.logand (bits64 g) mask) in
   v mod bound
 
-let bool g = Int64.logand (bits64 g) 1L = 1L
-
-let bernoulli g p = float g < p
-
 (* Plain loops, summing left to right: the running sums stay unboxed
    float locals, where a [fold_left] closure or a recursive helper would
    box them. *)

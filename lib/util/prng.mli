@@ -32,12 +32,6 @@ val float_range : t -> float -> float -> float
 val int : t -> int -> int
 (** [int g bound] is uniform in [0, bound). Requires [bound > 0]. *)
 
-val bool : t -> bool
-(** Fair coin flip. *)
-
-val bernoulli : t -> float -> bool
-(** [bernoulli g p] is [true] with probability [p]. *)
-
 val choose_weighted : t -> float array -> int
 (** [choose_weighted g weights] picks index [i] with probability
     proportional to [weights.(i)]. Requires at least one positive weight. *)

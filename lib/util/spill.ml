@@ -44,12 +44,6 @@ let ensure_fd t =
       t.path <- path;
       fd
 
-let active t = t.fd <> None
-
-let path t = if t.fd = None then None else Some t.path
-
-let words t = t.words
-
 let bytes_written t = t.bytes_written
 
 let write_seconds t = t.write_seconds

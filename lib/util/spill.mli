@@ -23,15 +23,6 @@ val read : t -> off:int -> len:int -> (int -> int64 -> unit) -> unit
     written at [off]. Raises [Invalid_argument] outside the written
     range. *)
 
-val active : t -> bool
-(** Has the temp file been created (i.e. did any write happen)? *)
-
-val path : t -> string option
-(** The temp file path, once created. *)
-
-val words : t -> int
-(** Total 64-bit words written. *)
-
 val bytes_written : t -> int
 (** Total bytes appended ([8 * words]). *)
 

@@ -92,10 +92,5 @@ let summarize ?(confidence = 0.90) (acc : accumulator) =
   in
   { n; mean = mu; stddev = sd; half_width; confidence }
 
-let of_samples ?confidence samples =
-  let acc = accumulator () in
-  List.iter (add acc) samples;
-  summarize ?confidence acc
-
 let relative_error ~reference x =
   abs_float (x -. reference) /. Float.max (abs_float reference) 1e-12

@@ -37,9 +37,6 @@ val summarize : ?confidence:float -> accumulator -> summary
 (** Student-t confidence interval over the accumulated observations.
     [confidence] defaults to [0.90] (the level used in the paper's Fig. 5). *)
 
-val of_samples : ?confidence:float -> float list -> summary
-(** {!summarize} over a list of observations. *)
-
 val student_t_quantile : df:int -> float -> float
 (** [student_t_quantile ~df p] is the [p]-quantile of the Student-t
     distribution with [df] degrees of freedom (accurate to a few 1e-3,

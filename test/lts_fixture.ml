@@ -57,6 +57,6 @@ let make ~init ~state_name (trans : transition list array) =
 
 (* The outgoing edges of a state, in CSR order. *)
 let transitions_of (lts : Lts.t) s =
-  List.init (Lts.out_degree lts s) (fun k ->
+  List.init (lts.Lts.row.(s + 1) - lts.Lts.row.(s)) (fun k ->
       let i = lts.row.(s) + k in
       { label = lts.lab.(i); rate = Lts.rate_of lts i; target = lts.tgt.(i) })

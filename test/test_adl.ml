@@ -577,9 +577,9 @@ let test_expression_parsing_precedence () =
   (* With x = 1, b = true: 1 + 2*3 = 7 so "yes" is enabled, and
      !(0 >= 1) && 1 mod 2 = 1 so "odd" is enabled; -1 + 2 = 1 loops. *)
   Alcotest.(check bool) "yes enabled" true
-    (Lts.enables_action lts lts.Lts.init "A.yes");
+    (Lts.enables_label lts lts.Lts.init (Lts.obs "A.yes"));
   Alcotest.(check bool) "odd enabled" true
-    (Lts.enables_action lts lts.Lts.init "A.odd")
+    (Lts.enables_label lts lts.Lts.init (Lts.obs "A.odd"))
 
 let expect_elaborate_error src fragment =
   let archi = Parser.parse src in

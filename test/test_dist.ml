@@ -67,12 +67,6 @@ let test_weibull_moments () =
   let m, _ = sample_mean_var (Dist.Weibull (2.0, 3.0)) 100_000 7 in
   check_close 0.05 "k=2 sample mean" (Dist.mean (Dist.Weibull (2.0, 3.0))) m
 
-let test_exponential_with_same_mean () =
-  let e = Dist.exponential_with_same_mean (Dist.Deterministic 4.0) in
-  Alcotest.(check bool) "matches" true (Dist.equal e (Dist.Exponential 4.0));
-  let e2 = Dist.exponential_with_same_mean (Dist.Erlang (3, 6.0)) in
-  Alcotest.(check bool) "erlang mean kept" true (Dist.equal e2 (Dist.Exponential 6.0))
-
 let test_to_string_of_string_roundtrip () =
   let dists =
     [
@@ -197,7 +191,6 @@ let suite =
     Alcotest.test_case "normal truncation" `Quick test_normal_truncated_nonnegative;
     Alcotest.test_case "erlang moments" `Quick test_erlang_moments;
     Alcotest.test_case "weibull moments" `Quick test_weibull_moments;
-    Alcotest.test_case "exponential with same mean" `Quick test_exponential_with_same_mean;
     Alcotest.test_case "string roundtrip" `Quick test_to_string_of_string_roundtrip;
     Alcotest.test_case "of_string errors" `Quick test_of_string_errors;
     Alcotest.test_case "samples pinned per family" `Quick test_samples_pinned;

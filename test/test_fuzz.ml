@@ -352,6 +352,65 @@ MEASURE boosting IS ENABLED(S0.boost) -> STATE_REWARD(1);|}
               Array.for_all2 same_analysis got expect)
         [ 1; 2 ])
 
+(* Random rings, half of them uniform: every instance of the first
+   station's type, so states that differ only in which station holds the
+   token have equal rates (a lumping that ignored labels would merge
+   them). *)
+let gen_uniform_or_mixed_ring =
+  let open Gen in
+  let* archi = gen_archi in
+  let* uniform = bool in
+  if not uniform then return archi
+  else
+    let et = List.hd archi.Ast.elem_types in
+    return
+      {
+        archi with
+        Ast.elem_types = [ et ];
+        instances =
+          List.map
+            (fun i -> { i with Ast.inst_type = et.Ast.et_name })
+            archi.Ast.instances;
+      }
+
+(* Lumping before the solve (ordinary lumpability) reaches the same
+   measures as the plain solve, on a chain no larger than the plain one:
+   each station's forward and work throughputs and the time share it
+   spends able to work. *)
+let prop_lumped_matches_plain =
+  let module Markov = Dpma_core.Markov in
+  let module Measure = Dpma_measures.Measure in
+  QCheck.Test.make ~count:25 ~name:"fuzz: lumped solve matches plain solve"
+    (QCheck.make ~print:(fun a -> Format.asprintf "%a" Ast.pp a)
+       gen_uniform_or_mixed_ring)
+    (fun archi ->
+      let n = List.length archi.Ast.instances in
+      let measures =
+        List.concat
+          (List.init n (fun i ->
+               let fwd = Printf.sprintf "S%d.fwd#S%d.recv" i ((i + 1) mod n)
+               and work = Printf.sprintf "S%d.work" i in
+               [
+                 Measure.measure fwd [ Measure.trans_clause fwd 1.0 ];
+                 Measure.measure work [ Measure.trans_clause work 1.0 ];
+                 Measure.measure ("busy " ^ work)
+                   [ Measure.state_clause work 1.0 ];
+               ]))
+      in
+      let lts = Lts.of_spec (Elaborate.elaborate archi).Elaborate.spec in
+      match Markov.analyze_lts lts measures with
+      | exception Ctmc.Build_error _ -> QCheck.assume_fail ()
+      | plain ->
+          let lumped = Markov.analyze_lts_lumped lts measures in
+          lumped.Markov.states <= plain.Markov.states
+          && List.equal
+               (fun (name, v) (name', v') ->
+                 String.equal name name'
+                 && Float.abs (v -. v')
+                    <= 1e-9 *. Float.max 1e-12
+                                 (Float.max (Float.abs v) (Float.abs v')))
+               plain.Markov.values lumped.Markov.values)
+
 let qtests =
   [
     prop_pp_parse_roundtrip;
@@ -362,6 +421,7 @@ let qtests =
     prop_trace_consistent_with_weak_on_models;
     prop_shared_front_matches_separate_checks;
     prop_family_members_match_own_builds;
+    prop_lumped_matches_plain;
   ]
 
 let suite = List.map (QCheck_alcotest.to_alcotest ~long:false) qtests

@@ -56,8 +56,10 @@ let test_labels_and_enabled () =
   let t = Term.choice [ pre "b" Term.stop; pre "a" Term.stop; Term.prefix Term.tau r Term.stop ] in
   let lts = lts_of t in
   Alcotest.(check int) "three labels" 3 (List.length (Lts.labels lts));
-  Alcotest.(check bool) "enables a" true (Lts.enables_action lts lts.Lts.init "a");
-  Alcotest.(check bool) "not c" false (Lts.enables_action lts lts.Lts.init "c")
+  Alcotest.(check bool) "enables a" true
+    (Lts.enables_label lts lts.Lts.init (Lts.obs "a"));
+  Alcotest.(check bool) "not c" false
+    (Lts.enables_label lts lts.Lts.init (Lts.obs "c"))
 
 let test_deadlock_states () =
   let lts = lts_of (pre "a" Term.stop) in
@@ -222,7 +224,7 @@ let test_quotient_by_representative_keeps_rates () =
     |> List.fold_left
          (fun acc (tr : Lts_fixture.transition) ->
            match tr.rate with
-           | Some (Rate.Exp l) when Lts.label_equal tr.label (obs "a") ->
+           | Some (Rate.Exp l) when tr.label = obs "a" ->
                acc +. l
            | _ -> acc)
          0.0
@@ -236,7 +238,7 @@ let test_quotient_by_representative_keeps_rates () =
   Alcotest.(check int) "plain quotient drops a parallel edge" 1
     (List.length
        (List.filter
-          (fun (tr : Lts_fixture.transition) -> Lts.label_equal tr.label (obs "a"))
+          (fun (tr : Lts_fixture.transition) -> tr.label = obs "a")
           (Lts_fixture.transitions_of plain plain.Lts.init)))
 
 (* ------------------------------------------------------------------ *)
@@ -244,16 +246,16 @@ let test_quotient_by_representative_keeps_rates () =
 
 let test_hml_sat () =
   let lts = lts_of (pre "a" (pre "b" Term.stop)) in
-  let f = Hml.diamond (obs "a") (Hml.diamond (obs "b") Hml.tt) in
+  let f = Hml.diamond (obs "a") (Hml.diamond (obs "b") Hml.True) in
   Alcotest.(check bool) "<a><b>T" true (Hml.sat lts lts.Lts.init f);
-  let g = Hml.diamond (obs "b") Hml.tt in
+  let g = Hml.diamond (obs "b") Hml.True in
   Alcotest.(check bool) "<b>T fails" false (Hml.sat lts lts.Lts.init g);
   Alcotest.(check bool) "negation" true (Hml.sat lts lts.Lts.init (Hml.neg g))
 
 let test_hml_conj_flattening () =
-  let f = Hml.conj [ Hml.tt; Hml.conj [ Hml.tt ] ] in
+  let f = Hml.conj [ Hml.True; Hml.conj [ Hml.True ] ] in
   Alcotest.(check bool) "all true collapses" true (f = Hml.True);
-  let g = Hml.conj [ Hml.diamond (obs "a") Hml.tt; Hml.tt ] in
+  let g = Hml.conj [ Hml.diamond (obs "a") Hml.True; Hml.True ] in
   (match g with Hml.Diamond _ -> () | _ -> Alcotest.fail "expected single conjunct")
 
 let has_substring s sub =
@@ -262,7 +264,7 @@ let has_substring s sub =
   m = 0 || go 0
 
 let test_hml_pp_twotowers_style () =
-  let f = Hml.diamond (obs "x") (Hml.neg (Hml.diamond Lts.tau Hml.tt)) in
+  let f = Hml.diamond (obs "x") (Hml.neg (Hml.diamond Lts.tau Hml.True)) in
   let s = Hml.to_string ~weak:true f in
   Alcotest.(check bool) "mentions EXISTS_WEAK_TRANS" true
     (has_substring s "EXISTS_WEAK_TRANS");
@@ -271,7 +273,10 @@ let test_hml_pp_twotowers_style () =
     (has_substring (Hml.to_string ~weak:false f) "EXISTS_TRANS")
 
 let test_hml_size_depth () =
-  let f = Hml.diamond (obs "a") (Hml.conj [ Hml.neg Hml.tt; Hml.diamond (obs "b") Hml.tt ]) in
+  let f =
+    Hml.diamond (obs "a")
+      (Hml.conj [ Hml.neg Hml.True; Hml.diamond (obs "b") Hml.True ])
+  in
   Alcotest.(check int) "depth" 2 (Hml.depth f);
   Alcotest.(check bool) "size > 3" true (Hml.size f > 3)
 

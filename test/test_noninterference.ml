@@ -160,7 +160,7 @@ let test_pp_verdict () =
   Alcotest.(check bool) "secure rendering" true (String.length s > 0);
   let s2 =
     Format.asprintf "%a" NI.pp_verdict
-      (NI.Insecure (Hml.diamond (Lts.obs "x") Hml.tt))
+      (NI.Insecure (Hml.diamond (Lts.obs "x") Hml.True))
   in
   let has sub str =
     let n = String.length str and m = String.length sub in

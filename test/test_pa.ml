@@ -123,7 +123,7 @@ let test_unguarded_recursion_detected () =
 (* The semantics yields interned labels; tests compare action names, so
    translate back to strings at the boundary. *)
 let trans defs t =
-  Semantics.transitions defs t
+  Semantics.derive (Semantics.make defs) t
   |> List.map (fun (l, r, k) -> (Label.name l, r, k))
 
 let test_prefix_and_choice_transitions () =
@@ -222,13 +222,13 @@ let test_tau_does_not_synchronize () =
 
 (* Action names (tau excluded) enabled in [t]. *)
 let enabled_actions defs t =
-  Semantics.transitions defs t
+  Semantics.derive (Semantics.make defs) t
   |> List.fold_left
        (fun acc (a, _, _) ->
          if Label.equal a Label.tau then acc else Sset.add (Label.name a) acc)
        Sset.empty
 
-let is_deadlocked defs t = Semantics.transitions defs t = []
+let is_deadlocked defs t = Semantics.derive (Semantics.make defs) t = []
 
 let test_enabled_actions_and_deadlock () =
   let t = Term.choice [ Term.prefix "a" a_rate Term.stop; Term.prefix Term.tau a_rate Term.stop ] in

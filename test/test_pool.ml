@@ -45,13 +45,6 @@ let test_parallel_map_nested () =
   Alcotest.(check (list (list int)))
     "nested results" [ [ 11; 12; 13 ]; [ 21; 22; 23 ] ] rows
 
-let test_parallel_iter_visits_all () =
-  let sum = Atomic.make 0 in
-  Pool.parallel_iter ~jobs:4
-    (fun x -> ignore (Atomic.fetch_and_add sum x))
-    (List.init 100 (fun i -> i + 1));
-  Alcotest.(check int) "all elements visited once" 5050 (Atomic.get sum)
-
 (* map_chunks_ordered: the chunked, per-worker-state primitive under the
    parallel LTS builder. *)
 
@@ -175,8 +168,9 @@ let test_replicate_jobs_independent () =
   let timing = General.timing_of_list el.Elaborate.general_timings in
   let estimands =
     [
-      Sim.Time_average
-        (fun s -> if Lts.enables_action lts s "S.monitor_idle_server" then 1.0 else 0.0);
+      (let idle = Lts.obs "S.monitor_idle_server" in
+       Sim.Time_average
+         (fun s -> if Lts.enables_label lts s idle then 1.0 else 0.0));
       Sim.Rate_of
         (fun a -> if String.equal a "C.process_result_packet" then 1.0 else 0.0);
     ]
@@ -207,7 +201,6 @@ let suite =
       test_parallel_map_empty_and_singleton;
     Alcotest.test_case "parallel_map exception" `Quick test_parallel_map_exception;
     Alcotest.test_case "parallel_map nested" `Quick test_parallel_map_nested;
-    Alcotest.test_case "parallel_iter visits all" `Quick test_parallel_iter_visits_all;
     Alcotest.test_case "map_chunks_ordered order" `Quick test_map_chunks_order;
     Alcotest.test_case "map_chunks_ordered jobs=1 equivalence" `Quick
       test_map_chunks_jobs_equivalent;

@@ -14,6 +14,11 @@ let check_close tol = Alcotest.(check (float tol))
 
 let lts_of_defs defs init = Lts.of_spec (Term.spec ~defs ~init)
 
+(* Time share of the states enabling the observable action [name]. *)
+let time_enabling lts name =
+  let l = Lts.obs name in
+  Sim.Time_average (fun s -> if Lts.enables_label lts s l then 1.0 else 0.0)
+
 let run ?timing lts estimands ~duration ~seed =
   (Sim.run ?timing ~lts ~duration ~estimands (Prng.create seed)).Sim.values
 
@@ -38,7 +43,7 @@ let test_two_state_exponential_agrees_with_ctmc () =
   let lts = lts_of_defs defs (Term.call "Up") in
   let estimands =
     [
-      Sim.Time_average (fun s -> if Lts.enables_action lts s "fail" then 1.0 else 0.0);
+      time_enabling lts "fail";
       Sim.Rate_of (fun a -> if a = "repair" then 1.0 else 0.0);
     ]
   in
@@ -62,7 +67,7 @@ let test_deterministic_cycle_exact () =
   let estimands =
     [
       Sim.Rate_of (fun x -> if x = "a" then 1.0 else 0.0);
-      Sim.Time_average (fun s -> if Lts.enables_action lts s "a" then 1.0 else 0.0);
+      time_enabling lts "a";
     ]
   in
   let values = run ~timing lts estimands ~duration:50_000.0 ~seed:2 in
@@ -191,7 +196,10 @@ let test_clock_dropped_when_disabled () =
 let test_deadlock_graceful () =
   let lts = lts_of_defs [] (Term.prefix "a" (Rate.exp 1.0) Term.stop) in
   let estimands =
-    [ Sim.Time_average (fun s -> if Lts.out_degree lts s = 0 then 1.0 else 0.0) ]
+    [
+      Sim.Time_average
+        (fun s -> if lts.Lts.row.(s + 1) = lts.Lts.row.(s) then 1.0 else 0.0);
+    ]
   in
   let result = Sim.run ~lts ~duration:100.0 ~estimands (Prng.create 8) in
   Alcotest.(check bool) "dead fraction large" true (result.Sim.values.(0) > 0.8);
@@ -233,7 +241,7 @@ let test_warmup_excludes_initial_transient () =
   let lts = lts_of_defs defs (Term.call "Start") in
   let estimands =
     [
-      Sim.Time_average (fun s -> if Lts.enables_action lts s "begin" then 1.0 else 0.0);
+      time_enabling lts "begin";
       Sim.Rate_of (fun a -> if a = "begin" then 1.0 else 0.0);
     ]
   in
@@ -250,7 +258,7 @@ let test_replicate_confidence_interval () =
   in
   let lts = lts_of_defs defs (Term.call "Up") in
   let estimands =
-    [ Sim.Time_average (fun s -> if Lts.enables_action lts s "fail" then 1.0 else 0.0) ]
+    [ time_enabling lts "fail" ]
   in
   let summaries =
     Sim.replicate ~lts ~duration:5_000.0 ~estimands ~runs:20 ~seed:99 ()
@@ -302,7 +310,7 @@ let prop_sim_matches_ctmc =
       let c = Ctmc.of_lts lts in
       let pi = Ctmc.steady_state c in
       let estimands =
-        [ Sim.Time_average (fun s -> if Lts.enables_action lts s "x" then 1.0 else 0.0) ]
+        [ time_enabling lts "x" ]
       in
       let values = run lts estimands ~duration:20_000.0 ~seed:13 in
       abs_float (values.(0) -. pi.(0)) < 0.03)
@@ -349,7 +357,7 @@ let test_run_segments_split () =
   in
   let estimands =
     [
-      Sim.Time_average (fun s -> if Lts.enables_action lts s "a" then 1.0 else 0.0);
+      time_enabling lts "a";
       Sim.Rate_of (fun _ -> 1.0);
     ]
   in
@@ -373,7 +381,7 @@ let test_batch_means_agrees () =
   in
   let lts = lts_of_defs defs (Term.call "Up") in
   let estimands =
-    [ Sim.Time_average (fun s -> if Lts.enables_action lts s "fail" then 1.0 else 0.0) ]
+    [ time_enabling lts "fail" ]
   in
   let s =
     Sim.batch_means ~warmup:100.0 ~lts ~batches:20 ~batch_duration:1_000.0
@@ -421,7 +429,8 @@ let test_sim_first_passage_matches_analytic () =
   let lts = lts_of_defs defs (Term.call "S0") in
   (* Identify S2 as the state enabling only "down". *)
   let target s =
-    Lts.enables_action lts s "down" && not (Lts.enables_action lts s "up")
+    Lts.enables_label lts s (Lts.obs "down")
+    && not (Lts.enables_label lts s (Lts.obs "up"))
   in
   let summary, censored =
     Sim.first_passage ~lts ~target ~runs:400 ~seed:21 ()
@@ -442,7 +451,7 @@ let test_sim_first_passage_deterministic () =
     | "b" -> Some (Sim.Timed (Dist.Deterministic 3.0))
     | _ -> None
   in
-  let target s = Lts.out_degree lts s = 0 in
+  let target s = lts.Lts.row.(s + 1) = lts.Lts.row.(s) in
   let summary, censored =
     Sim.first_passage ~timing ~lts ~target ~runs:5 ~seed:3 ()
   in
@@ -516,7 +525,10 @@ let test_replicate_counts_events () =
 
 let test_first_passage_counts_events () =
   let lts = birth_death () in
-  let target s = Lts.out_degree lts s = 1 && Lts.enables_action lts s "down" in
+  let target s =
+    lts.Lts.row.(s + 1) - lts.Lts.row.(s) = 1
+    && Lts.enables_label lts s (Lts.obs "down")
+  in
   (* Events of one run: every firing up to and including the one that
      enters the target. *)
   let events_to_hit g =

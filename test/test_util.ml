@@ -1,9 +1,8 @@
-(* Tests for the foundations library: PRNG, statistics, priority queue,
-   dense/sparse linear algebra, strongly connected components. *)
+(* Tests for the foundations library: PRNG, statistics, dense/sparse
+   linear algebra, strongly connected components. *)
 
 module Prng = Dpma_util.Prng
 module Stats = Dpma_util.Stats
-module Pqueue = Dpma_util.Pqueue
 module Linalg = Dpma_util.Linalg
 module Sparse = Dpma_util.Sparse
 module Scc = Dpma_util.Scc
@@ -105,15 +104,6 @@ let test_choose_weighted () =
   check_close 0.02 "weight 0.2" 0.2 (float_of_int counts.(1) /. float_of_int n);
   check_close 0.02 "weight 0.7" 0.7 (float_of_int counts.(2) /. float_of_int n)
 
-let test_bernoulli () =
-  let g = Prng.create 29 in
-  let hits = ref 0 in
-  let n = 50_000 in
-  for _ = 1 to n do
-    if Prng.bernoulli g 0.3 then incr hits
-  done;
-  check_close 0.02 "p=0.3" 0.3 (float_of_int !hits /. float_of_int n)
-
 (* ------------------------------------------------------------------ *)
 (* Statistics *)
 
@@ -149,7 +139,9 @@ let test_student_t_quantile () =
 
 let test_summary_interval () =
   let samples = List.init 30 (fun i -> 10.0 +. float_of_int (i mod 5)) in
-  let s = Stats.of_samples ~confidence:0.90 samples in
+  let acc = Stats.accumulator () in
+  List.iter (Stats.add acc) samples;
+  let s = Stats.summarize ~confidence:0.90 acc in
   Alcotest.(check int) "n" 30 s.Stats.n;
   check_close 1e-9 "mean" 12.0 s.Stats.mean;
   Alcotest.(check bool) "positive half width" true (s.Stats.half_width > 0.0);
@@ -161,47 +153,6 @@ let test_relative_error () =
     (Stats.relative_error ~reference:0.0 1.0)
 
 (* ------------------------------------------------------------------ *)
-(* Priority queue *)
-
-let test_pqueue_order () =
-  let q = Pqueue.create () in
-  List.iter (fun (p, v) -> Pqueue.add q p v) [ (3.0, "c"); (1.0, "a"); (2.0, "b") ];
-  Alcotest.(check (option (pair (float 0.0) string))) "peek" (Some (1.0, "a"))
-    (Pqueue.peek q);
-  Alcotest.(check (option (pair (float 0.0) string))) "pop a" (Some (1.0, "a"))
-    (Pqueue.pop q);
-  Alcotest.(check (option (pair (float 0.0) string))) "pop b" (Some (2.0, "b"))
-    (Pqueue.pop q);
-  Alcotest.(check (option (pair (float 0.0) string))) "pop c" (Some (3.0, "c"))
-    (Pqueue.pop q);
-  Alcotest.(check bool) "empty" true (Pqueue.is_empty q)
-
-let test_pqueue_fifo_ties () =
-  let q = Pqueue.create () in
-  List.iter (fun v -> Pqueue.add q 1.0 v) [ "first"; "second"; "third" ];
-  let order = List.map (fun _ -> snd (Option.get (Pqueue.pop q))) [ 1; 2; 3 ] in
-  Alcotest.(check (list string)) "insertion order on ties"
-    [ "first"; "second"; "third" ] order
-
-let test_pqueue_sorted_list () =
-  let q = Pqueue.create () in
-  List.iter (fun p -> Pqueue.add q p ()) [ 5.0; 1.0; 4.0; 2.0; 3.0 ];
-  let prios = List.map fst (Pqueue.to_sorted_list q) in
-  Alcotest.(check (list (float 0.0))) "sorted" [ 1.0; 2.0; 3.0; 4.0; 5.0 ] prios;
-  Alcotest.(check int) "non destructive" 5 (Pqueue.size q)
-
-let prop_pqueue_sorts =
-  QCheck.Test.make ~count:200 ~name:"pqueue pops in sorted order"
-    QCheck.(list (float_bound_exclusive 1000.0))
-    (fun floats ->
-      let q = Pqueue.create () in
-      List.iter (fun p -> Pqueue.add q p p) floats;
-      let rec drain acc =
-        match Pqueue.pop q with None -> List.rev acc | Some (p, _) -> drain (p :: acc)
-      in
-      drain [] = List.sort compare floats)
-
-(* ------------------------------------------------------------------ *)
 (* Linear algebra *)
 
 let test_solve_known_system () =
@@ -210,8 +161,7 @@ let test_solve_known_system () =
   let x = Linalg.solve a b in
   check_close 1e-9 "x0" 2.0 x.(0);
   check_close 1e-9 "x1" 3.0 x.(1);
-  check_close 1e-9 "x2" (-1.0) x.(2);
-  check_close 1e-9 "residual" 0.0 (Linalg.residual_inf a x b)
+  check_close 1e-9 "x2" (-1.0) x.(2)
 
 let test_solve_singular () =
   let a = [| [| 1.0; 2.0 |]; [| 2.0; 4.0 |] |] in
@@ -224,14 +174,6 @@ let test_solve_needs_pivoting () =
   let x = Linalg.solve a [| 3.0; 4.0 |] in
   check_close 1e-12 "x0" 4.0 x.(0);
   check_close 1e-12 "x1" 3.0 x.(1)
-
-let test_transpose_identity () =
-  let a = [| [| 1.0; 2.0 |]; [| 3.0; 4.0 |] |] in
-  let t = Linalg.transpose a in
-  check_float "t01" 3.0 t.(0).(1);
-  let i = Linalg.identity 3 in
-  check_float "diag" 1.0 i.(1).(1);
-  check_float "off diag" 0.0 i.(0).(2)
 
 let test_sparse_vs_dense () =
   (* [[0, 3, 0], [0, 0, 3], [4, 0, 0]] *)
@@ -423,7 +365,7 @@ let test_hash_spreads_singleton_bitsets () =
     (Printf.sprintf "singleton bitsets fill %d of 1024 buckets" n)
     true (n >= 512)
 
-let qtests = [ prop_pqueue_sorts; prop_scc_partitions ]
+let qtests = [ prop_scc_partitions ]
 
 let suite =
   [
@@ -436,20 +378,15 @@ let suite =
     Alcotest.test_case "prng copy" `Quick test_prng_copy;
     Alcotest.test_case "prng pinned stream" `Quick test_prng_pinned_stream;
     Alcotest.test_case "choose_weighted frequencies" `Quick test_choose_weighted;
-    Alcotest.test_case "bernoulli frequency" `Quick test_bernoulli;
     Alcotest.test_case "welford mean/variance" `Quick test_welford_mean_variance;
     Alcotest.test_case "empty accumulator" `Quick test_empty_accumulator;
     Alcotest.test_case "normal quantile" `Quick test_normal_quantile;
     Alcotest.test_case "student t quantile" `Quick test_student_t_quantile;
     Alcotest.test_case "summary interval" `Quick test_summary_interval;
     Alcotest.test_case "relative error" `Quick test_relative_error;
-    Alcotest.test_case "pqueue order" `Quick test_pqueue_order;
-    Alcotest.test_case "pqueue fifo ties" `Quick test_pqueue_fifo_ties;
-    Alcotest.test_case "pqueue sorted list" `Quick test_pqueue_sorted_list;
     Alcotest.test_case "solve known system" `Quick test_solve_known_system;
     Alcotest.test_case "solve singular" `Quick test_solve_singular;
     Alcotest.test_case "solve needs pivoting" `Quick test_solve_needs_pivoting;
-    Alcotest.test_case "transpose/identity" `Quick test_transpose_identity;
     Alcotest.test_case "sparse vs dense" `Quick test_sparse_vs_dense;
     Alcotest.test_case "gauss-seidel stationary" `Quick test_gauss_seidel_stationary;
     Alcotest.test_case "solver cap trips convergence" `Quick test_not_converged;
