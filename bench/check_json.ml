@@ -96,8 +96,10 @@ let () =
                   "lts.build_seconds.j2"; "lts.build_seconds.j4";
                   "ni.check_seconds"; "bisim.refine_seconds.j1";
                   "bisim.refine_seconds.j2"; "bisim.refine_seconds.j4";
-                  (* the trace and branching noninterference checks *)
+                  (* the trace and branching noninterference checks,
+                     and the whole hierarchy as assess runs it *)
                   "ni.branching_seconds"; "ni.trace_seconds";
+                  "ni.hierarchy_seconds";
                   (* the lazy weak sweep (legs checked bit-identical
                      across job counts by the bench itself) *)
                   "bisim.weak_refine_seconds.j1";

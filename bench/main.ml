@@ -312,16 +312,23 @@ let study_timings () =
     let trace_s =
       timed_secure "trace security" (fun () -> NI.trace_secure flts ~high ~low)
     in
+    (* What [Pipeline.assess] runs: the whole hierarchy on one front,
+       finest decision first. *)
+    let hierarchy_s =
+      timed_secure "security at every level" (fun () ->
+          NI.check_hierarchy flts ~high ~low = (NI.Secure, true, true))
+    in
     Printf.eprintf
       "[bench] %-16s lts.build %.3f s, ni.check %.3f s, ni.branching %.3f s, \
-       ni.trace %.3f s, pruned %d states\n%!"
-      name build_s check_s branching_s trace_s pruned;
+       ni.trace %.3f s, ni.hierarchy %.3f s, pruned %d states\n%!"
+      name build_s check_s branching_s trace_s hierarchy_s pruned;
     add_study name
       (build_entries @ refine_entries @ weak_entries
       @ [
           ("ni.check_seconds", check_s);
           ("ni.branching_seconds", branching_s);
           ("ni.trace_seconds", trace_s);
+          ("ni.hierarchy_seconds", hierarchy_s);
           ("ni.states_pruned", float_of_int pruned);
         ])
   in

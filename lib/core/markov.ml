@@ -21,11 +21,24 @@ let evaluate lts ctmc pi measures =
       (Dpma_obs.Clock.now_s () -. t0);
   { states = lts.Lts.num_states; tangible = ctmc.Ctmc.n; values }
 
+(* The CTMC build and solve spans open here, not in [Ctmc]: a family's
+   deduplicated solves ([analyze_ltss_dedup]) open one span per phase,
+   not one per member. *)
 let analyze_lts lts measures =
-  Dpma_obs.Trace.with_span "markov.analyze"
-    ~attrs:[ ("states", Dpma_obs.Trace.Int lts.Lts.num_states) ] (fun () ->
-  let ctmc = Ctmc.of_lts lts in
-  evaluate lts ctmc (Ctmc.steady_state ctmc) measures)
+  let module Trace = Dpma_obs.Trace in
+  Trace.with_span "markov.analyze"
+    ~attrs:[ ("states", Trace.Int lts.Lts.num_states) ] (fun () ->
+  let ctmc =
+    Trace.with_span "ctmc.build"
+      ~attrs:[ ("lts_states", Trace.Int lts.Lts.num_states) ]
+      (fun () -> Ctmc.of_lts lts)
+  in
+  let pi =
+    Trace.with_span "ctmc.solve"
+      ~attrs:[ ("states", Trace.Int ctmc.Ctmc.n) ]
+      (fun () -> Ctmc.steady_state ctmc)
+  in
+  evaluate lts ctmc pi measures)
 
 let analyze_lts_lumped lts measures =
   let partition = Dpma_lts.Bisim.markovian_partition lts in
@@ -112,7 +125,10 @@ let analyze_ltss_dedup ?jobs ltss measures =
         (ctmcs, rep_idx, List.rev !reps))
   in
   let pis =
-    Array.of_list (Dpma_util.Pool.parallel_map ?jobs Ctmc.steady_state reps)
+    Trace.with_span "markov.dedup.solve"
+      ~attrs:[ ("solves", Trace.Int (List.length reps)) ]
+      (fun () ->
+        Array.of_list (Dpma_util.Pool.parallel_map ?jobs Ctmc.steady_state reps))
   in
   let results =
     Trace.with_span "markov.dedup.evaluate" (fun () ->

@@ -21,6 +21,9 @@ val analyze :
   analysis
 
 val analyze_lts : Dpma_lts.Lts.t -> Dpma_measures.Measure.t list -> analysis
+(** Builds the CTMC, solves its steady state and evaluates [measures],
+    under a [markov.analyze] span with [ctmc.build] and [ctmc.solve]
+    children ({!Dpma_ctmc.Ctmc} opens no span itself). *)
 
 val family_ltss :
   ?max_states:int -> ?jobs:int -> Dpma_pa.Term.spec array -> Dpma_lts.Lts.t array
@@ -68,10 +71,10 @@ val analyze_ltss_dedup :
     CTMC builds and solves are dealt to the domain pool; the results do
     not depend on [jobs]. Records [family.distinct_quotients] /
     [family.solves_shared]. Traced as a [markov.dedup] span whose
-    children are [markov.dedup.key] (CTMC builds and keying) and
-    [markov.dedup.evaluate] (measures), with the [ctmc.solve] spans of
-    the distinct solves between them. Raises [Invalid_argument] on an
-    empty family. *)
+    children are [markov.dedup.key] (CTMC builds and keying),
+    [markov.dedup.solve] (the distinct solves) and
+    [markov.dedup.evaluate] (measures), one span per phase and none per
+    member. Raises [Invalid_argument] on an empty family. *)
 
 val without_dpm : Dpma_lts.Lts.t -> high:string list -> Dpma_lts.Lts.t
 (** Restrict the DPM command actions. *)

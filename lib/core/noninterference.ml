@@ -35,13 +35,17 @@ let branching_secure ?jobs lts ~high ~low =
 let trace_secure ?jobs lts ~high ~low =
   Bisim.trace_front_secure ?jobs (front ?jobs lts ~high ~low)
 
-(* The decisions run in sequence — weak, trace, branching — as the three
-   separate calls did; a tuple would evaluate them right to left. *)
+(* Finest first: branching ⊆ weak ⊆ weak-trace, so a branching-secure
+   front answers all three, and a weakly secure one answers the trace
+   question. Each decision runs only when the finer ones failed. *)
 let check_hierarchy ?jobs lts ~high ~low =
   let front = front ?jobs lts ~high ~low in
-  let verdict = front_verdict ?jobs front in
-  let trace = Bisim.trace_front_secure ?jobs front in
-  (verdict, trace, Bisim.branching_front_secure ?jobs front)
+  if Bisim.branching_front_secure ?jobs front then (Secure, true, true)
+  else
+    match front_verdict ?jobs front with
+    | Secure -> (Secure, true, false)
+    | Insecure _ as verdict ->
+        (verdict, Bisim.trace_front_secure ?jobs front, false)
 
 (* The hide/restrict traversals query the classifier once per transition;
    a membership list scanned per query is quadratic in practice. Build

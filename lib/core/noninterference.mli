@@ -74,9 +74,15 @@ val check_hierarchy :
   low:(string -> bool) ->
   verdict * bool * bool
 (** [(verdict, trace_secure, branching_secure)] — the results of
-    {!check_lts}, {!trace_secure} and {!branching_secure} — from one
-    observed pair and one {!front}, so the pruning and pre-reduction run
-    once for all three checks. *)
+    {!check_lts}, {!trace_secure} and {!branching_secure}, formula text
+    included — from one observed pair and one {!front}, so the pruning
+    and pre-reduction run once. The decisions run finest first, since
+    branching bisimilarity implies weak bisimilarity, which implies
+    weak-trace equivalence: the branching decision first, and if it is
+    secure the result is [(Secure, true, true)]; otherwise the weak
+    decision, and if it is secure the result is [(Secure, true, false)];
+    otherwise the trace decision as well. A model secure at every level
+    costs one product decision, the simplified rpc all three. *)
 
 val pp_verdict : Format.formatter -> verdict -> unit
 

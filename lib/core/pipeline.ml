@@ -30,7 +30,7 @@ let assess ?(sim_params = General.default_sim_params) ?max_states ?jobs study =
     Option.value ~default:study.spec study.functional_spec
   in
   (* The functional LTS is built once and its observed pair reduced once
-     for the three checks; when the study has no separate functional
+     for the whole hierarchy; when the study has no separate functional
      model it is also the LTS the later phases analyze. *)
   let functional_lts, (verdict, trace_secure, branching_secure) =
     span "pipeline.functional" (fun () ->

@@ -96,8 +96,6 @@ let add sc k x =
   end
 
 let of_lts (lts : Lts.t) =
-  Obs.Trace.with_span "ctmc.build"
-    ~attrs:[ ("lts_states", Obs.Trace.Int lts.num_states) ] (fun () ->
   let n0 = lts.num_states in
   (* Classify states and validate rates. *)
   let vanishing = Array.make n0 false in
@@ -341,7 +339,7 @@ let of_lts (lts : Lts.t) =
     enabled_row;
     enabled_lab = Buf.contents enabled_lab;
     exit_rate;
-  })
+  }
 
 let uniformization_rate c =
   1.1 *. Float.max (Array.fold_left Float.max 0.0 c.exit_rate) 1e-9
@@ -521,7 +519,9 @@ let solve_bscc c local states =
    jump chain, solved component by component in Tarjan's emission order
    (every transition leads to an earlier component), so each transient
    component only reads finished values outside itself: a singleton is
-   one direct evaluation, a nontrivial SCC iterates locally. *)
+   one direct evaluation, a nontrivial SCC of at most [dense_threshold]
+   states one dense solve of (I - P_CC) h_C = P_C,out h_out with a
+   right-hand side per BSCC, a larger one iterates locally. *)
 let absorption_weights c (comps : Scc.components) reach bottoms =
   let nb = Array.length bottoms in
   let bottom_of = Array.make (Scc.count comps) (-1) in
@@ -557,12 +557,79 @@ let absorption_weights c (comps : Scc.components) reach bottoms =
     done;
     !delta
   in
+  (* Rows of h for the members of one SCC at once, by Gaussian
+     elimination without subtractions (Grassmann–Taksar–Heyman): with
+     [p.(i).(j)] the jump probability from member i to member j and
+     [out.(i)] the probability of leaving the SCC from i, each pivot's
+     diagonal is recomputed as its escape mass plus its remaining
+     off-diagonal mass, so absorption probabilities many orders of
+     magnitude below 1 keep their relative accuracy. [local] maps global
+     to local indices (-1 outside) and is left as found. *)
+  let local = Array.make c.n (-1) in
+  let solve_dense states =
+    let k = Array.length states in
+    Array.iteri (fun i s -> local.(s) <- i) states;
+    let p = Array.make_matrix k k 0.0 and out = Array.make k 0.0 in
+    let rhs = Array.make_matrix k nb 0.0 in
+    Array.iteri
+      (fun i s ->
+        let exit = c.exit_rate.(s) in
+        for e = c.row.(s) to c.row.(s + 1) - 1 do
+          let t = c.dst.(e) in
+          if t <> s && c.rate.(e) > 0.0 then begin
+            let q = c.rate.(e) /. exit in
+            let j = local.(t) in
+            if j >= 0 then p.(i).(j) <- p.(i).(j) +. q
+            else begin
+              out.(i) <- out.(i) +. q;
+              for b = 0 to nb - 1 do
+                rhs.(i).(b) <- rhs.(i).(b) +. (q *. value t b)
+              done
+            end
+          end
+        done)
+      states;
+    let diag = Array.make k 0.0 in
+    for v = 0 to k - 1 do
+      let pv = p.(v) in
+      let d = ref out.(v) in
+      for j = v + 1 to k - 1 do
+        d := !d +. pv.(j)
+      done;
+      diag.(v) <- !d;
+      for i = v + 1 to k - 1 do
+        let pi = p.(i) in
+        let f = pi.(v) /. !d in
+        if f > 0.0 then begin
+          for j = v + 1 to k - 1 do
+            if j <> i then pi.(j) <- pi.(j) +. (f *. pv.(j))
+          done;
+          out.(i) <- out.(i) +. (f *. out.(v));
+          for b = 0 to nb - 1 do
+            rhs.(i).(b) <- rhs.(i).(b) +. (f *. rhs.(v).(b))
+          done
+        end
+      done
+    done;
+    for v = k - 1 downto 0 do
+      let row = slot.(states.(v)) * nb in
+      for b = 0 to nb - 1 do
+        let x = ref rhs.(v).(b) in
+        for j = v + 1 to k - 1 do
+          x := !x +. (p.(v).(j) *. h.((slot.(states.(j)) * nb) + b))
+        done;
+        h.(row + b) <- !x /. diag.(v)
+      done;
+      local.(states.(v)) <- -1
+    done
+  in
   let sweeps = ref 0 in
   for ci = 0 to Scc.count comps - 1 do
     let first = comps.members.(comps.comp_row.(ci)) in
     if slot.(first) >= 0 then
-      if comps.comp_row.(ci + 1) - comps.comp_row.(ci) = 1 then
-        ignore (update first : float)
+      let size = comps.comp_row.(ci + 1) - comps.comp_row.(ci) in
+      if size = 1 then ignore (update first : float)
+      else if size <= dense_threshold then solve_dense (comp_members comps ci)
       else begin
         let states = comp_members comps ci in
         Array.sort Int.compare states;
@@ -595,8 +662,6 @@ let absorption_weights c (comps : Scc.components) reach bottoms =
   Array.map (fun w -> w /. total) weights
 
 let steady_state c =
-  Obs.Trace.with_span "ctmc.solve"
-    ~attrs:[ ("states", Obs.Trace.Int c.n) ] (fun () ->
   Obs.Metrics.incr Obs.Instruments.ctmc_solves;
   let row, dst = successor_graph c in
   let comps = Scc.tarjan_csr ~row ~dst c.n in
@@ -625,7 +690,7 @@ let steady_state c =
           states
       end)
     bottoms;
-  pi)
+  pi
 
 (* --- Transient analysis --------------------------------------------- *)
 

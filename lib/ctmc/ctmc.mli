@@ -63,10 +63,12 @@ val steady_state : t -> float array
     Only the states reachable from the initial distribution take part.
     Their BSCCs (Tarjan) are weighted by absorption probabilities,
     computed component by component in reverse topological order
-    (singleton components directly, nontrivial ones by local sweeps to a
-    1e-14 change). Inside each BSCC the balance equations are solved
-    densely (Gaussian elimination) up to {!dense_threshold} states and by
-    Gauss–Seidel (to a 1e-12 L1 change) above. Polls the ambient
+    (singleton components directly, nontrivial ones of up to
+    {!dense_threshold} states by one subtraction-free elimination,
+    larger ones by local sweeps to a 1e-14 change). Inside each BSCC the
+    balance equations are solved densely (Gaussian elimination) up to
+    {!dense_threshold} states and by Gauss–Seidel (to a 1e-12 L1 change)
+    above. Polls the ambient
     {!Dpma_util.Guard} (phase ["ctmc.solve"]) before every sweep; a loop
     that hits its cap raises [Dpma_util.Guard.Resource_exceeded] with a
     convergence trip of the same phase (["ctmc.passage"] for the

@@ -237,57 +237,59 @@ type layout = {
 
 type compiled = { estimand_list : Sim.estimand list; layouts : layout list }
 
+(* Tabulate the state reward once per state up front: the simulator
+   evaluates this on every integration step, and scanning the clause list
+   (with an edge scan per clause) per step dominated long runs. Each
+   clause's label is resolved once; tau and names no model uses resolve
+   to -1, which no edge carries. *)
+let state_estimand lts cs =
+  let labels =
+    List.map
+      (fun c ->
+        match Dpma_pa.Label.find c.action with
+        | Some l when not (Lts.is_tau l) -> l
+        | Some _ | None -> -1)
+      cs
+  in
+  let reward =
+    Array.init lts.Lts.num_states (fun s ->
+        List.fold_left2
+          (fun acc c l -> if Lts.enables_label lts s l then acc +. c.reward else acc)
+          0.0 cs labels)
+  in
+  Sim.Time_average (Array.get reward)
+
+let rate_estimand cs =
+  Sim.Rate_of
+    (fun a ->
+      List.fold_left
+        (fun acc c -> if String.equal c.action a then acc +. c.reward else acc)
+        0.0 cs)
+
 let compile_sim lts measures =
-  let estimands = ref [] in
-  let count = ref 0 in
-  let push e =
-    estimands := e :: !estimands;
-    let slot = !count in
-    incr count;
-    slot
+  (* Equal clause lists share one estimand: a quotient measure whose sides
+     repeat other measures (rpc's energy per request) integrates and
+     counts nothing twice. *)
+  let estimands = ref [] and slots = ref [] in
+  let slot_of cs make =
+    match List.assoc_opt cs !slots with
+    | Some slot -> slot
+    | None ->
+        let slot = List.length !slots in
+        estimands := make cs :: !estimands;
+        slots := (cs, slot) :: !slots;
+        slot
   in
   let compile_side clauses =
-    let state_clauses = List.filter (fun c -> c.kind = State_reward) clauses in
-    let trans_clauses = List.filter (fun c -> c.kind = Trans_reward) clauses in
-    let state_slot =
-      match state_clauses with
+    let side kind make =
+      match List.filter (fun c -> c.kind = kind) clauses with
       | [] -> None
-      | cs ->
-          (* Tabulate the state reward once per state up front: the simulator
-             evaluates this on every integration step, and scanning the
-             clause list (with an edge scan per clause) per step dominated
-             long runs. Each clause's label is resolved once; tau and names
-             no model uses resolve to -1, which no edge carries. *)
-          let labels =
-            List.map
-              (fun c ->
-                match Dpma_pa.Label.find c.action with
-                | Some l when not (Lts.is_tau l) -> l
-                | Some _ | None -> -1)
-              cs
-          in
-          let reward =
-            Array.init lts.Lts.num_states (fun s ->
-                List.fold_left2
-                  (fun acc c l ->
-                    if Lts.enables_label lts s l then acc +. c.reward else acc)
-                  0.0 cs labels)
-          in
-          Some (push (Sim.Time_average (Array.get reward)))
+      | cs -> Some (slot_of cs make)
     in
-    let trans_slot =
-      match trans_clauses with
-      | [] -> None
-      | cs ->
-          let reward_of_action a =
-            List.fold_left
-              (fun acc c ->
-                if String.equal c.action a then acc +. c.reward else acc)
-              0.0 cs
-          in
-          Some (push (Sim.Rate_of reward_of_action))
-    in
-    { state_slot; trans_slot }
+    {
+      state_slot = side State_reward (state_estimand lts);
+      trans_slot = side Trans_reward rate_estimand;
+    }
   in
   let layouts =
     List.map

@@ -70,7 +70,8 @@ type compiled
 (** Measures compiled for the simulator: a list of {!Dpma_sim.Sim.estimand}
     plus the layout mapping estimands back to measures (a measure mixing
     state and transition clauses compiles to two estimands whose summaries
-    are summed). *)
+    are summed). Equal clause lists share one estimand, across measures
+    and across the two sides of a quotient. *)
 
 val compile_sim : Dpma_lts.Lts.t -> t list -> compiled
 

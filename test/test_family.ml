@@ -551,41 +551,66 @@ let test_grid_sampled_identity () =
 
 (* A traced family run opens one span per phase, not one per member: the
    tracer's root count (capped at 10,000) stays at the phase count
-   whatever the family size. *)
+   whatever the family size, and no pool worker opens a span of its own
+   (it would be a root). *)
 let test_family_trace_roots () =
   let module Trace = Dpma_obs.Trace in
-  Trace.reset ();
-  Trace.set_enabled true;
-  Fun.protect
-    ~finally:(fun () ->
-      Trace.set_enabled false;
-      Trace.reset ())
-    (fun () ->
-      let fam =
-        Elaborate.elaborate_family (Parser.parse (grid_aem ~t_max:4 ~a_max:8))
-      in
-      let specs = Array.map (fun m -> m.Elaborate.spec) fam.Elaborate.members in
-      let flts, _ = Flts.build_family ~jobs:1 specs in
-      let ltss = Flts.project_all ~jobs:1 flts in
-      ignore
-        (Markov.analyze_ltss_dedup ~jobs:1 ltss (Measure.parse grid_measures_src));
-      let roots = Trace.roots () in
-      Alcotest.(check (list string))
-        "one root per phase"
-        [ "adl.parse"; "adl.elaborate"; "family.build"; "family.project";
-          "markov.dedup" ]
-        (List.map (fun sp -> sp.Trace.name) roots);
-      List.iter
-        (fun sp ->
-          if List.mem sp.Trace.name [ "adl.elaborate"; "family.project" ] then begin
-            Alcotest.(check bool)
-              (sp.Trace.name ^ " members") true
-              (List.assoc_opt "members" sp.Trace.attrs = Some (Trace.Int 64));
-            Alcotest.(check int) (sp.Trace.name ^ " has no per-member children")
-              0 (List.length sp.Trace.children)
-          end)
-        roots;
-      Alcotest.(check int) "nothing dropped" 0 (Trace.dropped ()))
+  let names spans = List.map (fun sp -> sp.Trace.name) spans in
+  List.iter
+    (fun jobs ->
+      Trace.reset ();
+      Trace.set_enabled true;
+      Fun.protect
+        ~finally:(fun () ->
+          Trace.set_enabled false;
+          Trace.reset ())
+        (fun () ->
+          let fam =
+            Elaborate.elaborate_family
+              (Parser.parse (grid_aem ~t_max:4 ~a_max:8))
+          in
+          let specs =
+            Array.map (fun m -> m.Elaborate.spec) fam.Elaborate.members
+          in
+          let flts, _ = Flts.build_family ~jobs specs in
+          let ltss = Flts.project_all ~jobs flts in
+          let _, stats =
+            Markov.analyze_ltss_dedup ~jobs ltss (Measure.parse grid_measures_src)
+          in
+          let roots = Trace.roots () in
+          let tag = Printf.sprintf "jobs %d: " jobs in
+          Alcotest.(check (list string))
+            (tag ^ "one root per phase")
+            [ "adl.parse"; "adl.elaborate"; "family.build"; "family.project";
+              "markov.dedup" ]
+            (names roots);
+          List.iter
+            (fun sp ->
+              if List.mem sp.Trace.name [ "adl.elaborate"; "family.project" ] then begin
+                Alcotest.(check bool)
+                  (tag ^ sp.Trace.name ^ " members") true
+                  (List.assoc_opt "members" sp.Trace.attrs = Some (Trace.Int 64));
+                Alcotest.(check int)
+                  (tag ^ sp.Trace.name ^ " has no per-member children")
+                  0 (List.length sp.Trace.children)
+              end)
+            roots;
+          let dedup = List.nth roots 4 in
+          Alcotest.(check (list string))
+            (tag ^ "one child per dedup phase")
+            [ "markov.dedup.key"; "markov.dedup.solve"; "markov.dedup.evaluate" ]
+            (names dedup.Trace.children);
+          List.iter
+            (fun sp ->
+              Alcotest.(check int)
+                (tag ^ sp.Trace.name ^ " has no per-member children")
+                0 (List.length sp.Trace.children))
+            dedup.Trace.children;
+          Alcotest.(check bool) (tag ^ "solves") true
+            (List.assoc_opt "solves" (List.nth dedup.Trace.children 1).Trace.attrs
+            = Some (Trace.Int stats.Markov.distinct_quotients));
+          Alcotest.(check int) (tag ^ "nothing dropped") 0 (Trace.dropped ())))
+    [ 1; 2 ]
 
 let test_grid_every_member_identity () =
   (* Every member of a 64-member grid, not a sample: the projection keeps

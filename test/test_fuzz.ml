@@ -206,38 +206,61 @@ let prop_trace_consistent_with_weak_on_models =
         Bisim.trace_equivalent hidden hidden
         && Bisim.weak_equivalent hidden hidden)
 
+(* Random rings of at most 400 states, with a random high / low /
+   internal split of their actions: each action is high with probability
+   1/[sides], low with probability 1/[sides]. *)
+let arb_split_ring = QCheck.(pair arb_archi small_nat)
+
+let split_ring ~sides (archi, seed) =
+  let lts = Lts.of_spec (Elaborate.elaborate archi).Elaborate.spec in
+  if lts.Lts.num_states > 400 then QCheck.assume_fail ()
+  else
+    let rng = Random.State.make [| seed |] in
+    let high, low =
+      List.fold_left
+        (fun (high, low) l ->
+          if l = Lts.tau then (high, low)
+          else
+            let a = Lts.label_name l in
+            match Random.State.int rng sides with
+            | 0 -> (a :: high, low)
+            | 1 -> (high, a :: low)
+            | _ -> (high, low))
+        ([], []) (Lts.labels lts)
+    in
+    let module NI = Dpma_core.Noninterference in
+    (lts, NI.mem_of high, NI.mem_of low)
+
 (* The one-front hierarchy ([Noninterference.check_hierarchy]) equals the
-   three separate checks — verdict, formula text, both booleans and the
-   ni.product.* counter deltas — on random rings with a random
+   three separate checks — verdict, formula text, both booleans — and
+   moves the ni.product.* counters as the separate calls of the decisions
+   its finest-first order runs do, on random rings with a random
    high / low / internal split of their actions. *)
 let prop_shared_front_matches_separate_checks =
   QCheck.Test.make ~count:25
     ~name:"fuzz: shared noninterference front = three separate checks"
-    QCheck.(pair arb_archi small_nat)
-    (fun (archi, seed) ->
-      let el = Elaborate.elaborate archi in
-      let lts = Lts.of_spec el.Elaborate.spec in
-      if lts.Lts.num_states > 400 then QCheck.assume_fail ()
-      else
-        let rng = Random.State.make [| seed |] in
-        let high, low =
-          List.fold_left
-            (fun (high, low) l ->
-              if l = Lts.tau then (high, low)
-              else
-                let a = Lts.label_name l in
-                match Random.State.int rng 3 with
-                | 0 -> (a :: high, low)
-                | 1 -> (high, a :: low)
-                | _ -> (high, low))
-            ([], []) (Lts.labels lts)
-        in
-        let module NI = Dpma_core.Noninterference in
-        let same, _, _ =
-          Test_noninterference.shared_front_matches_separate_calls lts
-            ~high:(NI.mem_of high) ~low:(NI.mem_of low)
-        in
-        same)
+    arb_split_ring
+    (fun input ->
+      let lts, high, low = split_ring ~sides:3 input in
+      let same, _, _ =
+        Test_noninterference.shared_front_matches_separate_calls lts ~high ~low
+      in
+      same)
+
+(* The separate checks obey the hierarchy the finest-first order relies
+   on: branching-secure implies weakly secure implies trace-secure. Splits
+   with more internal actions (up to two thirds) are secure more often
+   and sometimes trace-secure only. *)
+let prop_hierarchy_lattice =
+  QCheck.Test.make ~count:25
+    ~name:"fuzz: branching => weak => trace security"
+    arb_split_ring
+    (fun ((_, seed) as input) ->
+      let lts, high, low = split_ring ~sides:(3 + (seed mod 4)) input in
+      let module NI = Dpma_core.Noninterference in
+      let weak = NI.check_lts ~jobs:1 lts ~high ~low = NI.Secure in
+      ((not (NI.branching_secure ~jobs:1 lts ~high ~low)) || weak)
+      && ((not weak) || NI.trace_secure ~jobs:1 lts ~high ~low))
 
 (* Feature families over random rings: one or two small-domain features
    [f0] (and [f1]), read by an extra branch of one station,
@@ -422,6 +445,7 @@ let qtests =
     prop_shared_front_matches_separate_checks;
     prop_family_members_match_own_builds;
     prop_lumped_matches_plain;
+    prop_hierarchy_lattice;
   ]
 
 let suite = List.map (QCheck_alcotest.to_alcotest ~long:false) qtests

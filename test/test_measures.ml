@@ -109,6 +109,42 @@ let test_compile_sim_mixed_measure () =
       check_close 0.02 "pure estimate" 0.75 p.Dpma_util.Stats.mean
   | _ -> Alcotest.fail "unexpected layout"
 
+(* examples/specs/rpc.measures adds to rpc's three measures an energy per
+   request that divides energy's state reward by throughput's impulse
+   reward: its five clause lists are three distinct ones, so the
+   simulator integrates three estimands and the quotient reads the shared
+   summaries. *)
+let test_compile_sim_shares_estimands () =
+  let study = Dpma_models.Rpc.study Dpma_models.Rpc.default_params in
+  let lts = Lts.of_spec study.Dpma_core.Pipeline.spec in
+  let measures =
+    Measure.parse
+      (Dpma_models.Rpc.measures_source
+      ^ {|MEASURE energy_per_request IS
+            ENABLED(S.monitor_idle_server)    -> STATE_REWARD(2)
+            ENABLED(S.monitor_busy_server)    -> STATE_REWARD(3)
+            ENABLED(S.monitor_awaking_server) -> STATE_REWARD(2)
+            DIVIDED_BY
+            ENABLED(C.process_result_packet)  -> TRANS_REWARD(1);|})
+  in
+  Alcotest.(check (list string)) "rpc measures"
+    [ "throughput"; "waiting"; "energy"; "energy_per_request" ]
+    (List.map (fun m -> m.Measure.name) measures);
+  let compiled = Measure.compile_sim lts measures in
+  Alcotest.(check int) "three estimands" 3
+    (List.length (Measure.estimands compiled));
+  let summaries =
+    Sim.replicate ~lts ~duration:2_000.0
+      ~estimands:(Measure.estimands compiled)
+      ~runs:3 ~seed:33 ()
+  in
+  match Measure.values compiled summaries with
+  | [ (_, throughput); _; (_, energy); (_, per_request) ] ->
+      check_close 1e-12 "energy / throughput"
+        (energy.Dpma_util.Stats.mean /. throughput.Dpma_util.Stats.mean)
+        per_request.Dpma_util.Stats.mean
+  | _ -> Alcotest.fail "unexpected layout"
+
 let test_sim_agrees_with_ctmc_on_measures () =
   let lts = Lazy.force toy_lts in
   let c = Ctmc.of_lts lts in
@@ -135,6 +171,8 @@ let suite =
     Alcotest.test_case "eval against CTMC" `Quick test_eval_ctmc;
     Alcotest.test_case "compile mixed measure" `Quick test_compile_sim_mixed_measure;
     Alcotest.test_case "sim agrees with CTMC" `Quick test_sim_agrees_with_ctmc_on_measures;
+    Alcotest.test_case "equal clause lists share an estimand" `Quick
+      test_compile_sim_shares_estimands;
   ]
 
 (* ------------------------------------------------------------------ *)

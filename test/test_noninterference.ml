@@ -473,41 +473,54 @@ let test_branching_refines_reduced_union () =
     branching
 
 (* One front for the whole hierarchy: [check_hierarchy] reduces the
-   observed pair once and runs the weak, trace and branching decisions on
-   it. It must report exactly what the three separate calls report — the
-   verdict, the formula text, both booleans — and move the ni.product.*
-   counters by the same amounts (each decision records the front's pruned
-   count). Exposed for the fuzz property in test_fuzz.ml. *)
+   observed pair once and decides it finest first — branching, then weak
+   only when branching fails, then trace only when weak fails. It must
+   report exactly what the three separate calls report — the verdict, the
+   formula text, both booleans — and move the ni.product.* counters by
+   what the separate calls of the decisions it runs move them (each
+   decision records the front's pruned count). Exposed for the fuzz
+   property in test_fuzz.ml. *)
 let product_counters () =
   List.map Metrics.count
     Instruments.
       [ ni_product_pruned; ni_product_rounds; ni_product_secure_exits;
         ni_product_insecure_exits ]
 
-let hierarchy_outcome run =
+let with_deltas run =
   let before = product_counters () in
-  let verdict, trace, branching = run () in
-  let verdict =
-    match verdict with
-    | NI.Secure -> "SECURE"
-    | NI.Insecure f -> Hml.to_string ~weak:true f
-  in
-  (verdict, trace, branching, List.map2 ( - ) (product_counters ()) before)
+  let result = run () in
+  (result, List.map2 ( - ) (product_counters ()) before)
+
+let verdict_text = function
+  | NI.Secure -> "SECURE"
+  | NI.Insecure f -> Hml.to_string ~weak:true f
 
 let shared_front_matches_separate_calls lts ~high ~low =
+  let verdict, weak_d = with_deltas (fun () -> NI.check_lts ~jobs:1 lts ~high ~low) in
+  let trace, trace_d = with_deltas (fun () -> NI.trace_secure ~jobs:1 lts ~high ~low) in
+  let branching, branching_d =
+    with_deltas (fun () -> NI.branching_secure ~jobs:1 lts ~high ~low)
+  in
+  let ran =
+    if branching then [ branching_d ]
+    else if verdict = NI.Secure then [ branching_d; weak_d ]
+    else [ branching_d; weak_d; trace_d ]
+  in
   let separate =
-    hierarchy_outcome (fun () ->
-        ( NI.check_lts ~jobs:1 lts ~high ~low,
-          NI.trace_secure ~jobs:1 lts ~high ~low,
-          NI.branching_secure ~jobs:1 lts ~high ~low ))
+    ( verdict_text verdict,
+      trace,
+      branching,
+      List.fold_left (List.map2 ( + )) [ 0; 0; 0; 0 ] ran )
   in
-  let shared =
-    hierarchy_outcome (fun () -> NI.check_hierarchy ~jobs:1 lts ~high ~low)
+  let (verdict', trace', branching'), deltas' =
+    with_deltas (fun () -> NI.check_hierarchy ~jobs:1 lts ~high ~low)
   in
+  let shared = (verdict_text verdict', trace', branching', deltas') in
   (separate = shared, separate, shared)
 
-let check_shared_front spec ~high ~low ~expected =
-  let lts = Lts.of_spec spec in
+(* [decisions]: the product decisions the finest-first order runs, read
+   off the secure and insecure exit counters. *)
+let check_shared_front_lts lts ~high ~low ~expected ~decisions =
   let same, (verdict, trace, branching, deltas), (verdict', _, _, deltas') =
     shared_front_matches_separate_calls lts ~high:(NI.mem_of high)
       ~low:(NI.mem_of low)
@@ -517,46 +530,85 @@ let check_shared_front spec ~high ~low ~expected =
   Alcotest.(check bool) "same outcome" true same;
   Alcotest.(check (triple bool bool bool))
     "weak, trace, branching" expected
-    (verdict = "SECURE", trace, branching)
+    (verdict = "SECURE", trace, branching);
+  match deltas' with
+  | [ _; _; secure; insecure ] ->
+      Alcotest.(check int) "decisions run" decisions (secure + insecure)
+  | _ -> assert false
+
+let check_shared_front spec = check_shared_front_lts (Lts.of_spec spec)
 
 let test_shared_front_simplified_rpc () =
   check_shared_front (Lazy.force simplified_spec) ~high:Rpc.high_actions
-    ~low:Rpc.low_actions_simplified ~expected:(false, true, false)
+    ~low:Rpc.low_actions_simplified ~expected:(false, true, false) ~decisions:3
 
 let test_shared_front_revised_rpc () =
   check_shared_front
     (Rpc.elaborate ~mode:Rpc.Markovian ~monitors:false Rpc.default_params)
       .Elaborate.spec
     ~high:Rpc.high_actions ~low:Rpc.low_actions ~expected:(true, true, true)
+    ~decisions:1
 
 let test_shared_front_streaming () =
   check_shared_front (Lazy.force small_streaming_spec)
     ~high:Streaming.high_actions ~low:Streaming.low_actions
-    ~expected:(true, true, true)
+    ~expected:(true, true, true) ~decisions:1
+
+(* Weakly secure but branching-insecure (Milner's third tau law, unrooted:
+   tau.b + c + b is weakly but not branching bisimilar to tau.b + c). With
+   the DPM hidden, P reaches Q silently; Q offers b both directly and
+   after the internal step, P only after it. With the DPM removed, Q is
+   unreachable. The weak decision runs after the failed branching one and
+   answers the trace question too. *)
+let weak_not_branching_lts () =
+  let nil = Term.stop in
+  let defs =
+    [
+      ( "P",
+        Term.choice
+          [ pre "c" nil; pre "i" (Term.call "B"); pre "h" (Term.call "Q") ] );
+      ("Q", Term.choice [ pre "i" (Term.call "B"); pre "c" nil; pre "b" nil ]);
+      ("B", pre "b" nil);
+    ]
+  in
+  Lts.of_spec (Term.spec ~defs ~init:(Term.call "P"))
+
+let test_shared_front_weak_not_branching () =
+  check_shared_front_lts (weak_not_branching_lts ()) ~high:[ "h" ]
+    ~low:[ "b"; "c" ] ~expected:(true, true, false) ~decisions:2
 
 (* The shared front's spans: one "bisim.front" (pruning and both
-   pre-reductions) and then one "bisim.product" per decision, the
-   decisions refining nothing but their own union. *)
-let test_shared_front_spans () =
-  let spec = Lazy.force small_streaming_spec in
+   pre-reductions) and then one "bisim.product" per decision run, each
+   refining nothing but its own union. A branching-secure model needs
+   one decision; the simplified rpc, insecure at the two finer levels,
+   needs all three. *)
+let product_spans_of_hierarchy spec ~high ~low =
   let lts = Lts.of_spec spec in
   with_tracing (fun () ->
       ignore
-        (NI.check_hierarchy ~jobs:1 lts
-           ~high:(NI.mem_of Streaming.high_actions)
-           ~low:(NI.mem_of Streaming.low_actions));
+        (NI.check_hierarchy ~jobs:1 lts ~high:(NI.mem_of high)
+           ~low:(NI.mem_of low));
       Alcotest.(check int) "one front" 1 (count_spans "bisim.front");
-      Alcotest.(check int) "three decisions" 3 (count_spans "bisim.product");
-      match refine_states_under_products () with
-      | [ [ weak ]; [ _trace ]; [ branching ] ] ->
-          Alcotest.(check int) "weak and branching refine one union" weak
-            branching
-      | l ->
-          Alcotest.failf "expected one refinement per decision, got %s"
-            (String.concat "; "
-               (List.map
-                  (fun r -> String.concat "," (List.map string_of_int r))
-                  l)))
+      (count_spans "bisim.product", refine_states_under_products ()))
+
+let test_shared_front_spans () =
+  let show l =
+    String.concat "; "
+      (List.map (fun r -> String.concat "," (List.map string_of_int r)) l)
+  in
+  (match
+     product_spans_of_hierarchy (Lazy.force small_streaming_spec)
+       ~high:Streaming.high_actions ~low:Streaming.low_actions
+   with
+  | 1, [ [ _branching ] ] -> ()
+  | n, l -> Alcotest.failf "streaming: %d decisions, refinements %s" n (show l));
+  match
+    product_spans_of_hierarchy (Lazy.force simplified_spec)
+      ~high:Rpc.high_actions ~low:Rpc.low_actions_simplified
+  with
+  | 3, [ [ branching ]; [ weak ]; [ _trace ] ] ->
+      Alcotest.(check int) "weak and branching refine one union" branching weak
+  | n, l -> Alcotest.failf "simplified rpc: %d decisions, refinements %s" n (show l)
 
 let product_suite =
   [
@@ -566,6 +618,8 @@ let product_suite =
       test_shared_front_revised_rpc;
     Alcotest.test_case "shared front: streaming" `Quick
       test_shared_front_streaming;
+    Alcotest.test_case "shared front: weak but not branching" `Quick
+      test_shared_front_weak_not_branching;
     Alcotest.test_case "shared front spans" `Quick test_shared_front_spans;
     Alcotest.test_case "differential: simplified rpc" `Quick
       test_differential_simplified_rpc;
