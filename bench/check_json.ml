@@ -76,152 +76,91 @@ let () =
   (match Json.member "figures_wall_clock_s" doc with
   | Some (Json.Obj _) -> ()
   | _ -> fail "missing \"figures_wall_clock_s\" object");
-  (* Tiny runs time the two paper studies through the compiled core; both
-     phases must be present and positive for both studies. *)
-  (match Json.member "study_seconds" doc with
-  | Some (Json.Obj _ as studies) ->
-      List.iter
-        (fun study ->
-          match Json.member study studies with
-          | Some (Json.Obj _ as entry) ->
-              List.iter
-                (fun phase ->
-                  match Json.member phase entry with
-                  | Some (Json.Num v) when v > 0.0 -> ()
-                  | Some j ->
-                      fail "study_seconds.%s.%s should be positive, got %s"
-                        study phase (Json.to_string j)
-                  | None -> fail "study_seconds.%s misses %s" study phase)
-                [ "lts.build_seconds"; "lts.build_seconds.j1";
-                  "lts.build_seconds.j2"; "lts.build_seconds.j4";
-                  "ni.check_seconds"; "bisim.refine_seconds.j1";
-                  "bisim.refine_seconds.j2"; "bisim.refine_seconds.j4";
-                  (* the trace and branching noninterference checks,
-                     and the whole hierarchy as assess runs it *)
-                  "ni.branching_seconds"; "ni.trace_seconds";
-                  "ni.hierarchy_seconds";
-                  (* the lazy weak sweep (legs checked bit-identical
-                     across job counts by the bench itself) *)
-                  "bisim.weak_refine_seconds.j1";
-                  "bisim.weak_refine_seconds.j2";
-                  "bisim.weak_refine_seconds.j4" ]
-          | _ -> fail "study_seconds misses study %s" study)
-        [ "rpc"; "streaming" ];
-      (* The N-station scaling model: built at 1/2/4 jobs through the
-         segment store, reporting its size and peak segment memory. *)
-      (match Json.member "streaming_scaled" studies with
-      | Some (Json.Obj _ as entry) ->
-          List.iter
-            (fun key ->
-              match Json.member key entry with
-              | Some (Json.Num v) when v > 0.0 -> ()
-              | Some j ->
-                  fail "study_seconds.streaming_scaled.%s should be positive, \
-                        got %s"
-                    key (Json.to_string j)
-              | None -> fail "study_seconds.streaming_scaled misses %s" key)
-            [ "lts.build_seconds"; "lts.build_seconds.j1";
-              "lts.build_seconds.j2"; "lts.build_seconds.j4";
-              (* the refinement sweeps run in tiny mode (smoke skips them
-                 on the full-size model to stay inside the timeout) *)
-              "bisim.refine_seconds.j1"; "bisim.refine_seconds.j2";
-              "bisim.refine_seconds.j4";
-              "bisim.weak_refine_seconds.j1"; "bisim.weak_refine_seconds.j2";
-              "bisim.weak_refine_seconds.j4"; "lts.states";
-              "lts.transitions"; "lts.segment_bytes_peak";
-              (* the forced-spill differential leg: bit-identical CSR,
-                 and it must actually have spilled *)
-              "lts.spill.segments"; "lts.spill.bytes";
-              "lts.spill.build_seconds" ]
-      | _ -> fail "study_seconds misses study streaming_scaled");
-      (* The N-node ad hoc network chain: built under a resident segment
-         budget through the spill path, with a deliberately tripped
-         wall-clock guard leg. *)
-      (match Json.member "adhoc_net" studies with
-      | Some (Json.Obj _ as entry) ->
-          List.iter
-            (fun key ->
-              match Json.member key entry with
-              | Some (Json.Num v) when v > 0.0 -> ()
-              | Some j ->
-                  fail "study_seconds.adhoc_net.%s should be positive, got %s"
-                    key (Json.to_string j)
-              | None -> fail "study_seconds.adhoc_net misses %s" key)
-            [ "lts.build_seconds"; "lts.states"; "lts.transitions";
-              "lts.segment_bytes_peak"; "lts.spill.segments";
-              "lts.spill.bytes"; "guard.trips" ]
-      | _ -> fail "study_seconds misses study adhoc_net");
-      (* The featured-family sweep: one shared build plus four
-         per-configuration projections of the streaming awake-period
-         family, raced against four independent pipelines. The bench
-         itself aborts unless the featured leg wins, so a speedup key
-         <= 1 can never reach this check — here we only require the
-         keys to be present and positive. *)
-      (match Json.member "streaming_family" studies with
-      | Some (Json.Obj _ as entry) ->
-          List.iter
-            (fun key ->
-              match Json.member key entry with
-              | Some (Json.Num v) when v > 0.0 -> ()
-              | Some j ->
-                  fail "study_seconds.streaming_family.%s should be \
-                        positive, got %s"
-                    key (Json.to_string j)
-              | None -> fail "study_seconds.streaming_family misses %s" key)
-            [ "family.configs"; "family.states"; "family.sharing_ratio";
-              "family.build_seconds"; "family.project_seconds";
-              "family.project_seconds.c0"; "family.project_seconds.c1";
-              "family.project_seconds.c2"; "family.project_seconds.c3";
-              "baseline.build_seconds"; "family.speedup" ]
-      | _ -> fail "study_seconds misses study streaming_family");
-      (* The thousand-configuration grid: featured build + projections +
-         quotient-deduplicated solves raced against the per-member
-         pipeline. The bench aborts on any value mismatch; here the
-         contract is the keys, genuine solve sharing (strictly fewer
-         distinct quotients than members), and the >= 2x speedup the
-         acceptance bar demands (the bench's own abort threshold). *)
-      (match Json.member "family_scale" studies with
-      | Some (Json.Obj _ as entry) ->
-          let num key =
-            match Json.member key entry with
-            | Some (Json.Num v) -> v
-            | Some j ->
-                fail "study_seconds.family_scale.%s should be a number, \
-                      got %s"
-                  key (Json.to_string j)
-            | None -> fail "study_seconds.family_scale misses %s" key
-          in
-          List.iter
-            (fun key ->
-              if num key <= 0.0 then
-                fail "study_seconds.family_scale.%s should be positive" key)
-            [ "family.configs"; "family.states"; "family.distinct_quotients";
-              "family.solves_shared"; "family.guard_words";
-              "family.build_seconds"; "family.project_seconds";
-              "family.analyze_seconds"; "baseline.analyze_seconds";
-              "family.speedup" ];
-          if num "family.distinct_quotients" >= num "family.configs" then
-            fail
-              "family_scale: %g distinct quotients for %g members (no \
-               solve sharing)"
-              (num "family.distinct_quotients")
-              (num "family.configs");
-          if num "family.speedup" < 2.0 then
-            fail "family_scale: speedup %g, want >= 2" (num "family.speedup")
-      | _ -> fail "study_seconds misses study family_scale");
-      (* The streaming DPM-removed side strands unreachable states, so the
-         product refiner's reachability pruning must have fired there. *)
-      (match Json.member "streaming" studies with
-      | Some entry -> (
-          match Json.member "ni.states_pruned" entry with
-          | Some (Json.Num v) when v > 0.0 -> ()
-          | Some j ->
-              fail "study_seconds.streaming.ni.states_pruned should be > 0, \
-                    got %s"
-                (Json.to_string j)
-          | None -> fail "study_seconds.streaming misses ni.states_pruned")
-      | None -> assert false)
-  | _ -> fail "missing \"study_seconds\" object");
+  let studies =
+    match Json.member "study_seconds" doc with
+    | Some (Json.Obj _ as studies) -> studies
+    | _ -> fail "missing \"study_seconds\" object"
+  in
+  let num study key =
+    match Json.member study studies with
+    | Some (Json.Obj _ as entry) -> (
+        match Json.member key entry with
+        | Some (Json.Num v) -> v
+        | Some j ->
+            fail "study_seconds.%s.%s should be a number, got %s" study key
+              (Json.to_string j)
+        | None -> fail "study_seconds.%s misses %s" study key)
+    | _ -> fail "study_seconds misses study %s" study
+  in
+  let require_positive study keys =
+    List.iter
+      (fun key ->
+        let v = num study key in
+        if not (v > 0.0) then
+          fail "study_seconds.%s.%s should be positive, got %g" study key v)
+      keys
+  in
+  let jobs_legs metric = List.map (Printf.sprintf "%s.j%d" metric) [ 1; 2; 4 ] in
+  (* Tiny runs time the two paper studies through the compiled core: the
+     build, strong and lazy weak sweeps (legs checked bit-identical across
+     job counts by the bench itself) and the noninterference hierarchy as
+     assess runs it. *)
+  List.iter
+    (fun study ->
+      require_positive study
+        (jobs_legs "lts.build_seconds"
+        @ jobs_legs "bisim.refine_seconds"
+        @ jobs_legs "bisim.weak_refine_seconds"
+        @ [ "ni.hierarchy_seconds" ]))
+    [ "rpc"; "streaming" ];
+  (* The streaming DPM-removed side strands unreachable states, so the
+     product refiner's reachability pruning must have fired there. *)
+  require_positive "streaming" [ "ni.states_pruned" ];
+  (* The N-station scaling model: built at 1/2/4 jobs through the segment
+     store, reporting its size and peak segment memory; the refinement
+     sweeps run in tiny mode (smoke skips them on the full-size model to
+     stay inside the timeout); the forced-spill differential leg must
+     actually have spilled. *)
+  require_positive "streaming_scaled"
+    (jobs_legs "lts.build_seconds"
+    @ jobs_legs "bisim.refine_seconds"
+    @ jobs_legs "bisim.weak_refine_seconds"
+    @ [ "lts.states"; "lts.transitions"; "lts.segment_bytes_peak";
+        "lts.spill.segments"; "lts.spill.bytes"; "lts.spill.build_seconds" ]);
+  (* The N-node ad hoc network chain: built once under a resident segment
+     budget through the spill path, with a deliberately tripped
+     wall-clock guard leg. *)
+  require_positive "adhoc_net"
+    [ "lts.build_seconds"; "lts.states"; "lts.transitions";
+      "lts.segment_bytes_peak"; "lts.spill.segments"; "lts.spill.bytes";
+      "guard.trips" ];
+  (* The featured-family sweep: one shared build plus four
+     per-configuration projections of the streaming awake-period family,
+     raced against four independent pipelines. The bench itself aborts
+     unless the featured leg wins, so here only the keys are required. *)
+  require_positive "streaming_family"
+    [ "family.configs"; "family.states"; "family.sharing_ratio";
+      "family.build_seconds"; "family.project_seconds";
+      "family.project_seconds.c0"; "family.project_seconds.c1";
+      "family.project_seconds.c2"; "family.project_seconds.c3";
+      "baseline.build_seconds"; "family.speedup" ];
+  (* The thousand-configuration grid: featured build + projections +
+     quotient-deduplicated solves raced against the per-member pipeline.
+     The bench aborts on any value mismatch; here the contract is the
+     keys, genuine solve sharing (strictly fewer distinct quotients than
+     members), and the >= 2x speedup (the bench's own abort threshold). *)
+  require_positive "family_scale"
+    [ "family.configs"; "family.states"; "family.distinct_quotients";
+      "family.solves_shared"; "family.guard_words"; "family.build_seconds";
+      "family.project_seconds"; "family.analyze_seconds";
+      "baseline.analyze_seconds"; "family.speedup" ];
+  let num = num "family_scale" in
+  if num "family.distinct_quotients" >= num "family.configs" then
+    fail "family_scale: %g distinct quotients for %g members (no solve sharing)"
+      (num "family.distinct_quotients")
+      (num "family.configs");
+  if num "family.speedup" < 2.0 then
+    fail "family_scale: speedup %g, want >= 2" (num "family.speedup");
   let metrics =
     match Json.member "metrics" doc with
     | Some (Json.List items) -> items

@@ -1,20 +1,21 @@
 (* Benchmark harness.
 
-   Part 1 regenerates every table/figure of the paper's evaluation
-   (Sect. 3 verdicts, Figs. 3-8) through the suite of
-   lib/models/figures.ml, and times and checks the compiled core per
-   study; EXPERIMENTS.md records the paper-vs-measured comparison.
-
-   Part 2 runs Bechamel micro-benchmarks — one Test.make per figure driver
-   (at reduced sweep size, so the harness stays in the minutes range) plus
-   the core algorithms (parsing, state-space construction, weak
-   bisimulation, CTMC solution, simulation).
+   It regenerates every table/figure of the paper's evaluation (Sect. 3
+   verdicts, Figs. 3-8) through the suite of lib/models/figures.ml,
+   timing each figure driver once, and times and checks the compiled
+   core per study: state counts, bit-identity across job counts and
+   spill, the family path against the per-member pipelines, and the
+   resource guard. EXPERIMENTS.md records the paper-vs-measured
+   comparison.
 
    Run with: dune exec bench/main.exe
    Arguments (after --):
      quick   shrink the figure sweeps
-     smoke   quick figures only, skip the micro-benchmarks (CI smoke)
-     tiny    minimal single-point run (sec3 + one fig3 point), no micro
+     smoke   quick figures plus the per-study timings and the family
+             races; the half-million-state model is built but not
+             refined (CI smoke)
+     tiny    minimal single-point run (sec3 + one fig3 point) of the
+             smoke legs on small models
      json    write BENCH_results.json and print the same document to stdout
      metrics print the metrics registry to stderr on exit
      trace   record span timings and print the tree to stderr on exit
@@ -37,19 +38,15 @@ module Figures = Dpma_models.Figures
 module Rpc = Dpma_models.Rpc
 module Streaming = Dpma_models.Streaming
 module Adhoc = Dpma_models.Adhoc
-module General = Dpma_core.General
 module Markov = Dpma_core.Markov
 module NI = Dpma_core.Noninterference
 module Lts = Dpma_lts.Lts
 module Bisim = Dpma_lts.Bisim
-module Ctmc = Dpma_ctmc.Ctmc
-module Sim = Dpma_sim.Sim
 module Elaborate = Dpma_adl.Elaborate
 module Parser = Dpma_adl.Parser
 module Ast = Dpma_adl.Ast
 module Measure = Dpma_measures.Measure
 module Flts = Dpma_lts.Flts
-module Prng = Dpma_util.Prng
 module Pool = Dpma_util.Pool
 module Json = Dpma_obs.Json
 module Rguard = Dpma_util.Guard
@@ -230,7 +227,7 @@ let sweep_entries metric legs =
    populates the global term-sharing table, sizes the major heap, and is
    the one LTS kept live (the legs keep O(1) digests of the full CSR) —
    the study's later phases reuse it. Returns the warmup LTS, the j1
-   leg's stats and the timing entries. *)
+   leg's stats and the per-leg timing entries. *)
 let build_sweep ?max_states name spec =
   let lts, _ = Lts.build ?max_states ~jobs:1 spec in
   let legs =
@@ -240,10 +237,7 @@ let build_sweep ?max_states name spec =
         ((csr_digest l, st), st.Lts.build_seconds))
   in
   let _, (_, st), _ = List.hd legs in
-  ( lts,
-    st,
-    ("lts.build_seconds", st.Lts.build_seconds)
-    :: sweep_entries "lts.build_seconds" legs )
+  (lts, st, sweep_entries "lts.build_seconds" legs)
 
 (* The refinement loop's jobs scaling, next to the builder's: the
    coarsest strong-bisimulation partition of the study's full LTS
@@ -273,7 +267,6 @@ let study_timings () =
     let lts, st, build_entries =
       build_sweep name study.Dpma_core.Pipeline.spec
     in
-    let build_s = st.Lts.build_seconds in
     check_states (name ^ " full") full_states lts.Lts.num_states;
     let refine_entries = refine_sweep name lts in
     let functional =
@@ -283,51 +276,29 @@ let study_timings () =
     let flts = Lts.of_spec functional in
     check_states (name ^ " functional") functional_states flts.Lts.num_states;
     let weak_entries = weak_sweep name flts in
+    (* The noninterference hierarchy as [Pipeline.assess] runs it: one
+       front, finest decision first, on the functional LTS built above.
+       Both studies are secure at every level, so one decision runs and
+       the pruned count is that decision's. *)
     let pruned0 =
       Dpma_obs.Metrics.count Dpma_obs.Instruments.ni_product_pruned
     in
-    (* The weak noninterference check and the two other levels of the
-       hierarchy [Pipeline.assess] reports, timed on the functional LTS
-       built above; both studies pass all three. *)
-    let high a = List.mem a study.Dpma_core.Pipeline.high
-    and low a = List.mem a study.Dpma_core.Pipeline.low in
-    let timed_secure what check =
-      let ok, dt = clocked check in
-      if not ok then fail "GOLDEN MISMATCH %s: expected %s" name what;
-      dt
+    let secure, hierarchy_s =
+      clocked (fun () ->
+          NI.check_hierarchy flts ~high:(NI.mem_of study.Dpma_core.Pipeline.high)
+            ~low:(NI.mem_of study.Dpma_core.Pipeline.low))
     in
-    let check_s =
-      timed_secure "secure verdict" (fun () ->
-          match NI.check_lts flts ~high ~low with
-          | NI.Secure -> true
-          | NI.Insecure _ -> false)
-    in
+    if secure <> (NI.Secure, true, true) then
+      fail "GOLDEN MISMATCH %s: expected security at every level" name;
     let pruned =
       Dpma_obs.Metrics.count Dpma_obs.Instruments.ni_product_pruned - pruned0
     in
-    let branching_s =
-      timed_secure "branching security" (fun () ->
-          NI.branching_secure flts ~high ~low)
-    in
-    let trace_s =
-      timed_secure "trace security" (fun () -> NI.trace_secure flts ~high ~low)
-    in
-    (* What [Pipeline.assess] runs: the whole hierarchy on one front,
-       finest decision first. *)
-    let hierarchy_s =
-      timed_secure "security at every level" (fun () ->
-          NI.check_hierarchy flts ~high ~low = (NI.Secure, true, true))
-    in
     Printf.eprintf
-      "[bench] %-16s lts.build %.3f s, ni.check %.3f s, ni.branching %.3f s, \
-       ni.trace %.3f s, ni.hierarchy %.3f s, pruned %d states\n%!"
-      name build_s check_s branching_s trace_s hierarchy_s pruned;
+      "[bench] %-16s lts.build %.3f s, ni.hierarchy %.3f s, pruned %d states\n%!"
+      name st.Lts.build_seconds hierarchy_s pruned;
     add_study name
       (build_entries @ refine_entries @ weak_entries
       @ [
-          ("ni.check_seconds", check_s);
-          ("ni.branching_seconds", branching_s);
-          ("ni.trace_seconds", trace_s);
           ("ni.hierarchy_seconds", hierarchy_s);
           ("ni.states_pruned", float_of_int pruned);
         ])
@@ -418,13 +389,25 @@ let scaled_study () =
         ("lts.spill.build_seconds", sst.Lts.build_seconds);
       ])
 
+(* The projection contract of the family path: a member's projection
+   equals its own pipeline build in every CSR field. *)
+let same_csr (p : Lts.t) (b : Lts.t) =
+  p.Lts.num_states = b.Lts.num_states
+  && p.Lts.init = b.Lts.init
+  && p.Lts.row = b.Lts.row
+  && p.Lts.lab = b.Lts.lab
+  && p.Lts.tgt = b.Lts.tgt
+  && p.Lts.rate_kind = b.Lts.rate_kind
+  && p.Lts.rate_val = b.Lts.rate_val
+  && p.Lts.rate_prio = b.Lts.rate_prio
+
 (* The featured-family path next to the per-configuration one: a
    4-configuration awake-period family of the streaming study, one
    featured build plus per-configuration projections, against the
    baseline of four independent Lts.of_spec pipelines on the same
    specifications. The projections are bit-identical to the baseline
-   builds by the Flts contract (test/test_family.ml asserts the full
-   CSR); here the bench asserts the shape and that the shared build
+   builds by the Flts contract; the bench compares every member's full
+   CSR with its pipeline build and requires that the shared build
    actually pays — the featured leg must beat the N-pipeline baseline
    or the run aborts. The baseline runs second, so any warmup the legs
    share favors the baseline, making the guard conservative. *)
@@ -453,13 +436,10 @@ let family_sweep () =
   Array.iteri
     (fun c lts ->
       let b = base.(c) in
-      if
-        lts.Lts.num_states <> b.Lts.num_states
-        || Lts.num_transitions lts <> Lts.num_transitions b
-      then
+      if not (same_csr lts b) then
         fail
           "FAMILY MISMATCH streaming_family: config %d projects to %d states \
-           / %d transitions, pipeline builds %d / %d"
+           / %d transitions, pipeline builds %d / %d, CSRs differ"
           c lts.Lts.num_states (Lts.num_transitions lts) b.Lts.num_states
           (Lts.num_transitions b))
     ltss;
@@ -557,18 +537,7 @@ let family_scale () =
      build's CSR. *)
   Array.iteri
     (fun c (b, _) ->
-      let p = ltss.(c) in
-      let same =
-        p.Lts.num_states = b.Lts.num_states
-        && p.Lts.init = b.Lts.init
-        && p.Lts.row = b.Lts.row
-        && p.Lts.lab = b.Lts.lab
-        && p.Lts.tgt = b.Lts.tgt
-        && p.Lts.rate_kind = b.Lts.rate_kind
-        && p.Lts.rate_val = b.Lts.rate_val
-        && p.Lts.rate_prio = b.Lts.rate_prio
-      in
-      if not same then
+      if not (same_csr ltss.(c) b) then
         fail
           "FAMILY MISMATCH family_scale: member %d's projection differs \
            from its pipeline build"
@@ -703,107 +672,6 @@ let adhoc_study () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Part 2: Bechamel micro-benchmarks                                   *)
-
-open Bechamel
-open Toolkit
-
-let rpc_params = Rpc.default_params
-
-let rpc_spec =
-  lazy (Rpc.elaborate ~mode:Rpc.Markovian ~monitors:true rpc_params).Elaborate.spec
-
-let rpc_lts = lazy (Lts.of_spec (Lazy.force rpc_spec))
-
-let rpc_general =
-  lazy
-    (let el = Rpc.elaborate ~mode:Rpc.General ~monitors:true rpc_params in
-     ( Lts.of_spec el.Elaborate.spec,
-       General.timing_of_list el.Elaborate.general_timings ))
-
-let paper_text = Format.asprintf "%a" Dpma_adl.Ast.pp (Rpc.simplified_archi ())
-
-let micro_tests =
-  let t name f = Test.make ~name (Staged.stage f) in
-  [
-    (* Core algorithm benches. *)
-    t "adl/parse-rpc" (fun () -> ignore (Dpma_adl.Parser.parse paper_text));
-    t "lts/build-rpc" (fun () -> ignore (Lts.of_spec (Lazy.force rpc_spec)));
-    t "bisim/weak-equivalence-rpc" (fun () ->
-        ignore
-          (NI.check_lts (Lazy.force rpc_lts)
-             ~high:(fun a -> List.mem a Rpc.high_actions)
-             ~low:(fun a -> List.mem a Rpc.low_actions)));
-    t "ctmc/solve-rpc" (fun () ->
-        let c = Ctmc.of_lts (Lazy.force rpc_lts) in
-        ignore (Ctmc.steady_state c));
-    t "sim/run-rpc-1000ms" (fun () ->
-        let lts, timing = Lazy.force rpc_general in
-        ignore (Sim.run ~timing ~lts ~duration:1_000.0 ~estimands:[] (Prng.create 7)));
-    (* One Test.make per figure driver (reduced sweeps). *)
-    t "fig/sec3" (fun () -> ignore (Figures.sec3_noninterference ()));
-    t "fig/fig3-markov-point" (fun () ->
-        ignore (Figures.fig3_markov ~timeouts:[ 5.0 ] ()));
-    t "fig/fig3-general-point" (fun () ->
-        ignore
-          (Figures.fig3_general ~timeouts:[ 5.0 ]
-             ~sim:
-               { General.default_sim_params with runs = 2; duration = 2_000.0; warmup = 200.0 }
-             ()));
-    t "fig/fig4-markov-point" (fun () ->
-        ignore (Figures.fig4_markov ~awake_periods:[ 100.0 ] ()));
-    t "fig/fig5-validation-point" (fun () ->
-        ignore
-          (Figures.fig5_validation ~timeouts:[ 5.0 ]
-             ~sim:
-               { General.default_sim_params with runs = 2; duration = 2_000.0; warmup = 200.0 }
-             ()));
-    t "fig/fig6-general-point" (fun () ->
-        ignore
-          (Figures.fig6_general ~awake_periods:[ 100.0 ]
-             ~sim:
-               { General.default_sim_params with runs = 1; duration = 5_000.0; warmup = 500.0 }
-             ()));
-  ]
-
-(* Runs the micro suite, prints the table and returns
-   [(name, ns_per_run, r_square)] rows for the JSON report. *)
-let run_micro () =
-  let ols =
-    Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:200
-      ~quota:(Time.second (if quick then 0.5 else 1.5))
-      ~kde:None ~stabilize:false ()
-  in
-  let grouped = Test.make_grouped ~name:"dpma" micro_tests in
-  let raw = Benchmark.all cfg instances grouped in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  Format.printf "== Bechamel micro-benchmarks (monotonic clock, OLS) ==@.";
-  Format.printf "%-36s %14s %8s@." "benchmark" "time/run" "r^2";
-  let rows =
-    Hashtbl.fold (fun name v acc -> (name, v) :: acc) results []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  in
-  List.map
-    (fun (name, v) ->
-      let estimate =
-        match Analyze.OLS.estimates v with Some (e :: _) -> e | _ -> nan
-      in
-      let r2 = Option.value ~default:nan (Analyze.OLS.r_square v) in
-      let pretty =
-        if estimate > 1e9 then Printf.sprintf "%.3f s" (estimate /. 1e9)
-        else if estimate > 1e6 then Printf.sprintf "%.3f ms" (estimate /. 1e6)
-        else if estimate > 1e3 then Printf.sprintf "%.3f us" (estimate /. 1e3)
-        else Printf.sprintf "%.1f ns" estimate
-      in
-      Format.printf "%-36s %14s %8.4f@." name pretty r2;
-      (name, estimate, r2))
-    rows
-
-(* ------------------------------------------------------------------ *)
 (* JSON report                                                         *)
 
 let notes =
@@ -814,7 +682,7 @@ let notes =
    hash it replaced, measured back to back; about 1.8 GiB peak RSS \
    (VmHWM sampled each second) for both; 12 refinement rounds"
 
-let json_report ~micro =
+let json_report () =
   let figs = List.rev !wall_clock in
   let total = List.fold_left (fun acc (_, dt) -> acc +. dt) 0.0 figs in
   let obj entries = Json.Obj (List.map (fun (k, v) -> (k, Json.Num v)) entries) in
@@ -827,12 +695,6 @@ let json_report ~micro =
       ("figures_wall_clock_s", obj (figs @ [ ("total", total) ]));
       ( "study_seconds",
         Json.Obj (List.rev_map (fun (study, e) -> (study, obj e)) !study_seconds) );
-      ( "micro_ns_per_run",
-        Json.Obj
-          (List.map
-             (fun (name, est, r2) ->
-               (name, obj [ ("estimate", est); ("r_square", r2) ]))
-             micro) );
       (* The same metric objects dpma --metrics=json emits; the names and
          units are the contract of docs/OBSERVABILITY.md. *)
       ("metrics", Dpma_obs.Metrics.to_json ());
@@ -860,9 +722,8 @@ let () =
     end;
     timed "scaled-study" scaled_study;
     timed "adhoc-study" adhoc_study;
-    let micro = if smoke then [] else run_micro () in
     if json_mode then begin
-      let report = Json.to_string ~indent:2 (json_report ~micro) ^ "\n" in
+      let report = Json.to_string ~indent:2 (json_report ()) ^ "\n" in
       let oc = open_out "BENCH_results.json" in
       output_string oc report;
       close_out oc;

@@ -474,12 +474,13 @@ let determinize ?(max_states = 500_000) (lts : Lts.t) =
           end
         done)
       set;
-    (* New subsets are numbered in the table's iteration order; the
-       state's edges are stored in the reverse of it. *)
-    Int_tbl.iter
-      (fun l targets -> Lts.add_edge w l (id_of (close targets)))
-      by_label;
-    Lts.close_state ~reverse:true w
+    (* Labels are handled in name order, so the numbering of new subsets
+       and the order of the state's edges depend only on the input, not
+       on the ids the labels were interned with. *)
+    Int_tbl.fold (fun l targets acc -> (l, targets) :: acc) by_label []
+    |> List.sort (fun (a, _) (b, _) -> Dpma_pa.Label.compare_by_name a b)
+    |> List.iter (fun (l, targets) -> Lts.add_edge w l (id_of (close targets)));
+    Lts.close_state w
   done;
   let sets = !sets in
   Lts.finish w ~init

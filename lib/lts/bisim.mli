@@ -94,10 +94,11 @@ val determinize : ?max_states:int -> Lts.t -> Lts.t
     construction: tau-free, one transition per (state, label), recognizing
     exactly the weak traces of the input. Exponential in the worst case;
     raises {!Lts.Too_many_states} beyond [max_states] (default 500_000).
-    Subsets are numbered in breadth-first order; within a state, new
-    successor subsets are numbered in the iteration order of a table
-    keyed by label id, and the state's edges are stored in the reverse
-    of that order. *)
+    Subsets are numbered in breadth-first order; within a state, labels
+    are taken in {!Dpma_pa.Label.compare_by_name} order, which numbers
+    the new successor subsets and orders the state's edges. The result
+    depends only on the input, not on the order labels were interned
+    in. *)
 
 val trace_equivalent : ?jobs:int -> ?par_cutoff:int -> Lts.t -> Lts.t -> bool
 (** Weak trace equivalence (equality of observable-trace languages, which

@@ -578,6 +578,46 @@ let test_determinize_shape () =
       (List.length (List.sort_uniq compare labels))
   done
 
+let test_determinize_label_order () =
+  (* Two copies of one nondeterministic LTS with tau steps. The first
+     copy's labels are interned in name order, the second's in reverse, so
+     their ids sort in opposite orders while their names sort alike. The
+     determinized automata must agree state for state and edge for edge. *)
+  let fa = obs "det_fwd_a" in
+  let fb = obs "det_fwd_b" in
+  let fc = obs "det_fwd_c" in
+  let rc = obs "det_rev_c" in
+  let rb = obs "det_rev_b" in
+  let ra = obs "det_rev_a" in
+  Alcotest.(check bool) "ids sort in opposite orders" true
+    (fa < fb && fb < fc && rc < rb && rb < ra);
+  let edges =
+    [ (0, Some 0, 1); (0, Some 1, 2); (0, Some 2, 3); (0, Some 0, 2);
+      (1, None, 3); (1, Some 2, 0); (2, Some 1, 4); (2, Some 0, 1);
+      (3, Some 0, 4); (3, Some 2, 2); (4, Some 1, 0); (4, Some 0, 3) ]
+  in
+  let copy labels =
+    Bisim.determinize
+      (mk_lts 5
+         (List.map
+            (fun (s, l, t) ->
+              (s, (match l with None -> Lts.tau | Some i -> labels.(i)), t))
+            edges))
+  in
+  let d1 = copy [| fa; fb; fc |] and d2 = copy [| ra; rb; rc |] in
+  let rename l = if l = fa then ra else if l = fb then rb else rc in
+  Alcotest.(check bool) "some state has several edges" true
+    (Array.exists (fun x -> x > 1)
+       (Array.init d1.Lts.num_states (fun s -> d1.Lts.row.(s + 1) - d1.Lts.row.(s))));
+  Alcotest.(check int) "init" d1.Lts.init d2.Lts.init;
+  Alcotest.(check (array int)) "row" d1.Lts.row d2.Lts.row;
+  Alcotest.(check (array int)) "tgt" d1.Lts.tgt d2.Lts.tgt;
+  Alcotest.(check (array int)) "labels correspond" (Array.map rename d1.Lts.lab)
+    d2.Lts.lab;
+  Alcotest.(check (list string)) "subset names"
+    (List.init d1.Lts.num_states d1.Lts.state_name)
+    (List.init d2.Lts.num_states d2.Lts.state_name)
+
 let test_trace_vs_weak () =
   (* The moment of choice: a.(b+c) and a.b + a.c have equal traces but are
      not weakly bisimilar. *)
@@ -606,6 +646,8 @@ let prop_weak_implies_trace =
 let trace_suite =
   [
     Alcotest.test_case "determinize shape" `Quick test_determinize_shape;
+    Alcotest.test_case "determinize ignores label ids" `Quick
+      test_determinize_label_order;
     Alcotest.test_case "trace vs weak" `Quick test_trace_vs_weak;
     Alcotest.test_case "trace ignores tau" `Quick test_trace_ignores_tau;
     Alcotest.test_case "trace distinguishes languages" `Quick

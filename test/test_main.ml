@@ -25,4 +25,5 @@ let () =
       ("pipeline", Test_pipeline.suite);
       ("fuzz", Test_fuzz.suite);
       ("goldens", Test_goldens.suite);
+      ("producers", Test_pinned.suite);
     ]
