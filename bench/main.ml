@@ -389,18 +389,6 @@ let scaled_study () =
         ("lts.spill.build_seconds", sst.Lts.build_seconds);
       ])
 
-(* The projection contract of the family path: a member's projection
-   equals its own pipeline build in every CSR field. *)
-let same_csr (p : Lts.t) (b : Lts.t) =
-  p.Lts.num_states = b.Lts.num_states
-  && p.Lts.init = b.Lts.init
-  && p.Lts.row = b.Lts.row
-  && p.Lts.lab = b.Lts.lab
-  && p.Lts.tgt = b.Lts.tgt
-  && p.Lts.rate_kind = b.Lts.rate_kind
-  && p.Lts.rate_val = b.Lts.rate_val
-  && p.Lts.rate_prio = b.Lts.rate_prio
-
 (* The featured-family path next to the per-configuration one: a
    4-configuration awake-period family of the streaming study, one
    featured build plus per-configuration projections, against the
@@ -436,7 +424,7 @@ let family_sweep () =
   Array.iteri
     (fun c lts ->
       let b = base.(c) in
-      if not (same_csr lts b) then
+      if not (Lts.equal lts b) then
         fail
           "FAMILY MISMATCH streaming_family: config %d projects to %d states \
            / %d transitions, pipeline builds %d / %d, CSRs differ"
@@ -537,7 +525,7 @@ let family_scale () =
      build's CSR. *)
   Array.iteri
     (fun c (b, _) ->
-      if not (same_csr ltss.(c) b) then
+      if not (Lts.equal ltss.(c) b) then
         fail
           "FAMILY MISMATCH family_scale: member %d's projection differs \
            from its pipeline build"

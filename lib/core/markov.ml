@@ -8,9 +8,8 @@ type analysis = {
   values : (string * float) list;
 }
 
-(* One member's values: every measure on the member's own CTMC under
-   [pi], a stationary distribution of that chain or of one with the same
-   {!Solve_key}. *)
+(* Every measure on [ctmc], [lts]'s chain, under its stationary
+   distribution [pi]. *)
 let evaluate lts ctmc pi measures =
   let t0 = Dpma_obs.Clock.now_s () in
   let values =
@@ -60,38 +59,7 @@ type family_solve_stats = {
   solves_shared : int;
 }
 
-(* Key of everything {!Ctmc.steady_state} reads: state count, initial
-   distribution, and the per-state ordered (target, rate) rows. Label ids
-   are deliberately excluded, so members differing only in labels share
-   one solve. Rates compare by their exact 64-bit patterns, so equal keys
-   mean the solver runs on identical numbers and returns identical
-   bits. *)
-module Solve_key = Hashtbl.Make (struct
-  type t = Ctmc.t
-
-  let same x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
-
-  let bits x = Int64.to_int (Int64.bits_of_float x)
-
-  let floats_equal a b =
-    Array.length a = Array.length b
-    &&
-    let rec go i = i < 0 || (same a.(i) b.(i) && go (i - 1)) in
-    go (Array.length a - 1)
-
-  let equal (a : t) (b : t) =
-    a.n = b.n && a.init_state = b.init_state && a.row = b.row
-    && a.dst = b.dst
-    && floats_equal a.init_prob b.init_prob
-    && floats_equal a.rate b.rate
-
-  let hash (c : t) =
-    let module H = Dpma_util.Hash in
-    let fold_floats h a = Array.fold_left (fun h x -> H.fold h (bits x)) h a in
-    let h = H.fold_ints c.n c.init_state in
-    let h = H.fold_ints (fold_floats h c.init_prob) c.row in
-    H.int (fold_floats (H.fold_ints h c.dst) c.rate)
-end)
+module Lts_tbl = Hashtbl.Make (Lts)
 
 let analyze_ltss_dedup ?jobs ltss measures =
   let members = Array.length ltss in
@@ -99,44 +67,41 @@ let analyze_ltss_dedup ?jobs ltss measures =
   let module Trace = Dpma_obs.Trace in
   Trace.with_span "markov.dedup" ~attrs:[ ("members", Trace.Int members) ]
     (fun () ->
-  (* Group members by key; representatives in first-appearance order so
-     the set of solves is deterministic. *)
-  let ctmcs, rep_idx, reps =
+  (* Equal CSRs give equal CTMCs, stationary distributions and measure
+     values, so each distinct member LTS is analyzed once.
+     Representatives in first-appearance order keep the set of solves,
+     and the first error raised, independent of [jobs]. *)
+  let rep_idx, reps =
     Trace.with_span "markov.dedup.key" (fun () ->
-        let ctmcs =
-          Array.of_list
-            (Dpma_util.Pool.parallel_map ?jobs Ctmc.of_lts (Array.to_list ltss))
-        in
-        let rep_of_key = Solve_key.create 64 in
+        let rep_of = Lts_tbl.create 64 in
         let reps = ref [] and nreps = ref 0 in
         let rep_idx =
           Array.map
-            (fun ctmc ->
-              match Solve_key.find_opt rep_of_key ctmc with
+            (fun lts ->
+              match Lts_tbl.find_opt rep_of lts with
               | Some r -> r
               | None ->
                   let r = !nreps in
                   incr nreps;
-                  Solve_key.add rep_of_key ctmc r;
-                  reps := ctmc :: !reps;
+                  Lts_tbl.add rep_of lts r;
+                  reps := lts :: !reps;
                   r)
-            ctmcs
+            ltss
         in
-        (ctmcs, rep_idx, List.rev !reps))
+        (rep_idx, List.rev !reps))
   in
-  let pis =
+  (* [analyze_lts] without its spans: one span for all the solves. *)
+  let analyze lts =
+    let ctmc = Ctmc.of_lts lts in
+    evaluate lts ctmc (Ctmc.steady_state ctmc) measures
+  in
+  let solved =
     Trace.with_span "markov.dedup.solve"
       ~attrs:[ ("solves", Trace.Int (List.length reps)) ]
       (fun () ->
-        Array.of_list (Dpma_util.Pool.parallel_map ?jobs Ctmc.steady_state reps))
+        Array.of_list (Dpma_util.Pool.parallel_map ?jobs analyze reps))
   in
-  let results =
-    Trace.with_span "markov.dedup.evaluate" (fun () ->
-        Array.mapi
-          (fun i lts -> evaluate lts ctmcs.(i) pis.(rep_idx.(i)) measures)
-          ltss)
-  in
-  let distinct = Array.length pis in
+  let distinct = Array.length solved in
   let stats =
     { members; distinct_quotients = distinct;
       solves_shared = members - distinct }
@@ -146,7 +111,7 @@ let analyze_ltss_dedup ?jobs ltss measures =
     (float_of_int stats.distinct_quotients);
   Dpma_obs.Metrics.set I.family_solves_shared
     (float_of_int stats.solves_shared);
-  (results, stats))
+  (Array.map (Array.get solved) rep_idx, stats))
 
 let analyze_family ?max_states ?jobs specs measures =
   fst (analyze_ltss_dedup ?jobs (family_ltss ?max_states ?jobs specs) measures)

@@ -51,7 +51,7 @@ val analyze_lts_lumped :
 
 type family_solve_stats = {
   members : int;
-  distinct_quotients : int;  (** distinct member CTMCs solved *)
+  distinct_quotients : int;  (** distinct member LTSs solved *)
   solves_shared : int;  (** [members - distinct_quotients] *)
 }
 
@@ -60,21 +60,20 @@ val analyze_ltss_dedup :
   Dpma_lts.Lts.t array ->
   Dpma_measures.Measure.t list ->
   analysis array * family_solve_stats
-(** {!analyze_lts} on every member with a memoised solve. Each member's
-    own CTMC is keyed on everything the steady-state solver reads (state
-    count, initial distribution, per-state ordered (target, rate) rows,
-    rates by bit pattern; action names excluded), each {e distinct} key
-    is solved exactly once, and every member's measures are evaluated on
-    its own CTMC under the shared solution. Sweep members frequently
-    share their chain, so 1024 members cost far fewer than 1024 solves.
-    Every member's [analysis] is bit-identical to {!analyze_lts} on it.
-    CTMC builds and solves are dealt to the domain pool; the results do
-    not depend on [jobs]. Records [family.distinct_quotients] /
+(** {!analyze_lts} on every member, once per distinct member LTS. The
+    members are keyed by {!Dpma_lts.Lts.equal} (the whole CSR, label
+    ids and rate bits included); each distinct LTS's CTMC is built,
+    solved and evaluated exactly once, and every member gets its
+    representative's [analysis]. Sweep members frequently project to
+    one LTS, so 1024 members cost far fewer than 1024 solves. Every
+    member's [analysis] is bit-identical to {!analyze_lts} on it. The
+    distinct analyses are dealt to the domain pool; the results do not
+    depend on [jobs]. Records [family.distinct_quotients] /
     [family.solves_shared]. Traced as a [markov.dedup] span whose
-    children are [markov.dedup.key] (CTMC builds and keying),
-    [markov.dedup.solve] (the distinct solves) and
-    [markov.dedup.evaluate] (measures), one span per phase and none per
-    member. Raises [Invalid_argument] on an empty family. *)
+    children are [markov.dedup.key] (keying the member LTSs) and
+    [markov.dedup.solve] (the distinct builds, solves and evaluations),
+    one span per phase and none per member. Raises [Invalid_argument]
+    on an empty family. *)
 
 val without_dpm : Dpma_lts.Lts.t -> high:string list -> Dpma_lts.Lts.t
 (** Restrict the DPM command actions. *)

@@ -46,6 +46,34 @@ let of_csr ~init ~state_name ~row ~lab ~tgt ~rate_kind ~rate_val ~rate_prio =
   { init; num_states = n; state_name; row; lab; tgt; rate_kind; rate_val;
     rate_prio }
 
+(* Rates compare and hash by their 64-bit patterns: equal LTSs feed every
+   analysis identical numbers. [state_name] is display only. *)
+let float_bits x = Int64.bits_of_float x
+
+let equal a b =
+  let module H = Dpma_util.Hash.Ints in
+  a == b
+  || a.init = b.init && H.equal a.row b.row && H.equal a.lab b.lab
+     && H.equal a.tgt b.tgt && H.equal a.rate_kind b.rate_kind
+     && H.equal a.rate_prio b.rate_prio
+     && Array.length a.rate_val = Array.length b.rate_val
+     &&
+     let rec go i =
+       i < 0
+       || Int64.equal (float_bits a.rate_val.(i)) (float_bits b.rate_val.(i))
+          && go (i - 1)
+     in
+     go (Array.length a.rate_val - 1)
+
+let hash t =
+  let module H = Dpma_util.Hash in
+  let h = H.fold_ints (H.fold_ints (H.fold_ints t.init t.row) t.lab) t.tgt in
+  let h = H.fold_ints (H.fold_ints h t.rate_kind) t.rate_prio in
+  H.int
+    (Array.fold_left
+       (fun h x -> H.fold h (Int64.to_int (float_bits x)))
+       h t.rate_val)
+
 (* --- The CSR writer ------------------------------------------------ *)
 
 (* Edge arrays grow by doubling; [finish] trims them to the edge count. *)

@@ -64,6 +64,16 @@ val of_csr :
     encoding of {!t}; only their lengths are checked ([Invalid_argument]
     when an edge array's length is not [row.(num_states)]). *)
 
+val equal : t -> t -> bool
+(** CSR equality: [init], [row] (hence [num_states]), [lab], [tgt],
+    [rate_kind] and [rate_prio] element-wise, [rate_val] by exact bit
+    pattern ([0.0] and [-0.0] differ). [state_name] is not compared.
+    Every analysis of two equal LTSs reads identical numbers. *)
+
+val hash : t -> int
+(** A hash of the fields {!equal} compares, through
+    {!Dpma_util.Hash}; with {!equal}, keys [Hashtbl.Make (Lts)]. *)
+
 val rate_of : t -> int -> Dpma_pa.Rate.t option
 (** Rate annotation of the edge at the given flat index. *)
 

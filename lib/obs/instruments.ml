@@ -311,7 +311,7 @@ let family_guard_words =
 
 let family_distinct_quotients =
   g ~unit_:"quotients"
-    ~desc:"distinct member CTMCs solved by the last dedup family solve"
+    ~desc:"distinct member LTSs solved by the last dedup family solve"
     "family.distinct_quotients"
 
 let family_solves_shared =

@@ -279,9 +279,9 @@ val family_guard_words : Metrics.gauge
     guard, 63 configuration bits per word). *)
 
 val family_distinct_quotients : Metrics.gauge
-(** [family.distinct_quotients] — distinct member CTMCs solved by the
-    last deduplicated family solve; members whose CTMCs have the same
-    solve key share one steady-state solve. *)
+(** [family.distinct_quotients] — distinct member LTSs solved by the
+    last deduplicated family solve; members with equal LTSs share one
+    build, solve and evaluation. *)
 
 val family_solves_shared : Metrics.gauge
 (** [family.solves_shared] — members of the last deduplicated family

@@ -598,7 +598,7 @@ let test_family_trace_roots () =
           let dedup = List.nth roots 4 in
           Alcotest.(check (list string))
             (tag ^ "one child per dedup phase")
-            [ "markov.dedup.key"; "markov.dedup.solve"; "markov.dedup.evaluate" ]
+            [ "markov.dedup.key"; "markov.dedup.solve" ]
             (names dedup.Trace.children);
           List.iter
             (fun sp ->
@@ -840,37 +840,90 @@ let test_dedup_solves () =
         (Markov.analyze_lts (Lts.of_spec spec) measures))
     specs
 
-let test_dedup_label_only () =
-  (* Two hand-made members with the same shape and rates but different
-     action names: one shared solve, and each member's values (which
-     read its own names) still equal its own pipeline's. *)
-  let member up down =
-    let edge a r t =
-      { Lts_fixture.label = Lts.obs a; rate = Some (Dpma_pa.Rate.exp r); target = t }
-    in
-    Lts_fixture.make ~init:0 ~state_name:string_of_int
-      [| [ edge up 2.0 1 ]; [ edge down 3.0 0; edge down 0.5 2 ]; [ edge up 1.0 0 ] |]
+(* Two hand-made members with the same shape and rates; [up]/[down]
+   name the actions of both states' edges. *)
+let labelled_member up down =
+  let edge a r t =
+    { Lts_fixture.label = Lts.obs a; rate = Some (Dpma_pa.Rate.exp r); target = t }
   in
-  let ltss = [| member "up" "down"; member "go" "stop" |] in
-  let measures =
-    Measure.parse
-      {|MEASURE up_rate IS ENABLED(up) -> TRANS_REWARD(1);
+  Lts_fixture.make ~init:0 ~state_name:string_of_int
+    [| [ edge up 2.0 1 ]; [ edge down 3.0 0; edge down 0.5 2 ]; [ edge up 1.0 0 ] |]
+
+let label_measures () =
+  Measure.parse
+    {|MEASURE up_rate IS ENABLED(up) -> TRANS_REWARD(1);
 MEASURE in_stop IS ENABLED(stop) -> STATE_REWARD(1);
 MEASURE per_go IS ENABLED(up) -> TRANS_REWARD(1)
   DIVIDED_BY ENABLED(go) -> STATE_REWARD(1);|}
-  in
+
+let check_dedup_members name ltss ~solves =
+  let measures = label_measures () in
   let results, stats = Markov.analyze_ltss_dedup ltss measures in
-  Alcotest.(check int) "one solve" 1 stats.Markov.distinct_quotients;
-  Alcotest.(check int) "one shared" 1 stats.Markov.solves_shared;
+  Alcotest.(check int) (name ^ ": solves") solves
+    stats.Markov.distinct_quotients;
+  Alcotest.(check int) (name ^ ": shared") (Array.length ltss - solves)
+    stats.Markov.solves_shared;
   Array.iteri
     (fun c lts ->
       check_analysis_identical
-        (Printf.sprintf "member %d" c)
+        (Printf.sprintf "%s: member %d" name c)
         results.(c) (Markov.analyze_lts lts measures))
     ltss;
+  results
+
+let test_dedup_label_only () =
+  (* Members that differ only in action names are different LTSs, so
+     each gets its own solve, and each member's values read its own
+     names. *)
+  let results =
+    check_dedup_members "renamed"
+      [| labelled_member "up" "down"; labelled_member "go" "stop" |]
+      ~solves:2
+  in
   Alcotest.(check bool)
     "members read their own names" false
     (Markov.value results.(0) "up_rate" = Markov.value results.(1) "up_rate")
+
+let test_dedup_equal_members () =
+  (* Two separately built members with equal CSRs share one solve. *)
+  let a = labelled_member "up" "down" and b = labelled_member "up" "down" in
+  Alcotest.(check bool) "separate arrays" false (a.Lts.row == b.Lts.row);
+  ignore (check_dedup_members "equal" [| a; b |] ~solves:1)
+
+(* [Lts.equal] is the CSR contract of the family path: a projection
+   equals its member's own build, and a change to any compared field,
+   however small, makes two LTSs unequal. *)
+let test_lts_equal_hash () =
+  let specs = grid_specs ~t_max:4 ~a_max:8 in
+  let c = Array.length specs - 1 in
+  let fam, _ = Flts.build_family specs in
+  let proj = (Flts.project_all fam).(c) and own = Lts.of_spec specs.(c) in
+  Alcotest.(check bool) "projection equals own build" true (Lts.equal proj own);
+  Alcotest.(check int) "equal hashes" (Lts.hash own) (Lts.hash proj);
+  let with_ ?(init = own.Lts.init) ?(lab = Fun.id) ?(tgt = Fun.id)
+      ?(rate_val = Fun.id) ?(rate_prio = Fun.id) () =
+    let edit f a = f (Array.copy a) in
+    Lts.of_csr ~init ~state_name:own.Lts.state_name
+      ~row:(Array.copy own.Lts.row) ~lab:(edit lab own.Lts.lab)
+      ~tgt:(edit tgt own.Lts.tgt) ~rate_kind:(Array.copy own.Lts.rate_kind)
+      ~rate_val:(edit rate_val own.Lts.rate_val)
+      ~rate_prio:(edit rate_prio own.Lts.rate_prio)
+  in
+  let set i v a = a.(i) <- v; a in
+  let last = Lts.num_transitions own - 1 in
+  Alcotest.(check bool) "copy is equal" true (Lts.equal (with_ ()) own);
+  List.iter
+    (fun (what, other) ->
+      Alcotest.(check bool) what false (Lts.equal own other))
+    [
+      ("label", with_ ~lab:(fun a -> set last (a.(last) + 1) a) ());
+      ("target", with_
+         ~tgt:(fun a -> set last ((a.(last) + 1) mod own.Lts.num_states) a) ());
+      ("priority", with_ ~rate_prio:(fun a -> set last (a.(last) + 1) a) ());
+      ("init", with_ ~init:((own.Lts.init + 1) mod own.Lts.num_states) ());
+    ];
+  Alcotest.(check bool) "0.0 vs -0.0" false
+    (Lts.equal (with_ ~rate_val:(set 0 0.0) ()) (with_ ~rate_val:(set 0 (-0.0)) ()))
 
 let suite =
   [
@@ -910,7 +963,10 @@ let suite =
       test_family_error_parity;
     Alcotest.test_case "deduplicated solves match per-member solves" `Quick
       test_dedup_solves;
-    Alcotest.test_case "members differing only in labels share one solve"
+    Alcotest.test_case "members differing only in labels solve apart"
       `Quick test_dedup_label_only;
+    Alcotest.test_case "separately built equal members share one solve"
+      `Quick test_dedup_equal_members;
+    Alcotest.test_case "Lts.equal and Lts.hash" `Quick test_lts_equal_hash;
     QCheck_alcotest.to_alcotest ~long:false guard_prop;
   ]

@@ -479,4 +479,35 @@ let robustness_suite =
   List.map (QCheck_alcotest.to_alcotest ~long:false)
     [ prop_parser_total; prop_measure_parser_total; prop_dist_parser_total ]
 
-let suite = suite @ robustness_suite
+(* The build engine's contract on random rings: 1, 2 and 4 jobs, with
+   parallel rounds from the first frontier on, and a build that keeps no
+   segment resident give one CSR. The segments have 16 slots, the
+   smallest size: the rings have tens of states and would not fill a
+   256-slot segment. *)
+let prop_build_jobs_and_spill_identity =
+  QCheck.Test.make ~count:30
+    ~name:"fuzz: job counts and spilling leave the CSR unchanged" arb_archi
+    (fun archi ->
+      let spec = (Elaborate.elaborate archi).Elaborate.spec in
+      let build ?spill_dir ?max_resident_bytes ?seg_bits jobs =
+        fst
+          (Lts.build ~jobs ~par_threshold:0 ?spill_dir ?max_resident_bytes
+             ?seg_bits spec)
+      in
+      let reference = build 1 in
+      let dir = Filename.temp_dir "dpma-fuzz" ".spill" in
+      let spilled =
+        Fun.protect
+          ~finally:(fun () ->
+            Array.iter
+              (fun file -> Sys.remove (Filename.concat dir file))
+              (Sys.readdir dir);
+            Unix.rmdir dir)
+          (fun () -> build ~spill_dir:dir ~max_resident_bytes:0 ~seg_bits:4 2)
+      in
+      List.for_all (fun jobs -> same_lts reference (build jobs)) [ 2; 4 ]
+      && same_lts reference spilled)
+
+let suite =
+  suite @ robustness_suite
+  @ [ QCheck_alcotest.to_alcotest ~long:false prop_build_jobs_and_spill_identity ]
