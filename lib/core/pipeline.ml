@@ -45,10 +45,11 @@ let assess ?(sim_params = General.default_sim_params) ?max_states ?jobs study =
     | None -> functional_lts
     | Some _ -> Lts.of_spec ?max_states ?jobs study.spec
   in
-  let lts_without = Markov.without_dpm lts ~high:study.high in
-  let markovian_with_dpm, markovian_without_dpm =
+  let lts_without, markovian_with_dpm, markovian_without_dpm =
     span "pipeline.markovian" (fun () ->
-        ( Markov.analyze_lts lts study.measures,
+        let lts_without = Markov.without_dpm lts ~high:study.high in
+        ( lts_without,
+          Markov.analyze_lts lts study.measures,
           Markov.analyze_lts lts_without study.measures ))
   in
   let timing = General.timing_of_list study.general_timings in

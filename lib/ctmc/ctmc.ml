@@ -27,15 +27,16 @@ let dense_threshold = 1500
 
 let label_name = Lts.label_name
 
-(* Growable column for the packed arrays under construction. *)
+(* Growable column for the packed arrays under construction. A column
+   created at its final length is never copied. *)
 module Buf = struct
   type 'a t = { mutable data : 'a array; mutable len : int; fill : 'a }
 
-  let create cap fill = { data = Array.make (max cap 16) fill; len = 0; fill }
+  let create cap fill = { data = Array.make cap fill; len = 0; fill }
 
   let push b x =
     if b.len = Array.length b.data then begin
-      let bigger = Array.make (2 * b.len) b.fill in
+      let bigger = Array.make (max 16 (2 * b.len)) b.fill in
       Array.blit b.data 0 bigger 0 b.len;
       b.data <- bigger
     end;
@@ -97,10 +98,12 @@ let add sc k x =
 
 let of_lts (lts : Lts.t) =
   let n0 = lts.num_states in
-  (* Classify states and validate rates. *)
-  let vanishing = Array.make n0 false in
-  let max_lab = ref 0 in
+  (* Classify states and validate rates. Tangible states are numbered
+     densely in state order; a vanishing state's id is -1. *)
+  let new_id = Array.make n0 (-1) in
+  let n = ref 0 and max_lab = ref 0 in
   for s = 0 to n0 - 1 do
+    let vanishing = ref false in
     for i = lts.row.(s) to lts.row.(s + 1) - 1 do
       if lts.lab.(i) > !max_lab then max_lab := lts.lab.(i);
       match lts.rate_kind.(i) with
@@ -119,10 +122,16 @@ let of_lts (lts : Lts.t) =
                   "unsynchronized passive action %s in state %d: every \
                    passive action must be attached to an active partner"
                   (label_name lts.lab.(i)) s))
-      | 2 -> vanishing.(s) <- true
+      | 2 -> vanishing := true
       | _ -> ()
-    done
+    done;
+    if not !vanishing then begin
+      new_id.(s) <- !n;
+      incr n
+    end
   done;
+  let n = !n in
+  let vanishing s = new_id.(s) < 0 in
   let nlabels = !max_lab + 1 in
   (* Immediate-label counts are listed by label name; ranking the
      immediate labels by name once lets every list sort by int. *)
@@ -140,19 +149,23 @@ let of_lts (lts : Lts.t) =
       (fun r l -> rank.(l) <- r)
       (List.sort Label.compare_by_name !imm)
   in
-  (* Resolve a vanishing state to its distribution over tangible states,
-     together with the expected number of firings of each immediate label
-     along the way (for impulse rewards on immediate actions). Memoized
-     DFS over the maximal-priority immediate edges; a cycle among
-     vanishing states is a time trap. A resolved state owns one range of
-     the distribution pool (targets ascending) and one of the count pool
-     (labels by name). *)
-  let status = Array.make n0 0 (* 0 open, 1 in progress, 2 resolved *) in
+  if n = 0 then raise (Build_error "no tangible state (all states vanishing)");
+  (* Resolve a vanishing state to its distribution over tangible states
+     (by tangible id), together with the expected number of firings of
+     each immediate label along the way (for impulse rewards on
+     immediate actions). Memoized DFS over the maximal-priority
+     immediate edges; a cycle among vanishing states is a time trap. A
+     resolved state owns one range of the distribution pool (targets
+     ascending) and one of the count pool (labels by name). *)
+  let status = Bytes.make n0 '\000' (* 0 open, 1 in progress, 2 resolved *) in
   let d_lo = Array.make n0 0 and d_hi = Array.make n0 0 in
   let c_lo = Array.make n0 0 and c_hi = Array.make n0 0 in
-  let d_state = Buf.create 64 0 and d_prob = Buf.create 64 0.0 in
-  let c_lab = Buf.create 64 0 and c_val = Buf.create 64 0.0 in
-  let states = scratch n0 and labels = scratch nlabels in
+  (* A resolved state adds at least one entry to each pool: sized for
+     one entry per vanishing state, a pool seldom grows. *)
+  let nv = n0 - n in
+  let d_state = Buf.create nv 0 and d_prob = Buf.create nv 0.0 in
+  let c_lab = Buf.create nv 0 and c_val = Buf.create nv 0.0 in
+  let states = scratch n and labels = scratch nlabels in
   let max_prio s =
     let m = ref min_int in
     for i = lts.row.(s) to lts.row.(s + 1) - 1 do
@@ -162,14 +175,14 @@ let of_lts (lts : Lts.t) =
     !m
   in
   let rec resolve s =
-    if status.(s) = 1 then
+    if Bytes.get_uint8 status s = 1 then
       raise
         (Build_error
            (Printf.sprintf
               "cycle of immediate transitions through state %d (time trap)"
               s));
-    if status.(s) = 0 then begin
-      status.(s) <- 1;
+    if Bytes.get_uint8 status s = 0 then begin
+      Bytes.set_uint8 status s 1;
       let lo = lts.row.(s) and hi = lts.row.(s + 1) in
       let prio = max_prio s in
       let top i = lts.rate_kind.(i) = 2 && lts.rate_prio.(i) = prio in
@@ -177,7 +190,7 @@ let of_lts (lts : Lts.t) =
       for i = lo to hi - 1 do
         if top i then begin
           total := !total +. lts.rate_val.(i);
-          if vanishing.(lts.tgt.(i)) then resolve lts.tgt.(i)
+          if vanishing lts.tgt.(i) then resolve lts.tgt.(i)
         end
       done;
       let total = !total in
@@ -187,11 +200,11 @@ let of_lts (lts : Lts.t) =
       for i = lo to hi - 1 do
         if top i then begin
           let p = lts.rate_val.(i) /. total and u = lts.tgt.(i) in
-          if vanishing.(u) then
+          if vanishing u then
             for k = d_lo.(u) to d_hi.(u) - 1 do
               add states d_state.data.(k) (p *. d_prob.data.(k))
             done
-          else add states u (p *. 1.0)
+          else add states new_id.(u) (p *. 1.0)
         end
       done;
       sort_prefix states.keys states.nkeys Fun.id;
@@ -209,7 +222,7 @@ let of_lts (lts : Lts.t) =
         if top i then begin
           let p = lts.rate_val.(i) /. total and u = lts.tgt.(i) in
           add labels lts.lab.(i) p;
-          if vanishing.(u) then
+          if vanishing u then
             for k = c_lo.(u) to c_hi.(u) - 1 do
               add labels c_lab.data.(k) (p *. c_val.data.(k))
             done
@@ -223,49 +236,63 @@ let of_lts (lts : Lts.t) =
         Buf.push c_val labels.sum.(l)
       done;
       c_hi.(s) <- c_lab.len;
-      status.(s) <- 2
+      Bytes.set_uint8 status s 2
     end
   in
-  (* Dense renumbering of tangible states. *)
-  let new_id = Array.make n0 (-1) in
-  let count = ref 0 in
+  (* Exact sizes of the packed columns, so none is grown or trimmed:
+     each timed edge fans out over its target's distribution, and a
+     state lists each immediate label reached and each observable label
+     enabled once. The vanishing targets of a state's timed edges are
+     resolved here, in reverse LTS order, which fixes the time trap a
+     model with several reports. *)
+  let ntrans = ref 0 and nimm = ref 0 and nenabled = ref 0 in
   for s = 0 to n0 - 1 do
-    if not vanishing.(s) then begin
-      new_id.(s) <- !count;
-      incr count
+    if not (vanishing s) then begin
+      let lo = lts.row.(s) and hi = lts.row.(s + 1) in
+      open_ labels;
+      for i = lo to hi - 1 do
+        if lts.lab.(i) <> Lts.tau then add labels lts.lab.(i) 0.0
+      done;
+      nenabled := !nenabled + labels.nkeys;
+      for i = hi - 1 downto lo do
+        if lts.rate_kind.(i) = 1 && vanishing lts.tgt.(i) then
+          resolve lts.tgt.(i)
+      done;
+      open_ labels;
+      for i = lo to hi - 1 do
+        if lts.rate_kind.(i) = 1 then begin
+          let u = lts.tgt.(i) in
+          if vanishing u then begin
+            ntrans := !ntrans + d_hi.(u) - d_lo.(u);
+            for k = c_lo.(u) to c_hi.(u) - 1 do
+              add labels c_lab.data.(k) 0.0
+            done
+          end
+          else incr ntrans
+        end
+      done;
+      nimm := !nimm + labels.nkeys
     end
   done;
-  let n = !count in
-  if n = 0 then raise (Build_error "no tangible state (all states vanishing)");
-  (* Capacities: one transition per timed edge unless a vanishing target
-     fans out, at most one enabled label per observable edge. *)
-  let timed = ref 0 and observable = ref 0 in
-  for s = 0 to n0 - 1 do
-    if not vanishing.(s) then
-      for i = lts.row.(s) to lts.row.(s + 1) - 1 do
-        if lts.rate_kind.(i) = 1 then incr timed;
-        if lts.lab.(i) <> Lts.tau then incr observable
-      done
-  done;
-  let dst = Buf.create !timed 0 and rate = Buf.create !timed 0.0 in
-  let lab = Buf.create !timed 0 in
-  let imm_lab = Buf.create 16 0 and imm_rate = Buf.create 16 0.0 in
-  let enabled_lab = Buf.create !observable 0 in
+  let dst = Buf.create !ntrans 0 and rate = Buf.create !ntrans 0.0 in
+  let lab = Buf.create !ntrans 0 in
+  let imm_lab = Buf.create !nimm 0 and imm_rate = Buf.create !nimm 0.0 in
+  let enabled_lab = Buf.create !nenabled 0 in
   let row = Array.make (n + 1) 0 in
   let imm_row = Array.make (n + 1) 0 in
   let enabled_row = Array.make (n + 1) 0 in
   let exit_rate = Array.make n 0.0 in
   (* One transition of tangible state [id]: LTS edge [i] into tangible
-     state [v] with probability [p]. *)
-  let emit id i v p =
-    let t = new_id.(v) and r = lts.rate_val.(i) *. p in
+     state [t] with probability [p]. *)
+  let emit id i t p =
+    let r = lts.rate_val.(i) *. p in
     Buf.push dst t;
     Buf.push rate r;
     Buf.push lab lts.lab.(i);
     if t <> id then exit_rate.(id) <- exit_rate.(id) +. r
   in
   for s = 0 to n0 - 1 do
-    if not vanishing.(s) then begin
+    if not (vanishing s) then begin
       let id = new_id.(s) and lo = lts.row.(s) and hi = lts.row.(s + 1) in
       (* Observable labels by id, each once. *)
       open_ labels;
@@ -278,18 +305,12 @@ let of_lts (lts : Lts.t) =
       done;
       (* Timed edges in reverse LTS order, each fanned out over the
          tangible distribution of its target; the immediate firings they
-         trigger are summed per label in the same order. Their targets
-         are resolved first, in that same order, which fixes the time trap
-         a model with several reports. *)
-      for i = hi - 1 downto lo do
-        if lts.rate_kind.(i) = 1 && vanishing.(lts.tgt.(i)) then
-          resolve lts.tgt.(i)
-      done;
+         trigger are summed per label in the same order. *)
       open_ labels;
       for i = hi - 1 downto lo do
         if lts.rate_kind.(i) = 1 then begin
           let lambda = lts.rate_val.(i) and u = lts.tgt.(i) in
-          if vanishing.(u) then begin
+          if vanishing u then begin
             for k = d_lo.(u) to d_hi.(u) - 1 do
               emit id i d_state.data.(k) d_prob.data.(k)
             done;
@@ -297,7 +318,7 @@ let of_lts (lts : Lts.t) =
               add labels c_lab.data.(k) (lambda *. c_val.data.(k))
             done
           end
-          else emit id i u 1.0
+          else emit id i new_id.(u) 1.0
         end
       done;
       sort_prefix labels.keys labels.nkeys (Array.get rank);
@@ -313,10 +334,9 @@ let of_lts (lts : Lts.t) =
   done;
   let init_state, init_prob =
     let s = lts.init in
-    if vanishing.(s) then begin
+    if vanishing s then begin
       resolve s;
-      ( Array.init (d_hi.(s) - d_lo.(s)) (fun k ->
-            new_id.(d_state.data.(d_lo.(s) + k))),
+      ( Array.sub d_state.data d_lo.(s) (d_hi.(s) - d_lo.(s)),
         Array.sub d_prob.data d_lo.(s) (d_hi.(s) - d_lo.(s)) )
     end
     else ([| new_id.(s) |], [| 1.0 |])

@@ -149,12 +149,20 @@ let run ?(max_states = 500_000) ?jobs ?par_threshold ?spill_dir
         ("transitions", float_of_int (Segstore.total edges));
         ("rounds", float_of_int !rounds) ]
   in
+  let emit_state d =
+    let seg, o = Segstore.push_slot rows in
+    seg.Segstore.ints.(0).(o) <- Segstore.total edges;
+    emit push d
+  in
   (* States are numbered in merge order, so the frontier of a round is
      always a contiguous id range: the states appended by the previous
-     round. Workers derive successors of frontier slices into private
-     buffers (with private memo shards); the coordinator then emits the
-     slices in frontier order, which pins state numbering and edge order
-     to the sequential ones for any job count. *)
+     round. In a parallel round, workers derive successors of frontier
+     slices into private buffers (with private memo shards); the
+     coordinator then emits the slices in frontier order, which pins
+     state numbering and edge order to the sequential ones for any job
+     count. A round run in the coordinating domain emits each state as
+     soon as it is derived, so its derivation dies young instead of
+     waiting, promoted, for the rest of the frontier. *)
   let lo = ref 0 in
   while !lo < terms.t_total do
     Dpma_util.Guard.poll ~partial ~phase ();
@@ -164,21 +172,35 @@ let run ?(max_states = 500_000) ?jobs ?par_threshold ?spill_dir
     if fsize > !peak_frontier then peak_frontier := fsize;
     M.observe I.lts_par_frontier (float_of_int fsize);
     let base = !lo in
-    let frontier = Array.init fsize (fun i -> get_term terms (base + i)) in
-    let derived =
-      Pool.map_chunks_ordered
-        ~jobs:(if fsize < par_threshold then 1 else jobs)
-        ~chunk:(Pool.recommended_chunk ~n:fsize ~jobs)
-        ~init:shard ~f:derive ~finish frontier
-    in
-    let tm = Dpma_obs.Clock.now_s () in
-    Array.iter
-      (fun d ->
-        let seg, o = Segstore.push_slot rows in
-        seg.Segstore.ints.(0).(o) <- Segstore.total edges;
-        emit push d)
-      derived;
-    merge_s := !merge_s +. (Dpma_obs.Clock.now_s () -. tm);
+    if jobs = 1 || fsize < par_threshold then begin
+      let w = shard () in
+      let next = ref base in
+      (try
+         while !next < hi do
+           let d = derive w (get_term terms !next) in
+           incr next;
+           emit_state d
+         done
+       with Too_many_states _ as e ->
+         (* A parallel round derives its whole frontier before it emits,
+            so a derivation error of the round takes precedence. *)
+         for i = !next to hi - 1 do
+           ignore (derive w (get_term terms i))
+         done;
+         raise e);
+      finish w
+    end
+    else begin
+      let frontier = Array.init fsize (fun i -> get_term terms (base + i)) in
+      let derived =
+        Pool.map_chunks_ordered ~jobs
+          ~chunk:(Pool.recommended_chunk ~n:fsize ~jobs)
+          ~init:shard ~f:derive ~finish frontier
+      in
+      let tm = Dpma_obs.Clock.now_s () in
+      Array.iter emit_state derived;
+      merge_s := !merge_s +. (Dpma_obs.Clock.now_s () -. tm)
+    end;
     lo := hi
   done;
   let n = terms.t_total in

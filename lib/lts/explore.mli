@@ -12,12 +12,16 @@
 
     Each round the frontier — a contiguous id range, since states are
     numbered in merge order — is derived either in the coordinating
-    domain or, when it holds at least [par_threshold] states and
+    domain, which hands each derivation to [emit] as soon as it is
+    made, or, when it holds at least [par_threshold] states and
     [jobs > 1], in chunks dealt to the domain pool with one [shard] per
-    worker. The slices are then handed to [emit] in frontier order on
-    the coordinating domain, which pins state numbering, edge order and
-    any state [emit] keeps (guard interning order) to the sequential
-    ones: the output is bit-identical for any job count, spilled or not.
+    worker, whose slices are then handed to [emit] in frontier order on
+    the coordinating domain. Either way [emit] sees the frontier in
+    order, which pins state numbering, edge order and any state [emit]
+    keeps (guard interning order) to the sequential ones: the output is
+    bit-identical for any job count, spilled or not. A derivation error
+    in a round takes precedence over the round crossing [max_states],
+    as when the whole frontier is derived before it is emitted.
 
     Every build records the shared instruments [lts.par.rounds],
     [lts.par.frontier], [lts.par.merge.seconds], [lts.par.segments],
@@ -32,7 +36,8 @@ type stats = {
   rounds : int;  (** BFS depth: level-synchronous frontier expansions *)
   peak_frontier : int;  (** largest frontier expanded in one round *)
   merge_seconds : float;
-      (** time spent merging worker slices in frontier order *)
+      (** time spent merging worker slices in frontier order (parallel
+          rounds only) *)
   segments : int;  (** fixed-size storage segments allocated *)
   segment_bytes_peak : int;
       (** peak bytes held resident in segment storage before CSR

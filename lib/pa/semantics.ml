@@ -43,12 +43,13 @@ let rec sync_order (orders : sync_orders) s =
    code path serves the serialized engine (mutex-protected memo, atomic
    hit/miss counters) and the per-worker shards of the parallel builder
    (lock-free local table in front of a frozen parent memo). [c_find]
-   counts the hits and [c_store] the misses (derivations computed), so a
+   counts the hits and [c_miss] the misses (derivations computed), so a
    term routed elsewhere by [c_route] is counted once, by the cache that
-   answers it. *)
+   answers it. [c_store] memoizes a computed derivation. *)
 type cache = {
   c_defs : Term.defs;
   c_find : int -> trans option;
+  c_miss : unit -> unit;
   c_store : int -> trans -> unit;
   c_route : ((Term.t -> bool) * cache) option;
   c_sync : sync_orders;
@@ -91,15 +92,15 @@ let make defs =
     if Option.is_some r then Atomic.incr hits;
     r
   in
+  let c_miss () = Atomic.incr misses in
   let c_store uid trans =
-    Atomic.incr misses;
     Mutex.lock memo_lock;
     Uid_tbl.replace memo uid trans;
     Mutex.unlock memo_lock
   in
   { defs; memo; memo_lock; hits; misses;
     cache =
-      { c_defs = defs; c_find; c_store; c_route = None;
+      { c_defs = defs; c_find; c_miss; c_store; c_route = None;
         c_sync = Atomic.make [] } }
 
 let stats (e : engine) =
@@ -120,16 +121,14 @@ let shard ?route (e : engine) =
     if Option.is_some r then incr hits;
     r
   in
-  let c_store uid trans =
-    incr misses;
-    Uid_tbl.replace local uid trans
-  in
+  let c_miss () = incr misses in
+  let c_store uid trans = Uid_tbl.replace local uid trans in
   let c_route =
     Option.map (fun (shared, target) -> (shared, target.sh_cache)) route
   in
   { sh_parent = e; sh_local = local; sh_hits = hits; sh_misses = misses;
     sh_cache =
-      { c_defs = e.defs; c_find; c_store; c_route;
+      { c_defs = e.defs; c_find; c_miss; c_store; c_route;
         c_sync = e.cache.c_sync } }
 
 let shard_stats (sh : shard) = { hits = !(sh.sh_hits); misses = !(sh.sh_misses) }
@@ -151,15 +150,19 @@ let merge_shard (sh : shard) =
 let passive_total trans =
   List.fold_left (fun acc (_, r, _) -> acc +. Rate.apparent_weight r) 0.0 trans
 
-let rec derive_c c (t : Term.t) =
+(* [~keep:false] derives without memoizing the term's own derivation:
+   an explorer derives each state once, so that entry would never be
+   read again. Its subterms are memoized either way. *)
+let rec derive_c ?(keep = true) c (t : Term.t) =
   match c.c_find t.uid with
   | Some trans -> trans
   | None -> (
       match c.c_route with
-      | Some (shared, target) when shared t -> derive_c target t
+      | Some (shared, target) when shared t -> derive_c ~keep target t
       | _ ->
+          c.c_miss ();
           let trans = derive_uncached c t in
-          c.c_store t.uid trans;
+          if keep then c.c_store t.uid trans;
           trans)
 
 and derive_uncached c (t : Term.t) =
@@ -222,4 +225,4 @@ and derive_uncached c (t : Term.t) =
       left @ right @ sync
 
 let derive (e : engine) t = derive_c e.cache t
-let derive_in (sh : shard) t = derive_c sh.sh_cache t
+let derive_in (sh : shard) t = derive_c ~keep:false sh.sh_cache t

@@ -63,8 +63,11 @@ val shard : ?route:(Term.t -> bool) * shard -> engine -> shard
     configuration difference can reach to one shared shard. *)
 
 val derive_in : shard -> Term.t -> (Label.t * Rate.t * Term.t) list
-(** Memoized SOS derivation through the shard. Not thread-safe — one
-    domain per shard. *)
+(** SOS derivation of a state through the shard, for an explorer that
+    derives each state once: the state is looked up in the shard's
+    tables (and routed like any term), but its own derivation is not
+    stored — deriving it again counts a second miss. Its subterms are
+    memoized as by {!derive}. Not thread-safe — one domain per shard. *)
 
 val shard_stats : shard -> stats
 (** Hits/misses accumulated by this shard since creation or the last

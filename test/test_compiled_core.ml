@@ -157,6 +157,50 @@ let test_sos_memo_hits () =
     s2.Semantics.misses;
   Alcotest.(check bool) "hits increased" true (s2.Semantics.hits > s1.Semantics.hits)
 
+(* The explorer's entry derives a state without memoizing the state's
+   own transitions (each state is derived once per build), while its
+   subterms stay memoized: deriving one state twice through a shard
+   gives equal transitions, counts the state as a miss both times and
+   answers its components from the shard the second time. *)
+let test_derive_in_keeps_no_state () =
+  let p = Term.prefix "a" r Term.stop in
+  let q = Term.prefix "b" r Term.stop in
+  let t = Term.par_names p [] q in
+  let sh = Semantics.shard (Semantics.make []) in
+  let first = Semantics.derive_in sh t in
+  let s1 = Semantics.shard_stats sh in
+  let second = Semantics.derive_in sh t in
+  let s2 = Semantics.shard_stats sh in
+  Alcotest.(check bool) "equal transitions" true
+    (List.equal
+       (fun (a, ra, ka) (b, rb, kb) -> Label.equal a b && ra = rb && ka == kb)
+       first second);
+  Alcotest.(check int) "first derivation: the state and its two components"
+    3 s1.Semantics.misses;
+  Alcotest.(check int) "the state misses again" (s1.Semantics.misses + 1)
+    s2.Semantics.misses;
+  Alcotest.(check int) "its components hit" (s1.Semantics.hits + 2)
+    s2.Semantics.hits
+
+(* The SOS memo counters of one build of each paper study, single
+   domain. Not keeping the state derivations must not change them: no
+   state term of these models is derived again as a subterm. *)
+let test_build_sos_counters () =
+  let module M = Dpma_obs.Metrics in
+  let module I = Dpma_obs.Instruments in
+  let check name (study : Pipeline.study) ~hits ~misses =
+    let h0 = M.count I.sos_memo_hits and m0 = M.count I.sos_memo_misses in
+    ignore (Lts.build ~jobs:1 study.Pipeline.spec);
+    Alcotest.(check int) (name ^ " hits") hits (M.count I.sos_memo_hits - h0);
+    Alcotest.(check int) (name ^ " misses") misses
+      (M.count I.sos_memo_misses - m0)
+  in
+  check "rpc" (Dpma_models.Rpc.study Dpma_models.Rpc.default_params)
+    ~hits:1814 ~misses:1363;
+  check "streaming"
+    (Dpma_models.Streaming.study Dpma_models.Streaming.default_params)
+    ~hits:51559 ~misses:32610
+
 (* Synchronizations come out in action-name order whatever the label ids:
    through a one-shot derivation, an engine's second (cached) derivation
    of another term on the same set, and a builder shard. *)
@@ -373,6 +417,9 @@ let suite =
     Alcotest.test_case "hashcons equal label sets" `Quick
       test_hashcons_equal_label_sets;
     Alcotest.test_case "sos memo hits" `Quick test_sos_memo_hits;
+    Alcotest.test_case "derive_in keeps no state derivation" `Quick
+      test_derive_in_keeps_no_state;
+    Alcotest.test_case "build sos counters" `Slow test_build_sos_counters;
     Alcotest.test_case "sync order by action name" `Quick test_sync_name_order;
     Alcotest.test_case "pinned CSR digests" `Slow test_pinned_csr_digests;
     Alcotest.test_case "differential: rpc" `Slow test_differential_rpc;

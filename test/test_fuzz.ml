@@ -508,6 +508,93 @@ let prop_build_jobs_and_spill_identity =
       List.for_all (fun jobs -> same_lts reference (build jobs)) [ 2; 4 ]
       && same_lts reference spilled)
 
+(* Random LTSs for the label maps: up to 24 states with up to five
+   edges each, labels drawn from tau and five names, any rate kind. *)
+let label_map_names = [| "fzmap_a"; "fzmap_b"; "fzmap_c"; "fzmap_d"; "fzmap_e" |]
+
+let gen_label_map_case =
+  let open Gen in
+  let* n = int_range 1 24 in
+  let edge =
+    let* l = int_bound 5 in
+    let* target = int_bound (n - 1) in
+    let* kind = int_bound 3 and* w = float_range 0.1 4.0 and* prio = int_bound 2 in
+    let rate =
+      match kind with
+      | 0 -> None
+      | 1 -> Some (Dpma_pa.Rate.Exp w)
+      | 2 -> Some (Dpma_pa.Rate.Imm { prio; weight = w })
+      | _ -> Some (Dpma_pa.Rate.Passive { weight = w })
+    in
+    let label = if l = 0 then Lts.tau else Lts.obs label_map_names.(l - 1) in
+    return { Lts_fixture.label; rate; target }
+  in
+  let* trans = array_repeat n (list_size (int_bound 5) edge) in
+  let* init = int_bound (n - 1) in
+  let* chosen = array_repeat (Array.length label_map_names) bool in
+  return
+    (Lts_fixture.make ~init ~state_name:string_of_int trans, chosen)
+
+(* [Lts.restrict] and [Lts.hide_all_but] against a per-edge filter: equal
+   CSRs, and the name predicate asked once per distinct observable
+   label. *)
+let prop_label_maps_match_per_edge_filter =
+  QCheck.Test.make ~count:200
+    ~name:"fuzz: label maps match a per-edge filter, one call per label"
+    (QCheck.make
+       ~print:(fun ((lts : Lts.t), chosen) ->
+         Printf.sprintf "%d states, edges %s, chosen %s" lts.Lts.num_states
+           (String.concat ","
+              (Array.to_list (Array.map Lts.label_name lts.Lts.lab)))
+           (String.concat ","
+              (Array.to_list (Array.map string_of_bool chosen))))
+       gen_label_map_case)
+    (fun ((lts : Lts.t), chosen) ->
+      let is_chosen name =
+        let rec go i =
+          i < Array.length label_map_names
+          && ((String.equal label_map_names.(i) name && chosen.(i)) || go (i + 1))
+        in
+        go 0
+      in
+      let per_edge f =
+        Lts_fixture.make ~init:lts.Lts.init ~state_name:lts.Lts.state_name
+          (Array.init lts.Lts.num_states (fun s ->
+               List.filter_map
+                 (fun (tr : Lts_fixture.transition) ->
+                   Option.map
+                     (fun label -> { tr with label })
+                     (f tr.Lts_fixture.label))
+                 (Lts_fixture.transitions_of lts s)))
+      in
+      let counted () =
+        let asked = ref [] in
+        ((fun name -> asked := name :: !asked; is_chosen name), asked)
+      in
+      let observable =
+        List.sort_uniq String.compare
+          (List.filter_map
+             (fun l -> if Lts.is_tau l then None else Some (Lts.label_name l))
+             (Array.to_list lts.Lts.lab))
+      in
+      let once asked = List.sort String.compare !asked = observable in
+      let remove, removed_asked = counted () in
+      let restricted = Lts.restrict lts ~remove in
+      let keep, kept_asked = counted () in
+      let hidden = Lts.hide_all_but lts ~keep in
+      Lts.equal restricted
+        (per_edge (fun l ->
+             if Lts.is_tau l then Some l
+             else if is_chosen (Lts.label_name l) then None
+             else Some l))
+      && Lts.equal hidden
+           (per_edge (fun l ->
+                if Lts.is_tau l || is_chosen (Lts.label_name l) then Some l
+                else Some Lts.tau))
+      && once removed_asked && once kept_asked)
+
 let suite =
   suite @ robustness_suite
-  @ [ QCheck_alcotest.to_alcotest ~long:false prop_build_jobs_and_spill_identity ]
+  @ [ QCheck_alcotest.to_alcotest ~long:false prop_build_jobs_and_spill_identity;
+      QCheck_alcotest.to_alcotest ~long:false
+        prop_label_maps_match_per_edge_filter ]

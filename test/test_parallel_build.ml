@@ -159,10 +159,36 @@ let test_stats_race_free () =
   Alcotest.(check int) "no spurious misses" before.Semantics.misses
     after.Semantics.misses
 
+(* A round that both crosses the state cap and reaches an ill-rated
+   synchronization reports the synchronization, however it is
+   scheduled: a parallel round derives its frontier before emitting,
+   and a round run in the coordinating domain, which emits as it
+   derives, finishes the round's derivations before reporting the cap.
+   The second frontier is [s1; s2]: [s1]'s successor would be state 3,
+   [s2] synchronizes two active [s] actions. *)
+let test_round_error_precedence () =
+  let r = Dpma_pa.Rate.exp 1.0 in
+  let s1 = Term.prefix "x" r (Term.prefix "y" r Term.stop) in
+  let active = Term.prefix "s" r Term.stop in
+  let s2 = Term.par_names active [ "s" ] active in
+  let init = Term.choice [ Term.prefix "go1" r s1; Term.prefix "go2" r s2 ] in
+  let spec = Term.spec ~defs:[] ~init in
+  List.iter
+    (fun (jobs, par_threshold) ->
+      match Lts.build ~max_states:3 ~jobs ~par_threshold spec with
+      | _ -> Alcotest.fail "expected Sync_error"
+      | exception Semantics.Sync_error { action; _ } ->
+          Alcotest.(check string)
+            (Printf.sprintf "jobs %d: the synchronization" jobs)
+            "s" action)
+    [ (1, 0); (2, 0); (2, max_int) ]
+
 let suite =
   [
     Alcotest.test_case "rpc jobs-identical" `Quick test_rpc_jobs;
     Alcotest.test_case "streaming jobs-identical" `Quick test_streaming_jobs;
     Alcotest.test_case "scaled jobs-identical" `Quick test_scaled_jobs;
     Alcotest.test_case "semantics stats race-free" `Quick test_stats_race_free;
+    Alcotest.test_case "round errors independent of scheduling" `Quick
+      test_round_error_precedence;
   ]
