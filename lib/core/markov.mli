@@ -20,6 +20,11 @@ val analyze :
   Dpma_measures.Measure.t list ->
   analysis
 
+val build_ctmc : Dpma_lts.Lts.t -> Dpma_ctmc.Ctmc.t
+(** [Ctmc.of_lts] under a [ctmc.build] span: the chain {!analyze_lts}
+    solves, for callers that solve it themselves ([dpma transient],
+    [dpma firstpassage]). *)
+
 val analyze_lts : Dpma_lts.Lts.t -> Dpma_measures.Measure.t list -> analysis
 (** Builds the CTMC, solves its steady state and evaluates [measures],
     under a [markov.analyze] span with [ctmc.build] and [ctmc.solve]
@@ -67,10 +72,12 @@ val analyze_ltss_dedup :
     representative's [analysis]. Sweep members frequently project to
     one LTS, so 1024 members cost far fewer than 1024 solves. Every
     member's [analysis] is bit-identical to {!analyze_lts} on it. The
-    distinct analyses are dealt to the domain pool; the results do not
-    depend on [jobs]. Records [family.distinct_quotients] /
-    [family.solves_shared]. Traced as a [markov.dedup] span whose
-    children are [markov.dedup.key] (keying the member LTSs) and
+    distinct analyses are dealt to [jobs] domains (by default
+    {!Dpma_util.Pool.default_jobs}, lowered so that each gets at least
+    4096 transitions to solve); the results do not depend on [jobs].
+    Records [family.distinct_quotients] / [family.solves_shared].
+    Traced as a [markov.dedup] span whose children are
+    [markov.dedup.key] (keying the member LTSs) and
     [markov.dedup.solve] (the distinct builds, solves and evaluations),
     one span per phase and none per member. Raises [Invalid_argument]
     on an empty family. *)

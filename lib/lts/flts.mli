@@ -124,7 +124,8 @@ val project : t -> int -> Lts.t
 
 val project_all : ?jobs:int -> t -> Lts.t array
 (** Every configuration's projection ([project fam c] for each [c], in
-    order), dealt to the domain pool. Before the members it builds one
+    order), dealt to [jobs] domains (default 1: a second domain costs
+    more than it saves on the families measured). Before the members it builds one
     run index: for each union state with more than one guard run, the
     start of every configuration's run (one word per configuration,
     filled by walking each run's guard bits once; at most [2^22] words,

@@ -98,6 +98,17 @@ let spill_differential name spec () =
     [ 1; 2; 4 ];
   check_dir_empty name dir
 
+(* The CLI's spill path leaves [seg_bits] at its default: the segments
+   spilled and read back there are the production size. *)
+let test_default_segment_spill () =
+  let spec = Lazy.force streaming_spec in
+  with_spill_dir @@ fun dir ->
+  let lts, st = Lts.build ~spill_dir:dir ~max_resident_bytes:0 spec in
+  Alcotest.(check bool) "spilled at the default segment size" true
+    (st.Lts.spilled_segments > 1);
+  check_csr_identical "default segments" (Lts.of_spec spec) lts;
+  check_dir_empty "default segments" dir
+
 (* The family union build through the same store: spilled and in-memory
    featured systems must agree on every projection. *)
 let test_family_spill_differential () =
@@ -268,4 +279,6 @@ let suite =
     Alcotest.test_case "degraded verdict shape" `Quick test_verdict_shape;
     Alcotest.test_case "guard validation" `Quick test_guard_validation;
     Alcotest.test_case "seg_bits validation" `Quick test_seg_bits_validation;
+    Alcotest.test_case "default segment size spill" `Quick
+      test_default_segment_spill;
   ]
