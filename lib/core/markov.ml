@@ -38,7 +38,9 @@ let analyze_lts lts measures =
       ~attrs:[ ("states", Trace.Int ctmc.Ctmc.n) ]
       (fun () -> Ctmc.steady_state ctmc)
   in
-  evaluate lts ctmc pi measures)
+  Trace.with_span "markov.evaluate"
+    ~attrs:[ ("measures", Trace.Int (List.length measures)) ]
+    (fun () -> evaluate lts ctmc pi measures))
 
 let analyze_lts_lumped lts measures =
   let partition = Dpma_lts.Bisim.markovian_partition lts in
@@ -56,11 +58,62 @@ let family_ltss ?max_states ?jobs specs =
 
 type family_solve_stats = {
   members : int;
+  structures : int;
   distinct_quotients : int;
   solves_shared : int;
 }
 
-module Lts_tbl = Hashtbl.Make (Lts)
+(* Members keyed in two levels, each member hashed once: its plan (the
+   structure its CTMC build reads), then its timed rates within the
+   plan. Returns each member's plan and distinct-member indices, the
+   first member of each plan and of each distinct member, in first
+   appearance order. *)
+let key_members ltss =
+  let n = Array.length ltss in
+  let plan_h = Array.map Ctmc.plan_hash ltss in
+  let rates_h = Array.map Ctmc.rates_hash ltss in
+  let plan_of = Array.make n 0 and rep_of = Array.make n 0 in
+  let module Plans = Hashtbl.Make (struct
+    type t = int
+
+    let hash i = plan_h.(i)
+
+    let equal i j = plan_h.(i) = plan_h.(j) && Ctmc.same_plan ltss.(i) ltss.(j)
+  end) in
+  let module Reps = Hashtbl.Make (struct
+    type t = int
+
+    let hash i = Dpma_util.Hash.fold plan_of.(i) rates_h.(i)
+
+    let equal i j =
+      plan_of.(i) = plan_of.(j) && rates_h.(i) = rates_h.(j)
+      && Ctmc.same_rates ltss.(i) ltss.(j)
+  end) in
+  let plans = Plans.create n and reps = Reps.create n in
+  let nplans = ref 0 and plan_firsts = ref [] in
+  let nreps = ref 0 and rep_firsts = ref [] in
+  let fresh count firsts i =
+    firsts := i :: !firsts;
+    incr count;
+    !count - 1
+  in
+  for i = 0 to n - 1 do
+    plan_of.(i) <-
+      (match Plans.find_opt plans i with
+      | Some p -> p
+      | None ->
+          let p = fresh nplans plan_firsts i in
+          Plans.add plans i p;
+          p);
+    rep_of.(i) <-
+      (match Reps.find_opt reps i with
+      | Some r -> r
+      | None ->
+          let r = fresh nreps rep_firsts i in
+          Reps.add reps i r;
+          r)
+  done;
+  (plan_of, rep_of, List.rev !plan_firsts, List.rev !rep_firsts)
 
 let analyze_ltss_dedup ?jobs ltss measures =
   let members = Array.length ltss in
@@ -69,62 +122,67 @@ let analyze_ltss_dedup ?jobs ltss measures =
   Trace.with_span "markov.dedup" ~attrs:[ ("members", Trace.Int members) ]
     (fun () ->
   (* Equal CSRs give equal CTMCs, stationary distributions and measure
-     values, so each distinct member LTS is analyzed once.
+     values, so each distinct member LTS is analyzed once, and distinct
+     members with one plan share its build and graph work.
      Representatives in first-appearance order keep the set of solves,
      and the first error raised, independent of [jobs]. *)
-  let rep_idx, reps =
+  let plan_of, rep_of, plan_firsts, reps =
     Trace.with_span "markov.dedup.key" (fun () ->
-        let rep_of = Lts_tbl.create 64 in
-        let reps = ref [] and nreps = ref 0 in
-        let rep_idx =
-          Array.map
-            (fun lts ->
-              match Lts_tbl.find_opt rep_of lts with
-              | Some r -> r
-              | None ->
-                  let r = !nreps in
-                  incr nreps;
-                  Lts_tbl.add rep_of lts r;
-                  reps := lts :: !reps;
-                  r)
-            ltss
-        in
-        (rep_idx, List.rev !reps))
+        let (_, _, plan_firsts, _) as keyed = key_members ltss in
+        Trace.add_attr "structures" (Trace.Int (List.length plan_firsts));
+        keyed)
   in
-  (* [analyze_lts] without its spans: one span for all the solves. *)
-  let analyze lts =
-    let ctmc = Ctmc.of_lts lts in
-    evaluate lts ctmc (Ctmc.steady_state ctmc) measures
-  in
-  (* The default job count gives each worker at least 4096 transitions
-     to solve: on an otherwise idle 2-vCPU host a second domain lost
-     below about 6300 transitions and won from about 12,500. *)
+  (* The default job count gives each worker at least 8192 transitions
+     to fill and solve: on an otherwise idle 2-vCPU host a second domain
+     lost at 12,544 transitions (5 of 6 runs), broke about even at
+     18,816 and won at 25,088 (6 of 6). *)
   let jobs =
     match jobs with
     | Some j -> j
     | None ->
         let work =
-          List.fold_left (fun acc l -> acc + Lts.num_transitions l) 0 reps
+          List.fold_left (fun acc i -> acc + Lts.num_transitions ltss.(i)) 0 reps
         in
-        max 1 (min (Dpma_util.Pool.default_jobs ()) (work / 4096))
+        max 1 (min (Dpma_util.Pool.default_jobs ()) (work / 8192))
   in
   let solved =
     Trace.with_span "markov.dedup.solve"
       ~attrs:[ ("solves", Trace.Int (List.length reps)) ]
       (fun () ->
+        (* The plans are built in order on this domain. A plan that
+           fails is raised by its members' solves, so the error raised is
+           the one [analyze_lts] raises on the first failing member. *)
+        let plans =
+          Array.of_list
+            (List.map
+               (fun i ->
+                 match Ctmc.plan ltss.(i) with
+                 | p -> Ok (p, Ctmc.graph p ltss.(i))
+                 | exception e -> Error e)
+               plan_firsts)
+        in
+        (* [analyze_lts] without its spans: one span for all the solves. *)
+        let analyze i =
+          match plans.(plan_of.(i)) with
+          | Error e -> raise e
+          | Ok (plan, graph) ->
+              let lts = ltss.(i) in
+              let ctmc = Ctmc.fill plan lts in
+              evaluate lts ctmc (Ctmc.steady_state ~graph ctmc) measures
+        in
         Array.of_list (Dpma_util.Pool.parallel_map ~jobs analyze reps))
   in
   let distinct = Array.length solved in
   let stats =
-    { members; distinct_quotients = distinct;
-      solves_shared = members - distinct }
+    { members; structures = List.length plan_firsts;
+      distinct_quotients = distinct; solves_shared = members - distinct }
   in
   let module I = Dpma_obs.Instruments in
   Dpma_obs.Metrics.set I.family_distinct_quotients
     (float_of_int stats.distinct_quotients);
   Dpma_obs.Metrics.set I.family_solves_shared
     (float_of_int stats.solves_shared);
-  (Array.map (Array.get solved) rep_idx, stats))
+  (Array.map (Array.get solved) rep_of, stats))
 
 let analyze_family ?max_states ?jobs specs measures =
   fst (analyze_ltss_dedup ?jobs (family_ltss ?max_states ?jobs specs) measures)

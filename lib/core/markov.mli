@@ -27,8 +27,9 @@ val build_ctmc : Dpma_lts.Lts.t -> Dpma_ctmc.Ctmc.t
 
 val analyze_lts : Dpma_lts.Lts.t -> Dpma_measures.Measure.t list -> analysis
 (** Builds the CTMC, solves its steady state and evaluates [measures],
-    under a [markov.analyze] span with [ctmc.build] and [ctmc.solve]
-    children ({!Dpma_ctmc.Ctmc} opens no span itself). *)
+    under a [markov.analyze] span with [ctmc.build], [ctmc.solve] and
+    [markov.evaluate] children ({!Dpma_ctmc.Ctmc} opens no span
+    itself). *)
 
 val family_ltss :
   ?max_states:int -> ?jobs:int -> Dpma_pa.Term.spec array -> Dpma_lts.Lts.t array
@@ -56,6 +57,9 @@ val analyze_lts_lumped :
 
 type family_solve_stats = {
   members : int;
+  structures : int;
+      (** distinct CTMC plans ({!Dpma_ctmc.Ctmc.same_plan}) among the
+          members *)
   distinct_quotients : int;  (** distinct member LTSs solved *)
   solves_shared : int;  (** [members - distinct_quotients] *)
 }
@@ -66,21 +70,29 @@ val analyze_ltss_dedup :
   Dpma_measures.Measure.t list ->
   analysis array * family_solve_stats
 (** {!analyze_lts} on every member, once per distinct member LTS. The
-    members are keyed by {!Dpma_lts.Lts.equal} (the whole CSR, label
-    ids and rate bits included); each distinct LTS's CTMC is built,
-    solved and evaluated exactly once, and every member gets its
-    representative's [analysis]. Sweep members frequently project to
-    one LTS, so 1024 members cost far fewer than 1024 solves. Every
-    member's [analysis] is bit-identical to {!analyze_lts} on it. The
-    distinct analyses are dealt to [jobs] domains (by default
-    {!Dpma_util.Pool.default_jobs}, lowered so that each gets at least
-    4096 transitions to solve); the results do not depend on [jobs].
-    Records [family.distinct_quotients] / [family.solves_shared].
-    Traced as a [markov.dedup] span whose children are
-    [markov.dedup.key] (keying the member LTSs) and
-    [markov.dedup.solve] (the distinct builds, solves and evaluations),
-    one span per phase and none per member. Raises [Invalid_argument]
-    on an empty family. *)
+    members are keyed in two levels, each member hashed once: by their
+    CTMC plan ({!Dpma_ctmc.Ctmc.same_plan}: the CSR, label ids and
+    immediate weights), then by the bits of their timed rates
+    ({!Dpma_ctmc.Ctmc.same_rates}), which together are
+    {!Dpma_lts.Lts.equal}. Each plan is built once, with its
+    steady-state graph ({!Dpma_ctmc.Ctmc.graph}), in first-appearance
+    order on the calling domain; each distinct LTS's chain is filled
+    from it, solved and evaluated exactly once, and every member gets
+    its representative's [analysis]. Sweep members frequently project
+    to one LTS, and differ mostly in rates, so 1024 members cost far
+    fewer than 1024 solves and a handful of plans. Every member's
+    [analysis] is bit-identical to {!analyze_lts} on it, and a member
+    whose chain fails to build raises what {!analyze_lts} raises on
+    the first such member. The distinct fills and solves are dealt to
+    [jobs] domains (by default {!Dpma_util.Pool.default_jobs}, lowered
+    so that each gets at least 8192 transitions to solve); the results
+    do not depend on [jobs]. Records [family.distinct_quotients] /
+    [family.solves_shared]. Traced as a [markov.dedup] span whose
+    children are [markov.dedup.key] (keying the member LTSs; its
+    [structures] attribute counts the plans) and [markov.dedup.solve]
+    (the plans, then the distinct fills, solves and evaluations), one
+    span per phase and none per member. Raises [Invalid_argument] on
+    an empty family. *)
 
 val without_dpm : Dpma_lts.Lts.t -> high:string list -> Dpma_lts.Lts.t
 (** Restrict the DPM command actions. *)

@@ -96,7 +96,27 @@ let add sc k x =
     sc.nkeys <- sc.nkeys + 1
   end
 
-let of_lts (lts : Lts.t) =
+(* Everything of a chain that no timed rate feeds: the finished columns
+   in [chain] (its [rate], [exit_rate] and [imm_rate] empty), the
+   tangible id of each LTS state (-1 when vanishing) and the resolution
+   of each vanishing state: its range [d_lo, d_hi) of the distribution
+   pool, whose probabilities are [d_prob], and its range [c_lo, c_hi)
+   of the count pool, whose immediate labels and expected firings are
+   [c_lab] and [c_val]. *)
+type plan = {
+  chain : t;
+  nlabels : int;
+  new_id : int array;
+  d_lo : int array;
+  d_hi : int array;
+  d_prob : float array;
+  c_lo : int array;
+  c_hi : int array;
+  c_lab : int array;
+  c_val : float array;
+}
+
+let plan (lts : Lts.t) =
   let n0 = lts.num_states in
   (* Classify states and validate rates. Tangible states are numbered
      densely in state order; a vanishing state's id is -1. *)
@@ -274,22 +294,15 @@ let of_lts (lts : Lts.t) =
       nimm := !nimm + labels.nkeys
     end
   done;
-  let dst = Buf.create !ntrans 0 and rate = Buf.create !ntrans 0.0 in
-  let lab = Buf.create !ntrans 0 in
-  let imm_lab = Buf.create !nimm 0 and imm_rate = Buf.create !nimm 0.0 in
-  let enabled_lab = Buf.create !nenabled 0 in
+  let dst = Buf.create !ntrans 0 and lab = Buf.create !ntrans 0 in
+  let imm_lab = Buf.create !nimm 0 and enabled_lab = Buf.create !nenabled 0 in
   let row = Array.make (n + 1) 0 in
   let imm_row = Array.make (n + 1) 0 in
   let enabled_row = Array.make (n + 1) 0 in
-  let exit_rate = Array.make n 0.0 in
-  (* One transition of tangible state [id]: LTS edge [i] into tangible
-     state [t] with probability [p]. *)
-  let emit id i t p =
-    let r = lts.rate_val.(i) *. p in
+  (* One transition: LTS edge [i] into tangible state [t]. *)
+  let emit i t =
     Buf.push dst t;
-    Buf.push rate r;
-    Buf.push lab lts.lab.(i);
-    if t <> id then exit_rate.(id) <- exit_rate.(id) +. r
+    Buf.push lab lts.lab.(i)
   in
   for s = 0 to n0 - 1 do
     if not (vanishing s) then begin
@@ -304,28 +317,26 @@ let of_lts (lts : Lts.t) =
         Buf.push enabled_lab labels.keys.(k)
       done;
       (* Timed edges in reverse LTS order, each fanned out over the
-         tangible distribution of its target; the immediate firings they
-         trigger are summed per label in the same order. *)
+         tangible distribution of its target ([fill] walks them in the
+         same order); the immediate labels they fire, by name. *)
       open_ labels;
       for i = hi - 1 downto lo do
         if lts.rate_kind.(i) = 1 then begin
-          let lambda = lts.rate_val.(i) and u = lts.tgt.(i) in
+          let u = lts.tgt.(i) in
           if vanishing u then begin
             for k = d_lo.(u) to d_hi.(u) - 1 do
-              emit id i d_state.data.(k) d_prob.data.(k)
+              emit i d_state.data.(k)
             done;
             for k = c_lo.(u) to c_hi.(u) - 1 do
-              add labels c_lab.data.(k) (lambda *. c_val.data.(k))
+              add labels c_lab.data.(k) 0.0
             done
           end
-          else emit id i new_id.(u) 1.0
+          else emit i new_id.(u)
         end
       done;
       sort_prefix labels.keys labels.nkeys (Array.get rank);
       for k = 0 to labels.nkeys - 1 do
-        let l = labels.keys.(k) in
-        Buf.push imm_lab l;
-        Buf.push imm_rate labels.sum.(l)
+        Buf.push imm_lab labels.keys.(k)
       done;
       row.(id + 1) <- dst.len;
       imm_row.(id + 1) <- imm_lab.len;
@@ -341,25 +352,125 @@ let of_lts (lts : Lts.t) =
     end
     else ([| new_id.(s) |], [| 1.0 |])
   in
+  {
+    chain =
+      {
+        n;
+        init_state;
+        init_prob;
+        row;
+        dst = Buf.contents dst;
+        rate = [||];
+        lab = Buf.contents lab;
+        imm_row;
+        imm_lab = Buf.contents imm_lab;
+        imm_rate = [||];
+        enabled_row;
+        enabled_lab = Buf.contents enabled_lab;
+        exit_rate = [||];
+      };
+    nlabels;
+    new_id;
+    d_lo;
+    d_hi;
+    d_prob = d_prob.data;
+    c_lo;
+    c_hi;
+    c_lab = c_lab.data;
+    c_val = c_val.data;
+  }
+
+(* The rate columns of [lts]'s chain: the timed edges of each tangible
+   state in the plan's order, with the products and sums of the
+   single-pass builder this split came from, in its order and from its
+   [0.0]. *)
+let fill_chain p (lts : Lts.t) =
+  let c = p.chain and rv = lts.rate_val in
+  let rate = Array.make (Array.length c.dst) 0.0 in
+  let exit_rate = Array.make c.n 0.0 in
+  let imm_rate = Array.make (Array.length c.imm_lab) 0.0 in
+  let cell_of = Array.make p.nlabels 0 and k = ref 0 in
+  let emit id r =
+    rate.(!k) <- r;
+    if c.dst.(!k) <> id then exit_rate.(id) <- exit_rate.(id) +. r;
+    incr k
+  in
+  for s = 0 to lts.num_states - 1 do
+    let id = p.new_id.(s) in
+    if id >= 0 then begin
+      for j = c.imm_row.(id) to c.imm_row.(id + 1) - 1 do
+        cell_of.(c.imm_lab.(j)) <- j
+      done;
+      for i = lts.row.(s + 1) - 1 downto lts.row.(s) do
+        if lts.rate_kind.(i) = 1 then begin
+          let lambda = rv.(i) and u = lts.tgt.(i) in
+          if p.new_id.(u) < 0 then begin
+            for d = p.d_lo.(u) to p.d_hi.(u) - 1 do
+              emit id (lambda *. p.d_prob.(d))
+            done;
+            for d = p.c_lo.(u) to p.c_hi.(u) - 1 do
+              let j = cell_of.(p.c_lab.(d)) in
+              imm_rate.(j) <- imm_rate.(j) +. (lambda *. p.c_val.(d))
+            done
+          end
+          else emit id (lambda *. 1.0)
+        end
+      done
+    end
+  done;
+  { c with rate; exit_rate; imm_rate }
+
+let fill p lts =
+  let c = fill_chain p lts in
   let module I = Obs.Instruments in
   Obs.Metrics.incr I.ctmc_builds;
-  Obs.Metrics.add I.ctmc_states n;
-  Obs.Metrics.add I.ctmc_transitions dst.len;
-  {
-    n;
-    init_state;
-    init_prob;
-    row;
-    dst = Buf.contents dst;
-    rate = Buf.contents rate;
-    lab = Buf.contents lab;
-    imm_row;
-    imm_lab = Buf.contents imm_lab;
-    imm_rate = Buf.contents imm_rate;
-    enabled_row;
-    enabled_lab = Buf.contents enabled_lab;
-    exit_rate;
-  }
+  Obs.Metrics.add I.ctmc_states c.n;
+  Obs.Metrics.add I.ctmc_transitions (Array.length c.dst);
+  c
+
+let of_lts lts = fill (plan lts) lts
+
+(* [plan] reads every CSR column and the rates of the edges that are not
+   timed (the immediate weights); [fill] reads the timed rates. Rates
+   hash and compare by their 64-bit patterns. *)
+let float_bits = Int64.bits_of_float
+
+let fold_rates h (lts : Lts.t) ~timed =
+  let h = ref h in
+  for i = 0 to Array.length lts.rate_val - 1 do
+    if lts.rate_kind.(i) = 1 = timed then
+      h := Dpma_util.Hash.fold !h (Int64.to_int (float_bits lts.rate_val.(i)))
+  done;
+  !h
+
+let same_rates_where (a : Lts.t) (b : Lts.t) ~timed =
+  Array.length a.rate_val = Array.length b.rate_val
+  &&
+  let rec go i =
+    i < 0
+    || (a.rate_kind.(i) = 1 <> timed
+       || Int64.equal (float_bits a.rate_val.(i)) (float_bits b.rate_val.(i)))
+       && go (i - 1)
+  in
+  go (Array.length a.rate_val - 1)
+
+let plan_hash (lts : Lts.t) =
+  let module H = Dpma_util.Hash in
+  let h = H.fold_ints (H.fold_ints (H.fold_ints lts.init lts.row) lts.lab) lts.tgt in
+  let h = H.fold_ints (H.fold_ints h lts.rate_kind) lts.rate_prio in
+  H.int (fold_rates h lts ~timed:false)
+
+let same_plan (a : Lts.t) (b : Lts.t) =
+  let module H = Dpma_util.Hash.Ints in
+  a == b
+  || a.init = b.init && H.equal a.row b.row && H.equal a.lab b.lab
+     && H.equal a.tgt b.tgt && H.equal a.rate_kind b.rate_kind
+     && H.equal a.rate_prio b.rate_prio
+     && same_rates_where a b ~timed:false
+
+let rates_hash lts = Dpma_util.Hash.int (fold_rates 0 lts ~timed:true)
+
+let same_rates a b = same_rates_where a b ~timed:true
 
 let uniformization_rate c =
   1.1 *. Float.max (Array.fold_left Float.max 0.0 c.exit_rate) 1e-9
@@ -681,8 +792,9 @@ let absorption_weights c (comps : Scc.components) reach bottoms =
   let total = Array.fold_left ( +. ) 0.0 weights in
   Array.map (fun w -> w /. total) weights
 
-let steady_state c =
-  Obs.Metrics.incr Obs.Instruments.ctmc_solves;
+(* The successor graph's components, the states reachable from the
+   initial distribution and the reachable bottom components. *)
+let bottom_components c =
   let row, dst = successor_graph c in
   let comps = Scc.tarjan_csr ~row ~dst c.n in
   let reach = closure ~row ~dst c.n (initial_support c) in
@@ -692,6 +804,43 @@ let steady_state c =
            reach.(comps.members.(comps.comp_row.(ci)))
            && Scc.is_bottom ~row ~dst comps ci)
     |> Array.of_list
+  in
+  (comps, reach, bottoms)
+
+(* [bottom_components] of the chains of one plan whose positive rates
+   sit where [positive] says. *)
+type graph = {
+  g_dst : int array;  (* the plan's [dst], shared by every chain it fills *)
+  positive : Bytes.t;  (* '\001' where a transition's rate is positive *)
+  comps : Scc.components;
+  reach : bool array;
+  bottoms : int array;
+}
+
+let graph p lts =
+  let c = fill_chain p lts in
+  let comps, reach, bottoms = bottom_components c in
+  let positive =
+    Bytes.init (Array.length c.rate) (fun k ->
+        if c.rate.(k) > 0.0 then '\001' else '\000')
+  in
+  { g_dst = c.dst; positive; comps; reach; bottoms }
+
+let fits g c =
+  g.g_dst == c.dst
+  &&
+  let rec go k =
+    k < 0
+    || (Bytes.get g.positive k = '\001') = (c.rate.(k) > 0.0) && go (k - 1)
+  in
+  go (Array.length c.rate - 1)
+
+let steady_state ?graph c =
+  Obs.Metrics.incr Obs.Instruments.ctmc_solves;
+  let comps, reach, bottoms =
+    match graph with
+    | Some g when fits g c -> (g.comps, g.reach, g.bottoms)
+    | _ -> bottom_components c
   in
   let weights =
     match bottoms with

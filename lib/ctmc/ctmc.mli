@@ -47,8 +47,50 @@ type t = private {
 exception Build_error of string
 
 val of_lts : Dpma_lts.Lts.t -> t
-(** Raises {!Build_error} on passive transitions, immediate cycles, or
-    absent rate annotations (i.e. a functional LTS). *)
+(** [fill (plan lts) lts]. Raises {!Build_error} on passive transitions,
+    immediate cycles, or absent rate annotations (i.e. a functional
+    LTS). *)
+
+(** {2 Plans}
+
+    The build in two steps, so that LTSs differing only in their timed
+    (exponential) rates share one vanishing-state elimination. *)
+
+type plan
+(** Everything of [of_lts lts] that no timed rate feeds: state
+    classification and tangible numbering, the resolution of each
+    vanishing state into tangible probabilities and expected immediate
+    firings (branch probabilities come from immediate weights), and
+    the [dst], [lab], [imm_lab], [enabled_*], [row]s and [init_*]
+    columns. *)
+
+val plan : Dpma_lts.Lts.t -> plan
+(** Raises {!Build_error} as {!of_lts} does, on the same inputs. *)
+
+val fill : plan -> Dpma_lts.Lts.t -> t
+(** [fill p lts] is the chain of [lts], for an [lts] with the plan [p]
+    ({!same_plan} as the LTS [p] was made from): it walks [lts]'s timed
+    edges in the build's order and forms [rate], [exit_rate] and
+    [imm_rate] from their rates and [p]'s resolution, with the build's
+    products and sums in the build's order, so [fill p lts] is
+    {!of_lts}[ lts] bit for bit. The other columns are [p]'s own arrays,
+    shared by every chain it fills. *)
+
+val plan_hash : Dpma_lts.Lts.t -> int
+(** A hash of what {!plan} reads: [init], [row], [lab], [tgt],
+    [rate_kind], [rate_prio] and the bits of every non-timed rate. *)
+
+val same_plan : Dpma_lts.Lts.t -> Dpma_lts.Lts.t -> bool
+(** Equality of the fields {!plan_hash} reads (rates by bit pattern):
+    two LTSs for which it holds have one plan. *)
+
+val rates_hash : Dpma_lts.Lts.t -> int
+(** A hash of the bits of the timed rates, the only part of an LTS
+    that {!fill} reads. *)
+
+val same_rates : Dpma_lts.Lts.t -> Dpma_lts.Lts.t -> bool
+(** Bit equality of the timed rates of two LTSs with the same plan:
+    with {!same_plan} it is {!Dpma_lts.Lts.equal}. *)
 
 val uniformization_rate : t -> float
 
@@ -58,8 +100,23 @@ val enables_action : t -> int -> string -> bool
 
 (** {2 Stationary analysis} *)
 
-val steady_state : t -> float array
+type graph
+(** The value-independent part of a steady-state solve: the components
+    of the graph of positive-rate transitions, the states reachable from
+    the initial distribution and the reachable bottom components. *)
+
+val graph : plan -> Dpma_lts.Lts.t -> graph
+(** [graph p lts] is the graph {!steady_state} builds for
+    [fill p lts]; it serves every chain of [p] whose positive rates sit
+    in the same cells. *)
+
+val steady_state : ?graph:graph -> t -> float array
 (** Stationary distribution reached from the initial distribution.
+    [?graph] skips the graph work when it was made from the plan that
+    filled the chain and the chain's positive rates sit where the
+    graph's do; otherwise (a rate that underflowed to [0.], say) the
+    chain's own graph is built. Either way the result is the same bit
+    for bit.
     Only the states reachable from the initial distribution take part.
     Their BSCCs (Tarjan) are weighted by absorption probabilities,
     computed component by component in reverse topological order

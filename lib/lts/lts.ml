@@ -46,7 +46,7 @@ let of_csr ~init ~state_name ~row ~lab ~tgt ~rate_kind ~rate_val ~rate_prio =
   { init; num_states = n; state_name; row; lab; tgt; rate_kind; rate_val;
     rate_prio }
 
-(* Rates compare and hash by their 64-bit patterns: equal LTSs feed every
+(* Rates compare by their 64-bit patterns: equal LTSs feed every
    analysis identical numbers. [state_name] is display only. *)
 let float_bits x = Int64.bits_of_float x
 
@@ -64,15 +64,6 @@ let equal a b =
           && go (i - 1)
      in
      go (Array.length a.rate_val - 1)
-
-let hash t =
-  let module H = Dpma_util.Hash in
-  let h = H.fold_ints (H.fold_ints (H.fold_ints t.init t.row) t.lab) t.tgt in
-  let h = H.fold_ints (H.fold_ints h t.rate_kind) t.rate_prio in
-  H.int
-    (Array.fold_left
-       (fun h x -> H.fold h (Int64.to_int (float_bits x)))
-       h t.rate_val)
 
 (* --- The CSR writer ------------------------------------------------ *)
 

@@ -70,10 +70,6 @@ val equal : t -> t -> bool
     pattern ([0.0] and [-0.0] differ). [state_name] is not compared.
     Every analysis of two equal LTSs reads identical numbers. *)
 
-val hash : t -> int
-(** A hash of the fields {!equal} compares, through
-    {!Dpma_util.Hash}; with {!equal}, keys [Hashtbl.Make (Lts)]. *)
-
 val rate_of : t -> int -> Dpma_pa.Rate.t option
 (** Rate annotation of the edge at the given flat index. *)
 

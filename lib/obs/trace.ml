@@ -17,7 +17,7 @@ let enabled () = Atomic.get enabled_flag
 (* In-progress spans: one stack per domain, mutated only by that domain. *)
 type frame = {
   f_name : string;
-  f_attrs : (string * attr) list;
+  mutable f_attrs : (string * attr) list;
   f_start : float;
   mutable f_children : span list; (* reverse completion order *)
 }
@@ -78,6 +78,12 @@ let with_span name ?(attrs = []) f =
         | [] -> push_root sp)
       f
   end
+
+let add_attr key v =
+  if Atomic.get enabled_flag then
+    match !(Domain.DLS.get stack) with
+    | fr :: _ -> fr.f_attrs <- fr.f_attrs @ [ (key, v) ]
+    | [] -> ()
 
 let roots () =
   Mutex.lock roots_lock;

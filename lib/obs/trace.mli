@@ -38,6 +38,11 @@ val with_span : string -> ?attrs:(string * attr) list -> (unit -> 'a) -> 'a
     raises (the exception is re-raised). When tracing is disabled this is
     [f ()]. *)
 
+val add_attr : string -> attr -> unit
+(** Append an attribute to the innermost span open on the calling
+    domain, for a figure known only once the span's work is done. A
+    no-op when tracing is disabled or no span is open. *)
+
 val roots : unit -> span list
 (** Completed top-level spans, in ascending start time. *)
 

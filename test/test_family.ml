@@ -609,6 +609,11 @@ let test_family_trace_roots () =
           Alcotest.(check bool) (tag ^ "solves") true
             (List.assoc_opt "solves" (List.nth dedup.Trace.children 1).Trace.attrs
             = Some (Trace.Int stats.Markov.distinct_quotients));
+          Alcotest.(check int) (tag ^ "two structures") 2
+            stats.Markov.structures;
+          Alcotest.(check bool) (tag ^ "structures") true
+            (List.assoc_opt "structures" (List.hd dedup.Trace.children).Trace.attrs
+            = Some (Trace.Int stats.Markov.structures));
           Alcotest.(check int) (tag ^ "nothing dropped") 0 (Trace.dropped ())))
     [ 1; 2 ]
 
@@ -890,16 +895,104 @@ let test_dedup_equal_members () =
   Alcotest.(check bool) "separate arrays" false (a.Lts.row == b.Lts.row);
   ignore (check_dedup_members "equal" [| a; b |] ~solves:1)
 
+(* A member whose chain fails to build (a time trap, a passive action
+   left unsynchronized) fails the whole family solve with the error
+   [Ctmc.of_lts] raises on the first such member, at any job count. *)
+let test_dedup_build_errors () =
+  let edge a rate t =
+    { Lts_fixture.label = Lts.obs a; rate = Some rate; target = t }
+  in
+  let good = labelled_member "up" "down" in
+  let trap =
+    Lts_fixture.make ~init:0 ~state_name:string_of_int
+      [| [ edge "go" (Dpma_pa.Rate.exp 1.0) 1 ];
+         [ edge "spin" (Dpma_pa.Rate.imm ()) 2 ];
+         [ edge "spin" (Dpma_pa.Rate.imm ()) 1 ] |]
+  in
+  let passive =
+    Lts_fixture.make ~init:0 ~state_name:string_of_int
+      [| [ edge "go" (Dpma_pa.Rate.exp 1.0) 1 ];
+         [ edge "wait" (Dpma_pa.Rate.passive ()) 0 ] |]
+  in
+  let error f =
+    match f () with
+    | _ -> Alcotest.fail "no Build_error"
+    | exception Ctmc.Build_error msg -> msg
+  in
+  List.iter
+    (fun (name, ltss, first) ->
+      let expect = error (fun () -> Ctmc.of_lts first) in
+      List.iter
+        (fun jobs ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s, jobs %d" name jobs)
+            expect
+            (error (fun () ->
+                 Markov.analyze_ltss_dedup ~jobs ltss (label_measures ()))))
+        [ 1; 2 ])
+    [
+      ("trap first", [| good; trap; good; passive; trap |], trap);
+      ("passive first", [| good; good; passive; trap |], passive);
+    ]
+
+(* The grid's members have two CTMC plans; filling a member's plan
+   gives its own [Ctmc.of_lts] chain, floats by bits, and the fills of
+   one plan share its columns. *)
+let test_grid_plan_fill () =
+  let ltss = Markov.family_ltss (grid_specs ~t_max:16 ~a_max:32) in
+  let plans = ref [] in
+  let plan_of lts =
+    match List.find_opt (fun (l, _) -> Ctmc.same_plan l lts) !plans with
+    | Some (_, p) -> p
+    | None ->
+        let p = Ctmc.plan lts in
+        plans := (lts, p) :: !plans;
+        p
+  in
+  let bits = Array.map Int64.bits_of_float in
+  Array.iteri
+    (fun c lts ->
+      let name = Printf.sprintf "member %d" c in
+      let own = Ctmc.of_lts lts and filled = Ctmc.fill (plan_of lts) lts in
+      let ints what a b = Alcotest.(check (array int)) (name ^ ": " ^ what) a b in
+      let floats what a b =
+        Alcotest.(check (array int64)) (name ^ ": " ^ what) (bits a) (bits b)
+      in
+      Alcotest.(check int) (name ^ ": n") own.Ctmc.n filled.Ctmc.n;
+      ints "init_state" own.Ctmc.init_state filled.Ctmc.init_state;
+      floats "init_prob" own.Ctmc.init_prob filled.Ctmc.init_prob;
+      ints "row" own.Ctmc.row filled.Ctmc.row;
+      ints "dst" own.Ctmc.dst filled.Ctmc.dst;
+      floats "rate" own.Ctmc.rate filled.Ctmc.rate;
+      ints "lab" own.Ctmc.lab filled.Ctmc.lab;
+      ints "imm_row" own.Ctmc.imm_row filled.Ctmc.imm_row;
+      ints "imm_lab" own.Ctmc.imm_lab filled.Ctmc.imm_lab;
+      floats "imm_rate" own.Ctmc.imm_rate filled.Ctmc.imm_rate;
+      ints "enabled_row" own.Ctmc.enabled_row filled.Ctmc.enabled_row;
+      ints "enabled_lab" own.Ctmc.enabled_lab filled.Ctmc.enabled_lab;
+      floats "exit_rate" own.Ctmc.exit_rate filled.Ctmc.exit_rate;
+      Alcotest.(check bool) (name ^ ": shared columns") true
+        (filled.Ctmc.dst == (Ctmc.fill (plan_of lts) lts).Ctmc.dst))
+    ltss;
+  Alcotest.(check int) "plans" 2 (List.length !plans)
+
 (* [Lts.equal] is the CSR contract of the family path: a projection
    equals its member's own build, and a change to any compared field,
-   however small, makes two LTSs unequal. *)
-let test_lts_equal_hash () =
+   however small, makes two LTSs unequal. The dedup's two key levels
+   split it: [Ctmc.same_plan] and [Ctmc.same_rates] together are
+   [Lts.equal], and only a timed rate change keeps the plan. *)
+let test_lts_equal_plan_keys () =
   let specs = grid_specs ~t_max:4 ~a_max:8 in
   let c = Array.length specs - 1 in
   let fam, _ = Flts.build_family specs in
   let proj = (Flts.project_all fam).(c) and own = Lts.of_spec specs.(c) in
   Alcotest.(check bool) "projection equals own build" true (Lts.equal proj own);
-  Alcotest.(check int) "equal hashes" (Lts.hash own) (Lts.hash proj);
+  Alcotest.(check int) "equal plan hashes" (Ctmc.plan_hash own)
+    (Ctmc.plan_hash proj);
+  Alcotest.(check int) "equal rate hashes" (Ctmc.rates_hash own)
+    (Ctmc.rates_hash proj);
+  let keys_equal a b = Ctmc.same_plan a b && Ctmc.same_rates a b in
+  Alcotest.(check bool) "keys equal" true (keys_equal own proj);
   let with_ ?(init = own.Lts.init) ?(lab = Fun.id) ?(tgt = Fun.id)
       ?(rate_val = Fun.id) ?(rate_prio = Fun.id) () =
     let edit f a = f (Array.copy a) in
@@ -914,7 +1007,8 @@ let test_lts_equal_hash () =
   Alcotest.(check bool) "copy is equal" true (Lts.equal (with_ ()) own);
   List.iter
     (fun (what, other) ->
-      Alcotest.(check bool) what false (Lts.equal own other))
+      Alcotest.(check bool) what false (Lts.equal own other);
+      Alcotest.(check bool) (what ^ ": plan") false (Ctmc.same_plan own other))
     [
       ("label", with_ ~lab:(fun a -> set last (a.(last) + 1) a) ());
       ("target", with_
@@ -922,8 +1016,23 @@ let test_lts_equal_hash () =
       ("priority", with_ ~rate_prio:(fun a -> set last (a.(last) + 1) a) ());
       ("init", with_ ~init:((own.Lts.init + 1) mod own.Lts.num_states) ());
     ];
-  Alcotest.(check bool) "0.0 vs -0.0" false
-    (Lts.equal (with_ ~rate_val:(set 0 0.0) ()) (with_ ~rate_val:(set 0 (-0.0)) ()))
+  let zero = with_ ~rate_val:(set 0 0.0) ()
+  and minus_zero = with_ ~rate_val:(set 0 (-0.0)) () in
+  Alcotest.(check bool) "0.0 vs -0.0" false (Lts.equal zero minus_zero);
+  Alcotest.(check bool) "0.0 vs -0.0: keys" false (keys_equal zero minus_zero);
+  let first kind =
+    let rec go i = if own.Lts.rate_kind.(i) = kind then i else go (i + 1) in
+    go 0
+  in
+  let scaled i = with_ ~rate_val:(fun a -> set i (2.0 *. a.(i)) a) () in
+  let timed = scaled (first 1) and weight = scaled (first 2) in
+  Alcotest.(check bool) "timed rate" false (Lts.equal own timed);
+  Alcotest.(check bool) "timed rate: plan" true (Ctmc.same_plan own timed);
+  Alcotest.(check bool) "timed rate: rates" false (Ctmc.same_rates own timed);
+  Alcotest.(check bool) "immediate weight: plan" false
+    (Ctmc.same_plan own weight);
+  Alcotest.(check bool) "immediate weight: rates" true
+    (Ctmc.same_rates own weight)
 
 let suite =
   [
@@ -967,6 +1076,11 @@ let suite =
       `Quick test_dedup_label_only;
     Alcotest.test_case "separately built equal members share one solve"
       `Quick test_dedup_equal_members;
-    Alcotest.test_case "Lts.equal and Lts.hash" `Quick test_lts_equal_hash;
+    Alcotest.test_case "Lts.equal and the CTMC plan keys" `Quick
+      test_lts_equal_plan_keys;
+    Alcotest.test_case "family build errors match the first member's"
+      `Quick test_dedup_build_errors;
+    Alcotest.test_case "grid members fill their shared plan like of_lts"
+      `Quick test_grid_plan_fill;
     QCheck_alcotest.to_alcotest ~long:false guard_prop;
   ]

@@ -593,8 +593,81 @@ let prop_label_maps_match_per_edge_filter =
                 else Some Lts.tau))
       && once removed_asked && once kept_asked)
 
+(* One generated ring with immediate actions as a family of rate
+   perturbations: a member scales the ring's timed rates (variant 1),
+   also sets one timed rate to zero so its positive rates move (variant
+   2), and may scale one immediate weight. Every member's dedup analysis
+   is its own [analyze_lts], bit for bit, at 1 and 2 jobs; members with
+   the same immediate weights share one plan, and a changed weight makes
+   a plan of its own. *)
+let prop_plan_sharing_matches_own_builds =
+  let module Markov = Dpma_core.Markov in
+  let module Measure = Dpma_measures.Measure in
+  QCheck.Test.make ~count:25
+    ~name:"fuzz: members sharing a CTMC plan solve like their own builds"
+    QCheck.(
+      triple arb_archi small_nat
+        (list_of_size (Gen.int_range 2 6) (pair (int_bound 2) bool)))
+    (fun (archi, seed, variants) ->
+      let lts = Lts.of_spec (Elaborate.elaborate archi).Elaborate.spec in
+      let edges kind =
+        List.filter
+          (fun i -> lts.Lts.rate_kind.(i) = kind)
+          (List.init (Lts.num_transitions lts) Fun.id)
+      in
+      match (edges 1, edges 2) with
+      | [], _ | _, [] -> QCheck.assume_fail ()
+      | _ when lts.Lts.num_states > 400 -> QCheck.assume_fail ()
+      | timed, imm ->
+          let rng = Random.State.make [| seed |] in
+          let factor =
+            Array.map (fun _ -> 1.5 +. Random.State.float rng 1.5) lts.Lts.rate_val
+          in
+          let pick l = List.nth l (Random.State.int rng (List.length l)) in
+          let zeroed = pick timed and weighted = pick imm in
+          let member (t, w) =
+            let rv = Array.copy lts.Lts.rate_val in
+            if t >= 1 then List.iter (fun i -> rv.(i) <- rv.(i) *. factor.(i)) timed;
+            if t = 2 then rv.(zeroed) <- 0.0;
+            if w then rv.(weighted) <- rv.(weighted) *. factor.(weighted);
+            Lts.of_csr ~init:lts.Lts.init ~state_name:lts.Lts.state_name
+              ~row:lts.Lts.row ~lab:lts.Lts.lab ~tgt:lts.Lts.tgt
+              ~rate_kind:lts.Lts.rate_kind ~rate_val:rv
+              ~rate_prio:lts.Lts.rate_prio
+          in
+          let members = Array.of_list (List.map member variants) in
+          let n = List.length archi.Ast.instances in
+          let measures =
+            List.concat
+              (List.init n (fun i ->
+                   let fwd = Printf.sprintf "S%d.fwd#S%d.recv" i ((i + 1) mod n)
+                   and work = Printf.sprintf "S%d.work" i in
+                   [
+                     Measure.measure fwd [ Measure.trans_clause fwd 1.0 ];
+                     Measure.measure ("busy " ^ work)
+                       [ Measure.state_clause work 1.0 ];
+                   ]))
+          in
+          match Array.map (fun l -> Markov.analyze_lts l measures) members with
+          | exception Ctmc.Build_error _ -> QCheck.assume_fail ()
+          | own ->
+              let distinct f =
+                List.length (List.sort_uniq compare (List.map f variants))
+              in
+              List.for_all
+                (fun jobs ->
+                  let got, stats =
+                    Markov.analyze_ltss_dedup ~jobs members measures
+                  in
+                  Array.for_all2 same_analysis got own
+                  && stats.Markov.structures = distinct snd
+                  && stats.Markov.distinct_quotients = distinct Fun.id)
+                [ 1; 2 ])
+
 let suite =
   suite @ robustness_suite
   @ [ QCheck_alcotest.to_alcotest ~long:false prop_build_jobs_and_spill_identity;
       QCheck_alcotest.to_alcotest ~long:false
-        prop_label_maps_match_per_edge_filter ]
+        prop_label_maps_match_per_edge_filter;
+      QCheck_alcotest.to_alcotest ~long:false
+        prop_plan_sharing_matches_own_builds ]
