@@ -166,21 +166,6 @@ let check_states what expected actual =
   if expected <> actual then
     fail "GOLDEN MISMATCH %s: expected %d states, got %d" what expected actual
 
-let csr_digest (lts : Lts.t) =
-  let h = ref 0x1505 in
-  let mix x = h := (((!h lsl 5) + !h) lxor x) land max_int in
-  mix lts.Lts.init;
-  mix lts.Lts.num_states;
-  Array.iter mix lts.Lts.row;
-  Array.iter mix lts.Lts.lab;
-  Array.iter mix lts.Lts.tgt;
-  Array.iter mix lts.Lts.rate_kind;
-  Array.iter mix lts.Lts.rate_prio;
-  Array.iter
-    (fun v -> mix (Int64.to_int (Int64.bits_of_float v)))
-    lts.Lts.rate_val;
-  !h
-
 (* The jobs sweeps: a phase rerun at 1, 2 and 4 jobs, each leg behind a
    full major collection so that no leg pays for marking an earlier
    leg's result (measured on the 518k-state model: a second *identical*
@@ -225,16 +210,17 @@ let sweep_entries metric legs =
    of the level-synchronous builder lands in the JSON report
    (lts.build_seconds.jN). An untimed warmup build runs first: it
    populates the global term-sharing table, sizes the major heap, and is
-   the one LTS kept live (the legs keep O(1) digests of the full CSR) —
-   the study's later phases reuse it. Returns the warmup LTS, the j1
-   leg's stats and the per-leg timing entries. *)
+   the one LTS kept live (each leg compares its CSR with it, [Lts.equal],
+   and keeps only the verdict) — the study's later phases reuse it.
+   Returns the warmup LTS, the j1 leg's stats and the per-leg timing
+   entries. *)
 let build_sweep ?max_states name spec =
   let lts, _ = Lts.build ?max_states ~jobs:1 spec in
   let legs =
-    jobs_sweep ~reference:(csr_digest lts) ~gate:"BUILD REGRESSION"
-      ~what:"CSR digest" ~key:fst name (fun j ->
+    jobs_sweep ~reference:true ~gate:"BUILD REGRESSION"
+      ~what:"CSR" ~key:fst name (fun j ->
         let l, st = Lts.build ?max_states ~jobs:j spec in
-        ((csr_digest l, st), st.Lts.build_seconds))
+        ((Lts.equal l lts, st), st.Lts.build_seconds))
   in
   let _, (_, st), _ = List.hd legs in
   (lts, st, sweep_entries "lts.build_seconds" legs)
@@ -309,8 +295,8 @@ let study_timings () =
     (Streaming.study Streaming.default_params)
 
 (* A build under a resident segment budget through the spill path, in a
-   fresh temp directory: it must spill, match [reference] (a CSR digest,
-   when given), and leave no temp file behind. Tiny runs shrink the
+   fresh temp directory: it must spill, equal [reference] (an in-memory
+   build, when given), and leave no temp file behind. Tiny runs shrink the
    segments (seg_bits 8) so their small models still cross segment
    boundaries. *)
 let spill_build ?reference name suffix ~max_resident_bytes ~max_states spec =
@@ -322,9 +308,9 @@ let spill_build ?reference name suffix ~max_resident_bytes ~max_states spec =
       ~spill_dir ~max_resident_bytes spec
   in
   Option.iter
-    (fun digest ->
-      if csr_digest slts <> digest then
-        fail "SPILL MISMATCH %s: CSR digest differs from the in-memory build" name)
+    (fun reference ->
+      if not (Lts.equal slts reference) then
+        fail "SPILL MISMATCH %s: CSR differs from the in-memory build" name)
     reference;
   if sst.Lts.spilled_segments = 0 then
     fail "SPILL MISMATCH %s: the spill build spilled no segments" name;
@@ -366,7 +352,7 @@ let scaled_study () =
      segment path (resident budget 0, so every full segment spills) must
      produce a bit-identical CSR and report its spill traffic. *)
   let _, sst =
-    spill_build name ".spill" ~max_resident_bytes:0 ~reference:(csr_digest lts)
+    spill_build name ".spill" ~max_resident_bytes:0 ~reference:lts
       ~max_states spec
   in
   Printf.eprintf
@@ -514,22 +500,18 @@ let family_scale () =
     done;
     !best
   in
-  (* Featured leg: one union build, every projection, dedup solves. *)
-  let ( (fam, fstats, ltss, (analyses, solve_stats), build_s, project_s,
-         analyze_s),
-        fam_total ) =
+  (* Featured leg, [Markov.family]: one union build, every projection,
+     dedup solves. *)
+  let fam, fam_total =
     best_of_3 (fun () ->
         Gc.full_major ();
-        let (fam, fstats), build_s =
-          clocked (fun () -> Flts.build_family specs)
-        in
-        let ltss, project_s = clocked (fun () -> Flts.project_all fam) in
-        let solved, analyze_s =
-          clocked (fun () -> Markov.analyze_ltss_dedup ltss measures)
-        in
-        ( (fam, fstats, ltss, solved, build_s, project_s, analyze_s),
-          build_s +. project_s +. analyze_s ))
+        let fam = Markov.family ~measures specs in
+        ( fam,
+          fam.Markov.build_seconds +. fam.Markov.project_seconds
+          +. fam.Markov.analyze_seconds ))
   in
+  let ltss = fam.Markov.members in
+  let analyses, solve_stats = Option.get fam.Markov.solved in
   (* Baseline leg, second: one full pipeline per member, keeping each
      member's own build for the identity check below. *)
   let base, base_s =
@@ -592,20 +574,20 @@ let family_scale () =
      (%d solves shared), %d guard words, featured %.3f s vs pipelines \
      %.3f s (%.1fx)\n\
      %!"
-    "family_scale" members fam.Flts.num_states
+    "family_scale" members fam.Markov.union_states
     solve_stats.Markov.distinct_quotients solve_stats.Markov.solves_shared
-    fstats.Flts.guard_words fam_total base_s (base_s /. fam_total);
+    fam.Markov.stats.Flts.guard_words fam_total base_s (base_s /. fam_total);
   add_study "family_scale"
     [
       ("family.configs", float_of_int members);
-      ("family.states", float_of_int fam.Flts.num_states);
+      ("family.states", float_of_int fam.Markov.union_states);
       ("family.distinct_quotients",
        float_of_int solve_stats.Markov.distinct_quotients);
       ("family.solves_shared", float_of_int solve_stats.Markov.solves_shared);
-      ("family.guard_words", float_of_int fstats.Flts.guard_words);
-      ("family.build_seconds", build_s);
-      ("family.project_seconds", project_s);
-      ("family.analyze_seconds", analyze_s);
+      ("family.guard_words", float_of_int fam.Markov.stats.Flts.guard_words);
+      ("family.build_seconds", fam.Markov.build_seconds);
+      ("family.project_seconds", fam.Markov.project_seconds);
+      ("family.analyze_seconds", fam.Markov.analyze_seconds);
       ("baseline.analyze_seconds", base_s);
       ("family.speedup", base_s /. fam_total);
     ]
@@ -637,7 +619,7 @@ let adhoc_study () =
      instance relies on the streaming_scaled spill differential, which
      runs in every mode). *)
   let reference =
-    if tiny then Some (csr_digest (Lts.of_spec ~max_states spec)) else None
+    if tiny then Some (Lts.of_spec ~max_states spec) else None
   in
   let lts, st =
     spill_build ?reference name ".adhoc"

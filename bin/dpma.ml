@@ -699,7 +699,8 @@ let cmd_family =
         let specs =
           Array.map (fun m -> m.Elaborate.spec) fam.Elaborate.members
         in
-        let flts, stats = Flts.build_family ~max_states ?jobs specs in
+        let measures = Option.map load_measures measures_file in
+        let r = Markov.family ~max_states ?jobs ?measures specs in
         Format.printf "family %s: %d member(s) over %s@." archi.Ast.name
           (Array.length specs)
           (String.concat ", "
@@ -708,24 +709,24 @@ let cmd_family =
                   Printf.sprintf "%s in {%s}" name
                     (String.concat ", " (List.map string_of_int dom)))
                 fam.Elaborate.features));
+        let stats = r.Markov.stats in
         Format.printf
           "featured union: %d states, %d transitions, %d distinct guards@."
-          flts.Flts.num_states (Flts.num_transitions flts)
+          r.Markov.union_states r.Markov.union_transitions
           stats.Flts.guard_count;
         if stats_flag then begin
           print_build_stats stats.Flts.build;
           Format.printf "guard table      : %d guards, %d words@."
             stats.Flts.guard_count stats.Flts.guard_words
         end;
-        let ltss = Flts.project_all ?jobs flts in
         let summed =
-          Array.fold_left (fun acc l -> acc + l.Lts.num_states) 0 ltss
+          Array.fold_left (fun acc l -> acc + l.Lts.num_states) 0 r.Markov.members
         in
         Format.printf
           "sharing: %d union states stand for %d summed member states \
            (%.2fx)@."
-          flts.Flts.num_states summed
-          (float_of_int summed /. float_of_int flts.Flts.num_states);
+          r.Markov.union_states summed
+          (float_of_int summed /. float_of_int r.Markov.union_states);
         let binding_string c =
           match fam.Elaborate.bindings.(c) with
           | [] -> "-"
@@ -733,29 +734,25 @@ let cmd_family =
               String.concat ", "
                 (List.map (fun (name, v) -> Printf.sprintf "%s=%d" name v) b)
         in
-        match measures_file with
+        match r.Markov.solved with
         | None ->
             Format.printf "@.%-28s %-10s %s@." "binding" "states" "transitions";
             Array.iteri
               (fun c lts ->
                 Format.printf "%-28s %-10d %d@." (binding_string c)
                   lts.Lts.num_states (Lts.num_transitions lts))
-              ltss
-        | Some mf ->
-            let measures = load_measures mf in
+              r.Markov.members
+        | Some (analyses, solve_stats) ->
             (* Deduplicated solves: members with the same CTMC share
                one steady-state solution. *)
-            let analyses, solve_stats =
-              Markov.analyze_ltss_dedup ?jobs ltss measures
-            in
             Format.printf
               "solves: %d distinct quotient(s) for %d member(s), %d shared@."
               solve_stats.Markov.distinct_quotients solve_stats.Markov.members
               solve_stats.Markov.solves_shared;
             Format.printf "@.%-28s" "binding";
             List.iter
-              (fun m -> Format.printf " %-14s" m.Measure.name)
-              measures;
+              (fun (name, _) -> Format.printf " %-14s" name)
+              analyses.(0).Markov.values;
             Format.printf "@.";
             Array.iteri
               (fun c (a : Markov.analysis) ->

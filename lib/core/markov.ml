@@ -50,10 +50,6 @@ let analyze_lts_lumped lts measures =
 let analyze ?max_states spec measures =
   analyze_lts (Lts.of_spec ?max_states spec) measures
 
-let family_ltss ?max_states ?jobs specs =
-  let fam, _stats = Dpma_lts.Flts.build_family ?max_states ?jobs specs in
-  Dpma_lts.Flts.project_all ?jobs fam
-
 (* --- Deduplicated family solves -------------------------------------- *)
 
 type family_solve_stats = {
@@ -184,8 +180,44 @@ let analyze_ltss_dedup ?jobs ltss measures =
     (float_of_int stats.solves_shared);
   (Array.map (Array.get solved) rep_of, stats))
 
-let analyze_family ?max_states ?jobs specs measures =
-  fst (analyze_ltss_dedup ?jobs (family_ltss ?max_states ?jobs specs) measures)
+(* --- The family entry ------------------------------------------------ *)
+
+type family = {
+  union_states : int;
+  union_transitions : int;
+  stats : Dpma_lts.Flts.family_stats;
+  members : Lts.t array;
+  solved : (analysis array * family_solve_stats) option;
+  build_seconds : float;
+  project_seconds : float;
+  analyze_seconds : float;
+}
+
+let family ?max_states ?jobs ?measures specs =
+  let module Flts = Dpma_lts.Flts in
+  let clocked f =
+    let t0 = Dpma_obs.Clock.now_s () in
+    let r = f () in
+    (r, Dpma_obs.Clock.now_s () -. t0)
+  in
+  let (union, stats), build_seconds =
+    clocked (fun () -> Flts.build_family ?max_states ?jobs specs)
+  in
+  let union_states = union.Flts.num_states
+  and union_transitions = Flts.num_transitions union in
+  (* The projection keeps [project_all]'s one-job default whatever
+     [jobs] is: a second domain cost more than it saved at every family
+     size measured. *)
+  let members, project_seconds = clocked (fun () -> Flts.project_all union) in
+  let solved, analyze_seconds =
+    match measures with
+    | None -> (None, 0.0)
+    | Some measures ->
+        let r, dt = clocked (fun () -> analyze_ltss_dedup ?jobs members measures) in
+        (Some r, dt)
+  in
+  { union_states; union_transitions; stats; members; solved; build_seconds;
+    project_seconds; analyze_seconds }
 
 let without_dpm lts ~high =
   Lts.restrict lts ~remove:(fun a -> List.exists (String.equal a) high)

@@ -31,24 +31,6 @@ val analyze_lts : Dpma_lts.Lts.t -> Dpma_measures.Measure.t list -> analysis
     [markov.evaluate] children ({!Dpma_ctmc.Ctmc} opens no span
     itself). *)
 
-val family_ltss :
-  ?max_states:int -> ?jobs:int -> Dpma_pa.Term.spec array -> Dpma_lts.Lts.t array
-(** One featured build over the whole configuration family
-    ({!Dpma_lts.Flts.build_family}), then one cheap projection per
-    configuration — each returned LTS is bit-identical to
-    [Lts.of_spec] on the corresponding spec, at a fraction of the
-    derivation work when the specs share most behaviors. *)
-
-val analyze_family :
-  ?max_states:int ->
-  ?jobs:int ->
-  Dpma_pa.Term.spec array ->
-  Dpma_measures.Measure.t list ->
-  analysis array
-(** {!analyze_ltss_dedup} over {!family_ltss}. Results are positionally
-    aligned with the input specs and bit-identical to {!analyze} on each
-    spec. *)
-
 val analyze_lts_lumped :
   Dpma_lts.Lts.t -> Dpma_measures.Measure.t list -> analysis
 (** Quotient by ordinary lumpability (Markovian bisimilarity) before
@@ -93,6 +75,41 @@ val analyze_ltss_dedup :
     (the plans, then the distinct fills, solves and evaluations), one
     span per phase and none per member. Raises [Invalid_argument] on
     an empty family. *)
+
+type family = {
+  union_states : int;  (** states of the featured union *)
+  union_transitions : int;  (** guarded transitions of the union *)
+  stats : Dpma_lts.Flts.family_stats;
+  members : Dpma_lts.Lts.t array;
+      (** each member's LTS, in spec order, bit-identical to
+          [Lts.of_spec] on its spec *)
+  solved : (analysis array * family_solve_stats) option;
+      (** with [measures]: {!analyze_ltss_dedup} on [members] *)
+  build_seconds : float;  (** wall-clock seconds of each phase *)
+  project_seconds : float;
+  analyze_seconds : float;  (** [0.] without [measures] *)
+}
+
+val family :
+  ?max_states:int ->
+  ?jobs:int ->
+  ?measures:Dpma_measures.Measure.t list ->
+  Dpma_pa.Term.spec array ->
+  family
+(** The family path: one featured build over the whole configuration
+    family ({!Dpma_lts.Flts.build_family}, span [family.build]), one
+    projection per member ({!Dpma_lts.Flts.project_all}, span
+    [family.project]) and, with [measures], the deduplicated solves
+    ({!analyze_ltss_dedup}, span [markov.dedup]). Each member's LTS,
+    and each analysis, is bit-identical to the per-spec pipeline
+    ({!analyze} on that spec) at a fraction of the derivation work when
+    the specs share most behaviors. [jobs] goes to the build and to the
+    solves; the projection always runs at [project_all]'s default of
+    one job. Nothing returned depends on [jobs] but clock readings and
+    the build's own [jobs] figure. The
+    union itself is dropped before the solves. Raises what its phases
+    raise ([Invalid_argument] on an empty family,
+    {!Dpma_lts.Lts.Too_many_states} past [max_states] union states). *)
 
 val without_dpm : Dpma_lts.Lts.t -> high:string list -> Dpma_lts.Lts.t
 (** Restrict the DPM command actions. *)

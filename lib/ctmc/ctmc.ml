@@ -443,34 +443,19 @@ let fold_rates h (lts : Lts.t) ~timed =
   done;
   !h
 
-let same_rates_where (a : Lts.t) (b : Lts.t) ~timed =
-  Array.length a.rate_val = Array.length b.rate_val
-  &&
-  let rec go i =
-    i < 0
-    || (a.rate_kind.(i) = 1 <> timed
-       || Int64.equal (float_bits a.rate_val.(i)) (float_bits b.rate_val.(i)))
-       && go (i - 1)
-  in
-  go (Array.length a.rate_val - 1)
-
 let plan_hash (lts : Lts.t) =
   let module H = Dpma_util.Hash in
   let h = H.fold_ints (H.fold_ints (H.fold_ints lts.init lts.row) lts.lab) lts.tgt in
   let h = H.fold_ints (H.fold_ints h lts.rate_kind) lts.rate_prio in
   H.int (fold_rates h lts ~timed:false)
 
-let same_plan (a : Lts.t) (b : Lts.t) =
-  let module H = Dpma_util.Hash.Ints in
-  a == b
-  || a.init = b.init && H.equal a.row b.row && H.equal a.lab b.lab
-     && H.equal a.tgt b.tgt && H.equal a.rate_kind b.rate_kind
-     && H.equal a.rate_prio b.rate_prio
-     && same_rates_where a b ~timed:false
+(* Eta-expanded, so each comparison is a direct call rather than the
+   application of a partial closure. *)
+let same_plan a b = Lts.equal_fields ~columns:true ~rates:`Untimed a b
 
 let rates_hash lts = Dpma_util.Hash.int (fold_rates 0 lts ~timed:true)
 
-let same_rates a b = same_rates_where a b ~timed:true
+let same_rates a b = Lts.equal_fields ~columns:false ~rates:`Timed a b
 
 let uniformization_rate c =
   1.1 *. Float.max (Array.fold_left Float.max 0.0 c.exit_rate) 1e-9

@@ -81,16 +81,18 @@ val plan_hash : Dpma_lts.Lts.t -> int
     [rate_kind], [rate_prio] and the bits of every non-timed rate. *)
 
 val same_plan : Dpma_lts.Lts.t -> Dpma_lts.Lts.t -> bool
-(** Equality of the fields {!plan_hash} reads (rates by bit pattern):
-    two LTSs for which it holds have one plan. *)
+(** Equality of the fields {!plan_hash} reads,
+    [Lts.equal_fields ~columns:true ~rates:`Untimed]: two LTSs for
+    which it holds have one plan. *)
 
 val rates_hash : Dpma_lts.Lts.t -> int
 (** A hash of the bits of the timed rates, the only part of an LTS
     that {!fill} reads. *)
 
 val same_rates : Dpma_lts.Lts.t -> Dpma_lts.Lts.t -> bool
-(** Bit equality of the timed rates of two LTSs with the same plan:
-    with {!same_plan} it is {!Dpma_lts.Lts.equal}. *)
+(** Bit equality of the timed rates of two LTSs with the same plan,
+    [Lts.equal_fields ~columns:false ~rates:`Timed]: with {!same_plan}
+    it is {!Dpma_lts.Lts.equal}, as the two select every rate. *)
 
 val uniformization_rate : t -> float
 

@@ -50,20 +50,27 @@ let of_csr ~init ~state_name ~row ~lab ~tgt ~rate_kind ~rate_val ~rate_prio =
    analysis identical numbers. [state_name] is display only. *)
 let float_bits x = Int64.bits_of_float x
 
-let equal a b =
+let equal_fields ~columns ~rates a b =
   let module H = Dpma_util.Hash.Ints in
   a == b
-  || a.init = b.init && H.equal a.row b.row && H.equal a.lab b.lab
-     && H.equal a.tgt b.tgt && H.equal a.rate_kind b.rate_kind
-     && H.equal a.rate_prio b.rate_prio
+  || (not columns
+     || a.init = b.init && H.equal a.row b.row && H.equal a.lab b.lab
+        && H.equal a.tgt b.tgt && H.equal a.rate_kind b.rate_kind
+        && H.equal a.rate_prio b.rate_prio)
      && Array.length a.rate_val = Array.length b.rate_val
      &&
      let rec go i =
        i < 0
-       || Int64.equal (float_bits a.rate_val.(i)) (float_bits b.rate_val.(i))
+       || ((match rates with
+           | `All -> false
+           | `Timed -> a.rate_kind.(i) <> 1
+           | `Untimed -> a.rate_kind.(i) = 1)
+          || Int64.equal (float_bits a.rate_val.(i)) (float_bits b.rate_val.(i)))
           && go (i - 1)
      in
      go (Array.length a.rate_val - 1)
+
+let equal a b = equal_fields ~columns:true ~rates:`All a b
 
 (* --- The CSR writer ------------------------------------------------ *)
 

@@ -64,11 +64,19 @@ val of_csr :
     encoding of {!t}; only their lengths are checked ([Invalid_argument]
     when an edge array's length is not [row.(num_states)]). *)
 
+val equal_fields :
+  columns:bool -> rates:[ `All | `Timed | `Untimed ] -> t -> t -> bool
+(** The one field-wise CSR comparison. With [columns]: [init], [row]
+    (hence [num_states]), [lab], [tgt], [rate_kind] and [rate_prio]
+    element-wise. Then [rate_val], by exact bit pattern ([0.0] and
+    [-0.0] differ), on the edges [rates] selects: all of them, the
+    timed (exponential, kind 1) ones or the others. [state_name] is
+    never compared. {!equal} and the CTMC plan keys
+    ([Ctmc.same_plan], [Ctmc.same_rates]) are its instances. *)
+
 val equal : t -> t -> bool
-(** CSR equality: [init], [row] (hence [num_states]), [lab], [tgt],
-    [rate_kind] and [rate_prio] element-wise, [rate_val] by exact bit
-    pattern ([0.0] and [-0.0] differ). [state_name] is not compared.
-    Every analysis of two equal LTSs reads identical numbers. *)
+(** CSR equality, [equal_fields ~columns:true ~rates:`All]. Every
+    analysis of two equal LTSs reads identical numbers. *)
 
 val rate_of : t -> int -> Dpma_pa.Rate.t option
 (** Rate annotation of the edge at the given flat index. *)

@@ -1,6 +1,5 @@
 module Ast = Dpma_adl.Ast
 module Elaborate = Dpma_adl.Elaborate
-module Measure = Dpma_measures.Measure
 
 type params = {
   nodes : int;
@@ -261,59 +260,3 @@ let high_actions p =
            Printf.sprintf "DPM%d.send_shutdown#NIC%d.receive_shutdown" i i;
            Printf.sprintf "DPM%d.send_wakeup#NIC%d.receive_wakeup" i i;
          ]))
-
-let low_actions p =
-  [
-    Printf.sprintf "SRC.gen_packet#Q1.receive_packet";
-    Printf.sprintf "NIC%d.forward_packet#SINK.consume_packet" p.nodes;
-  ]
-
-let hop_action p i =
-  if i = p.nodes then
-    Printf.sprintf "NIC%d.forward_packet#SINK.consume_packet" i
-  else Printf.sprintf "NIC%d.forward_packet#Q%d.receive_packet" i (i + 1)
-
-let measures p =
-  let per_node f = List.init p.nodes (fun k -> f (k + 1)) in
-  let nic_states power suffix =
-    per_node (fun i ->
-        Measure.state_clause
-          (Printf.sprintf "NIC%d.monitor_nic_%s" i suffix)
-          power)
-  in
-  [
-    Measure.measure "power"
-      (nic_states p.power_awake "awake"
-      @ nic_states p.power_awake "awaking"
-      @ nic_states p.power_awake "checking"
-      @ nic_states p.power_doze "doze");
-    Measure.measure "hop_energy"
-      (per_node (fun i ->
-           Measure.trans_clause (hop_action p i) (p.energy_tx +. p.energy_rx)));
-    Measure.measure "generated"
-      [ Measure.trans_clause "SRC.gen_packet#Q1.receive_packet" 1.0 ];
-    Measure.measure "delivered"
-      [ Measure.trans_clause (hop_action p p.nodes) 1.0 ];
-    Measure.measure "dropped"
-      (per_node (fun i ->
-           Measure.trans_clause (Printf.sprintf "Q%d.drop_packet" i) 1.0));
-  ]
-
-type metrics = { energy_per_delivery : float; delivery_ratio : float }
-
-let metrics_of_values values =
-  let get name =
-    match List.assoc_opt name values with
-    | Some v -> v
-    | None ->
-        invalid_arg (Printf.sprintf "Adhoc.metrics_of_values: missing %s" name)
-  in
-  let power = get "power" in
-  let hops = get "hop_energy" in
-  let generated = get "generated" in
-  let delivered = get "delivered" in
-  {
-    energy_per_delivery =
-      (if delivered > 0.0 then (power +. hops) /. delivered else nan);
-    delivery_ratio = (if generated > 0.0 then delivered /. generated else 0.0);
-  }

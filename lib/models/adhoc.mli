@@ -57,18 +57,3 @@ val spec : ?monitors:bool -> params -> Dpma_pa.Term.spec
 
 val high_actions : params -> string list
 (** Every node's DPM shutdown and wakeup channels. *)
-
-val low_actions : params -> string list
-(** End-to-end traffic: packet generation and last-hop delivery. *)
-
-val measures : params -> Dpma_measures.Measure.t list
-(** power (NIC state rewards over all nodes), hop_energy (per-hop
-    tx+rx transition rewards), generated, delivered, dropped. *)
-
-type metrics = {
-  energy_per_delivery : float;
-      (** (NIC power + hop energy) per delivered packet *)
-  delivery_ratio : float;  (** delivered per generated packet *)
-}
-
-val metrics_of_values : (string * float) list -> metrics

@@ -174,7 +174,7 @@ let lifetime_sweep ?policy ?jobs p ~timeouts =
              .Elaborate.spec)
          timeouts)
   in
-  let ltss = Markov.family_ltss ?jobs specs in
+  let ltss = (Markov.family ?jobs specs).Markov.members in
   Pool.parallel_map ?jobs
     (fun (i, timeout) ->
       let with_dpm = lifetime_of_lts ltss.(i) in

@@ -3,7 +3,6 @@ module Elaborate = Dpma_adl.Elaborate
 module Lts = Dpma_lts.Lts
 module Measure = Dpma_measures.Measure
 module Markov = Dpma_core.Markov
-module Pipeline = Dpma_core.Pipeline
 
 type params = {
   interarrival_mean : float;
@@ -180,8 +179,6 @@ let measures_with_power p =
         ];
     ]
 
-let measures () = measures_with_power default_params
-
 type metrics = {
   throughput : float;
   energy_rate : float;
@@ -215,15 +212,3 @@ let compare_dpm p =
   in
   ( metrics_of_values with_dpm.Markov.values,
     metrics_of_values without.Markov.values )
-
-let study p =
-  let el = elaborate p in
-  {
-    Pipeline.study_name = "disk";
-    spec = el.Elaborate.spec;
-    functional_spec = None;
-    high = high_actions;
-    low = low_actions;
-    measures = measures_with_power p;
-    general_timings = [];
-  }

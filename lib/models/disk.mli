@@ -45,8 +45,6 @@ val elaborate : params -> Dpma_adl.Elaborate.elaborated
 val high_actions : string list
 val low_actions : string list
 
-val measures : unit -> Dpma_measures.Measure.t list
-
 type metrics = {
   throughput : float;  (** completions per ms *)
   energy_rate : float;
@@ -57,5 +55,3 @@ type metrics = {
 
 val compare_dpm : params -> metrics * metrics
 (** (with DPM, without DPM) at the given parameters. *)
-
-val study : params -> Dpma_core.Pipeline.study

@@ -11,7 +11,7 @@ module Pool = Dpma_util.Pool
    one figure differ only in a DPM constant (a timeout, an awake period),
    so their state spaces overlap almost entirely: the sweeps now elaborate
    every point, run ONE featured build over the whole family
-   ([Markov.family_ltss]), and project each point's LTS out of the shared
+   ([Markov.family]), and project each point's LTS out of the shared
    structure. Each projected LTS is bit-identical to [Lts.of_spec] on
    that point's spec, so every figure is unchanged. [?jobs] defaults to
    [Pool.default_jobs]; results are independent of the job count because
@@ -104,7 +104,9 @@ let fig3_markov ?jobs ?(timeouts = default_rpc_timeouts) () =
              .Elaborate.spec)
          timeouts)
   in
-  let analyses = Markov.analyze_family ?jobs specs rpc_measures in
+  let analyses, _ =
+    Option.get (Markov.family ?jobs ~measures:rpc_measures specs).Markov.solved
+  in
   List.mapi
     (fun i shutdown_timeout ->
       let with_dpm = Rpc.metrics_of_values analyses.(i).Markov.values in
@@ -142,8 +144,9 @@ let fig3_general ?jobs ?(timeouts = default_rpc_timeouts)
       timeouts
   in
   let ltss =
-    Markov.family_ltss ?jobs
-      (Array.of_list (List.map (fun el -> el.Elaborate.spec) els))
+    (Markov.family ?jobs
+       (Array.of_list (List.map (fun el -> el.Elaborate.spec) els)))
+      .Markov.members
   in
   Pool.parallel_map ?jobs
     (fun (i, shutdown_timeout) ->
@@ -191,8 +194,9 @@ let fig5_validation ?jobs ?(timeouts = [ 1.0; 5.0; 10.0; 15.0; 20.0; 25.0 ])
       timeouts
   in
   let ltss =
-    Markov.family_ltss ?jobs
-      (Array.of_list (List.map (fun el -> el.Elaborate.spec) els))
+    (Markov.family ?jobs
+       (Array.of_list (List.map (fun el -> el.Elaborate.spec) els)))
+      .Markov.members
   in
   Pool.parallel_map ?jobs
     (fun (i, v_timeout) ->
@@ -260,7 +264,9 @@ let fig4_markov ?jobs ?(awake_periods = default_awake_periods) () =
              .Elaborate.spec)
          awake_periods)
   in
-  let analyses = Markov.analyze_family ?jobs specs measures in
+  let analyses, _ =
+    Option.get (Markov.family ?jobs ~measures specs).Markov.solved
+  in
   List.mapi
     (fun i awake_period ->
       let s_with_dpm =
@@ -301,8 +307,9 @@ let fig6_general ?jobs ?(awake_periods = default_awake_periods)
       awake_periods
   in
   let ltss =
-    Markov.family_ltss ?jobs
-      (Array.of_list (List.map (fun el -> el.Elaborate.spec) els))
+    (Markov.family ?jobs
+       (Array.of_list (List.map (fun el -> el.Elaborate.spec) els)))
+      .Markov.members
   in
   Pool.parallel_map ?jobs
     (fun (i, awake_period) ->
@@ -395,7 +402,9 @@ let ablation_rpc_policy ?jobs ?(timeouts = [ 0.5; 2.0; 5.0; 10.0; 25.0 ]) () =
              policies)
          timeouts)
   in
-  let analyses = Markov.analyze_family ?jobs specs rpc_measures in
+  let analyses, _ =
+    Option.get (Markov.family ?jobs ~measures:rpc_measures specs).Markov.solved
+  in
   List.mapi
     (fun i p_timeout ->
       let m j = Rpc.metrics_of_values analyses.((3 * i) + j).Markov.values in

@@ -197,7 +197,7 @@ let test_figure_identity () =
      per-config pipeline bit for bit. *)
   let measures = Rpc.measures () in
   let specs = rpc_specs () in
-  let family = Markov.analyze_family specs measures in
+  let family, _ = Option.get (Markov.family ~measures specs).Markov.solved in
   Array.iteri
     (fun c spec ->
       let solo = Markov.analyze spec measures in
@@ -572,10 +572,11 @@ let test_family_trace_roots () =
           let specs =
             Array.map (fun m -> m.Elaborate.spec) fam.Elaborate.members
           in
-          let flts, _ = Flts.build_family ~jobs specs in
-          let ltss = Flts.project_all ~jobs flts in
           let _, stats =
-            Markov.analyze_ltss_dedup ~jobs ltss (Measure.parse grid_measures_src)
+            Option.get
+              (Markov.family ~jobs ~measures:(Measure.parse grid_measures_src)
+                 specs)
+                .Markov.solved
           in
           let roots = Trace.roots () in
           let tag = Printf.sprintf "jobs %d: " jobs in
@@ -615,6 +616,64 @@ let test_family_trace_roots () =
             (List.assoc_opt "structures" (List.hd dedup.Trace.children).Trace.attrs
             = Some (Trace.Int stats.Markov.structures));
           Alcotest.(check int) (tag ^ "nothing dropped") 0 (Trace.dropped ())))
+    [ 1; 2 ]
+
+(* [Markov.family] is the build, the projection and the dedup solves
+   called one after the other: at jobs 1 and 2 its record equals those
+   pieces called separately, members by [Lts.equal] and analyses bit
+   for bit. *)
+let test_family_entry_pieces () =
+  let specs = grid_specs ~t_max:4 ~a_max:8 in
+  let measures = Measure.parse grid_measures_src in
+  (* The engine's figures without its clock readings. *)
+  let untimed (b : Lts.build_stats) =
+    { b with Lts.merge_seconds = 0.0; spill_write_seconds = 0.0;
+      build_seconds = 0.0 }
+  in
+  List.iter
+    (fun jobs ->
+      let tag = Printf.sprintf "jobs %d: " jobs in
+      let union, stats = Flts.build_family ~jobs specs in
+      let members = Flts.project_all union in
+      let analyses, solve_stats =
+        Markov.analyze_ltss_dedup ~jobs members measures
+      in
+      let fam = Markov.family ~jobs ~measures specs in
+      Alcotest.(check int) (tag ^ "union states") union.Flts.num_states
+        fam.Markov.union_states;
+      Alcotest.(check int) (tag ^ "union transitions")
+        (Flts.num_transitions union) fam.Markov.union_transitions;
+      Alcotest.(check (pair int int)) (tag ^ "guards")
+        (stats.Flts.guard_count, stats.Flts.guard_words)
+        (fam.Markov.stats.Flts.guard_count, fam.Markov.stats.Flts.guard_words);
+      Alcotest.(check bool) (tag ^ "build stats") true
+        (untimed stats.Flts.build = untimed fam.Markov.stats.Flts.build);
+      Alcotest.(check int) (tag ^ "members") (Array.length members)
+        (Array.length fam.Markov.members);
+      Array.iteri
+        (fun c lts ->
+          Alcotest.(check bool) (Printf.sprintf "%smember %d" tag c) true
+            (Lts.equal lts fam.Markov.members.(c)))
+        members;
+      let analyses', solve_stats' = Option.get fam.Markov.solved in
+      Array.iteri
+        (fun c a ->
+          check_analysis_identical (Printf.sprintf "%smember %d" tag c)
+            analyses'.(c) a)
+        analyses;
+      Alcotest.(check bool) (tag ^ "solve stats") true
+        (solve_stats = solve_stats');
+      Alcotest.(check bool) (tag ^ "phase seconds") true
+        (fam.Markov.build_seconds >= 0.0 && fam.Markov.project_seconds >= 0.0
+        && fam.Markov.analyze_seconds >= 0.0);
+      let bare = Markov.family ~jobs specs in
+      Alcotest.(check bool) (tag ^ "no measures, no solve") true
+        (bare.Markov.solved = None && bare.Markov.analyze_seconds = 0.0);
+      Array.iteri
+        (fun c lts ->
+          Alcotest.(check bool) (Printf.sprintf "%sbare member %d" tag c) true
+            (Lts.equal lts bare.Markov.members.(c)))
+        members)
     [ 1; 2 ]
 
 let test_grid_every_member_identity () =
@@ -825,7 +884,7 @@ let test_dedup_solves () =
   let members = Array.length specs in
   let measures = Measure.parse grid_measures_src in
   let results, stats =
-    Markov.analyze_ltss_dedup (Markov.family_ltss specs) measures
+    Markov.analyze_ltss_dedup (Markov.family specs).Markov.members measures
   in
   Alcotest.(check int) "stats members" members stats.Markov.members;
   Alcotest.(check bool)
@@ -939,7 +998,7 @@ let test_dedup_build_errors () =
    gives its own [Ctmc.of_lts] chain, floats by bits, and the fills of
    one plan share its columns. *)
 let test_grid_plan_fill () =
-  let ltss = Markov.family_ltss (grid_specs ~t_max:16 ~a_max:32) in
+  let ltss = (Markov.family (grid_specs ~t_max:16 ~a_max:32)).Markov.members in
   let plans = ref [] in
   let plan_of lts =
     match List.find_opt (fun (l, _) -> Ctmc.same_plan l lts) !plans with
@@ -1064,6 +1123,8 @@ let suite =
       test_grid_every_member_identity;
     Alcotest.test_case "traced family: one span per phase" `Quick
       test_family_trace_roots;
+    Alcotest.test_case "family entry equals its pieces" `Quick
+      test_family_entry_pieces;
     Alcotest.test_case "member without edges at a shared state" `Quick
       test_member_without_edges;
     Alcotest.test_case "family members equal their own elaboration" `Quick
